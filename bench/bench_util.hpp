@@ -1,6 +1,8 @@
 // Shared plumbing for the paper-figure benchmark harnesses: table printing,
 // human-readable sizes, rank-count sweeps, and qualitative shape checks
 // (benches assert the paper's *shape* claims, never absolute numbers).
+// The median and the JSON number writer are the repository benchmark's
+// (upcxx_bench/bench_core.hpp), so there is one of each.
 #pragma once
 
 #include <algorithm>
@@ -11,7 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "../upcxx_bench/bench_core.hpp"
+
 namespace benchutil {
+
+using ubench::median;
 
 inline std::string human_size(std::size_t bytes) {
   char buf[32];
@@ -89,17 +95,6 @@ class ShapeChecks {
   int failures_ = 0;
 };
 
-// Median of a sample vector (destructive).
-inline double median(std::vector<double>& v) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-inline double minimum(const std::vector<double>& v) {
-  return *std::min_element(v.begin(), v.end());
-}
-
 // Machine-readable results for tracking the perf trajectory across PRs:
 // with BENCH_JSON=1 each bench writes BENCH_<name>.json holding a flat
 // metric map. Collect metrics during the run and call write() before exit.
@@ -111,6 +106,16 @@ class JsonReport {
     metrics_.emplace_back(key, value);
   }
 
+  // The report text. A metric that is not a finite number (a ratio with
+  // a zero base) prints as null, which JSON can parse.
+  std::string json() const {
+    std::string out = "{\n  \"bench\": \"" + name_ + "\",\n  \"metrics\": {";
+    for (std::size_t i = 0; i < metrics_.size(); ++i)
+      out += std::string(i ? "," : "") + "\n    \"" + metrics_[i].first +
+             "\": " + ubench::json_number(metrics_[i].second);
+    return out + "\n  }\n}\n";
+  }
+
   // No-op unless BENCH_JSON=1. Returns true if a file was written.
   bool write() const {
     const char* e = std::getenv("BENCH_JSON");
@@ -118,12 +123,7 @@ class JsonReport {
     const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (!f) return false;
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"metrics\": {",
-                 name_.c_str());
-    for (std::size_t i = 0; i < metrics_.size(); ++i)
-      std::fprintf(f, "%s\n    \"%s\": %.6g", i ? "," : "",
-                   metrics_[i].first.c_str(), metrics_[i].second);
-    std::fprintf(f, "\n  }\n}\n");
+    std::fputs(json().c_str(), f);
     std::fclose(f);
     std::printf("wrote %s (%zu metrics)\n", path.c_str(), metrics_.size());
     return true;

@@ -1,14 +1,13 @@
 #include "gex/arena.hpp"
 
 #include <sys/mman.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <thread>
 
-#include "arch/timer.hpp"
+#include "arch/spinlock.hpp"
 
 // Old glibc headers may lack the flag (Linux 4.17+); the raw value is ABI.
 #ifndef MAP_FIXED_NOREPLACE
@@ -88,8 +87,6 @@ Arena* Arena::create_at(const Config& cfg_in, std::uint64_t fixed_base) {
   a->ctrl_ = ::new (base + ctrl_off) ControlBlock();
   a->ctrl_->nranks = static_cast<std::uint32_t>(P);
   a->ctrl_->segment_bytes = cfg.segment_bytes;
-  a->ctrl_->job_pid = static_cast<std::uint32_t>(::getpid());
-  a->ctrl_->job_nonce = static_cast<std::uint32_t>(arch::now_ns());
 
   // Endpoint slots start zero (fresh zero-filled mapping) = unpublished.
   a->ports_ = reinterpret_cast<std::atomic<std::uint32_t>*>(base + ports_off);

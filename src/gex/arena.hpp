@@ -29,12 +29,6 @@ struct ControlBlock {
   std::uint32_t nranks = 0;
   std::size_t segment_bytes = 0;
 
-  // Job identity (launcher pid + a per-launch nonce), written once at
-  // creation. Names the shm-file transport's per-pair ring files so
-  // concurrent jobs on one host never collide.
-  std::uint32_t job_pid = 0;
-  std::uint32_t job_nonce = 0;
-
   // Sense-reversing centralized barrier over all world ranks.
   arch::Padded<std::atomic<std::uint32_t>> barrier_arrived;
   arch::Padded<std::atomic<std::uint32_t>> barrier_epoch;
@@ -85,8 +79,6 @@ class Arena {
   SharedHeap& heap() { return *heap_; }
   SharedHeap& segment_heap(int rank) { return *seg_heaps_[rank]; }
   std::byte* scratch(int rank) { return scratch_ + rank * kScratchSlot; }
-  std::uint32_t job_pid() const { return ctrl_->job_pid; }
-  std::uint32_t job_nonce() const { return ctrl_->job_nonce; }
 
   // Wire-address name space over this arena's regions (global heap, rank
   // segments, ring arena). Built at create, immutable afterwards; every

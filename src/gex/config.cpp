@@ -87,12 +87,11 @@ RmaWire parse_rma_wire(const char* v) {
 // Same contract for UPCXX_AM_TRANSPORT.
 AmTransport parse_am_transport(const char* v) {
   if (std::strcmp(v, "mmap") == 0) return AmTransport::kMmap;
-  if (std::strcmp(v, "shmfile") == 0) return AmTransport::kShmFile;
   if (std::strcmp(v, "socket") == 0) return AmTransport::kSocket;
   if (std::strcmp(v, "auto") != 0)
     std::fprintf(stderr,
                  "gex: ignoring UPCXX_AM_TRANSPORT=%s (expected "
-                 "auto|mmap|shmfile|socket)\n",
+                 "auto|mmap|socket)\n",
                  v);
   return AmTransport::kAuto;
 }
@@ -184,7 +183,6 @@ void Config::normalize() {
   if (xfer_chunk_bytes < 256) xfer_chunk_bytes = 256;
   // am_window 0 means auto (resolve_am_window consults the environment),
   // so normalize leaves it alone.
-  if (am_xfer_chunk_bytes < 256) am_xfer_chunk_bytes = 256;
   // A sub-1 envelope would declare every ack late; 0 stays 0 (auto).
   if (!(am_rtt_envelope >= 1.0) || !std::isfinite(am_rtt_envelope))
     am_rtt_envelope = 0;
@@ -201,10 +199,6 @@ void Config::normalize() {
                  progress_threads, hw);
     progress_threads = static_cast<int>(hw);
   }
-  if (inject_shards < 1) inject_shards = 1;
-  if (inject_shards > 64) inject_shards = 64;
-  if (submit_shards < 1) submit_shards = 1;
-  if (submit_shards > 64) submit_shards = 64;
   // Socket knobs: a record must at least hold a maximal eager payload plus
   // headers; fault probabilities are percentages; the fixed arena base
   // must be page-aligned for MAP_FIXED_NOREPLACE.
@@ -280,11 +274,6 @@ Config Config::from_env() {
       }
     }
   }
-  c.am_xfer_chunk_bytes =
-      static_cast<std::size_t>(env_positive(
-          "UPCXX_AM_CHUNK_KB",
-          static_cast<long>(c.am_xfer_chunk_bytes >> 10)))
-      << 10;
   if (const char* v = std::getenv("UPCXX_AM_RTT_ENVELOPE"); v && *v) {
     char* end = nullptr;
     const double e = std::strtod(v, &end);
@@ -299,10 +288,6 @@ Config Config::from_env() {
   }
   c.progress_threads = static_cast<int>(env_positive(
       "UPCXX_PROGRESS_THREADS", static_cast<long>(c.progress_threads)));
-  c.inject_shards = static_cast<std::uint32_t>(env_positive(
-      "UPCXX_INJECT_SHARDS", static_cast<long>(c.inject_shards)));
-  c.submit_shards = static_cast<std::uint32_t>(env_positive(
-      "UPCXX_SUBMIT_SHARDS", static_cast<long>(c.submit_shards)));
   c.socket_max_record =
       static_cast<std::size_t>(env_positive(
           "UPCXX_SOCKET_MAX_RECORD_KB",

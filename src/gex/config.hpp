@@ -26,22 +26,25 @@ enum class RmaWire {
   kAm,
 };
 
-// AM transport (UPCXX_AM_TRANSPORT=auto|mmap|shmfile|socket): what backs
-// the inbox rings the AmEngine pushes records through (gex/transport.hpp).
-// `mmap` is the pre-existing shared-arena ring (the fast path); `shmfile`
-// backs each (sender, receiver) pair with its own lazily created ring
-// file, mapped independently by each side — the proof that the wire
-// carries no cross-mapped pointers. `socket` frames each record onto a
-// non-blocking loopback TCP stream (gex/socket.hpp) — the first transport
-// that needs no shared memory at all, so rendezvous/staged payloads ship
-// inline and UPCXX_RMA_WIRE resolves to `am` under it. `auto` consults
-// the environment, then falls back to mmap.
+// AM transport (UPCXX_AM_TRANSPORT=auto|mmap|socket): what backs the inbox
+// rings the AmEngine pushes records through (gex/transport.hpp). `mmap` is
+// the shared-arena ring (the fast path). `socket` frames each record onto
+// a non-blocking loopback TCP stream (gex/socket.hpp) — a transport that
+// needs no shared memory at all, so rendezvous/staged payloads ship inline
+// and UPCXX_RMA_WIRE resolves to `am` under it. `auto` consults the
+// environment, then falls back to mmap.
 enum class AmTransport {
   kAuto,
   kMmap,
-  kShmFile,
   kSocket,
 };
+
+// Chunk granularity on the am wire: the XferEngine uses
+// min(Config::xfer_chunk_bytes, kAmXferChunkBytes) there, so explicit small
+// test chunkings still apply while default transfers keep their in-flight
+// staging footprint (window × chunk) inside L2 — the bounce pool only pays
+// off while the target consumes a chunk before it cools.
+inline constexpr std::size_t kAmXferChunkBytes = 64 << 10;
 
 struct Config {
   int ranks = 4;                          // UPCXX_RANKS
@@ -75,7 +78,7 @@ struct Config {
   // Small windows serialize (W=1 is the worst-case CI job); large windows
   // let a flood fill the target's ring and staging heap — and blow the
   // in-flight staging (window × chunk) out of cache, which is what caps
-  // am-wire bandwidth (see am_xfer_chunk_bytes). 0 = auto: consult
+  // am-wire bandwidth (see kAmXferChunkBytes). 0 = auto: consult
   // UPCXX_AM_WINDOW (so hand-built test Configs honor the CI matrix, like
   // rma_wire's kAuto); `auto` or an unset environment selects the
   // *adaptive* window (an ack-RTT-driven BBR-style controller per target —
@@ -85,12 +88,6 @@ struct Config {
   // that must measure `auto` under any CI matrix). An explicit value wins
   // over the environment.
   std::uint32_t am_window = 0;            // UPCXX_AM_WINDOW
-  // Chunk granularity on the am wire: the engine uses
-  // min(xfer_chunk_bytes, am_xfer_chunk_bytes) there, so explicit small
-  // test chunkings still apply while the default transfers keep their
-  // in-flight staging footprint (window × chunk) inside L2 — the bounce
-  // pool only pays off while the target consumes a chunk before it cools.
-  std::size_t am_xfer_chunk_bytes = 64 << 10;  // UPCXX_AM_CHUNK_KB
   // AM transport selection (see enum above).
   AmTransport am_transport = AmTransport::kAuto;  // UPCXX_AM_TRANSPORT
   // Progress-pool width (upcxx::progress_pool): how many dedicated
@@ -101,18 +98,6 @@ struct Config {
   // partition is idle) while worker 0 keeps engine polling — engines
   // stay single-consumer by construction.
   int progress_threads = 1;               // UPCXX_PROGRESS_THREADS
-  // Injection wire shards: off-persona sends are staged into
-  // shard[target % inject_shards], so unrelated targets never contend
-  // on one queue and pool helpers can drain disjoint shards in
-  // parallel. Clamped to [1, 64].
-  std::uint32_t inject_shards = 4;        // UPCXX_INJECT_SHARDS
-  // Submit-queue shards: off-persona op closures (engine submits,
-  // collective entries, protocol put/get) are staged into
-  // shard[hash(thread) % submit_shards], keeping each injector thread's
-  // submissions FIFO while spreading unrelated threads across queue
-  // tails. All shards are drained by the master persona. Clamped to
-  // [1, 64].
-  std::uint32_t submit_shards = 4;        // UPCXX_SUBMIT_SHARDS
   // ------------------------------------------------- socket transport
   // Largest record the socket transport advertises via
   // Transport::max_record_payload (the stream itself accepts any size;
@@ -192,7 +177,7 @@ struct AmWindowSetting {
 // Adaptive starting window (also the fixed default if the environment
 // names no number).
 inline constexpr std::uint32_t kDefaultAmWindow = 8;
-// Adaptive ceiling: window × UPCXX_AM_CHUNK_KB is the staging working
+// Adaptive ceiling: window × kAmXferChunkBytes is the staging working
 // set, so 64 × 64K = 4M bounds it at roughly an L3's worth.
 inline constexpr std::uint32_t kMaxAmWindow = 64;
 // Config::am_window sentinel: adaptive regardless of the environment.
@@ -220,8 +205,8 @@ double resolve_am_rtt_envelope(const Config& cfg);
 
 // Resolves a Config's am_transport. kAuto consults UPCXX_AM_TRANSPORT (so
 // hand-built Configs — the test helpers — honor a CI-level transport
-// override) and otherwise selects kMmap. An explicit kMmap / kShmFile /
-// kSocket wins over the environment.
+// override) and otherwise selects kMmap. An explicit kMmap / kSocket wins
+// over the environment.
 AmTransport resolve_am_transport(const Config& cfg);
 
 }  // namespace gex

@@ -1,7 +1,9 @@
 #include "gex/rma_am.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "arch/atomics.hpp"
@@ -28,30 +30,18 @@ std::size_t inline_cutoff(AmEngine* am) {
 namespace {
 
 // Wire record headers. Always memcpy'd to/from the ring (record payloads
-// are only 4-byte aligned). Cookies are initiator-local ids; `dst`/`addr`/
-// `buf` fields are (segment id, offset) wire addresses (gex/segment.hpp)
-// encoded by the sender and resolved against the *receiver's own* mapping
-// at decode — no record byte depends on the peer's virtual-address layout,
-// which is what lets the shm-file transport (and a future socket backend)
-// carry these records between unrelated mappings. Every header carries
-// `nacks` and `nracks`: the counts of piggybacked request-ack cookies and
-// staged-reply consumption-ack cookies (u64 each) laid out immediately
-// after the header — acks first, then racks — ahead of any descriptors or
-// payload, so reverse-direction traffic retires the sender's completions
-// and unpins its staged reply buffers for free.
-struct PutHdr {
-  std::uint64_t cookie;
-  std::uint64_t dst;
-  std::uint32_t nacks;
-  std::uint32_t nracks;
-};
-struct GetHdr {
-  std::uint64_t cookie;
-  std::uint64_t src;
-  std::uint64_t bytes;
-  std::uint32_t nacks;
-  std::uint32_t nracks;
-};
+// are only 4-byte aligned). Cookies are initiator-local ids; `addr`/`buf`
+// fields are (segment id, offset) wire addresses (gex/segment.hpp) encoded
+// by the sender and resolved against the *receiver's own* mapping at
+// decode — no record byte depends on the peer's virtual-address layout.
+// Every header carries `nacks` and `nracks`: the counts of piggybacked
+// request-ack cookies and staged-reply consumption-ack cookies (u64 each)
+// laid out immediately after the header — acks first, then racks — ahead
+// of any descriptors or payload, so reverse-direction traffic retires the
+// sender's completions and unpins its staged reply buffers for free.
+//
+// A request names its remote runs with `nfrags` FragDescs in the record
+// itself; a contiguous put or get is simply nfrags == 1.
 struct FragHdr {
   std::uint64_t cookie;
   std::uint32_t nfrags;
@@ -59,18 +49,11 @@ struct FragHdr {
   std::uint32_t nracks;
   std::uint32_t reserved;
 };
-// Pool-staged put: the payload sits in an initiator-owned bounce buffer in
-// the shared heap; only this descriptor crosses the ring. The target copies
-// and acks; the ack hands the buffer back to the initiator's pool. The
-// staged-frag variant packs [nfrags × FragDesc][payload] into the buffer.
-struct PutStagedHdr {
-  std::uint64_t cookie;
-  std::uint64_t dst;
-  std::uint64_t buf;
-  std::uint64_t bytes;
-  std::uint32_t nacks;
-  std::uint32_t nracks;
-};
+// Pool-staged put: the gathered payload sits in an initiator-owned bounce
+// buffer in the shared heap; the header and descriptors cross the ring.
+// The target scatters and acks; the ack hands the buffer back to the
+// initiator's pool. Keeping the descriptors out of the buffer keeps its
+// size the payload's, so a 64 KiB chunk takes a 64 KiB pool block.
 struct FragStagedHdr {
   std::uint64_t cookie;
   std::uint64_t buf;
@@ -95,12 +78,10 @@ struct RepHdr {
   std::uint32_t nacks;
   std::uint32_t nracks;
 };
-// Pool-staged GET reply (contiguous and frag-gather variants share the
-// layout; distinct handlers keep the wire self-describing): the gathered
-// payload sits in a target-owned reply buffer in the shared heap; only
-// this descriptor crosses the ring. The initiator scatters out of the
-// buffer and owes a rack for `cookie`; the rack hands the buffer back to
-// the target's reply pool.
+// Pool-staged GET reply: the gathered payload sits in a target-owned reply
+// buffer in the shared heap; only this descriptor crosses the ring. The
+// initiator scatters out of the buffer and owes a rack for `cookie`; the
+// rack hands the buffer back to the target's reply pool.
 struct RepStagedHdr {
   std::uint64_t cookie;
   std::uint64_t buf;
@@ -125,16 +106,56 @@ std::byte* write_acks(std::byte* q, const std::vector<std::uint64_t>& acks) {
   return q + ack_bytes(acks.size());
 }
 
-// Both piggyback namespaces of one drained OwedAcks: total wire bytes, and
-// the writer (acks first, then racks — the order every handler consumes).
-template <typename OA>
-std::size_t oa_bytes(const OA& oa) {
-  return ack_bytes(oa.acks.size() + oa.racks.size());
+void* local_ptr(std::uint64_t addr) {
+  return reinterpret_cast<void*>(static_cast<std::uintptr_t>(addr));
 }
-template <typename OA>
-std::byte* write_oa(std::byte* q, const OA& oa) {
-  q = write_acks(q, oa.acks);
-  return write_acks(q, oa.racks);
+
+// Copies the initiator's source runs back to back into `q`.
+std::byte* gather_local(std::byte* q, const RmaAmProtocol::LocalFrag* srcs,
+                        std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (srcs[i].bytes) std::memcpy(q, srcs[i].ptr, srcs[i].bytes);
+    q += srcs[i].bytes;
+  }
+  return q;
+}
+
+// Copies this rank's source runs (local addresses — the get handler
+// resolved them at decode) back to back into `q`. Runs at reply time, so
+// the get reads the data as it exists when the target serves it, exactly
+// like a direct-wire rget reads memory at copy time.
+void gather_runs(std::byte* q,
+                 const std::vector<RmaAmProtocol::Frag>& runs) {
+  for (const auto& f : runs) {
+    if (f.bytes)
+      std::memcpy(q, local_ptr(f.addr), static_cast<std::size_t>(f.bytes));
+    q += f.bytes;
+  }
+}
+
+// Removes and returns the smallest pooled buffer that holds `bytes`; null
+// .p when none does. Pools hold at most a window's worth of entries (one
+// per possible in-flight request), so the scan is short.
+template <typename Buf>
+Buf take_best_fit(std::vector<Buf>& pool, std::size_t bytes) {
+  std::size_t best = pool.size();
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    if (pool[i].cap < bytes) continue;
+    if (best == pool.size() || pool[i].cap < pool[best].cap) best = i;
+  }
+  if (best == pool.size()) return Buf{};
+  Buf b = pool[best];
+  pool[best] = pool.back();
+  pool.pop_back();
+  return b;
+}
+
+// Fresh pool blocks are rounded up to a power of two (at least a page) so
+// a stream of slightly varying sizes converges on one reusable size class.
+std::size_t size_class(std::size_t bytes) {
+  std::size_t cap = 4096;
+  while (cap < bytes) cap <<= 1;
+  return cap;
 }
 
 RmaAmProtocol& proto() {
@@ -178,23 +199,47 @@ struct RmaAmHandlers {
     return q + ack_bytes(n);
   }
 
-  static void on_put(AmContext& cx) {
-    auto& p = proto();
-    const auto h = read_hdr<PutHdr>(cx.data);
-    const auto* q = static_cast<const std::byte*>(cx.data) + sizeof(PutHdr);
+  // Reads the record's header into `h`, retires the acks and racks
+  // piggybacked after it, and returns the cursor past them.
+  template <typename H>
+  static const std::byte* open(RmaAmProtocol& p, const AmContext& cx,
+                               H& h) {
+    h = read_hdr<H>(cx.data);
+    const auto* q = static_cast<const std::byte*>(cx.data) + sizeof(H);
     q = consume_acks(p, q, h.nacks);
-    q = consume_racks(p, cx.src, q, h.nracks);
-    const std::size_t bytes =
-        cx.size - sizeof(PutHdr) - ack_bytes(h.nacks) - ack_bytes(h.nracks);
-    if (bytes)
-      std::memcpy(reinterpret_cast<void*>(
-                      static_cast<std::uintptr_t>(p.wire_dec(h.dst))),
-                  q, bytes);
+    return consume_racks(p, cx.src, q, h.nracks);
+  }
+
+  // Scatters `payload` into the `n` wire-addressed runs at `descs`, in
+  // order; returns the bytes consumed.
+  static std::size_t scatter(const RmaAmProtocol& p, const std::byte* descs,
+                             std::uint32_t n, const std::byte* payload) {
+    std::size_t off = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto d = read_hdr<FragDesc>(descs + i * sizeof(FragDesc));
+      if (d.bytes)
+        std::memcpy(local_ptr(p.wire_dec(d.addr)), payload + off,
+                    static_cast<std::size_t>(d.bytes));
+      off += static_cast<std::size_t>(d.bytes);
+    }
+    return off;
+  }
+
+  static void on_put_frag(AmContext& cx) {
+    auto& p = proto();
+    FragHdr h{};
+    const auto* descs = open(p, cx, h);
+    const std::size_t off =
+        scatter(p, descs, h.nfrags, descs + h.nfrags * sizeof(FragDesc));
+    assert(sizeof(FragHdr) + ack_bytes(h.nacks) + ack_bytes(h.nracks) +
+               h.nfrags * sizeof(FragDesc) + off ==
+           cx.size);
+    (void)off;
     p.owe_ack(cx.src, h.cookie);
     ++p.stats_.puts_handled;
   }
 
-  static void on_put_staged(AmContext& cx) {
+  static void on_put_frag_staged(AmContext& cx) {
     // h.buf names a bounce buffer in the *initiator's* heap — readable
     // here only because the transport cross-maps it. A staged record
     // arriving over a transport without that property (socket) is a
@@ -202,145 +247,82 @@ struct RmaAmHandlers {
     assert(cx.engine->transport().shared_memory() &&
            "staged put crossed a non-shared-memory transport");
     auto& p = proto();
-    const auto h = read_hdr<PutStagedHdr>(cx.data);
-    const auto* q = consume_acks(
-        p, static_cast<const std::byte*>(cx.data) + sizeof(PutStagedHdr),
-        h.nacks);
-    consume_racks(p, cx.src, q, h.nracks);
-    std::memcpy(
-        reinterpret_cast<void*>(
-            static_cast<std::uintptr_t>(p.wire_dec(h.dst))),
-        reinterpret_cast<const void*>(
-            static_cast<std::uintptr_t>(p.wire_dec(h.buf))),
-        static_cast<std::size_t>(h.bytes));
-    p.owe_ack(cx.src, h.cookie);
-    ++p.stats_.puts_handled;
-  }
-
-  static void on_put_frag_staged(AmContext& cx) {
-    assert(cx.engine->transport().shared_memory() &&
-           "staged frag-put crossed a non-shared-memory transport");
-    auto& p = proto();
-    const auto h = read_hdr<FragStagedHdr>(cx.data);
-    const auto* q = consume_acks(
-        p, static_cast<const std::byte*>(cx.data) + sizeof(FragStagedHdr),
-        h.nacks);
-    consume_racks(p, cx.src, q, h.nracks);
-    const auto* descs = reinterpret_cast<const std::byte*>(
-        static_cast<std::uintptr_t>(p.wire_dec(h.buf)));
-    const auto* payload = descs + h.nfrags * sizeof(FragDesc);
-    std::size_t off = 0;
-    for (std::uint32_t i = 0; i < h.nfrags; ++i) {
-      const auto d = read_hdr<FragDesc>(descs + i * sizeof(FragDesc));
-      if (d.bytes)
-        std::memcpy(reinterpret_cast<void*>(
-                        static_cast<std::uintptr_t>(p.wire_dec(d.addr))),
-                    payload + off, static_cast<std::size_t>(d.bytes));
-      off += static_cast<std::size_t>(d.bytes);
-    }
+    FragStagedHdr h{};
+    const auto* descs = open(p, cx, h);
+    const std::size_t off =
+        scatter(p, descs, h.nfrags,
+                static_cast<const std::byte*>(local_ptr(p.wire_dec(h.buf))));
     assert(off == static_cast<std::size_t>(h.payload_bytes));
+    (void)off;
     p.owe_ack(cx.src, h.cookie);
     ++p.stats_.puts_handled;
-  }
-
-  static void on_put_frag(AmContext& cx) {
-    auto& p = proto();
-    const auto h = read_hdr<FragHdr>(cx.data);
-    const auto* descs =
-        consume_acks(p, static_cast<const std::byte*>(cx.data) +
-                            sizeof(FragHdr),
-                     h.nacks);
-    descs = consume_racks(p, cx.src, descs, h.nracks);
-    const auto* payload = descs + h.nfrags * sizeof(FragDesc);
-    std::size_t off = 0;
-    for (std::uint32_t i = 0; i < h.nfrags; ++i) {
-      const auto d = read_hdr<FragDesc>(descs + i * sizeof(FragDesc));
-      if (d.bytes)
-        std::memcpy(reinterpret_cast<void*>(
-                        static_cast<std::uintptr_t>(p.wire_dec(d.addr))),
-                    payload + off, static_cast<std::size_t>(d.bytes));
-      off += static_cast<std::size_t>(d.bytes);
-    }
-    assert(sizeof(FragHdr) + ack_bytes(h.nacks) + ack_bytes(h.nracks) +
-               h.nfrags * sizeof(FragDesc) + off ==
-           cx.size);
-    p.owe_ack(cx.src, h.cookie);
-    ++p.stats_.puts_handled;
-  }
-
-  static void on_get(AmContext& cx) {
-    auto& p = proto();
-    const auto h = read_hdr<GetHdr>(cx.data);
-    const auto* q = consume_acks(
-        p, static_cast<const std::byte*>(cx.data) + sizeof(GetHdr), h.nacks);
-    consume_racks(p, cx.src, q, h.nracks);
-    // Resolve at decode; the gather list in replies_ holds this rank's own
-    // raw addresses from here on.
-    p.replies_.push_back(
-        {cx.src, h.cookie,
-         {RmaAmProtocol::Frag{p.wire_dec(h.src), h.bytes}}, false});
-    ++p.stats_.gets_handled;
   }
 
   static void on_get_frag(AmContext& cx) {
     auto& p = proto();
-    const auto h = read_hdr<FragHdr>(cx.data);
-    const auto* descs =
-        consume_acks(p, static_cast<const std::byte*>(cx.data) +
-                            sizeof(FragHdr),
-                     h.nacks);
-    descs = consume_racks(p, cx.src, descs, h.nracks);
+    FragHdr h{};
+    const auto* descs = open(p, cx, h);
+    // Resolve at decode; the gather list in replies_ holds this rank's own
+    // raw addresses from here on.
     std::vector<RmaAmProtocol::Frag> gather;
     gather.reserve(h.nfrags);
     for (std::uint32_t i = 0; i < h.nfrags; ++i) {
       const auto d = read_hdr<FragDesc>(descs + i * sizeof(FragDesc));
       gather.push_back({p.wire_dec(d.addr), d.bytes});
     }
-    p.replies_.push_back({cx.src, h.cookie, std::move(gather), true});
+    p.replies_.push_back({cx.src, h.cookie, std::move(gather)});
     ++p.stats_.gets_handled;
   }
 
   static void on_ack(AmContext& cx) {
     auto& p = proto();
-    const auto h = read_hdr<AckHdr>(cx.data);
-    const auto* q = consume_acks(
-        p, static_cast<const std::byte*>(cx.data) + sizeof(AckHdr), h.nacks);
-    consume_racks(p, cx.src, q, h.nracks);
+    AckHdr h{};
+    open(p, cx, h);
     assert(sizeof(AckHdr) + ack_bytes(h.nacks) + ack_bytes(h.nracks) ==
            cx.size);
   }
 
-  static void on_get_reply(AmContext& cx) {
-    auto& p = proto();
-    const auto h = read_hdr<RepHdr>(cx.data);
-    const auto* payload = consume_acks(
-        p, static_cast<const std::byte*>(cx.data) + sizeof(RepHdr), h.nacks);
-    payload = consume_racks(p, cx.src, payload, h.nracks);
+  // Scatters a reply payload into the pending get's landing runs and
+  // queues its completion (deferred to poll()). Returns the bytes
+  // scattered, or nothing when the request was cancelled (fail_all_peers)
+  // before the reply arrived — the landing buffers may be gone, so the
+  // payload is dropped.
+  static std::optional<std::size_t> land_reply(RmaAmProtocol& p,
+                                               std::uint64_t cookie,
+                                               const std::byte* payload) {
     // Map lookup under the lock; the node reference stays valid after
     // release (unordered_map nodes are stable under concurrent inserts
     // from injected sends, and only this thread — the consumer — erases).
     const RmaAmProtocol::Pending* pd = nullptr;
     {
       arch::SpinGuard g(p.pending_mu_);
-      auto it = p.pending_.find(h.cookie);
+      auto it = p.pending_.find(cookie);
       if (it != p.pending_.end()) pd = &it->second;
     }
     if (!pd) {
-      // The request was cancelled (fail_all_peers) before this reply
-      // arrived; the landing buffers may be gone, so drop the payload.
       ++p.stats_.stale_completions;
-      return;
+      return std::nullopt;
     }
-    // Scatter while the payload is alive (eager payloads die with the
-    // handler); completion itself is deferred to poll().
     std::size_t off = 0;
     for (const auto& f : pd->scatter) {
       if (f.bytes) std::memcpy(f.ptr, payload + off, f.bytes);
       off += f.bytes;
     }
-    assert(sizeof(RepHdr) + ack_bytes(h.nacks) + ack_bytes(h.nracks) + off ==
-           cx.size);
-    p.completed_.push_back(h.cookie);
+    p.completed_.push_back(cookie);
+    return off;
+  }
+
+  static void on_get_reply(AmContext& cx) {
+    auto& p = proto();
+    RepHdr h{};
+    const auto* payload = open(p, cx, h);
+    // Scatter while the payload is alive (eager payloads die with the
+    // handler).
+    const auto off = land_reply(p, h.cookie, payload);
+    assert(!off || sizeof(RepHdr) + ack_bytes(h.nacks) +
+                           ack_bytes(h.nracks) + *off ==
+                       cx.size);
+    (void)off;
   }
 
   // Pool-staged reply: scatter straight out of the target's reply buffer
@@ -348,43 +330,18 @@ struct RmaAmHandlers {
   // staged put), then owe a rack so the target can recycle it. The rack is
   // owed even when the request was cancelled: the buffer must go back
   // regardless of what happens to the payload.
-  static void on_reply_staged(AmContext& cx, const RepStagedHdr& h) {
+  static void on_reply_staged(AmContext& cx) {
     assert(cx.engine->transport().shared_memory() &&
            "staged reply crossed a non-shared-memory transport");
     auto& p = proto();
-    const auto* q = consume_acks(
-        p, static_cast<const std::byte*>(cx.data) + sizeof(RepStagedHdr),
-        h.nacks);
-    consume_racks(p, cx.src, q, h.nracks);
+    RepStagedHdr h{};
+    open(p, cx, h);
     p.owe_rack(cx.src, h.cookie);
-    const RmaAmProtocol::Pending* pd = nullptr;
-    {
-      arch::SpinGuard g(p.pending_mu_);
-      auto it = p.pending_.find(h.cookie);
-      if (it != p.pending_.end()) pd = &it->second;
-    }
-    if (!pd) {
-      ++p.stats_.stale_completions;
-      return;
-    }
-    const auto* payload = reinterpret_cast<const std::byte*>(
-        static_cast<std::uintptr_t>(p.wire_dec(h.buf)));
-    std::size_t off = 0;
-    for (const auto& f : pd->scatter) {
-      if (f.bytes) std::memcpy(f.ptr, payload + off, f.bytes);
-      off += f.bytes;
-    }
-    assert(off == static_cast<std::size_t>(h.bytes));
-    p.completed_.push_back(h.cookie);
-    ++p.stats_.staged_replies_handled;
-  }
-
-  static void on_get_reply_staged(AmContext& cx) {
-    on_reply_staged(cx, read_hdr<RepStagedHdr>(cx.data));
-  }
-
-  static void on_get_frag_reply_staged(AmContext& cx) {
-    on_reply_staged(cx, read_hdr<RepStagedHdr>(cx.data));
+    const auto off = land_reply(
+        p, h.cookie,
+        static_cast<const std::byte*>(local_ptr(p.wire_dec(h.buf))));
+    assert(!off || *off == static_cast<std::size_t>(h.bytes));
+    if (off) ++p.stats_.staged_replies_handled;
   }
 };
 
@@ -452,42 +409,23 @@ bool RmaAmProtocol::try_claim_credit(Peer& p) {
 RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
                                                      std::size_t bytes) {
   {
-    // Smallest pooled buffer that fits; the pool holds at most `window`
-    // entries (one per possible in-flight request), so the scan is short.
     arch::SpinGuard g(p.mu);
-    std::size_t best = p.stage_pool.size();
-    for (std::size_t i = 0; i < p.stage_pool.size(); ++i) {
-      if (p.stage_pool[i].cap < bytes) continue;
-      if (best == p.stage_pool.size() ||
-          p.stage_pool[i].cap < p.stage_pool[best].cap)
-        best = i;
-    }
-    if (best != p.stage_pool.size()) {
-      StageBuf b = p.stage_pool[best];
-      p.stage_pool[best] = p.stage_pool.back();
-      p.stage_pool.pop_back();
-      return b;
-    }
+    if (StageBuf b = take_best_fit(p.stage_pool, bytes); b.p) return b;
   }
-  // Pool miss: carve a fresh block, rounded up so a stream of slightly
-  // varying sizes converges on one reusable size class (the shared heap
-  // is internally locked — any thread may allocate). On an exhausted
-  // heap the consumer spins with poll, like the AmEngine's rendezvous
-  // path — but bails out (null buffer; the caller cancels) once the error
-  // flag is up: the blocks we are waiting for may be bounce buffers
-  // pinned by a dead peer's never-coming acks. A *helper* must not poll,
-  // so it takes one attempt and returns null — its caller requeues the
-  // request for the consumer to retry.
-  std::size_t cap = 4096;
-  while (cap < bytes) cap <<= 1;
+  // Pool miss: carve a fresh block (the shared heap is internally locked —
+  // any thread may allocate). On an exhausted heap the consumer spins with
+  // poll, like the AmEngine's rendezvous path — but bails out (null
+  // buffer; the caller cancels) once the error flag is up: the blocks we
+  // are waiting for may be bounce buffers pinned by a dead peer's
+  // never-coming acks. A *helper* must not poll, so it takes one attempt
+  // and returns null — its caller requeues the request for the consumer
+  // to retry.
+  const std::size_t cap = size_class(bytes);
   arch::relaxed_inc(stats_.stage_allocs);
   auto& heap = am_->arena().heap();
   for (;;) {
     if (void* buf = heap.allocate(cap)) return StageBuf{buf, cap};
-    if (!on_consumer()) return StageBuf{};
-    if (am_->arena().control().error_flag.value.load(
-            std::memory_order_acquire) != 0)
-      return StageBuf{};
+    if (!on_consumer() || job_failing()) return StageBuf{};
     if (am_->poll() + poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
@@ -510,10 +448,8 @@ std::uint32_t RmaAmProtocol::adaptive_ceiling(AmEngine* am) {
   // cache-resident at the default 64K am-wire chunk (ceiling 16) while
   // small-chunk configs (tests, soaks) still get the full range.
   constexpr std::size_t kStagingBudgetBytes = 1 << 20;
-  const auto& cfg = am->arena().config();
-  std::size_t chunk = cfg.xfer_chunk_bytes < cfg.am_xfer_chunk_bytes
-                          ? cfg.xfer_chunk_bytes
-                          : cfg.am_xfer_chunk_bytes;
+  std::size_t chunk =
+      std::min(am->arena().config().xfer_chunk_bytes, kAmXferChunkBytes);
   if (chunk == 0) chunk = 1;
   auto cap = static_cast<std::uint32_t>(kStagingBudgetBytes / chunk);
   if (cap < kDefaultAmWindow) cap = kDefaultAmWindow;
@@ -533,24 +469,13 @@ RmaAmProtocol::StageBuf RmaAmProtocol::acquire_reply_stage(
   // rendezvous REPLY path — never block here, a reply send runs inside
   // the target's poll loop.
   if (p.reply_out.size() >= window()) return StageBuf{};
-  std::size_t best = p.reply_pool.size();
-  for (std::size_t i = 0; i < p.reply_pool.size(); ++i) {
-    if (p.reply_pool[i].cap < bytes) continue;
-    if (best == p.reply_pool.size() ||
-        p.reply_pool[i].cap < p.reply_pool[best].cap)
-      best = i;
-  }
-  if (best != p.reply_pool.size()) {
-    StageBuf b = p.reply_pool[best];
-    p.reply_pool[best] = p.reply_pool.back();
-    p.reply_pool.pop_back();
+  if (StageBuf b = take_best_fit(p.reply_pool, bytes); b.p) {
     ++stats_.reply_pool_hits;
     return b;
   }
-  // Pool miss: one allocation attempt, same size-class rounding as the put
-  // pool. A momentarily exhausted heap is a fallback, not a stall.
-  std::size_t cap = 4096;
-  while (cap < bytes) cap <<= 1;
+  // Pool miss: one allocation attempt, same size classes as the put pool.
+  // A momentarily exhausted heap is a fallback, not a stall.
+  const std::size_t cap = size_class(bytes);
   if (void* buf = am_->arena().heap().allocate(cap)) {
     ++stats_.reply_stage_allocs;
     return StageBuf{buf, cap};
@@ -599,9 +524,7 @@ void RmaAmProtocol::enqueue(Peer& p, QueuedReq q) {
   // the cap from the helper side, and it drains as fast as it grows.
   const std::size_t cap = window() + kQueueSlack;
   while (on_consumer() &&
-         p.sendq_n.load(std::memory_order_acquire) >= cap &&
-         am_->arena().control().error_flag.value.load(
-             std::memory_order_acquire) == 0) {
+         p.sendq_n.load(std::memory_order_acquire) >= cap && !job_failing()) {
     arch::relaxed_inc(stats_.send_stalls);
     if (am_->poll() + poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
@@ -627,21 +550,6 @@ void RmaAmProtocol::cancel_sent(Peer& p, std::uint64_t cookie) {
   (void)prev;
 }
 
-// Helper-side staged-put fallback: release the claimed credit and park the
-// request (owned payload copy) for the consumer's flush_sendq to retry —
-// a helper must not poll-spin on the exhausted heap, and cancel_sent would
-// silently drop the data.
-void RmaAmProtocol::requeue_put(Peer& p, std::uint64_t cookie,
-                                const Frag& dst, const void* src) {
-  p.outstanding.fetch_sub(1, std::memory_order_acq_rel);
-  QueuedReq q{QueuedReq::kPut, cookie, {dst}, {}};
-  const auto bytes = static_cast<std::size_t>(dst.bytes);
-  if (bytes)
-    q.payload.assign(static_cast<const std::byte*>(src),
-                     static_cast<const std::byte*>(src) + bytes);
-  enqueue(p, std::move(q));
-}
-
 // Stamps the wire-send time on a just-sent request so the completion loop
 // can feed the request→ack round trip to the peer's window controller.
 void RmaAmProtocol::note_wire_send(std::uint64_t cookie) {
@@ -652,259 +560,176 @@ void RmaAmProtocol::note_wire_send(std::uint64_t cookie) {
   if (it != pending_.end()) it->second.send_ns = now;
 }
 
-void RmaAmProtocol::send_put(int target, std::uint64_t cookie,
-                             const Frag& dst, const void* src) {
-  const std::size_t bytes = static_cast<std::size_t>(dst.bytes);
-  // The eager-fit decision ignores the (yet untaken) piggyback list: if
-  // the acks push an inline record past eager_max, AmEngine::prepare
-  // falls back to its rendezvous staging transparently.
-  if (sizeof(PutHdr) + bytes <= inline_cutoff(am_)) {
-    // Small put: payload inline in the ring record. Helpers prepare with
-    // may_poll=false — on a full ring they yield-spin while the *target*
-    // drains it; only the consumer may poll its own inbox here.
-    auto oa = take_acks(target);
-    auto sb = am_->prepare(target, am_handler<&RmaAmHandlers::on_put>(),
-                           sizeof(PutHdr) + oa_bytes(oa) + bytes,
-                           /*may_poll=*/on_consumer());
-    auto* q = static_cast<std::byte*>(sb.data);
-    const PutHdr h{cookie, wire_enc(dst.addr),
-                   static_cast<std::uint32_t>(oa.acks.size()),
-                   static_cast<std::uint32_t>(oa.racks.size())};
-    std::memcpy(q, &h, sizeof h);
-    q = write_oa(q + sizeof h, oa);
-    if (bytes) std::memcpy(q, src, bytes);
-    am_->commit(sb);
-    arch::relaxed_inc(stats_.puts_sent);
-    arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-    arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
-    note_wire_send(cookie);
-    return;
-  }
-  // Large put: payload through a pooled bounce buffer, descriptor inline.
-  Peer& p = peer(target);
-  StageBuf stage = acquire_stage(p, bytes);
-  if (!stage.p) {
-    // Exhausted heap: a helper parks the request for the consumer to
-    // retry; the consumer only gets here when the job is failing, and
-    // cancels.
-    if (!on_consumer() &&
-        am_->arena().control().error_flag.value.load(
-            std::memory_order_acquire) == 0)
-      requeue_put(p, cookie, dst, src);
-    else
-      cancel_sent(p, cookie);
-    return;
-  }
-  auto oa = take_acks(target);
-  std::memcpy(stage.p, src, bytes);
-  {
-    arch::SpinGuard g(pending_mu_);
-    auto it = pending_.find(cookie);
-    if (it != pending_.end()) it->second.stage = stage;
-  }
-  auto sb = am_->prepare(target,
-                         am_handler<&RmaAmHandlers::on_put_staged>(),
-                         sizeof(PutStagedHdr) + oa_bytes(oa),
-                         /*may_poll=*/on_consumer());
-  auto* q = static_cast<std::byte*>(sb.data);
-  const PutStagedHdr h{cookie, wire_enc(dst.addr),
-                       am_->arena().segmap().encode(stage.p),
-                       dst.bytes,
-                       static_cast<std::uint32_t>(oa.acks.size()),
-                       static_cast<std::uint32_t>(oa.racks.size())};
-  std::memcpy(q, &h, sizeof h);
-  write_oa(q + sizeof h, oa);
-  am_->commit(sb);
-  arch::relaxed_inc(stats_.puts_sent);
-  arch::relaxed_inc(stats_.puts_staged);
-  arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-  arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
-  note_wire_send(cookie);
+bool RmaAmProtocol::job_failing() const {
+  return am_->arena().control().error_flag.value.load(
+             std::memory_order_acquire) != 0;
 }
 
-void RmaAmProtocol::send_get(int target, std::uint64_t cookie,
-                             const Frag& src) {
+template <typename H>
+RmaAmProtocol::Record RmaAmProtocol::open_record(int target, HandlerIdx h,
+                                                 H hdr, std::size_t body) {
   auto oa = take_acks(target);
-  auto sb = am_->prepare(target, am_handler<&RmaAmHandlers::on_get>(),
-                         sizeof(GetHdr) + oa_bytes(oa),
-                         /*may_poll=*/on_consumer());
-  auto* q = static_cast<std::byte*>(sb.data);
-  const GetHdr h{cookie, wire_enc(src.addr), src.bytes,
-                 static_cast<std::uint32_t>(oa.acks.size()),
-                 static_cast<std::uint32_t>(oa.racks.size())};
-  std::memcpy(q, &h, sizeof h);
-  write_oa(q + sizeof h, oa);
-  am_->commit(sb);
-  arch::relaxed_inc(stats_.gets_sent);
-  arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-  arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
-  note_wire_send(cookie);
+  hdr.nacks = static_cast<std::uint32_t>(oa.acks.size());
+  hdr.nracks = static_cast<std::uint32_t>(oa.racks.size());
+  // Helpers prepare with may_poll=false — on a full ring they yield-spin
+  // while the *target* drains it; only the consumer may poll its own inbox
+  // here.
+  Record r{am_->prepare(target, h,
+                        sizeof hdr + ack_bytes(hdr.nacks + hdr.nracks) + body,
+                        /*may_poll=*/on_consumer()),
+           nullptr, hdr.nacks, hdr.nracks};
+  auto* q = static_cast<std::byte*>(r.sb.data);
+  std::memcpy(q, &hdr, sizeof hdr);
+  r.body = write_acks(write_acks(q + sizeof hdr, oa.acks), oa.racks);
+  return r;
 }
 
-void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
-                                  const std::vector<Frag>& dsts,
-                                  const LocalFrag* srcs, std::size_t nsrcs,
-                                  std::size_t total) {
-  const std::size_t desc_bytes = dsts.size() * sizeof(FragDesc);
-  if (sizeof(FragHdr) + desc_bytes + total <= inline_cutoff(am_)) {
-    auto oa = take_acks(target);
-    auto sb = am_->prepare(
-        target, am_handler<&RmaAmHandlers::on_put_frag>(),
-        sizeof(FragHdr) + oa_bytes(oa) + desc_bytes + total);
-    auto* q = static_cast<std::byte*>(sb.data);
-    const FragHdr h{cookie, static_cast<std::uint32_t>(dsts.size()),
-                    static_cast<std::uint32_t>(oa.acks.size()),
-                    static_cast<std::uint32_t>(oa.racks.size()), 0};
-    std::memcpy(q, &h, sizeof h);
-    q = write_oa(q + sizeof h, oa);
-    for (const auto& d : dsts) {
-      const FragDesc fd{wire_enc(d.addr), d.bytes};
-      std::memcpy(q, &fd, sizeof fd);
-      q += sizeof fd;
-    }
-    // Gather the local fragments straight into the wire buffer.
-    for (std::size_t i = 0; i < nsrcs; ++i) {
-      if (srcs[i].bytes) std::memcpy(q, srcs[i].ptr, srcs[i].bytes);
-      q += srcs[i].bytes;
-    }
-    am_->commit(sb);
-    arch::relaxed_inc(stats_.frag_puts_sent);
-    arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-    arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
-    note_wire_send(cookie);
-    return;
-  }
-  // Large scatter-put: descriptors and gathered payload go through a
-  // pooled bounce buffer; the ring record is just the staged descriptor.
-  Peer& p = peer(target);
-  StageBuf stage = acquire_stage(p, desc_bytes + total);
-  if (!stage.p) {
-    cancel_sent(p, cookie);
-    return;
-  }
-  auto oa = take_acks(target);
-  auto* q = static_cast<std::byte*>(stage.p);
-  // The descriptors inside the staged buffer are wire data too (the target
-  // reads them out of the bounce buffer), so they carry wire addresses.
-  for (const auto& d : dsts) {
-    const FragDesc fd{wire_enc(d.addr), d.bytes};
+void RmaAmProtocol::send_record(Record& r) {
+  am_->commit(r.sb);
+  arch::relaxed_add(stats_.acks_piggybacked, r.nacks);
+  arch::relaxed_add(stats_.reply_acks_piggybacked, r.nracks);
+}
+
+std::byte* RmaAmProtocol::write_descs(std::byte* q, const Frag* runs,
+                                      std::size_t n) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    const FragDesc fd{wire_enc(runs[i].addr), runs[i].bytes};
     std::memcpy(q, &fd, sizeof fd);
     q += sizeof fd;
   }
+  return q;
+}
+
+RmaAmProtocol::QueuedReq RmaAmProtocol::queued_put(std::uint64_t cookie,
+                                                   const Frag* dsts,
+                                                   std::size_t ndsts,
+                                                   const LocalFrag* srcs,
+                                                   std::size_t nsrcs) {
+  QueuedReq q{QueuedReq::kPut, cookie, {dsts, dsts + ndsts}, {}};
   for (std::size_t i = 0; i < nsrcs; ++i) {
-    if (srcs[i].bytes) std::memcpy(q, srcs[i].ptr, srcs[i].bytes);
-    q += srcs[i].bytes;
+    const auto* b = static_cast<const std::byte*>(srcs[i].ptr);
+    q.payload.insert(q.payload.end(), b, b + srcs[i].bytes);
   }
-  {
+  return q;
+}
+
+void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
+                                  const Frag* dsts, std::size_t ndsts,
+                                  const LocalFrag* srcs, std::size_t nsrcs) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < nsrcs; ++i) total += srcs[i].bytes;
+  const std::size_t desc_bytes = ndsts * sizeof(FragDesc);
+  const auto n = static_cast<std::uint32_t>(ndsts);
+  // The inline-fit decision ignores the (yet untaken) piggyback list: if
+  // the acks push an inline record past eager_max, AmEngine::prepare
+  // falls back to its rendezvous staging transparently.
+  StageBuf stage;
+  if (sizeof(FragHdr) + desc_bytes + total > inline_cutoff(am_)) {
+    // Large put: the payload goes through a pooled bounce buffer, the
+    // descriptors stay in the ring record.
+    Peer& p = peer(target);
+    stage = acquire_stage(p, total);
+    if (!stage.p) {
+      // Exhausted heap. A helper must not poll-spin for a block, and
+      // cancelling would silently drop the data: it releases the credit
+      // and parks the request (owned payload copy) for the consumer's
+      // flush_sendq to retry. The consumer only gets here when the job is
+      // failing, and cancels.
+      if (!on_consumer() && !job_failing()) {
+        p.outstanding.fetch_sub(1, std::memory_order_acq_rel);
+        enqueue(p, queued_put(cookie, dsts, ndsts, srcs, nsrcs));
+      } else {
+        cancel_sent(p, cookie);
+      }
+      return;
+    }
+    gather_local(static_cast<std::byte*>(stage.p), srcs, nsrcs);
     arch::SpinGuard g(pending_mu_);
     auto it = pending_.find(cookie);
     if (it != pending_.end()) it->second.stage = stage;
   }
-  auto sb = am_->prepare(target,
-                         am_handler<&RmaAmHandlers::on_put_frag_staged>(),
-                         sizeof(FragStagedHdr) + oa_bytes(oa),
-                         /*may_poll=*/on_consumer());
-  auto* w = static_cast<std::byte*>(sb.data);
-  const FragStagedHdr h{cookie, am_->arena().segmap().encode(stage.p),
-                        total, static_cast<std::uint32_t>(dsts.size()),
-                        static_cast<std::uint32_t>(oa.acks.size()),
-                        static_cast<std::uint32_t>(oa.racks.size()), 0};
-  std::memcpy(w, &h, sizeof h);
-  write_oa(w + sizeof h, oa);
-  am_->commit(sb);
-  arch::relaxed_inc(stats_.frag_puts_sent);
-  arch::relaxed_inc(stats_.puts_staged);
-  arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-  arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+  Record r =
+      stage.p
+          ? open_record(target,
+                        am_handler<&RmaAmHandlers::on_put_frag_staged>(),
+                        FragStagedHdr{cookie,
+                                      am_->arena().segmap().encode(stage.p),
+                                      total, n, 0, 0, 0},
+                        desc_bytes)
+          : open_record(target, am_handler<&RmaAmHandlers::on_put_frag>(),
+                        FragHdr{cookie, n, 0, 0, 0}, desc_bytes + total);
+  std::byte* q = write_descs(r.body, dsts, ndsts);
+  // Inline: gather the local fragments straight into the wire buffer.
+  if (!stage.p) gather_local(q, srcs, nsrcs);
+  send_record(r);
+  arch::relaxed_inc(ndsts == 1 ? stats_.puts_sent : stats_.frag_puts_sent);
+  if (stage.p) arch::relaxed_inc(stats_.puts_staged);
   note_wire_send(cookie);
 }
 
 void RmaAmProtocol::send_get_frag(int target, std::uint64_t cookie,
-                                  const std::vector<Frag>& srcs) {
-  auto oa = take_acks(target);
-  auto sb = am_->prepare(
-      target, am_handler<&RmaAmHandlers::on_get_frag>(),
-      sizeof(FragHdr) + oa_bytes(oa) + srcs.size() * sizeof(FragDesc));
-  auto* q = static_cast<std::byte*>(sb.data);
-  const FragHdr h{cookie, static_cast<std::uint32_t>(srcs.size()),
-                  static_cast<std::uint32_t>(oa.acks.size()),
-                  static_cast<std::uint32_t>(oa.racks.size()), 0};
-  std::memcpy(q, &h, sizeof h);
-  q = write_oa(q + sizeof h, oa);
-  for (const auto& s : srcs) {
-    const FragDesc fd{wire_enc(s.addr), s.bytes};
-    std::memcpy(q, &fd, sizeof fd);
-    q += sizeof fd;
-  }
-  am_->commit(sb);
-  arch::relaxed_inc(stats_.frag_gets_sent);
-  arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-  arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
+                                  const Frag* srcs, std::size_t n) {
+  const auto nf = static_cast<std::uint32_t>(n);
+  Record r = open_record(target, am_handler<&RmaAmHandlers::on_get_frag>(),
+                         FragHdr{cookie, nf, 0, 0, 0}, n * sizeof(FragDesc));
+  write_descs(r.body, srcs, n);
+  send_record(r);
+  arch::relaxed_inc(n == 1 ? stats_.gets_sent : stats_.frag_gets_sent);
   note_wire_send(cookie);
+}
+
+void RmaAmProtocol::start_put(int target, const Frag* dsts,
+                              std::size_t ndsts, const LocalFrag* srcs,
+                              std::size_t nsrcs, Done done) {
+  const std::uint64_t cookie = new_pending(target, std::move(done), {});
+  Peer& p = peer(target);
+  if (try_claim_credit(p)) {
+    send_put_frag(target, cookie, dsts, ndsts, srcs, nsrcs);
+    return;
+  }
+  // Window full: park the request with an owned payload copy — the caller
+  // may reuse its sources the moment we return, exactly as on the
+  // immediate path.
+  enqueue(p, queued_put(cookie, dsts, ndsts, srcs, nsrcs));
+}
+
+void RmaAmProtocol::start_get(int target, const Frag* srcs, std::size_t n,
+                              std::vector<LocalFrag> dsts, Done done) {
+  const std::uint64_t cookie =
+      new_pending(target, std::move(done), std::move(dsts));
+  Peer& p = peer(target);
+  if (try_claim_credit(p)) {
+    send_get_frag(target, cookie, srcs, n);
+    return;
+  }
+  enqueue(p, QueuedReq{QueuedReq::kGet, cookie, {srcs, srcs + n}, {}});
 }
 
 void RmaAmProtocol::put(int target, void* dst, const void* src,
                         std::size_t bytes, Done done) {
-  const std::uint64_t cookie = new_pending(target, std::move(done), {});
-  Peer& p = peer(target);
   const Frag d{reinterpret_cast<std::uintptr_t>(dst), bytes};
-  if (try_claim_credit(p)) {
-    send_put(target, cookie, d, src);
-    return;
-  }
-  // Window full: park the request with an owned payload copy — the caller
-  // may reuse src the moment we return, exactly as on the immediate path.
-  // (0-byte puts may legally pass a null src; don't form iterators from it.)
-  QueuedReq q{QueuedReq::kPut, cookie, {d}, {}};
-  if (bytes)
-    q.payload.assign(static_cast<const std::byte*>(src),
-                     static_cast<const std::byte*>(src) + bytes);
-  enqueue(p, std::move(q));
+  // The send path only reads source runs.
+  const LocalFrag s{const_cast<void*>(src), bytes};
+  start_put(target, &d, 1, &s, 1, std::move(done));
 }
 
 void RmaAmProtocol::get(int target, void* dst, const void* src,
                         std::size_t bytes, Done done) {
-  const std::uint64_t cookie =
-      new_pending(target, std::move(done), {LocalFrag{dst, bytes}});
-  Peer& p = peer(target);
   const Frag s{reinterpret_cast<std::uintptr_t>(src), bytes};
-  if (try_claim_credit(p)) {
-    send_get(target, cookie, s);
-    return;
-  }
-  enqueue(p, QueuedReq{QueuedReq::kGet, cookie, {s}, {}});
+  start_get(target, &s, 1, {LocalFrag{dst, bytes}}, std::move(done));
 }
 
 void RmaAmProtocol::put_fragments(int target, const std::vector<Frag>& dsts,
                                   const std::vector<LocalFrag>& srcs,
                                   Done done) {
-  std::size_t total = 0;
-  for (const auto& s : srcs) total += s.bytes;
-  const std::uint64_t cookie = new_pending(target, std::move(done), {});
-  Peer& p = peer(target);
-  if (try_claim_credit(p)) {
-    send_put_frag(target, cookie, dsts, srcs.data(), srcs.size(), total);
-    return;
-  }
-  QueuedReq q{QueuedReq::kPutFrag, cookie, dsts, {}};
-  q.payload.reserve(total);
-  for (const auto& s : srcs) {
-    const auto* b = static_cast<const std::byte*>(s.ptr);
-    q.payload.insert(q.payload.end(), b, b + s.bytes);
-  }
-  enqueue(p, std::move(q));
+  start_put(target, dsts.data(), dsts.size(), srcs.data(), srcs.size(),
+            std::move(done));
 }
 
 void RmaAmProtocol::get_fragments(int target, const std::vector<Frag>& srcs,
                                   std::vector<LocalFrag> dsts, Done done) {
-  const std::uint64_t cookie =
-      new_pending(target, std::move(done), std::move(dsts));
-  Peer& p = peer(target);
-  if (try_claim_credit(p)) {
-    send_get_frag(target, cookie, srcs);
-    return;
-  }
-  enqueue(p, QueuedReq{QueuedReq::kGetFrag, cookie, srcs, {}});
+  start_get(target, srcs.data(), srcs.size(), std::move(dsts),
+            std::move(done));
 }
 
 int RmaAmProtocol::flush_sendq(Peer& p) {
@@ -922,22 +747,12 @@ int RmaAmProtocol::flush_sendq(Peer& p) {
       p.sendq.pop_front();
       p.sendq_n.store(p.sendq.size(), std::memory_order_release);
     }
-    switch (q.kind) {
-      case QueuedReq::kPut:
-        send_put(p.target, q.cookie, q.remote[0], q.payload.data());
-        break;
-      case QueuedReq::kGet:
-        send_get(p.target, q.cookie, q.remote[0]);
-        break;
-      case QueuedReq::kPutFrag: {
-        const LocalFrag whole{q.payload.data(), q.payload.size()};
-        send_put_frag(p.target, q.cookie, q.remote, &whole, 1,
-                      q.payload.size());
-        break;
-      }
-      case QueuedReq::kGetFrag:
-        send_get_frag(p.target, q.cookie, q.remote);
-        break;
+    if (q.kind == QueuedReq::kPut) {
+      const LocalFrag whole{q.payload.data(), q.payload.size()};
+      send_put_frag(p.target, q.cookie, q.remote.data(), q.remote.size(),
+                    &whole, 1);
+    } else {
+      send_get_frag(p.target, q.cookie, q.remote.data(), q.remote.size());
     }
     ++work;
   }
@@ -1005,72 +820,35 @@ int RmaAmProtocol::poll_requests() {
       // A reply too large to ride inline goes through the pooled reply
       // stage: gather into a recycled shared-heap buffer, ship only the
       // descriptor, get the buffer back on the initiator's rack. Bound
-      // reached or heap empty → the old rendezvous REPLY below (staging
-      // is an optimization, never a requirement).
+      // reached or heap empty → the rendezvous REPLY below (staging is an
+      // optimization, never a requirement).
+      StageBuf stage;
       if (sizeof(RepHdr) + total > inline_cutoff(am_)) {
         Peer& p = peer(r.target);
-        StageBuf stage = acquire_reply_stage(p, total);
+        stage = acquire_reply_stage(p, total);
         if (stage.p) {
-          auto* g = static_cast<std::byte*>(stage.p);
-          for (const auto& f : r.gather) {
-            if (f.bytes)
-              std::memcpy(g,
-                          reinterpret_cast<const void*>(
-                              static_cast<std::uintptr_t>(f.addr)),
-                          static_cast<std::size_t>(f.bytes));
-            g += f.bytes;
-          }
+          gather_runs(static_cast<std::byte*>(stage.p), r.gather);
           p.reply_out.emplace(r.cookie, stage);
-          auto oa = take_acks(r.target);
-          auto sb = am_->prepare(
-              r.target,
-              r.frag
-                  ? am_handler<&RmaAmHandlers::on_get_frag_reply_staged>()
-                  : am_handler<&RmaAmHandlers::on_get_reply_staged>(),
-              sizeof(RepStagedHdr) + oa_bytes(oa));
-          auto* q = static_cast<std::byte*>(sb.data);
-          const RepStagedHdr h{
-              r.cookie, am_->arena().segmap().encode(stage.p),
-              static_cast<std::uint64_t>(total),
-              static_cast<std::uint32_t>(oa.acks.size()),
-              static_cast<std::uint32_t>(oa.racks.size())};
-          std::memcpy(q, &h, sizeof h);
-          write_oa(q + sizeof h, oa);
-          am_->commit(sb);
-          ++stats_.replies_sent;
           ++stats_.replies_staged;
-          arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-          arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
-          ++work;
-          continue;
+        } else {
+          ++stats_.reply_fallbacks;
         }
-        ++stats_.reply_fallbacks;
       }
-      auto oa = take_acks(r.target);
-      auto sb = am_->prepare(
-          r.target, am_handler<&RmaAmHandlers::on_get_reply>(),
-          sizeof(RepHdr) + oa_bytes(oa) + total);
-      auto* q = static_cast<std::byte*>(sb.data);
-      const RepHdr h{r.cookie, static_cast<std::uint32_t>(oa.acks.size()),
-                     static_cast<std::uint32_t>(oa.racks.size())};
-      std::memcpy(q, &h, sizeof h);
-      q = write_oa(q + sizeof h, oa);
-      // Gather this rank's source runs at reply time — the get reads the
-      // data as it exists when the target serves it, exactly like a
-      // direct-wire rget reads memory at copy time. (Addresses here are
-      // local: on_get/on_get_frag resolved them at decode.)
-      for (const auto& f : r.gather) {
-        if (f.bytes)
-          std::memcpy(q,
-                      reinterpret_cast<const void*>(
-                          static_cast<std::uintptr_t>(f.addr)),
-                      static_cast<std::size_t>(f.bytes));
-        q += f.bytes;
+      if (stage.p) {
+        Record rec = open_record(
+            r.target, am_handler<&RmaAmHandlers::on_reply_staged>(),
+            RepStagedHdr{r.cookie, am_->arena().segmap().encode(stage.p),
+                         static_cast<std::uint64_t>(total), 0, 0},
+            0);
+        send_record(rec);
+      } else {
+        Record rec =
+            open_record(r.target, am_handler<&RmaAmHandlers::on_get_reply>(),
+                        RepHdr{r.cookie, 0, 0}, total);
+        gather_runs(rec.body, r.gather);
+        send_record(rec);
       }
-      am_->commit(sb);
       ++stats_.replies_sent;
-      arch::relaxed_add(stats_.acks_piggybacked, oa.acks.size());
-      arch::relaxed_add(stats_.reply_acks_piggybacked, oa.racks.size());
       ++work;
     }
   }
@@ -1087,19 +865,12 @@ int RmaAmProtocol::flush_acks() {
       arch::SpinGuard g(pr.mu);
       if (pr.acks_owed.empty() && pr.racks_owed.empty()) continue;
     }
-    const int target = pr.target;
-    auto oa = take_acks(target);
-    auto sb = am_->prepare(target, am_handler<&RmaAmHandlers::on_ack>(),
-                           sizeof(AckHdr) + oa_bytes(oa));
-    auto* q = static_cast<std::byte*>(sb.data);
-    const AckHdr h{static_cast<std::uint32_t>(oa.acks.size()),
-                   static_cast<std::uint32_t>(oa.racks.size())};
-    std::memcpy(q, &h, sizeof h);
-    write_oa(q + sizeof h, oa);
-    am_->commit(sb);
+    Record rec = open_record(pr.target, am_handler<&RmaAmHandlers::on_ack>(),
+                             AckHdr{0, 0}, 0);
+    am_->commit(rec.sb);
     ++stats_.acks_sent;
-    stats_.ack_cookies_sent += oa.acks.size();
-    stats_.reply_ack_cookies_sent += oa.racks.size();
+    stats_.ack_cookies_sent += rec.nacks;
+    stats_.reply_ack_cookies_sent += rec.nracks;
     ++work;
   }
   return work;

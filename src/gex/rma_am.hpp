@@ -5,23 +5,27 @@
 // that property must move RMA through active messages instead; this file is
 // that protocol, shaped like the real GASNet-EX AM-based rput/rget path:
 //
-//   PUT        [PutHdr{cookie,dst,nacks}][acks][payload]
-//                                                 -> memcpy at target, ack
-//   PUT_FRAG   [FragHdr{cookie,n,nacks}][acks][n descs][payload]
-//                                                 -> scatter at target, ack
-//   GET        [GetHdr{cookie,src,bytes,nacks}][acks]
-//                                                 -> target gathers, REPLY
-//   GET_FRAG   [FragHdr{cookie,n,nacks}][acks][n descs]
-//                                                 -> target gathers, REPLY
-//   ACK        [AckHdr{nacks}][acks]              -> initiator completions
-//   REPLY      [RepHdr{cookie,nacks}][acks][payload]
-//                                                 -> initiator scatters,
-//                                                    then completes
+//   PUT           [FragHdr][acks][racks][n descs][payload]
+//                                          -> target scatters, owes an ACK
+//   PUT_STAGED    [FragStagedHdr][acks][racks][n descs]
+//                 (payload in the initiator's pooled bounce buffer)
+//                                          -> target scatters, owes an ACK
+//   GET           [FragHdr][acks][racks][n descs]
+//                                          -> target gathers, REPLY
+//   REPLY         [RepHdr][acks][racks][payload]
+//                                          -> initiator scatters, completes
+//   REPLY_STAGED  [RepStagedHdr][acks][racks]
+//                 (payload in the target's pooled reply buffer)
+//                                          -> initiator scatters, completes,
+//                                             owes a rack
+//   ACK           [AckHdr][acks][racks]    -> initiator completions
 //
-// Requests ride the AmEngine's existing two-protocol split: payloads at or
-// below Config::eager_max travel inline through the inbox ring (the eager
-// put of small transfers), larger ones are staged in the shared heap with
-// only a descriptor in the ring (rendezvous) — the crossover
+// One record shape per direction: a request names its remote runs with
+// `n` (address, bytes) descriptors in the record itself, and a contiguous
+// put or get is simply the n == 1 case. Payloads small enough to fit a
+// record travel inline through the inbox ring (the eager put of small
+// transfers); larger ones go through the pooled staging below with only
+// the header and descriptors in the ring — the crossover
 // bench/abl_am_protocol.cpp reports. Handlers are registered in the gex
 // handler registry (gex/handlers.hpp) at static init, so forked ranks agree
 // on indices; no code pointer ever rides the wire, and completion cookies
@@ -46,20 +50,21 @@
 //
 // Pooled put staging: a put payload too large to ride inline goes through
 // a per-peer pool of recycled shared-heap bounce buffers instead of the
-// AmEngine's allocate-per-message rendezvous path. The initiator copies
-// into a pool buffer, ships a small inline descriptor record, and gets the
-// buffer back when the target's ack arrives (the ack that already drives
-// completion — no extra traffic). The pool is bounded by the credit window
-// (at most `window` buffers can be in flight), so a steady chunked stream
-// cycles through the same few cache-hot buffers with no allocator traffic
-// — which is what lets the am wire track the direct wire's bandwidth
-// instead of paying a cold DRAM round trip per chunk.
+// AmEngine's allocate-per-message rendezvous path. The initiator gathers
+// into a pool buffer (payload only — the descriptors ride in the record,
+// so a 64 KiB chunk takes a 64 KiB block), ships a small PUT_STAGED
+// record, and gets the buffer back when the target's ack arrives (the ack
+// that already drives completion — no extra traffic). The pool is bounded
+// by the credit window (at most `window` buffers can be in flight), so a
+// steady chunked stream cycles through the same few cache-hot buffers with
+// no allocator traffic — which is what lets the am wire track the direct
+// wire's bandwidth instead of paying a cold DRAM round trip per chunk.
 //
 // Pooled reply staging (the get-direction mirror): a GET reply too large
 // to ride inline goes through the *target's* per-peer pool of recycled
 // shared-heap buffers instead of the AmEngine's allocate-per-message
 // rendezvous path. The target gathers into a pool buffer, ships a small
-// GET_REPLY_STAGED descriptor (wire addresses only, exactly as every
+// REPLY_STAGED descriptor (wire addresses only, exactly as every
 // staged-put buffer), and gets the buffer back when the initiator's
 // consumption ack arrives — a second cookie namespace ("racks") batched
 // and piggybacked through the very same machinery as request acks, so a
@@ -110,10 +115,11 @@
 // lock. Helpers never poll: their AmEngine::prepare calls pass
 // may_poll=false (yield-spin on a full ring, which the *target* drains
 // independently), and on an exhausted staging heap they requeue the
-// request into the sendq instead of poll-spinning. on_consumer() — a
-// thread-local marker stamped by the constructor and refreshed by every
-// poll_requests — tells the two roles apart. Reply staging
-// (reply_pool/reply_out) stays consumer-only plain state.
+// request into the sendq instead of poll-spinning (every staged put, one
+// run or many). on_consumer() — a thread-local marker stamped by the
+// constructor and refreshed by every poll_requests — tells the two roles
+// apart. Reply staging (reply_pool/reply_out) stays consumer-only plain
+// state.
 #pragma once
 
 #include <atomic>
@@ -242,7 +248,7 @@ class RmaAmProtocol {
   // window, or the adaptive controller started at w.window per target.
   // The adaptive ceiling is footprint-clamped: ceiling × am-wire chunk is
   // the in-flight staging working set (same cache argument as the
-  // UPCXX_AM_CHUNK_KB clamp), so letting RTT drift walk the window to
+  // kAmXferChunkBytes clamp), so letting RTT drift walk the window to
   // kMaxAmWindow at 64K chunks would trade a 4MB working set for depth
   // that is pure cache thrash. Budget 1MB, never below the start window.
   // Pre-creates one Peer per rank (Config::ranks), so peer() is an
@@ -253,6 +259,10 @@ class RmaAmProtocol {
 
   static std::uint32_t adaptive_ceiling(AmEngine* am);
 
+  // The four entry points below are one path: a contiguous transfer is
+  // the one-run case of the fragment records. Stats count one-run
+  // requests as puts_sent/gets_sent and multi-run ones as frag_*.
+  //
   // Contiguous put: the payload leaves src before this call returns (the
   // initiator may reuse src immediately) — copied into the wire when a
   // credit is available, into the sender-side queue otherwise. `done` fires
@@ -402,24 +412,23 @@ class RmaAmProtocol {
     int target;
     Done done;
     std::vector<LocalFrag> scatter;  // gets: local landing runs, wire order
-    StageBuf stage;  // staged puts: recycled into the pool on ack
+    StageBuf stage{};  // staged puts: recycled into the pool on ack
     std::uint64_t send_ns = 0;  // wire-send time (adaptive RTT sampling)
   };
   // A window-blocked request. Puts own their payload (the caller's source
   // buffer is reusable the moment the injecting call returns); gets keep
   // their scatter list in pending_ like every other get.
   struct QueuedReq {
-    enum Kind : std::uint8_t { kPut, kGet, kPutFrag, kGetFrag };
+    enum Kind : std::uint8_t { kPut, kGet };
     Kind kind;
     std::uint64_t cookie;
-    std::vector<Frag> remote;  // put/get: one entry; frags: the desc list
-    std::vector<std::byte> payload;  // puts only
+    std::vector<Frag> remote;        // the remote runs, wire order
+    std::vector<std::byte> payload;  // puts only: the gathered sources
   };
   struct QueuedReply {
     int target;
     std::uint64_t cookie;
     std::vector<Frag> gather;  // local (this rank's) source runs
-    bool frag;                 // GET_FRAG origin (staged record selection)
   };
   // Per-target sender and receiver state: the credit window (with its
   // adaptive controller), the queue of window-blocked requests, the acks
@@ -483,6 +492,8 @@ class RmaAmProtocol {
   bool on_consumer() const {
     return consumer_tm_.load(std::memory_order_relaxed) == thread_marker();
   }
+  // The job's error flag is up (a peer failed).
+  bool job_failing() const;
   // Null .p when the job is failing and the heap is exhausted (the blocks
   // may be pinned by a dead peer's unacked requests) — the caller cancels.
   StageBuf acquire_stage(Peer& p, std::size_t bytes);
@@ -524,32 +535,56 @@ class RmaAmProtocol {
   // (no-op when the window is pinned).
   void note_wire_send(std::uint64_t cookie);
   // CAS on p.outstanding against the current window; true means the
-  // caller owns one credit and must send (or release it via cancel_sent /
-  // requeue_put). Fails while anything is parked in the sendq — queued
+  // caller owns one credit and must send (or release it via cancel_sent or
+  // a requeue). Fails while anything is parked in the sendq — queued
   // requests go first, and only flush_sendq (consumer) drains those.
   bool try_claim_credit(Peer& p);
   // Claims one credit ignoring the sendq (flush_sendq draining its own
   // queue). Shared CAS loop with try_claim_credit.
   bool claim_outstanding(Peer& p);
-  // Helper-side staged-put fallback: the shared heap had no block and a
-  // helper must not poll-spin for one. Releases the claimed credit and
-  // parks the request (with an owned payload copy out of the staging
-  // source) for the consumer's flush_sendq to retry.
-  void requeue_put(Peer& p, std::uint64_t cookie, const Frag& dst,
-                   const void* src);
   void enqueue(Peer& p, QueuedReq q);
+  // A window-blocked (or requeued) put: the remote runs plus an owned
+  // copy of the gathered sources.
+  static QueuedReq queued_put(std::uint64_t cookie, const Frag* dsts,
+                              std::size_t ndsts, const LocalFrag* srcs,
+                              std::size_t nsrcs);
   // Sends queued requests while credits allow; returns actions performed.
   int flush_sendq(Peer& p);
 
-  // Wire writers. Each drains the target's owed acks into the record.
-  void send_put(int target, std::uint64_t cookie, const Frag& dst,
-                const void* src);
-  void send_get(int target, std::uint64_t cookie, const Frag& src);
-  void send_put_frag(int target, std::uint64_t cookie,
-                     const std::vector<Frag>& dsts, const LocalFrag* srcs,
-                     std::size_t nsrcs, std::size_t total);
-  void send_get_frag(int target, std::uint64_t cookie,
-                     const std::vector<Frag>& srcs);
+  // The one put and one get path every entry point funnels into (a
+  // contiguous transfer is the one-run case): claim a credit and send, or
+  // park the request in the peer's sendq.
+  void start_put(int target, const Frag* dsts, std::size_t ndsts,
+                 const LocalFrag* srcs, std::size_t nsrcs, Done done);
+  void start_get(int target, const Frag* srcs, std::size_t n,
+                 std::vector<LocalFrag> dsts, Done done);
+
+  // A record under construction: the engine send buffer, the cursor past
+  // its header and piggybacked acks, and how many of each it carries.
+  struct Record {
+    AmEngine::SendBuf sb;
+    std::byte* body;
+    std::uint32_t nacks;
+    std::uint32_t nracks;
+  };
+  // Reserves a record for handler `h` with `body` bytes after the header
+  // and drains the target's owed acks and racks into it (the header's
+  // nacks/nracks are filled in here).
+  template <typename H>
+  Record open_record(int target, HandlerIdx h, H hdr, std::size_t body);
+  // Commits a request or reply record, counting its piggybacked acks.
+  void send_record(Record& r);
+  // Writes `n` remote runs as wire descriptors; returns the end.
+  std::byte* write_descs(std::byte* q, const Frag* runs,
+                         std::size_t n) const;
+
+  // Wire writers for a claimed credit: inline when header, descriptors
+  // and payload fit a record, otherwise payload through the staging pool.
+  void send_put_frag(int target, std::uint64_t cookie, const Frag* dsts,
+                     std::size_t ndsts, const LocalFrag* srcs,
+                     std::size_t nsrcs);
+  void send_get_frag(int target, std::uint64_t cookie, const Frag* srcs,
+                     std::size_t n);
 
   AmEngine* am_;
   bool adaptive_;          // window policy: controller vs pinned

@@ -41,9 +41,9 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
   // chunkings still win through the min().
   rank.rma_wire_am = resolve_rma_wire(arena->config()) == RmaWire::kAm;
   const std::size_t chunk_bytes =
-      rank.rma_wire_am ? std::min(arena->config().xfer_chunk_bytes,
-                                  arena->config().am_xfer_chunk_bytes)
-                       : arena->config().xfer_chunk_bytes;
+      rank.rma_wire_am
+          ? std::min(arena->config().xfer_chunk_bytes, kAmXferChunkBytes)
+          : arena->config().xfer_chunk_bytes;
   XferEngine xfer_engine(chunk_bytes, arena->config().sim_bw_gbps);
   rank.xfer = &xfer_engine;
   RmaAmProtocol rma_am_proto(&engine, resolve_am_window(arena->config()),

@@ -515,7 +515,7 @@ class SocketTransport final : public Transport {
     const bool want_out = !p.q.empty() || p.connecting;
     if (want_out != p.out_armed) {
       ep_mod(p.fd, kEpTx, static_cast<std::uint32_t>(target),
-             want_out ? EPOLLOUT : 0);
+             want_out ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
       p.out_armed = want_out;
     }
   }

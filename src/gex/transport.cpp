@@ -1,17 +1,5 @@
 #include "gex/transport.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <vector>
-
-#include "arch/cacheline.hpp"
-#include "arch/spinlock.hpp"
 #include "gex/arena.hpp"
 #include "gex/socket.hpp"
 
@@ -57,199 +45,10 @@ class MmapTransport final : public Transport {
   int me_;
 };
 
-// ---------------------------------------------------------------- shmfile
-//
-// One ring file per (sender, receiver) pair, mapped independently by each
-// side — no pre-fork shared mapping is involved, so this transport only
-// works because the records themselves are mapping-independent (segment-
-// offset addressing, handler indices). Files are created lazily: a sender
-// on first send to a target, a receiver on first poll (it opens all its
-// inbound pairs at once so subsequent polls never hit the filesystem).
-// Whichever side arrives first creates and initializes the file; the init
-// handshake is a three-state flag at offset 0 (0 raw -> 1 initializing ->
-// 2 ready) that the loser spins on. The receiver unlinks its inbound
-// files at teardown (after the job's final barrier, so no sender can
-// still be writing).
-class ShmFileTransport final : public Transport {
- public:
-  ShmFileTransport(Arena* arena, int me)
-      : nranks_(arena->nranks()),
-        me_(me),
-        ring_bytes_(arena->config().ring_bytes),
-        job_pid_(arena->job_pid()),
-        job_nonce_(arena->job_nonce()),
-        map_bytes_(arch::align_up(
-            kRingOff + arch::MpscByteRing::footprint(
-                           arena->config().ring_bytes),
-            std::size_t{4096})),
-        tx_(static_cast<std::size_t>(arena->nranks())),
-        rx_(static_cast<std::size_t>(arena->nranks()), nullptr) {}
-
-  ~ShmFileTransport() override {
-    for (void* m : maps_) ::munmap(m, map_bytes_);
-    // This rank owns its inbound pair files; unlink them all — including
-    // ones a sender created that this rank never polled (ENOENT for the
-    // rest is fine). Senders that still hold a mapping keep it alive past
-    // the unlink, which is all they need; teardown runs after the job's
-    // final barrier, so no one opens these names again.
-    char path[kPathMax];
-    for (int s = 0; s < nranks_; ++s) {
-      pair_path(path, s, me_);
-      ::unlink(path);
-    }
-  }
-
-  Ticket try_reserve(int target, std::size_t bytes) override {
-    // Double-checked lazy open: try_reserve is called concurrently by
-    // injection-shard drains, so the slot is an atomic and the one-time
-    // file open/mmap/init runs under open_mu_ (the ring itself is MPSC —
-    // only its *creation* needs serializing).
-    auto& slot = tx_[static_cast<std::size_t>(target)];
-    arch::MpscByteRing* ring = slot.load(std::memory_order_acquire);
-    if (!ring) {
-      arch::SpinGuard g(open_mu_);
-      ring = slot.load(std::memory_order_relaxed);
-      if (!ring) {
-        ring = open_pair(me_, target);
-        slot.store(ring, std::memory_order_release);
-      }
-    }
-    return wrap(ring->try_reserve(bytes), target);
-  }
-
-  void commit(const Ticket& t) override {
-    arch::MpscByteRing::commit(unwrap(t));
-  }
-
-  bool try_consume(RecordVisitor visit, void* cx) override {
-    if (!rx_open_) open_rx();
-    // Round-robin over the inbound pairs so one chatty sender cannot
-    // starve the rest (the arena's single MPSC ring got this for free
-    // from reservation order).
-    for (int i = 0; i < nranks_; ++i) {
-      const int s = static_cast<int>((rr_ + static_cast<unsigned>(i)) %
-                                     static_cast<unsigned>(nranks_));
-      auto* ring = rx_[static_cast<std::size_t>(s)];
-      if (ring && ring->try_consume(
-                      [&](void* p, std::size_t n) { visit(p, n, cx); })) {
-        rr_ = static_cast<unsigned>(s + 1) % static_cast<unsigned>(nranks_);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::size_t max_record_payload() const override {
-    return arch::MpscByteRing::max_record_payload(ring_bytes_);
-  }
-
-  bool rx_empty() override {
-    // A sender may have created and filled a pair ring this rank has
-    // never polled; open the inbound set so the answer is authoritative
-    // ("never falsely empty" — the interface contract).
-    if (!rx_open_) open_rx();
-    for (int s = 0; s < nranks_; ++s) {
-      auto* ring = rx_[static_cast<std::size_t>(s)];
-      if (ring && !ring->empty()) return false;
-    }
-    return true;
-  }
-
-  const char* name() const override { return "shmfile"; }
-
- private:
-  // File layout: [init flag, one cacheline][MpscByteRing footprint].
-  static constexpr std::size_t kRingOff = arch::cacheline_size;
-  static constexpr std::size_t kPathMax = 288;
-
-  void pair_path(char* buf, int src, int dst) const {
-    const int n = std::snprintf(buf, kPathMax, "%s/upcxx-am-%u-%08x-%dto%d",
-                                shm_transport_dir(), job_pid_, job_nonce_,
-                                src, dst);
-    if (n < 0 || static_cast<std::size_t>(n) >= kPathMax) {
-      // Truncation would collapse distinct pairs onto one file (the
-      // -<src>to<dst> suffix is what distinguishes them) — fail loudly.
-      std::fprintf(stderr,
-                   "gex: shmfile transport directory path too long: %s\n",
-                   shm_transport_dir());
-      std::abort();
-    }
-  }
-
-  arch::MpscByteRing* open_pair(int src, int dst) {
-    char path[kPathMax];
-    pair_path(path, src, dst);
-    const int fd = ::open(path, O_RDWR | O_CREAT, 0600);
-    if (fd < 0 || ::ftruncate(fd, static_cast<off_t>(map_bytes_)) != 0) {
-      std::perror("gex: shmfile transport open/ftruncate");
-      std::abort();
-    }
-    void* base = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
-                        MAP_SHARED, fd, 0);
-    ::close(fd);
-    if (base == MAP_FAILED) {
-      std::perror("gex: shmfile transport mmap");
-      std::abort();
-    }
-    {
-      // The consumer's open_rx() can race a sender-side lazy open (which
-      // already holds open_mu_), so maps_ gets its own guard.
-      arch::SpinGuard g(maps_mu_);
-      maps_.push_back(base);
-    }
-    // First-toucher initializes the ring; the file arrives zero-filled, so
-    // the flag reads 0 exactly once across all openers.
-    auto* state = reinterpret_cast<std::atomic<std::uint32_t>*>(base);
-    auto* ring_mem = static_cast<std::byte*>(base) + kRingOff;
-    std::uint32_t expect = 0;
-    if (state->compare_exchange_strong(expect, 1,
-                                       std::memory_order_acq_rel)) {
-      auto* ring = arch::MpscByteRing::create(ring_mem, ring_bytes_);
-      state->store(2, std::memory_order_release);
-      return ring;
-    }
-    while (state->load(std::memory_order_acquire) != 2) arch::cpu_relax();
-    return reinterpret_cast<arch::MpscByteRing*>(ring_mem);
-  }
-
-  void open_rx() {
-    for (int s = 0; s < nranks_; ++s)
-      rx_[static_cast<std::size_t>(s)] = open_pair(s, me_);
-    rx_open_ = true;
-  }
-
-  int nranks_;
-  int me_;
-  std::size_t ring_bytes_;
-  std::uint32_t job_pid_;
-  std::uint32_t job_nonce_;
-  std::size_t map_bytes_;
-  // [target], null until first send; atomic because any injector-drain
-  // thread may race the first send to a target.
-  std::vector<std::atomic<arch::MpscByteRing*>> tx_;
-  std::vector<arch::MpscByteRing*> rx_;  // [sender], null until first poll
-  std::vector<void*> maps_;              // guarded by maps_mu_
-  arch::Spinlock open_mu_;               // serializes lazy tx pair opens
-  arch::Spinlock maps_mu_;
-  bool rx_open_ = false;
-  unsigned rr_ = 0;
-};
-
 }  // namespace
-
-const char* shm_transport_dir() {
-  static const char* dir = [] {
-    if (::access("/dev/shm", W_OK) == 0) return "/dev/shm";
-    if (const char* t = std::getenv("TMPDIR"); t && *t) return t;
-    return "/tmp";
-  }();
-  return dir;
-}
 
 Transport* make_transport(Arena* arena, int me) {
   switch (resolve_am_transport(arena->config())) {
-    case AmTransport::kShmFile:
-      return new ShmFileTransport(arena, me);
     case AmTransport::kSocket:
       return make_socket_transport(arena, me);
     case AmTransport::kMmap:

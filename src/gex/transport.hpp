@@ -12,21 +12,15 @@
 //   mmap     (default) — the per-rank MPSC rings inside the shared arena
 //            mapping, exactly the pre-existing fast path. Zero new cost:
 //            one virtual dispatch per reserve/commit/consume.
-//   shmfile  — one ring file per (sender, receiver) pair, created and
-//            opened lazily under /dev/shm (or /tmp) on first use, mapped
-//            independently by each side at whatever address mmap returns.
-//            Nothing about the mapping is shared up front, which is the
-//            proof that the protocol genuinely carries no cross-mapped
-//            pointers.
 //   socket   — records framed onto non-blocking loopback TCP streams
 //            (gex/socket.hpp): reserve hands back a private staging
 //            buffer, commit frames and write()s it through per-peer send
 //            queues with partial-write continuation, and an epoll loop
-//            per rank assembles inbound frames. The first transport whose
-//            peers share no memory, so shared_memory() below is false and
-//            every payload the layers above ship must ride inline.
+//            per rank assembles inbound frames. Its peers share no
+//            memory, so shared_memory() below is false and every payload
+//            the layers above ship must ride inline.
 //
-// Selection: UPCXX_AM_TRANSPORT=mmap|shmfile|socket|auto
+// Selection: UPCXX_AM_TRANSPORT=mmap|socket|auto
 // (Config::am_transport; auto consults the environment so hand-built test
 // configs honor the CI matrix, then defaults to mmap).
 //
@@ -38,7 +32,7 @@
 // ring drains its own inbox via AmEngine::poll, whichever transport backs
 // it.
 //
-// Bootstrap: on the ring transports the control block (world barrier,
+// Bootstrap: on the mmap transport the control block (world barrier,
 // error flag) and the data segments remain in the shared arena mapping.
 // Isolated socket ranks have no shared mapping — their control plane
 // moves onto small records over a bootstrap socket (gex::SocketRuntime,
@@ -112,9 +106,5 @@ class Transport {
 // Builds the transport resolved from arena->config() (see
 // resolve_am_transport) for rank `me`. Caller owns the result.
 Transport* make_transport(Arena* arena, int me);
-
-// Directory shm-file transports place their ring files in (/dev/shm when
-// writable, else TMPDIR, else /tmp). Exposed for the cleanup tests.
-const char* shm_transport_dir();
 
 }  // namespace gex

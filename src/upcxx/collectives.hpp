@@ -71,7 +71,7 @@ inline future<> barrier_async(const team& tm = world()) {
     // ordering contract covers them too.
     detail::op_context::current().run_at_rank([] {
       auto& p = detail::persona();
-      for (std::uint32_t s = 0; s < p.n_wire_shards; ++s)
+      for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
         detail::drain_wire_shard(p, s, /*may_poll=*/true);
       detail::flush_aggregation();
       detail::drain_xfer_copies();
@@ -107,15 +107,10 @@ future<T> broadcast(T value, intrank_t root, const team& tm = world()) {
   ops.deliver = [pr](detail::Reader& r) mutable {
     pr.fulfill_result(serialization<std::decay_t<T>>::deserialize(r));
   };
-  std::vector<std::byte> contrib;
-  if (tm.rank_me() == root) {
-    detail::SizeArchive sa;
-    serialization<std::decay_t<T>>::serialize(sa, value);
-    contrib.resize(sa.size());
-    detail::WriteArchive wa(contrib.data());
-    serialization<std::decay_t<T>>::serialize(wa, value);
-  }
-  detail::coll_enter(tm, root, std::move(contrib), std::move(ops));
+  detail::VectorArchive contrib;
+  if (tm.rank_me() == root)
+    serialization<std::decay_t<T>>::serialize(contrib, value);
+  detail::coll_enter(tm, root, std::move(contrib).take(), std::move(ops));
   return pr.get_future();
 }
 
@@ -245,17 +240,12 @@ future<std::vector<T>> gather_generic(const T& value, intrank_t root,
     pr.fulfill_result(std::move(out));
   };
   // My contribution record: [team rank][value], 8-aligned.
-  SizeArchive sa;
-  const auto my_rank = static_cast<std::uint32_t>(tm.rank_me());
-  serialization<std::uint32_t>::serialize(sa, my_rank);
-  serialization<std::decay_t<T>>::serialize(sa, value);
-  sa.align(8);
-  std::vector<std::byte> contrib(sa.size());
-  WriteArchive wa(contrib.data());
-  serialization<std::uint32_t>::serialize(wa, my_rank);
-  serialization<std::decay_t<T>>::serialize(wa, value);
-  wa.align(8);
-  coll_enter(tm, root, std::move(contrib), std::move(ops));
+  VectorArchive contrib;
+  serialization<std::uint32_t>::serialize(
+      contrib, static_cast<std::uint32_t>(tm.rank_me()));
+  serialization<std::decay_t<T>>::serialize(contrib, value);
+  contrib.align(8);
+  coll_enter(tm, root, std::move(contrib).take(), std::move(ops));
   return pr.get_future();
 }
 

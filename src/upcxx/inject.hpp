@@ -20,7 +20,7 @@
 //   * Everything else is prepared caller-side (serialization, completion
 //     state, collective fold/deliver closures) and handed to the rank
 //     through lock-free MPSC queues — the thread-hash-sharded submit
-//     queue (PersonaState::submit_shards, UPCXX_SUBMIT_SHARDS) for engine
+//     queue (PersonaState::submit_shards, kSubmitShards of them) for engine
 //     dispatches, the wire shards for serialized sends — drained by the
 //     progress persona or upcxx::progress_pool helpers inside poll.
 //   * Completions ship back to the initiating thread's own persona inbox,

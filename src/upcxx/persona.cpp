@@ -42,6 +42,7 @@ void persona_stack_push(::upcxx::persona* p) {
 void persona_stack_pop(::upcxx::persona* p) {
   assert(!tls_stack.empty() && tls_stack.back() == p &&
          "persona_scope released out of LIFO order");
+  (void)p;
   tls_stack.pop_back();
 }
 

@@ -135,13 +135,13 @@ void submit_to_master(PersonaState& st, Lpc fn) {
   // stable thread->shard map gives that while spreading unrelated
   // injectors across queue tails.
   const auto h = std::hash<const void*>{}(thread_marker());
-  st.submit_shards[h % st.n_submit_shards].q.push(std::move(fn));
+  st.submit_shards[h % PersonaState::kSubmitShards].q.push(std::move(fn));
 }
 
 void submit_wire_send(PersonaState& st, int target, std::uint32_t bytes,
                       std::unique_ptr<std::byte[]> buf) {
   auto& sh = st.wire_shards[static_cast<std::uint32_t>(target) %
-                            st.n_wire_shards];
+                            PersonaState::kWireShards];
   sh.q.push(PersonaState::WireSend{target, bytes, std::move(buf)});
 }
 
@@ -152,8 +152,9 @@ int drain_submitq(PersonaState& st, int budget) {
   // (within its shard) without any cross-shard coordination.
   int work = 0;
   Lpc fn;
-  for (std::uint32_t s = 0; s < st.n_submit_shards && budget > 0; ++s) {
-    auto& q = st.submit_shards[s].q;
+  for (auto& sh : st.submit_shards) {
+    if (budget <= 0) break;
+    auto& q = sh.q;
     if (q.empty_hint()) continue;
     while (budget > 0 && q.try_pop(fn)) {
       fn();
@@ -186,10 +187,10 @@ int drain_wire_shard(PersonaState& st, std::uint32_t shard, bool may_poll) {
 }
 
 bool inject_queues_empty(PersonaState& st) {
-  for (std::uint32_t s = 0; s < st.n_submit_shards; ++s)
-    if (!st.submit_shards[s].q.empty_hint()) return false;
-  for (std::uint32_t s = 0; s < st.n_wire_shards; ++s)
-    if (!st.wire_shards[s].q.empty_hint()) return false;
+  for (auto& sh : st.submit_shards)
+    if (!sh.q.empty_hint()) return false;
+  for (auto& sh : st.wire_shards)
+    if (!sh.q.empty_hint()) return false;
   return true;
 }
 
@@ -368,7 +369,7 @@ void progress(progress_level lvl) {
   // they will generate. Shard drains here run with may_poll=true — this
   // thread IS the wire consumer, so a full-ring stall may self-poll.
   int work = detail::drain_submitq(p, 64);
-  for (std::uint32_t s = 0; s < p.n_wire_shards; ++s)
+  for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
     work += detail::drain_wire_shard(p, s, /*may_poll=*/true);
   work += p.rank->am->poll();
   if (p.rank->rma_am) work += p.rank->rma_am->poll_requests();
@@ -415,14 +416,6 @@ void init_persona() {
   st->sim_latency_ns = r->arena->config().sim_latency_ns;
   st->rma_async_min = r->arena->config().rma_async_min;
   st->rma_wire_am = r->rma_wire_am;
-  st->n_wire_shards = r->arena->config().inject_shards;
-  if (st->n_wire_shards == 0) st->n_wire_shards = 1;
-  st->wire_shards = std::make_unique<detail::PersonaState::WireShard[]>(
-      st->n_wire_shards);
-  st->n_submit_shards = r->arena->config().submit_shards;
-  if (st->n_submit_shards == 0) st->n_submit_shards = 1;
-  st->submit_shards = std::make_unique<detail::PersonaState::SubmitShard[]>(
-      st->n_submit_shards);
   // Aggregated upcxx frames take the whole-frame delivery path.
   r->am->set_frame_sink(detail::am_delivery_index(),
                         &detail::am_frame_delivery);

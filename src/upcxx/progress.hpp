@@ -22,6 +22,7 @@
 // describes, which tests/test_progress.cpp verifies.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -140,7 +141,7 @@ struct PersonaState {
   //   submit_shards  op closures (serialization and cx_state setup already
   //                done caller-side) that need the rank context to
   //                dispatch into the XferEngine / AM RMA protocol.
-  //                Sharded by *initiating thread* (UPCXX_SUBMIT_SHARDS;
+  //                Sharded by *initiating thread* (kSubmitShards;
   //                shard = hash(thread marker) mod count) so concurrent
   //                injectors don't contend on one queue tail while each
   //                thread's own submissions stay FIFO within its shard —
@@ -149,7 +150,7 @@ struct PersonaState {
   //                by the master persona's internal progress in fixed
   //                order.
   //   wire_shards  fully serialized upcxx messages ([idx prefix][body]);
-  //                shard index = target % n_wire_shards, so unrelated
+  //                shard index = target % kWireShards, so unrelated
   //                targets never contend and progress-pool helpers can
   //                drain disjoint shards in parallel. A drain holds the
   //                shard lock across pop -> reserve -> memcpy -> commit,
@@ -173,10 +174,10 @@ struct PersonaState {
   struct SubmitShard {
     arch::MpscQueue<Lpc> q;
   };
-  std::unique_ptr<SubmitShard[]> submit_shards;
-  std::uint32_t n_submit_shards = 1;
-  std::unique_ptr<WireShard[]> wire_shards;
-  std::uint32_t n_wire_shards = 1;
+  static constexpr std::uint32_t kSubmitShards = 4;
+  static constexpr std::uint32_t kWireShards = 4;
+  std::array<SubmitShard, kSubmitShards> submit_shards;
+  std::array<WireShard, kWireShards> wire_shards;
 
   // Monotone count of actions performed by progress calls on this rank
   // (messages handled, chunks moved, acks pumped, LPCs run). Spin loops

@@ -177,11 +177,11 @@ class progress_pool {
       int moved = 0;
       // Own slice first — keeps shard-lock contention low when every
       // helper has work — then steal across the whole set.
-      for (std::uint32_t s = 0; s < st.n_wire_shards; ++s)
+      for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
         if (static_cast<int>(s % static_cast<std::uint32_t>(nh)) == idx)
           moved += detail::drain_wire_shard(st, s, /*may_poll=*/false);
       if (moved == 0)
-        for (std::uint32_t s = 0; s < st.n_wire_shards; ++s)
+        for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
           moved += detail::drain_wire_shard(st, s, /*may_poll=*/false);
       // Chunk issue for this helper's channel slice: try-locks only, so a
       // channel worker 0 (or another helper) holds is simply skipped.

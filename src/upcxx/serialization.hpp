@@ -15,8 +15,9 @@
 //    arguments").
 //
 // Archives: SizeArchive (measure), WriteArchive (emit into a prepared AM
-// buffer), Reader (consume). Everything is aligned to 8 bytes so views can
-// alias the buffer directly.
+// buffer), VectorArchive (emit into a byte vector that grows as it goes),
+// Reader (consume). Everything is aligned to 8 bytes so views can alias
+// the buffer directly.
 #pragma once
 
 #include <cassert>
@@ -82,6 +83,22 @@ class WriteArchive {
  private:
   std::byte* base_;
   std::size_t n_ = 0;
+};
+
+// One-pass archive for payloads built off the AM hot path (collective
+// contributions): every write extends the vector, so no separate size
+// pass has to agree with the write pass.
+class VectorArchive {
+ public:
+  void bytes(const void* src, std::size_t n) {
+    const auto* p = static_cast<const std::byte*>(src);
+    if (n) buf_.insert(buf_.end(), p, p + n);
+  }
+  void align(std::size_t a) { buf_.resize(arch::align_up(buf_.size(), a)); }
+  std::vector<std::byte> take() && { return std::move(buf_); }
+
+ private:
+  std::vector<std::byte> buf_;
 };
 
 class Reader {

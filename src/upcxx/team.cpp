@@ -153,7 +153,7 @@ void coll_advance(Coll& c) {
   }
 }
 
-void coll_up_dispatch(int src, Reader& r) {
+void coll_up_dispatch(int /*src*/, Reader& r) {
   const auto key = r.pod<std::uint64_t>();
   Coll& c = coll_instance(key);
   if (!c.entered) {
@@ -169,7 +169,7 @@ void coll_up_dispatch(int src, Reader& r) {
   coll_advance(c);
 }
 
-void coll_down_dispatch(int src, Reader& r) {
+void coll_down_dispatch(int /*src*/, Reader& r) {
   const auto key = r.pod<std::uint64_t>();
   Coll& c = coll_instance(key);
   const std::size_t n = r.remaining();

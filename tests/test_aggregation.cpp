@@ -81,9 +81,8 @@ void scan_target_handler(gex::AmContext&) {}
 TEST(WireFormat, NoHandlerAddressOnTheWire) {
   auto cfg = small_cfg(2);
   // This test raw-consumes records out of the arena inbox ring, so it pins
-  // the mmap transport explicitly (under UPCXX_AM_TRANSPORT=shmfile the
-  // records would travel through per-pair ring files instead — covered by
-  // test_transport.cpp).
+  // the mmap transport explicitly (under UPCXX_AM_TRANSPORT=socket the
+  // records would travel over TCP streams instead).
   cfg.am_transport = gex::AmTransport::kMmap;
   gex::Arena* arena = gex::Arena::create(cfg);
   gex::AmEngine eng(arena, 0);

@@ -171,6 +171,27 @@ TEST(CollectivesExt, AlltoallStrings) {
   });
 }
 
+// Contribution records are [u32 rank][pad][u64 length][chars][pad to 8]:
+// string lengths 0..9 cover every padding residue, and every round's
+// result must be byte-exact on every rank (broadcast shares the encoder).
+TEST(CollectivesExt, AllgatherAndBroadcastStringsOfEveryPadding) {
+  spmd(4, [] {
+    const int me = upcxx::rank_me(), P = upcxx::rank_n();
+    auto str = [](int rank, int round) {
+      return std::string(static_cast<std::size_t>((round + rank) % 10),
+                         static_cast<char>('a' + rank));
+    };
+    for (int round = 0; round < 10; ++round) {
+      auto all = upcxx::allgather(str(me, round)).wait();
+      ASSERT_EQ(all.size(), static_cast<std::size_t>(P));
+      for (int i = 0; i < P; ++i) EXPECT_EQ(all[i], str(i, round));
+      EXPECT_EQ(upcxx::broadcast(str(me, round), round % P).wait(),
+                str(round % P, round));
+    }
+    upcxx::barrier();
+  });
+}
+
 TEST(CollectivesExt, AlltoallSingleRank) {
   spmd(1, [] {
     std::vector<int> send{42};

@@ -314,7 +314,6 @@ TEST(CompletionMatrixAckBatching, PiggybackedAcksKeepSourceBeforeOperation) {
   cfg.rma_wire = gex::RmaWire::kAm;
   cfg.rma_async_min = 1;
   cfg.xfer_chunk_bytes = 1024;
-  cfg.am_xfer_chunk_bytes = 1024;
   cfg.am_window = 4;
   const int fails = upcxx::run(cfg, [] {
     constexpr std::size_t kBytes = 64 << 10;  // 64 chunks, 16 window turns

@@ -409,10 +409,10 @@ TEST(Config, NumericKnobsRejectGarbage) {
   // Save and clear every knob this test touches: the surrounding test run
   // may pin some of them (the CI am-window-1 job exports UPCXX_AM_WINDOW).
   const char* knobs[] = {
-      "UPCXX_AM_WINDOW",      "UPCXX_AM_CHUNK_KB", "UPCXX_SIM_LATENCY_NS",
-      "UPCXX_SIM_BW_GBPS",    "UPCXX_EAGER_MAX",   "UPCXX_RANKS",
-      "UPCXX_XFER_CHUNK_KB",  "UPCXX_RING_KB",     "UPCXX_RMA_ASYNC_MIN",
-      "UPCXX_PROGRESS_THREADS", "UPCXX_INJECT_SHARDS", "UPCXX_SUBMIT_SHARDS",
+      "UPCXX_AM_WINDOW",        "UPCXX_SIM_LATENCY_NS", "UPCXX_SIM_BW_GBPS",
+      "UPCXX_EAGER_MAX",        "UPCXX_RANKS",          "UPCXX_XFER_CHUNK_KB",
+      "UPCXX_RING_KB",          "UPCXX_RMA_ASYNC_MIN",
+      "UPCXX_PROGRESS_THREADS",
   };
   std::vector<std::pair<const char*, std::string>> saved;
   for (const char* k : knobs) {
@@ -425,7 +425,6 @@ TEST(Config, NumericKnobsRejectGarbage) {
   };
   const Case cases[] = {
       {"UPCXX_AM_WINDOW", "banana"},     {"UPCXX_AM_WINDOW", "-3"},
-      {"UPCXX_AM_CHUNK_KB", "12abc"},    {"UPCXX_AM_CHUNK_KB", "-64"},
       {"UPCXX_SIM_LATENCY_NS", "-5"},    {"UPCXX_SIM_LATENCY_NS", "x"},
       {"UPCXX_SIM_BW_GBPS", "inf"},      {"UPCXX_SIM_BW_GBPS", "-2"},
       {"UPCXX_EAGER_MAX", "-1"},         {"UPCXX_RANKS", "0"},
@@ -435,17 +434,11 @@ TEST(Config, NumericKnobsRejectGarbage) {
       {"UPCXX_PROGRESS_THREADS", "many"},
       {"UPCXX_PROGRESS_THREADS", "0"},
       {"UPCXX_PROGRESS_THREADS", "-2"},
-      {"UPCXX_INJECT_SHARDS", "8cores"},
-      {"UPCXX_INJECT_SHARDS", "0"},
-      {"UPCXX_SUBMIT_SHARDS", "lots"},
-      {"UPCXX_SUBMIT_SHARDS", "-16"},
   };
   for (const auto& c : cases) {
     setenv(c.name, c.value, 1);
     gex::Config got = gex::Config::from_env();
     EXPECT_EQ(got.am_window, d.am_window) << c.name << "=" << c.value;
-    EXPECT_EQ(got.am_xfer_chunk_bytes, d.am_xfer_chunk_bytes)
-        << c.name << "=" << c.value;
     EXPECT_EQ(got.sim_latency_ns, 0u) << c.name << "=" << c.value;
     EXPECT_EQ(got.sim_bw_gbps, 0.0) << c.name << "=" << c.value;
     EXPECT_EQ(got.eager_max, d.eager_max) << c.name << "=" << c.value;
@@ -457,25 +450,16 @@ TEST(Config, NumericKnobsRejectGarbage) {
         << c.name << "=" << c.value;
     EXPECT_EQ(got.progress_threads, d.progress_threads)
         << c.name << "=" << c.value;
-    EXPECT_EQ(got.inject_shards, d.inject_shards)
-        << c.name << "=" << c.value;
-    EXPECT_EQ(got.submit_shards, d.submit_shards)
-        << c.name << "=" << c.value;
     unsetenv(c.name);
   }
-  // normalize() clamps the threading knobs: a pool wider than the machine
-  // is pulled back to hardware_concurrency (when it reports nonzero), and
-  // shard counts land in [1, 64].
+  // normalize() clamps the pool width: a pool wider than the machine is
+  // pulled back to hardware_concurrency (when it reports nonzero).
   {
     gex::Config t;
     t.progress_threads = 100000;
-    t.inject_shards = 1000;
-    t.submit_shards = 0;
     t.normalize();
     if (const unsigned hw = std::thread::hardware_concurrency(); hw > 0)
       EXPECT_LE(t.progress_threads, static_cast<int>(hw));
-    EXPECT_EQ(t.inject_shards, 64u);
-    EXPECT_EQ(t.submit_shards, 1u);
   }
 
   // Valid values still parse (the strictness did not break the knobs).

@@ -5,10 +5,9 @@
 // atomic fetch_adds ride along at deterministic op indices — the same
 // schedule on every rank, so collective entry counts match — proving the
 // full op surface is injectable mid-stream, not just point-to-point RMA.
-// Runs over the AM wire (so every op crosses the transport) on BOTH
-// transports — the mmap shared-arena ring and the per-pair shmfile rings
-// — and routes the large ops through the XferEngine (rma_async_min) so
-// the chunked path soaks too.
+// Runs over the AM wire (so every op crosses the mmap shared-arena ring)
+// and routes the large ops through the XferEngine (rma_async_min) so the
+// chunked path soaks too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -181,9 +180,9 @@ void soak_body() {
   upcxx::deallocate(mine);
 }
 
-gex::Config soak_cfg(gex::AmTransport transport) {
+gex::Config soak_cfg() {
   gex::Config cfg = testutil::test_cfg(2);
-  cfg.am_transport = transport;
+  cfg.am_transport = gex::AmTransport::kMmap;
   cfg.rma_wire = gex::RmaWire::kAm;   // every RMA crosses the transport
   cfg.rma_async_min = 4096;           // ops above 4KB chunk via XferEngine
   cfg.xfer_chunk_bytes = 2048;
@@ -191,11 +190,7 @@ gex::Config soak_cfg(gex::AmTransport transport) {
 }
 
 TEST(MtSoak, MmapTransport) {
-  EXPECT_EQ(upcxx::run(soak_cfg(gex::AmTransport::kMmap), soak_body), 0);
-}
-
-TEST(MtSoak, ShmFileTransport) {
-  EXPECT_EQ(upcxx::run(soak_cfg(gex::AmTransport::kShmFile), soak_body), 0);
+  EXPECT_EQ(upcxx::run(soak_cfg(), soak_body), 0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "gex/arena.hpp"
 #include "gex/rma_am.hpp"
 #include "gex/runtime.hpp"
 #include "gex/xfer.hpp"
@@ -265,8 +266,15 @@ TEST(AmAckAggregation, AcksRideReverseTraffic) {
 }
 
 // The staged-put bounce pool recycles: a long stream of large puts to one
-// target allocates at most `window` staging buffers total.
-TEST(AmStagingPool, PoolBuffersRecycleAcrossAStream) {
+// target allocates at most `window` staging buffers total — whether each
+// put is one contiguous run or a two-run scatter (the same staged record;
+// only the descriptor count differs). The descriptors ride in the ring
+// record, so each buffer is the payload's size class, not the next one up.
+class AmStagingPool : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AmStagingPool, PoolBuffersRecycleAcrossAStream) {
+  static bool fragments;
+  fragments = GetParam();
   g_done = 0;
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;
@@ -277,19 +285,34 @@ TEST(AmStagingPool, PoolBuffersRecycleAcrossAStream) {
   const int fails = upcxx::run(cfg, [] {
     constexpr int kPuts = 64;
     constexpr std::size_t kBytes = 32 << 10;  // far beyond eager_max
+    constexpr std::size_t kHalf = kBytes / 2;
     static upcxx::global_ptr<char> remote;
     if (upcxx::rank_me() == 1) remote = upcxx::allocate<char>(kBytes);
     upcxx::barrier();
     if (upcxx::rank_me() == 0) {
       std::vector<char> src(kBytes, 's');
-      for (int i = 0; i < kPuts; ++i)
-        gex::rma_am().put(1, remote.local(), src.data(), kBytes,
-                          [] { g_done.fetch_add(1); });
+      const std::size_t heap_free = gex::arena().heap().bytes_free();
+      const auto dst = reinterpret_cast<std::uintptr_t>(remote.local());
+      for (int i = 0; i < kPuts; ++i) {
+        auto done = [] { g_done.fetch_add(1); };
+        if (fragments)
+          gex::rma_am().put_fragments(
+              1, {{dst, kHalf}, {dst + kHalf, kHalf}},
+              {{src.data(), kHalf}, {src.data() + kHalf, kHalf}}, done);
+        else
+          gex::rma_am().put(1, remote.local(), src.data(), kBytes, done);
+      }
       while (g_done.load() < kPuts) pump();
       const auto& st = gex::rma_am().stats();
       EXPECT_EQ(st.puts_staged, static_cast<std::uint64_t>(kPuts));
+      EXPECT_EQ(fragments ? st.frag_puts_sent : st.puts_sent,
+                static_cast<std::uint64_t>(kPuts));
       // Every put beyond the first window reused a recycled buffer.
-      EXPECT_LE(st.stage_allocs, 8u);
+      EXPECT_LE(st.stage_allocs, gex::rma_am().window());
+      // The pooled buffers still held are kBytes blocks (plus a block
+      // header each).
+      EXPECT_LE(heap_free - gex::arena().heap().bytes_free(),
+                st.stage_allocs * (kBytes + 256));
     } else {
       while (gex::rma_am().stats().puts_handled <
              static_cast<std::uint64_t>(kPuts))
@@ -301,6 +324,13 @@ TEST(AmStagingPool, PoolBuffersRecycleAcrossAStream) {
   });
   EXPECT_EQ(fails, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(ContiguousAndFragments, AmStagingPool,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "TwoFragmentPuts"
+                                             : "ContiguousPuts";
+                         });
 
 // The staged-reply pool mirrors the put pool: a long stream of large gets
 // from one target stages every reply, recycles the target's reply buffers

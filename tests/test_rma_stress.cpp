@@ -220,7 +220,6 @@ gex::Config stress_cfg(gex::RmaWire wire) {
   cfg.rma_wire = wire;
   cfg.rma_async_min = 4 << 10;    // big ops pipeline through the engine
   cfg.xfer_chunk_bytes = 2 << 10;  // many chunks per op
-  cfg.am_xfer_chunk_bytes = 2 << 10;
   cfg.am_window = 4;               // credits churn; requests queue
   return cfg;
 }
@@ -240,29 +239,22 @@ TEST(RmaStress, RandomizedSoakDirectWire) {
 // The adaptive-window soak: same traffic, `UPCXX_AM_WINDOW=auto` semantics
 // forced (kAmWindowForceAuto beats any CI window pin), and chunks sized so
 // GET replies exceed eager_max and exercise the staged-reply pool under
-// racing multi-rank traffic — on both AM transports. The conservation
-// asserts inside soak_body (ack and rack channels, window ceiling) are the
-// point: the moving window must never break the flow-control invariants.
-gex::Config adaptive_cfg(gex::AmTransport t) {
+// racing multi-rank traffic. The conservation asserts inside soak_body
+// (ack and rack channels, window ceiling) are the point: the moving window
+// must never break the flow-control invariants.
+gex::Config adaptive_cfg() {
   gex::Config cfg = testutil::test_cfg(3);
   cfg.rma_wire = gex::RmaWire::kAm;
-  cfg.am_transport = t;
+  cfg.am_transport = gex::AmTransport::kMmap;
   cfg.am_window = gex::kAmWindowForceAuto;
   cfg.rma_async_min = 4 << 10;
   cfg.xfer_chunk_bytes = 16 << 10;  // reply payloads exceed 8K eager_max
-  cfg.am_xfer_chunk_bytes = 16 << 10;
   return cfg;
 }
 
 TEST(RmaStress, AdaptiveWindowSoakMmap) {
-  const int fails = upcxx::run(adaptive_cfg(gex::AmTransport::kMmap),
+  const int fails = upcxx::run(adaptive_cfg(),
                                [] { soak_body(0xAD0BE, true, true); });
-  EXPECT_EQ(fails, 0);
-}
-
-TEST(RmaStress, AdaptiveWindowSoakShmFile) {
-  const int fails = upcxx::run(adaptive_cfg(gex::AmTransport::kShmFile),
-                               [] { soak_body(0xF11E, true, true); });
   EXPECT_EQ(fails, 0);
 }
 

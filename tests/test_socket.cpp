@@ -1,6 +1,6 @@
 // Socket-transport coverage (gex/socket.hpp):
-//   * Transport-contract conformance shared by all three transports
-//     (mmap / shmfile / socket): reserve/commit/consume FIFO per pair,
+//   * Transport-contract conformance shared by both transports
+//     (mmap / socket): reserve/commit/consume FIFO per pair,
 //     8-aligned payloads even after odd-sized records, self-sends,
 //     rx_empty / tx_quiesced at quiescence.
 //   * UPCXX_SOCKET_* config knobs parse, normalize clamps them, and
@@ -157,8 +157,6 @@ const char* transport_param_name(
   switch (info.param) {
     case gex::AmTransport::kMmap:
       return "mmap";
-    case gex::AmTransport::kShmFile:
-      return "shmfile";
     case gex::AmTransport::kSocket:
       return "socket";
     default:
@@ -168,7 +166,6 @@ const char* transport_param_name(
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, TransportContract,
                          ::testing::Values(gex::AmTransport::kMmap,
-                                           gex::AmTransport::kShmFile,
                                            gex::AmTransport::kSocket),
                          transport_param_name);
 

@@ -3,51 +3,23 @@
 //   * SegmentMap round trips for heap, bounce-pool (heap-carved), ring,
 //     and rank-segment addresses; raw virtual addresses are rejected in
 //     both directions.
-//   * The shm-file transport carries the full AM + RMA traffic mix on the
-//     thread and process backends, with per-pair ring files that appear
-//     lazily and are unlinked at teardown.
-//   * Live am-wire traffic resolves every decoded record through the
-//     registry (decode_count) — the "no raw virtual address on the wire"
-//     acceptance hook.
+//   * Live am-wire traffic in all six record shapes resolves every
+//     decoded address through the registry (decode_count) — the "no raw
+//     virtual address on the wire" acceptance hook.
+//   * UPCXX_AM_TRANSPORT parsing and resolution.
 #include <gtest/gtest.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "arch/rng.hpp"
-#include "gex/am.hpp"
 #include "gex/arena.hpp"
+#include "gex/rma_am.hpp"
 #include "gex/segment.hpp"
-#include "gex/transport.hpp"
 #include "spmd_helpers.hpp"
 
 namespace {
-
-// Throwing check for use inside forked rank bodies.
-void require(bool ok, const char* what) {
-  if (!ok) throw std::runtime_error(std::string("check failed: ") + what);
-}
-
-// Count of this job's shm-transport ring files currently on disk (the
-// names embed the launcher pid, which is this process for both backends).
-int shm_file_count() {
-  char prefix[64];
-  std::snprintf(prefix, sizeof prefix, "upcxx-am-%u-",
-                static_cast<unsigned>(::getpid()));
-  int n = 0;
-  if (DIR* d = ::opendir(gex::shm_transport_dir())) {
-    while (struct dirent* e = ::readdir(d))
-      if (std::strncmp(e->d_name, prefix, std::strlen(prefix)) == 0) ++n;
-    ::closedir(d);
-  }
-  return n;
-}
 
 // ------------------------------------------------------------- SegmentMap
 
@@ -122,162 +94,59 @@ TEST(SegmentMap, RejectsRawVirtualAddresses) {
 // ------------------------------------------------- live-traffic acceptance
 
 // The "no raw virtual address on the wire" hook: every decoded record
-// resolves through the segment registry, so a burst of am-wire RMA in
-// every shape must grow decode_count (and land the right bytes, proving
-// the decoded addresses were correct).
+// resolves through the segment registry, so a burst of am-wire RMA that
+// sends each of the protocol's six records (PUT, PUT_STAGED, GET, REPLY,
+// REPLY_STAGED, ACK) must grow decode_count by every descriptor and
+// staging buffer it names — and land the right bytes, proving the decoded
+// addresses were correct.
 TEST(WireAddressing, EveryAmRecordResolvesThroughRegistry) {
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;
+  // Staging needs shared memory; pin mmap against the CI matrix.
+  cfg.am_transport = gex::AmTransport::kMmap;
   cfg.rma_async_min = 4 << 10;
-  cfg.xfer_chunk_bytes = 4 << 10;
+  cfg.xfer_chunk_bytes = 16 << 10;  // chunks past eager_max: staged
   const int fails = upcxx::run(cfg, [] {
     const int me = upcxx::rank_me();
+    constexpr std::size_t kN = 8192;  // 64 KiB of longs: 4 staged chunks
     static upcxx::global_ptr<long> remote;
-    if (me == 1) remote = upcxx::new_array<long>(4096);
+    if (me == 1) remote = upcxx::new_array<long>(kN);
     upcxx::barrier();
     if (me == 0) {
       const std::uint64_t before = gex::arena().segmap().decode_count();
-      std::vector<long> src(4096), sink(4096, 0);
+      std::vector<long> src(kN), sink(kN, 0), small(64, 0);
       for (std::size_t i = 0; i < src.size(); ++i)
         src[i] = static_cast<long>(i);
-      upcxx::rput(src.data(), remote, 64).wait();      // eager put
-      upcxx::rput(src.data(), remote, 4096).wait();    // chunked/staged put
-      upcxx::rget(remote, sink.data(), 4096).wait();   // get + reply
+      upcxx::rput(src.data(), remote, 64).wait();     // PUT: 1 desc
+      upcxx::rput(src.data(), remote, kN).wait();     // PUT_STAGED: 4 × 2
+      upcxx::rget(remote, sink.data(), kN).wait();    // GET + REPLY_STAGED:
+                                                      //   4 × (1 + 1)
+      upcxx::rget(remote, small.data(), 64).wait();   // GET + REPLY: 1
       std::vector<upcxx::src_fragment<long>> s{{src.data(), 32}};
       std::vector<upcxx::dst_fragment<long>> d{{remote, 16}, {remote + 16, 16}};
-      upcxx::rput_irregular(s, d).wait();              // scatter record
+      upcxx::rput_irregular(s, d).wait();             // 2-run PUT: 2 descs
       EXPECT_EQ(sink, src);
-      // put, staged put + its bounce buffer, get, frag descriptors: well
-      // over one decode per operation.
-      EXPECT_GE(gex::arena().segmap().decode_count() - before, 5u);
+      EXPECT_TRUE(std::equal(small.begin(), small.end(), src.begin()));
+      EXPECT_GE(gex::arena().segmap().decode_count() - before, 20u);
+      const auto& st = gex::rma_am().stats();
+      EXPECT_EQ(st.puts_staged, 4u);
+      EXPECT_GE(st.frag_puts_sent, 1u);
+      EXPECT_EQ(st.staged_replies_handled, 4u);
     }
     upcxx::barrier();
-    if (me == 1) upcxx::delete_array(remote, 4096);
-    upcxx::barrier();
-  });
-  EXPECT_EQ(fails, 0);
-}
-
-// ---------------------------------------------------- shm-file transport
-
-TEST(ShmFileTransport, AmAndRmaTrafficThreadBackend) {
-  gex::Config cfg = testutil::test_cfg(4);
-  cfg.am_transport = gex::AmTransport::kShmFile;
-  cfg.rma_wire = gex::RmaWire::kAm;  // everything through the new wire
-  const int fails = upcxx::run(cfg, [] {
-    EXPECT_STREQ(gex::am().transport().name(), "shmfile");
-    const int me = upcxx::rank_me(), P = upcxx::rank_n();
-    auto mine = upcxx::new_array<long>(256);
-    for (int i = 0; i < 256; ++i) mine.local()[i] = -1;
-    auto ptrs = upcxx::allgather(mine).wait();  // rpc traffic (frames)
-    upcxx::barrier();
-    // RMA in several shapes: eager put, rendezvous-sized put, get back.
-    const int nb = (me + 1) % P;
-    std::vector<long> pat(256);
-    for (int i = 0; i < 256; ++i) pat[i] = me * 1000 + i;
-    upcxx::rput(pat.data(), ptrs[nb], 256).wait();
-    upcxx::barrier();
-    const int left = (me + P - 1) % P;
-    for (int i = 0; i < 256; ++i)
-      EXPECT_EQ(mine.local()[i], left * 1000 + i);
-    std::vector<long> back(256, 0);
-    upcxx::rget(ptrs[nb], back.data(), 256).wait();
-    EXPECT_EQ(back, pat);
-    // The per-pair ring files exist while the job runs.
-    if (me == 0) EXPECT_GT(shm_file_count(), 0);
-    upcxx::barrier();
-    upcxx::delete_array(mine, 256);
-    upcxx::barrier();
-  });
-  EXPECT_EQ(fails, 0);
-  // ...and are unlinked at teardown.
-  EXPECT_EQ(shm_file_count(), 0);
-}
-
-TEST(ShmFileTransport, RmaAcrossForkedProcesses) {
-  // Forked ranks map each pair file independently (no pre-fork shared ring
-  // mapping is involved in the message plane): the round trip only works
-  // because the records carry segment-offset addresses.
-  gex::Config cfg = testutil::test_cfg(4);
-  cfg.backend = gex::Backend::kProcess;
-  cfg.am_transport = gex::AmTransport::kShmFile;
-  cfg.rma_wire = gex::RmaWire::kAm;
-  cfg.rma_async_min = 4 << 10;
-  cfg.xfer_chunk_bytes = 4 << 10;
-  const int fails = upcxx::run(cfg, [] {
-    const int me = upcxx::rank_me(), P = upcxx::rank_n();
-    require(std::strcmp(gex::am().transport().name(), "shmfile") == 0,
-            "transport resolved to shmfile");
-    constexpr std::size_t kN = 4096;  // 32 KB of longs: rides the engine
-    auto mine = upcxx::new_array<long>(kN);
-    auto ptrs = upcxx::allgather(mine).wait();
-    upcxx::barrier();
-    const int nb = (me + 1) % P;
-    std::vector<long> pat(kN);
-    for (std::size_t i = 0; i < kN; ++i)
-      pat[i] = me * 100000 + static_cast<long>(i);
-    upcxx::rput(pat.data(), ptrs[nb], kN).wait();
-    upcxx::rput(static_cast<long>(me), ptrs[nb]).wait();
-    upcxx::barrier();
-    const int left = (me + P - 1) % P;
-    require(mine.local()[0] == left, "small put landed over shmfile");
-    for (std::size_t i = 1; i < kN; ++i)
-      require(mine.local()[i] == left * 100000 + static_cast<long>(i),
-              "chunked put landed over shmfile");
-    std::vector<long> back(kN, 0);
-    upcxx::rget(ptrs[nb], back.data(), kN).wait();
-    require(back[0] == me, "rget over shmfile");
-    upcxx::barrier();
-    upcxx::delete_array(mine, kN);
-    upcxx::barrier();
-  });
-  EXPECT_EQ(fails, 0);
-  EXPECT_EQ(shm_file_count(), 0);
-}
-
-TEST(ShmFileTransport, RandomizedMixedSoak) {
-  // A compact cousin of test_rma_stress pinned to the shmfile transport:
-  // randomized sizes crossing the eager / rendezvous / staged-put splits,
-  // verified against a local shadow. (The full stress suite runs under
-  // UPCXX_AM_TRANSPORT=shmfile in the CI matrix.)
-  gex::Config cfg = testutil::test_cfg(2);
-  cfg.am_transport = gex::AmTransport::kShmFile;
-  cfg.rma_wire = gex::RmaWire::kAm;
-  cfg.am_window = 4;
-  cfg.rma_async_min = 8 << 10;
-  cfg.xfer_chunk_bytes = 8 << 10;
-  const int fails = upcxx::run(cfg, [] {
-    const int me = upcxx::rank_me();
-    constexpr std::size_t kWords = 16 << 10;
-    auto mine = upcxx::new_array<long>(kWords);
-    std::memset(mine.local(), 0, kWords * sizeof(long));
-    auto ptrs = upcxx::allgather(mine).wait();
-    upcxx::barrier();
-    if (me == 0) {
-      arch::Xoshiro256 rng(42);
-      std::vector<long> shadow(kWords, 0), buf(kWords), back(kWords);
-      for (int iter = 0; iter < 60; ++iter) {
-        const std::size_t n = 1 + rng.next_below(kWords - 1);
-        const std::size_t at = rng.next_below(kWords - n);
-        for (std::size_t i = 0; i < n; ++i)
-          buf[i] = static_cast<long>(rng.next());
-        upcxx::rput(buf.data(), ptrs[1] + at, n).wait();
-        std::copy(buf.begin(), buf.begin() + static_cast<long>(n),
-                  shadow.begin() + static_cast<long>(at));
-        if (iter % 7 == 0) {
-          upcxx::rget(ptrs[1], back.data(), kWords).wait();
-          EXPECT_EQ(back, shadow) << "iter " << iter;
-        }
-      }
-      upcxx::rget(ptrs[1], back.data(), kWords).wait();
-      EXPECT_EQ(back, shadow);
+    if (me == 1) {
+      // The target answered with both reply shapes and acked every put,
+      // standalone or piggybacked.
+      const auto& st = gex::rma_am().stats();
+      EXPECT_EQ(st.replies_staged, 4u);
+      EXPECT_EQ(st.replies_sent, 5u);
+      EXPECT_GT(st.acks_sent, 0u);
+      EXPECT_EQ(st.ack_cookies_sent + st.acks_piggybacked, st.puts_handled);
+      upcxx::delete_array(remote, kN);
     }
     upcxx::barrier();
-    upcxx::delete_array(mine, kWords);
-    upcxx::barrier();
   });
   EXPECT_EQ(fails, 0);
-  EXPECT_EQ(shm_file_count(), 0);
 }
 
 // ---------------------------------------------------- transport resolution
@@ -291,12 +160,11 @@ TEST(Transport, ConfigParsingAndResolution) {
   EXPECT_EQ(c.am_transport, gex::AmTransport::kAuto);
   EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kMmap);
 
-  setenv("UPCXX_AM_TRANSPORT", "shmfile", 1);
-  EXPECT_EQ(gex::Config::from_env().am_transport,
-            gex::AmTransport::kShmFile);
+  setenv("UPCXX_AM_TRANSPORT", "socket", 1);
+  EXPECT_EQ(gex::Config::from_env().am_transport, gex::AmTransport::kSocket);
   // Hand-built Configs left at kAuto honor the env override (the CI
   // matrix contract)...
-  EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kShmFile);
+  EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kSocket);
   // ...but an explicit transport beats the environment.
   c.am_transport = gex::AmTransport::kMmap;
   EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kMmap);
