@@ -42,7 +42,8 @@ AmEngine::AmEngine(Arena* arena, int my_rank)
     : arena_(arena),
       me_(my_rank),
       transport_(make_transport(arena, my_rank)),
-      eager_max_(arena->config().eager_max) {}
+      eager_max_(arena->config().eager_max),
+      stamp_send_ns_(arena->config().sim_latency_ns > 0) {}
 
 AmEngine::~AmEngine() = default;
 
@@ -137,7 +138,7 @@ void AmEngine::commit(SendBuf& sb) {
     wh->flags = sb.frame ? (kWireFrame | (sb.uniform ? kWireUniform : 0))
                          : std::uint16_t{0};
     wh->src = me_;
-    wh->send_ns = arch::now_ns();
+    wh->send_ns = stamp_send_ns_ ? arch::now_ns() : 0;
     transport_->commit(sb.ticket);
     if (sb.frame)
       arch::relaxed_inc(stats_.sent_frames);
@@ -153,7 +154,7 @@ void AmEngine::commit(SendBuf& sb) {
       wh->handler = sb.handler;
       wh->flags = kWireRendezvous;
       wh->src = me_;
-      wh->send_ns = arch::now_ns();
+      wh->send_ns = stamp_send_ns_ ? arch::now_ns() : 0;
       auto* d = reinterpret_cast<RdzvDesc*>(wh + 1);
       d->buf = arena_->segmap().encode(sb.data);
       d->size = sb.size;

@@ -52,7 +52,9 @@ struct WireHeader {
   HandlerIdx handler;   // registry index; ignored for frame records
   std::uint16_t flags;  // kWireRendezvous | kWireFrame
   std::int32_t src;     // sender world rank
-  std::uint64_t send_ns;  // send timestamp (drives simulated latency)
+  // Send timestamp; only the simulated-latency delivery path reads it, so
+  // it is stamped only when Config::sim_latency_ns > 0 (0 otherwise).
+  std::uint64_t send_ns;
 };
 static_assert(sizeof(WireHeader) == 16, "keep the per-message header small");
 
@@ -230,6 +232,7 @@ class AmEngine {
   int me_;
   std::unique_ptr<Transport> transport_;
   std::size_t eager_max_;
+  bool stamp_send_ns_;  // WireHeader::send_ns has a reader (sim latency)
   HandlerIdx sink_handler_ = 0;
   FrameSink sink_ = nullptr;
   Stats stats_;

@@ -66,13 +66,12 @@ inline future<> barrier_async(const team& tm = world()) {
     // Injected barrier: the drains below are rank state, so ship them
     // ahead of the collective entry through the caller's submit shard —
     // shard FIFO guarantees they run (master-side) before the entry that
-    // coll_enter submits next. The wire-shard drain first: this thread's
-    // earlier injected rpc/rpc_ff sends ride those queues, and the barrier
-    // ordering contract covers them too.
+    // coll_enter submits next. The wire shards first, each drained to
+    // empty (waiting out a helper that holds one): this thread's earlier
+    // injected rpc/rpc_ff sends ride those queues, however many there
+    // are, and the barrier ordering contract covers them too.
     detail::op_context::current().run_at_rank([] {
-      auto& p = detail::persona();
-      for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
-        detail::drain_wire_shard(p, s, /*may_poll=*/true);
+      detail::drain_wire_shards(detail::persona(), /*to_empty=*/true);
       detail::flush_aggregation();
       detail::drain_xfer_copies();
     });

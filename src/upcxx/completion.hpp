@@ -321,13 +321,19 @@ class cx_state {
   bool src_sync_ = false;
 };
 
+// True when Cxs contains a source-kind completion. Engines that move the
+// data off the initiating thread ship source_now() home only then: for any
+// other Cxs it does nothing, and an injector would pay an LPC for it.
+template <typename Cxs>
+inline constexpr bool has_source_completions =
+    Cxs::template has<is_src_future>() ||
+    Cxs::template has<is_src_promise>() || Cxs::template has<is_src_lpc>();
+
 // True when Cxs contains any source- or remote-kind completion (rpc rejects
 // those at compile time).
 template <typename Cxs>
 inline constexpr bool has_non_op_completions =
-    Cxs::template has<is_src_future>() ||
-    Cxs::template has<is_src_promise>() ||
-    Cxs::template has<is_src_lpc>() || Cxs::template has<is_remote_rpc>();
+    has_source_completions<Cxs> || Cxs::template has<is_remote_rpc>();
 
 }  // namespace detail
 

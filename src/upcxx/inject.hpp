@@ -19,10 +19,12 @@
 //     direct-backend atomics (a CPU atomic is a CPU atomic).
 //   * Everything else is prepared caller-side (serialization, completion
 //     state, collective fold/deliver closures) and handed to the rank
-//     through lock-free MPSC queues — the thread-hash-sharded submit
-//     queue (PersonaState::submit_shards, kSubmitShards of them) for engine
-//     dispatches, the wire shards for serialized sends — drained by the
-//     progress persona or upcxx::progress_pool helpers inside poll.
+//     through block MPSC queues (arch::MpscQueue: records built in place,
+//     no allocation in steady state) — the thread-hash-sharded submit
+//     queue (PersonaState::submit_shards, kSubmitShards of them) for
+//     engine dispatches, the wire shards for serialized sends — drained
+//     by the progress persona (whose wire drain packs small messages into
+//     Aggregator frames) or upcxx::progress_pool helpers inside poll.
 //   * Completions ship back to the initiating thread's own persona inbox,
 //     so the returned futures/promises stay persona-affine: they become
 //     ready during *this thread's* upcxx::progress() / future::wait()

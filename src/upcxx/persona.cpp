@@ -1,5 +1,6 @@
 #include "upcxx/persona.hpp"
 
+#include <climits>
 #include <vector>
 
 #include "gex/runtime.hpp"
@@ -52,29 +53,22 @@ bool persona_stack_contains(const ::upcxx::persona* p) {
   return false;
 }
 
-void drain_persona_inboxes() {
+int drain_persona_inboxes() {
   ensure_default_persona();
   // Index-based walk: an LPC body may acquire/release personas (mutating
-  // the stack) or call progress() re-entrantly (finding an inbox already
-  // swapped out) — both are safe under re-checked bounds. The unlocked
-  // pending probe keeps the common empty case free of locks and
-  // allocations; a push that races past the probe is picked up by the next
-  // progress call.
+  // the stack) or call progress() re-entrantly — the inbox unlinks each
+  // LPC before running it, so a nested drain simply continues after it.
+  // The empty probe keeps the common idle case free of stores.
+  int ran = 0;
   for (std::size_t i = 0; i < tls_stack.size(); ++i) {
     ::upcxx::persona* p = tls_stack[i];
-    if (p->pending_.load(std::memory_order_acquire) == 0) continue;
-    std::deque<Lpc> work;
-    {
-      arch::SpinGuard g(p->mu_);
-      work.swap(p->inbox_);
-    }
-    p->pending_.fetch_sub(static_cast<std::uint32_t>(work.size()),
-                          std::memory_order_release);
-    for (auto& fn : work) {
-      fn();
-      p->lpcs_executed_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (p->inbox_.empty_hint()) continue;
+    const int n = p->inbox_.run(INT_MAX);
+    p->lpcs_executed_.fetch_add(static_cast<std::uint64_t>(n),
+                                std::memory_order_relaxed);
+    ran += n;
   }
+  return ran;
 }
 
 void adopt_master(::upcxx::persona& p, PersonaState* st) {

@@ -28,13 +28,12 @@
 
 #include <atomic>
 #include <cassert>
-#include <deque>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 
+#include "arch/mpsc_queue.hpp"
 #include "arch/small_fn.hpp"
-#include "arch/spinlock.hpp"
 #include "upcxx/future.hpp"
 
 namespace upcxx {
@@ -58,9 +57,10 @@ void persona_stack_push(persona* p);
 void persona_stack_pop(persona* p);
 bool persona_stack_contains(const persona* p);
 
-// Runs every queued LPC of every persona the calling thread holds. Called
-// from user-level progress.
-void drain_persona_inboxes();
+// Runs the queued LPCs of every persona the calling thread holds (those
+// queued when each inbox's drain began). Called from user-level progress;
+// returns the number run.
+int drain_persona_inboxes();
 
 // Master-persona plumbing used by init_persona()/fini_persona().
 void adopt_master(persona& p, PersonaState* st);
@@ -73,8 +73,10 @@ PersonaState* rank_context();
 }  // namespace detail
 
 // A persona: an inbox of deferred work plus an owning-thread marker. The
-// object itself is shared state; all members are private and accessed either
-// by the owning thread or under the inbox lock.
+// inbox is an arch::MpscQueue: any thread pushes an LPC (constructed in
+// place in the queue's current block — no allocation in steady state, no
+// lock beyond the queue's producer cursor), and only the thread holding
+// the persona runs them, in FIFO order, during its progress calls.
 class persona {
  public:
   persona() = default;
@@ -92,11 +94,7 @@ class persona {
   // thread, with or without a rank context.
   template <typename Fn>
   void lpc_ff(Fn&& fn) {
-    {
-      arch::SpinGuard g(mu_);
-      inbox_.emplace_back(std::forward<Fn>(fn));
-    }
-    pending_.fetch_add(1, std::memory_order_release);
+    inbox_.push(std::forward<Fn>(fn));
   }
 
   // LPC with a result: fn runs on this persona; its result is shipped back
@@ -118,17 +116,14 @@ class persona {
   friend void detail::ensure_default_persona();
   friend void detail::persona_stack_push(persona*);
   friend void detail::persona_stack_pop(persona*);
-  friend void detail::drain_persona_inboxes();
+  friend int detail::drain_persona_inboxes();
   friend void detail::adopt_master(persona&, detail::PersonaState*);
   friend void detail::drop_master(persona&);
   friend void liberate_master_persona();
 
-  mutable arch::Spinlock mu_;
-  std::deque<detail::Lpc> inbox_;
-  // Queued-LPC count, maintained outside the lock so progress() can skip
-  // empty inboxes without taking it (every user-level progress call on
-  // every thread probes this — it must stay allocation- and lock-free).
-  std::atomic<std::uint32_t> pending_{0};
+  // Every user-level progress call on every thread probes this inbox
+  // (MpscQueue::empty_hint: two loads, no lock) before draining it.
+  arch::MpscQueue inbox_;
   std::atomic<const void*> owner_{nullptr};
   std::atomic<std::uint64_t> lpcs_executed_{0};
   // Non-null only on a rank's master persona: holding it carries the right

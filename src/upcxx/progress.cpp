@@ -117,32 +117,16 @@ void push_completion_after_ns(std::uint64_t delay_ns, Lpc fn) {
       TimedEntry{arch::now_ns() + delay_ns, p.timed_seq++, std::move(fn)});
 }
 
-std::uint64_t register_reply(arch::UniqueFunction<void(Reader&)> fn) {
-  auto& p = op_state();
-  const std::uint64_t id =
-      p.next_op_id.fetch_add(1, std::memory_order_relaxed);
-  arch::SpinGuard g(p.reply_mu);
-  p.pending_replies.emplace(id, std::move(fn));
-  return id;
-}
-
 // ------------------------------------------------- MPSC injection hand-off
 
-void submit_to_master(PersonaState& st, Lpc fn) {
+std::uint32_t submit_shard_of_caller() {
   // Shard by initiating thread, not round-robin: one thread's submissions
   // must stay FIFO (a thread that enters barrier() then reduce() relies on
   // its collective sequence numbers being allocated in that order), and a
   // stable thread->shard map gives that while spreading unrelated
   // injectors across queue tails.
   const auto h = std::hash<const void*>{}(thread_marker());
-  st.submit_shards[h % PersonaState::kSubmitShards].q.push(std::move(fn));
-}
-
-void submit_wire_send(PersonaState& st, int target, std::uint32_t bytes,
-                      std::unique_ptr<std::byte[]> buf) {
-  auto& sh = st.wire_shards[static_cast<std::uint32_t>(target) %
-                            PersonaState::kWireShards];
-  sh.q.push(PersonaState::WireSend{target, bytes, std::move(buf)});
+  return static_cast<std::uint32_t>(h % PersonaState::kSubmitShards);
 }
 
 int drain_submitq(PersonaState& st, int budget) {
@@ -151,44 +135,98 @@ int drain_submitq(PersonaState& st, int budget) {
   // consumer; a fixed drain order keeps each thread's submissions FIFO
   // (within its shard) without any cross-shard coordination.
   int work = 0;
-  Lpc fn;
-  for (auto& sh : st.submit_shards) {
-    if (budget <= 0) break;
-    auto& q = sh.q;
+  for (auto& q : st.submit_shards) {
+    if (budget - work <= 0) break;
     if (q.empty_hint()) continue;
-    while (budget > 0 && q.try_pop(fn)) {
-      fn();
-      ++work;
-      --budget;
-    }
+    work += q.run(budget - work);
   }
   return work;
 }
 
-int drain_wire_shard(PersonaState& st, std::uint32_t shard, bool may_poll) {
+namespace {
+
+// Writes one queued upcxx message into `target`'s ring as its own record.
+void send_wire_record(gex::AmEngine& eng, const arch::MpscQueue::Record& r,
+                      bool may_poll) {
+  auto sb = eng.prepare(static_cast<int>(r.tag), am_delivery_index(), r.size,
+                        may_poll);
+  std::memcpy(sb.data, r.data, r.size);
+  eng.commit(sb);
+}
+
+// Moves shard `shard`'s messages on the wire's consumer thread, with the
+// shard lock held: small ones into the Aggregator, the rest direct after
+// flushing their target (per-target FIFO). Before returning (and so
+// before the lock is released — a helper taking the shard next writes to
+// the rings directly) every target of the shard is flushed: nothing this
+// drain staged can be overtaken.
+int drain_wire_shard_locked(PersonaState& st, std::uint32_t shard,
+                            bool to_empty) {
+  auto& q = st.wire_shards[shard].q;
+  auto& eng = *st.rank->am;
+  gex::Aggregator* agg = st.rank->agg;
+  auto move = [&](const arch::MpscQueue::Record& r) {
+    const int target = static_cast<int>(r.tag);
+    if (agg && rides_frame(*agg, r.size)) {
+      std::memcpy(agg->put(target, am_delivery_index(), r.size), r.data,
+                  r.size);
+      return;
+    }
+    if (agg && agg->enabled()) agg->flush(target);
+    send_wire_record(eng, r, /*may_poll=*/true);
+  };
+  const int n = to_empty ? q.drain_all(move) : q.drain(64, move);
+  if (n && agg && agg->enabled())
+    for (int t = static_cast<int>(shard); t < st.rank->arena->nranks();
+         t += static_cast<int>(PersonaState::kWireShards))
+      agg->flush(t);
+  return n;
+}
+
+}  // namespace
+
+int drain_wire_shards(PersonaState& st, bool to_empty) {
+  assert(tls_persona == &st && "the wire's consumer drains with the rank "
+                               "context");
+  int work = 0;
+  for (std::uint32_t s = 0; s < PersonaState::kWireShards; ++s) {
+    auto& sh = st.wire_shards[s];
+    if (sh.q.empty_hint()) continue;
+    if (to_empty) {
+      // A helper mid-drain finishes its messages first; they are in the
+      // rings once it lets go. It may be stalled on a full ring whose
+      // consumer is itself waiting on a message in our ring, so keep
+      // polling meanwhile, as any stalled send on this thread does.
+      while (!sh.mu.try_lock())
+        if (st.rank->am->poll() == 0) std::this_thread::yield();
+    } else if (!sh.mu.try_lock()) {
+      continue;  // a helper owns this shard right now
+    }
+    work += drain_wire_shard_locked(st, s, to_empty);
+    sh.mu.unlock();
+  }
+  return work;
+}
+
+int drain_wire_shard(PersonaState& st, std::uint32_t shard) {
   auto& sh = st.wire_shards[shard];
   if (sh.q.empty_hint()) return 0;
   if (!sh.mu.try_lock()) return 0;  // a competing drainer owns this shard
-  int work = 0;
-  PersonaState::WireSend ws;
-  // Bounded so one drain cannot monopolize a progress call. The lock is
+  // Bounded so one drain cannot monopolize a helper pass. The lock is
   // held across reserve -> memcpy -> commit, so a shard's sends hit the
-  // target ring in pop order and the transport's per-pair FIFO carries
+  // target ring in queue order and the transport's per-pair FIFO carries
   // the ordering end to end.
-  while (work < 64 && sh.q.try_pop(ws)) {
-    auto& eng = *st.rank->am;
-    auto sb = eng.prepare(ws.target, am_delivery_index(), ws.bytes, may_poll);
-    std::memcpy(sb.data, ws.buf.get(), ws.bytes);
-    eng.commit(sb);
-    ++work;
-  }
+  auto& eng = *st.rank->am;
+  const int work = sh.q.drain(64, [&](const arch::MpscQueue::Record& r) {
+    send_wire_record(eng, r, /*may_poll=*/false);
+  });
   sh.mu.unlock();
   return work;
 }
 
 bool inject_queues_empty(PersonaState& st) {
-  for (auto& sh : st.submit_shards)
-    if (!sh.q.empty_hint()) return false;
+  for (auto& q : st.submit_shards)
+    if (!q.empty_hint()) return false;
   for (auto& sh : st.wire_shards)
     if (!sh.q.empty_hint()) return false;
   return true;
@@ -345,7 +383,8 @@ void progress(progress_level lvl) {
   // persona) still progresses the personas it does hold: user-level progress
   // drains their LPC inboxes. The rank-level queues and the wire belong to
   // the master persona's holder alone.
-  if (lvl == progress_level::user) detail::drain_persona_inboxes();
+  const int lpcs =
+      lvl == progress_level::user ? detail::drain_persona_inboxes() : 0;
   if (!detail::has_persona()) return;
   auto& p = detail::persona();
   // User-level progress flushes the aggregation buffers first: staged
@@ -366,11 +405,11 @@ void progress(progress_level lvl) {
   // Off-persona injection first: submitted op closures dispatch into the
   // engines (so this poll round already moves their chunks), and staged
   // wire sends reach the target rings ahead of our poll of the replies
-  // they will generate. Shard drains here run with may_poll=true — this
-  // thread IS the wire consumer, so a full-ring stall may self-poll.
-  int work = detail::drain_submitq(p, 64);
-  for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
-    work += detail::drain_wire_shard(p, s, /*may_poll=*/true);
+  // they will generate. This thread IS the wire consumer: injected small
+  // messages join the Aggregator's frames (flushed before the drain
+  // returns) and a full-ring stall may self-poll.
+  int work = lpcs + detail::drain_submitq(p, 64);
+  work += detail::drain_wire_shards(p);
   work += p.rank->am->poll();
   if (p.rank->rma_am) work += p.rank->rma_am->poll_requests();
   if (p.rank->xfer) work += p.rank->xfer->poll();

@@ -32,6 +32,7 @@
 
 #include "arch/atomics.hpp"
 #include "arch/mpsc_queue.hpp"
+#include "arch/slot_table.hpp"
 #include "arch/small_fn.hpp"
 #include "arch/spinlock.hpp"
 #include "gex/agg.hpp"
@@ -98,14 +99,12 @@ struct PersonaState {
   std::priority_queue<TimedEntry> timed;
   std::uint64_t timed_seq = 0;
 
-  // Outstanding RPC replies: op id -> deserialize-and-fulfill action.
-  // Guarded by reply_mu: injector threads register replies concurrently
-  // with the master persona dispatching arriving ones. Op ids come from
-  // the atomic counter so registration never needs the lock for the id.
-  arch::Spinlock reply_mu;
-  std::unordered_map<std::uint64_t, arch::UniqueFunction<void(Reader&)>>
-      pending_replies;
-  std::atomic<std::uint64_t> next_op_id{1};
+  // Outstanding RPC replies: op id -> deserialize-and-fulfill action. The
+  // op id is the slot index plus its generation (arch::SlotTable):
+  // injector threads register concurrently with the master persona taking
+  // arriving replies, and neither side hashes or allocates — a lock is
+  // held only for the slot free list's pop or push.
+  arch::SlotTable<arch::UniqueFunction<void(Reader&)>> replies;
 
   // dist_object registry: id -> object address, plus per-team id counters.
   std::unordered_map<std::uint64_t, void*> dist_registry;
@@ -136,47 +135,49 @@ struct PersonaState {
   //
   // App threads that hold neither the master persona nor a rank context
   // initiate operations by handing prepared work to the rank through two
-  // MPSC paths, both drained at internal progress:
+  // kinds of arch::MpscQueue (block queues: records are built in place,
+  // nothing is allocated in steady state, producers never wait on the
+  // consumer):
   //
   //   submit_shards  op closures (serialization and cx_state setup already
   //                done caller-side) that need the rank context to
-  //                dispatch into the XferEngine / AM RMA protocol.
-  //                Sharded by *initiating thread* (kSubmitShards;
+  //                dispatch into the XferEngine / AM RMA protocol, each
+  //                constructed in place in its record whatever its capture
+  //                size. Sharded by *initiating thread* (kSubmitShards;
   //                shard = hash(thread marker) mod count) so concurrent
-  //                injectors don't contend on one queue tail while each
-  //                thread's own submissions stay FIFO within its shard —
-  //                the property collective sequence-number agreement and
-  //                per-thread RMA ordering rely on. All shards are drained
-  //                by the master persona's internal progress in fixed
-  //                order.
-  //   wire_shards  fully serialized upcxx messages ([idx prefix][body]);
-  //                shard index = target % kWireShards, so unrelated
-  //                targets never contend and progress-pool helpers can
-  //                drain disjoint shards in parallel. A drain holds the
-  //                shard lock across pop -> reserve -> memcpy -> commit,
-  //                so one thread's sends to one target stay FIFO end to
-  //                end; ordering against master-side (aggregated) sends
-  //                to the same target is unspecified.
+  //                injectors don't contend on one producer cursor while
+  //                each thread's own submissions stay FIFO within its
+  //                shard — the property collective sequence-number
+  //                agreement and per-thread RMA ordering rely on. All
+  //                shards are drained by the master persona's internal
+  //                progress in fixed order.
+  //   wire_shards  upcxx messages ([idx prefix][body]) serialized by the
+  //                caller straight into a byte record tagged with the
+  //                target; shard index = target % kWireShards, so
+  //                unrelated targets never contend and progress-pool
+  //                helpers can drain disjoint shards in parallel. The
+  //                master (the wire's consumer thread) moves small
+  //                messages into the rank's Aggregator, so injected
+  //                traffic leaves as frames, and flushes the shard's
+  //                targets before it lets go of the shard; helpers write
+  //                each message straight into the target's ring. Either
+  //                way a drain holds the shard lock until its messages
+  //                are on the wire, so one thread's sends to one target
+  //                stay FIFO end to end; ordering against master-side
+  //                sends to the same target is unspecified.
   //
   // Completions route the other way: deferred cx_state transitions are
-  // shipped to the *initiating* thread's persona inbox (lpc_ff), so
-  // futures and promises still fire persona-affine with no global lock —
-  // the per-thread inboxes are the sharded completion queues.
-  struct WireSend {
-    int target = -1;
-    std::uint32_t bytes = 0;
-    std::unique_ptr<std::byte[]> buf;
-  };
+  // shipped to the *initiating* thread's persona inbox (lpc_ff, the same
+  // block queue), so futures and promises still fire persona-affine with
+  // no global lock — the per-thread inboxes are the sharded completion
+  // queues.
   struct WireShard {
     arch::Spinlock mu;  // serializes competing drainers (pool stealing)
-    arch::MpscQueue<WireSend> q;
-  };
-  struct SubmitShard {
-    arch::MpscQueue<Lpc> q;
+    arch::MpscQueue q;  // byte records, tag = target rank
   };
   static constexpr std::uint32_t kSubmitShards = 4;
   static constexpr std::uint32_t kWireShards = 4;
-  std::array<SubmitShard, kSubmitShards> submit_shards;
+  std::array<arch::MpscQueue, kSubmitShards> submit_shards;
   std::array<WireShard, kWireShards> wire_shards;
 
   // Monotone count of actions performed by progress calls on this rank
@@ -209,21 +210,37 @@ bool has_op_state();
 void bind_inject_context(PersonaState* st);
 PersonaState* inject_context();
 
-// MPSC hand-off (thread-safe, lock-free push): enqueues a prepared op
-// closure to run with rank context at the master persona's next internal
-// progress.
-void submit_to_master(PersonaState& st, Lpc fn);
-// Enqueues a fully serialized upcxx message for transmission by the next
-// wire-shard drain.
-void submit_wire_send(PersonaState& st, int target, std::uint32_t bytes,
-                      std::unique_ptr<std::byte[]> buf);
+// MPSC hand-off (thread-safe; producers take only the queue's cursor
+// lock): enqueues a prepared op closure, constructed in place, to run with
+// rank context at the master persona's next internal progress.
+std::uint32_t submit_shard_of_caller();
+template <typename Fn>
+void submit_to_master(PersonaState& st, Fn&& fn) {
+  st.submit_shards[submit_shard_of_caller()].push(std::forward<Fn>(fn));
+}
+// Serializes a `bytes`-byte upcxx message for `target` in place into its
+// wire shard (write(std::byte*) fills the bytes) for the next drain.
+template <typename Write>
+void submit_wire_send(PersonaState& st, int target, std::size_t bytes,
+                      Write&& write) {
+  st.wire_shards[static_cast<std::uint32_t>(target) %
+                 PersonaState::kWireShards]
+      .q.push_bytes(bytes, static_cast<std::uint64_t>(target),
+                    std::forward<Write>(write));
+}
 // Drain side. drain_submitq requires the rank context (closures dispatch
-// into the engines); drain_wire_shard may run on any thread — it takes the
-// shard's try_lock (returning 0 when a competing drainer holds it) and
-// must pass may_poll=false unless the caller is the wire's consumer
-// thread (see gex::AmEngine::SendBuf). Both return items processed.
+// into the engines). drain_wire_shards runs on the wire's consumer thread
+// (the master persona's holder): small messages ride the Aggregator and
+// each shard's targets are flushed before its lock is released; with
+// to_empty it waits for every shard lock and moves everything queued at
+// the call (barrier entry), otherwise it try-locks and moves at most 64
+// messages per shard. drain_wire_shard is the progress-pool helpers'
+// drain: any thread, one shard, try-lock, straight into the target rings
+// with may_poll=false (see gex::AmEngine::SendBuf), never touching the
+// rank-private Aggregator. All return items processed.
 int drain_submitq(PersonaState& st, int budget);
-int drain_wire_shard(PersonaState& st, std::uint32_t shard, bool may_poll);
+int drain_wire_shards(PersonaState& st, bool to_empty = false);
+int drain_wire_shard(PersonaState& st, std::uint32_t shard);
 // True when every injection queue (submitq + all wire shards) looks empty
 // (teardown/idle checks; may be transiently false, never falsely empty at
 // a quiesced rank).
@@ -289,7 +306,7 @@ struct op_context {
     if (on_persona)
       fn();
     else
-      submit_to_master(*st, Lpc(std::forward<Fn>(fn)));
+      submit_to_master(*st, std::forward<Fn>(fn));
   }
 
   // Callable only with the rank context held (master side).
@@ -305,6 +322,8 @@ struct op_context {
   void complete_after_ns(std::uint64_t delay_ns, Fn&& fn) const {
     if (on_persona) {
       push_completion_after_ns(delay_ns, Lpc(std::forward<Fn>(fn)));
+    } else if (delay_ns == 0) {
+      init->lpc_ff(std::forward<Fn>(fn));  // no timer: straight home
     } else {
       ::upcxx::persona* home = init;
       push_completion_after_ns(
@@ -315,8 +334,12 @@ struct op_context {
   }
 };
 
-// Registers a reply continuation; returns the op id to embed in the request.
-std::uint64_t register_reply(arch::UniqueFunction<void(Reader&)> fn);
+// Registers a reply continuation; returns the op id to embed in the
+// request. Any thread; no hashing, no allocation once the slot table has
+// grown to the peak number of outstanding round trips.
+inline std::uint64_t register_reply(arch::UniqueFunction<void(Reader&)> fn) {
+  return op_state().replies.insert(std::move(fn));
+}
 
 // ---- message layer v2 ------------------------------------------------------
 //
@@ -379,6 +402,14 @@ void flush_aggregation();
 // the ordering the synchronous memcpy wire used to give for free.
 void drain_xfer_copies();
 
+// True when a `total`-byte upcxx message should be staged in `agg` rather
+// than sent as its own ring record: aggregation is on and the message is
+// small (under the Aggregator's small-message cutoff, and eager-sized).
+inline bool rides_frame(const gex::Aggregator& agg, std::size_t total) {
+  return agg.enabled() && total <= agg.small_msg_cutoff() &&
+         total <= agg.max_msg_bytes() && total <= gex::am().eager_max();
+}
+
 // Sends [idx][body] to target. `body_size` must equal what
 // `write_body(WriteArchive&)` produces.
 template <typename WriteBody>
@@ -387,24 +418,22 @@ void send_msg_idx(int target, DispatchIdx idx, std::size_t body_size,
   const std::size_t total = kMsgPrefix + body_size;
   const std::uint64_t prefix = idx;
   if (!has_persona()) {
-    // Off-persona injection: serialize caller-side into a private buffer
-    // and hand it to the rank's wire shards. The aggregator is rank-
-    // private state, so injected messages bypass it (both wire modes
-    // collapse to immediate); per-(thread,target) FIFO is preserved by
-    // the shard, ordering against other personas is unspecified.
-    std::unique_ptr<std::byte[]> buf(new std::byte[total]);
-    std::memcpy(buf.get(), &prefix, kMsgPrefix);
-    WriteArchive wa(buf.get() + kMsgPrefix);
-    write_body(wa);
-    assert(wa.written() == body_size);
-    submit_wire_send(op_state(), target, static_cast<std::uint32_t>(total),
-                     std::move(buf));
+    // Off-persona injection: serialize caller-side straight into the
+    // target's wire shard. Both wire modes behave alike here: the drain
+    // on the wire's consumer thread stages small messages in the
+    // Aggregator and flushes them in the same progress call.
+    // Per-(thread,target) FIFO is preserved by the shard; ordering
+    // against other personas is unspecified.
+    submit_wire_send(op_state(), target, total, [&](std::byte* p) {
+      std::memcpy(p, &prefix, kMsgPrefix);
+      WriteArchive wa(p + kMsgPrefix);
+      write_body(wa);
+      assert(wa.written() == body_size);
+    });
     return;
   }
   gex::Aggregator& agg = *gex::self()->agg;
-  if (mode == wire_mode::aggregated && agg.enabled() &&
-      total <= agg.small_msg_cutoff() && total <= agg.max_msg_bytes() &&
-      total <= gex::am().eager_max()) {
+  if (mode == wire_mode::aggregated && rides_frame(agg, total)) {
     auto* p = static_cast<std::byte*>(
         agg.put(target, am_delivery_index(), total));
     std::memcpy(p, &prefix, kMsgPrefix);

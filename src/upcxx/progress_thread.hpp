@@ -14,11 +14,13 @@
 //   fut.wait();
 //   pt.stop();                                     // master returns here
 //
-// The progress loop spins hard only while the data-motion engine has
-// chunks to move (XferEngine::copies_pending()) or the AM RMA protocol has
-// outstanding requests; otherwise it yields, so an oversubscribed host
-// keeps feeding the compute thread while the virtual wire clock — which
-// advances on wall time, not CPU — runs out.
+// The progress loop yields the core only after a progress call that did
+// no work (the work_events check future::wait uses) while neither the
+// data-motion engine has chunks to move (XferEngine::copies_pending()) nor
+// the AM RMA protocol has outstanding requests: rpc traffic keeps it hot,
+// and an idle wire still leaves an oversubscribed host's compute thread
+// the cycles while the virtual wire clock — which advances on wall time,
+// not CPU — runs out.
 //
 // The constructing thread must hold the master persona (the default state
 // inside upcxx::run) and must be the one calling stop(). Between
@@ -46,8 +48,10 @@ class progress_thread {
     thread_ = std::thread([this] {
       persona_scope scope(*master_);
       while (!stop_.load(std::memory_order_acquire)) {
+        const std::uint64_t w = detail::progress_work_counter();
         progress();
-        if (!busy()) std::this_thread::yield();
+        if (detail::progress_work_counter() == w && !busy())
+          std::this_thread::yield();
       }
       // Final drain so late acks and teardown traffic don't linger.
       for (int i = 0; i < 64; ++i) progress();
@@ -179,10 +183,10 @@ class progress_pool {
       // helper has work — then steal across the whole set.
       for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
         if (static_cast<int>(s % static_cast<std::uint32_t>(nh)) == idx)
-          moved += detail::drain_wire_shard(st, s, /*may_poll=*/false);
+          moved += detail::drain_wire_shard(st, s);
       if (moved == 0)
         for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
-          moved += detail::drain_wire_shard(st, s, /*may_poll=*/false);
+          moved += detail::drain_wire_shard(st, s);
       // Chunk issue for this helper's channel slice: try-locks only, so a
       // channel worker 0 (or another helper) holds is simply skipped.
       if (st.rank && st.rank->xfer)

@@ -122,9 +122,11 @@ auto issue_xfer_ns(Cxs cxs, intrank_t target, void* dst, const void* src,
   const op_context cx = op_context::current();
   cx.run_at_rank([cx, st, target, dst, src, bytes, delay, is_get,
                   extra_landing_ns]() mutable {
+    gex::XferEngine::Callback on_source;
+    if constexpr (has_source_completions<Cxs>)
+      on_source = [cx, st] { cx.complete_now([st] { st->source_now(); }); };
     persona().rank->xfer->submit(
-        target, dst, src, bytes,
-        [cx, st] { cx.complete_now([st] { st->source_now(); }); },
+        target, dst, src, bytes, std::move(on_source),
         [cx, st, delay] {
           // Data is visible at the target: notify it (1 more hop carried
           // by the rpc itself), then complete the operation after the
@@ -176,7 +178,8 @@ auto issue_am_contig_ns(Cxs cxs, intrank_t target, void* dst,
       proto.put(target, dst, src, bytes, std::move(done));
     // put() copied the payload out (or there is none): the source is
     // reusable as soon as the initiator hears so.
-    cx.complete_now([st] { st->source_now(); });
+    if constexpr (has_source_completions<Cxs>)
+      cx.complete_now([st] { st->source_now(); });
   });
   return st->result();
 }
@@ -239,7 +242,8 @@ auto issue_am_fragments(Cxs cxs, std::vector<AmFragGroup> groups,
       else
         proto.put_fragments(g.target, g.remote, g.local, std::move(done));
     }
-    cx.complete_now([st] { st->source_now(); });
+    if constexpr (has_source_completions<Cxs>)
+      cx.complete_now([st] { st->source_now(); });
   });
   return st->result();
 }

@@ -20,7 +20,6 @@
 #include <type_traits>
 
 #include "arch/atomics.hpp"
-#include "arch/spinlock.hpp"
 #include "upcxx/completion.hpp"
 #include "upcxx/future.hpp"
 #include "upcxx/progress.hpp"
@@ -52,20 +51,16 @@ F read_fn(Reader& r) {
 // ---- reply plumbing --------------------------------------------------------
 
 // Reply wire format: [op_id][serialized results...]; one generic dispatcher
-// looks up the continuation registered at injection time.
+// takes the continuation registered at injection time out of its slot (an
+// index and a generation compare — injector threads register concurrently,
+// see PersonaState::replies) and runs it outside the table (it may send,
+// or ship values to another persona).
 inline void reply_dispatch(int /*src*/, Reader& r) {
   const auto op_id = r.pod<std::uint64_t>();
-  auto& p = persona();
   arch::UniqueFunction<void(Reader&)> fn;
-  {
-    // Injector threads register replies concurrently (register_reply), so
-    // the map is only touched under its lock; the continuation itself runs
-    // outside it (it may send, or ship values to another persona).
-    arch::SpinGuard g(p.reply_mu);
-    auto it = p.pending_replies.find(op_id);
-    assert(it != p.pending_replies.end() && "reply for unknown op");
-    fn = std::move(it->second);
-    p.pending_replies.erase(it);
+  if (!persona().replies.take(op_id, fn)) {
+    assert(false && "reply for an unknown or already answered op");
+    return;
   }
   fn(r);
 }

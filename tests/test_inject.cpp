@@ -401,4 +401,76 @@ TEST(Inject, ProgressPoolDrainsInjection) {
   EXPECT_EQ(fails, 0);
 }
 
+// rpc_ff bodies run on the target's master thread; thread-backend ranks
+// share this process, so the counters are per rank.
+std::atomic<int> g_ff_hits[2];
+
+void count_ff_hit(int rank) { g_ff_hits[rank].fetch_add(1); }
+
+// An injector sends n rpc_ff to the peer and enters barrier(): the
+// barrier contract (collectives.hpp) says every send issued before it has
+// run at its target once the barrier completes — however many there are,
+// and whether or not a progress-pool helper holds a wire shard (`pool`
+// runs the rank under a width-2 progress_pool, whose helper drains the
+// wire shards concurrently with the master).
+void barrier_orders_sends_body(int n, bool pool) {
+  const int me = upcxx::rank_me();
+  const int peer = 1 - me;
+  g_ff_hits[me] = 0;
+  upcxx::barrier();
+  auto body = [&](int) {
+    for (int i = 0; i < n; ++i) upcxx::rpc_ff(peer, count_ff_hit, peer);
+    upcxx::barrier();
+    EXPECT_EQ(g_ff_hits[me].load(), n)
+        << "rank " << me << ", n = " << n << (pool ? ", pool" : "");
+  };
+  if (pool) {
+    upcxx::injector inj;
+    upcxx::progress_pool workers(/*width=*/2);
+    std::thread t([&] {
+      upcxx::injection_scope scope(inj);
+      body(0);
+    });
+    t.join();
+    workers.stop();
+  } else {
+    with_injectors(1, body);
+  }
+  upcxx::barrier();
+}
+
+TEST(Inject, BarrierOrdersEarlierInjectedSends) {
+  for (auto transport : {gex::AmTransport::kMmap, gex::AmTransport::kSocket})
+    for (bool pool : {false, true})
+      for (int n : {64, 65, 1000}) {
+        gex::Config cfg = testutil::test_cfg(2);
+        cfg.am_transport = transport;
+        EXPECT_EQ(upcxx::run(cfg, [n, pool] {
+                    barrier_orders_sends_body(n, pool);
+                  }),
+                  0);
+      }
+}
+
+TEST(Inject, InjectedSendsRideFrames) {
+  // The master's wire-shard drain stages injected small messages in the
+  // rank's Aggregator (barriers' control messages never are), so they
+  // leave as frames.
+  spmd(2, [] {
+    constexpr int kSends = 200;
+    const int me = upcxx::rank_me();
+    const int peer = 1 - me;
+    g_ff_hits[me] = 0;
+    const auto staged = gex::self()->agg->stats().msgs;
+    upcxx::barrier();
+    with_injectors(1, [&](int) {
+      for (int i = 0; i < kSends; ++i) upcxx::rpc_ff(peer, count_ff_hit, peer);
+    });
+    while (g_ff_hits[me].load() < kSends) upcxx::progress();
+    upcxx::barrier();
+    EXPECT_GE(gex::self()->agg->stats().msgs - staged,
+              static_cast<std::uint64_t>(kSends));
+  });
+}
+
 }  // namespace

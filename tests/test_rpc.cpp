@@ -272,6 +272,48 @@ TEST(Rpc, ManyConcurrentRpcsAllRanks) {
   });
 }
 
+TEST(Rpc, RepliesOutOfOrderBeyondInitialSlotCapacity) {
+  // More round trips outstanding than the reply table's first chunk, and
+  // answered in reverse: each reply must find its own continuation by
+  // slot index and generation.
+  static std::vector<std::pair<int, upcxx::promise<int>>> parked;
+  parked.clear();
+  spmd(2, [] {
+    constexpr int kOps =
+        3 * static_cast<int>(arch::SlotTable<int>::kFirstChunk) + 17;
+    if (upcxx::rank_me() == 0) {
+      std::vector<upcxx::future<int>> futs;
+      std::vector<int> order;
+      for (int i = 0; i < kOps; ++i) {
+        futs.push_back(upcxx::rpc(
+            1,
+            [](int k) {
+              upcxx::promise<int> pr;
+              parked.emplace_back(k, pr);
+              return pr.get_future();
+            },
+            i));
+        futs.back() = futs.back().then([&order, i](int v) {
+          EXPECT_EQ(v, 3 * i);
+          order.push_back(i);
+          return v;
+        });
+      }
+      for (auto& f : futs) f.wait();
+      ASSERT_EQ(order.size(), static_cast<std::size_t>(kOps));
+      for (int i = 0; i < kOps; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i)], kOps - 1 - i);
+    } else {
+      while (parked.size() < static_cast<std::size_t>(kOps))
+        upcxx::progress();
+      for (auto it = parked.rbegin(); it != parked.rend(); ++it)
+        it->second.fulfill_result(3 * it->first);
+    }
+    upcxx::barrier();
+  });
+  parked.clear();
+}
+
 TEST(Rpc, TupleAndPairArguments) {
   spmd(2, [] {
     if (upcxx::rank_me() == 0) {
