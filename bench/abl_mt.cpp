@@ -16,16 +16,7 @@
 // enforced — it documents that the hand-off does not collapse under
 // producers.
 //
-// Series 3 — engine-bound progress pool: 32KB rputs over the AM wire,
-// above rma_async_min, so every op chunks through the XferEngine (stage
-// memcpy + wire put per chunk) and send-side issue is the bottleneck.
-// upcxx::progress_pool width 1 vs 2 across T ∈ {1,2,4} injectors: width 2
-// adds a helper that runs XferEngine::issue_pass and drains wire shards
-// in parallel with worker 0's receive/ack path. The enforced shape check
-// is the PR's acceptance bar: >= 1.5x at width 2 vs width 1 (T=4) on
-// hosts with >= 4 hardware threads.
-//
-// Series 4 — mixed rpc + collective: T injectors per rank interleave rpc
+// Series 3 — mixed rpc + collective: T injectors per rank interleave rpc
 // round trips with rank-level barriers on a deterministic schedule — the
 // whole op_context surface under concurrency. Reported.
 #include <atomic>
@@ -49,7 +40,6 @@ constexpr std::size_t kSlots = 64;
 struct Results {
   double rput_ops_per_s[3] = {0, 0, 0};
   double rpcff_ops_per_s[3] = {0, 0, 0};
-  double engine_mb_per_s[2][3] = {{0, 0, 0}, {0, 0, 0}};  // [width-1][T]
   double mixed_ops_per_s[3] = {0, 0, 0};
 };
 Results g_r;
@@ -128,49 +118,6 @@ void rpcff_series(int ops_per_thread) {
   }
 }
 
-// 32KB ops, above the run's rma_async_min: every rput chunks through the
-// XferEngine, so throughput measures send-side chunk issue. Each thread
-// owns one 32KB slot on the peer.
-constexpr std::size_t kBigOp = 32 << 10;
-
-void engine_series(int ops_per_thread) {
-  const int me = upcxx::rank_me();
-  constexpr int kMaxT = 4;
-  auto seg = upcxx::allocate<char>(kMaxT * kBigOp);
-  upcxx::dist_object<upcxx::global_ptr<char>> dir(seg);
-  auto peer = dir.fetch(1 - me).wait();
-  std::vector<char> src(kBigOp, 'e');
-
-  for (int wi = 0; wi < 2; ++wi) {
-    const int width = wi + 1;
-    for (int si = 0; si < 3; ++si) {
-      const int T = kSeries[si];
-      upcxx::barrier();
-      if (me == 0) {
-        upcxx::injector inj;
-        upcxx::progress_pool pool(width);
-        std::vector<std::thread> ts;
-        const double t0 = arch::now_s();
-        for (int t = 0; t < T; ++t)
-          ts.emplace_back([&, t] {
-            upcxx::injection_scope scope(inj);
-            auto slot = peer + static_cast<std::ptrdiff_t>(t * kBigOp);
-            for (int i = 0; i < ops_per_thread; ++i)
-              upcxx::rput(src.data(), slot, kBigOp).wait();
-          });
-        for (auto& th : ts) th.join();
-        const double dt = arch::now_s() - t0;
-        pool.stop();
-        g_r.engine_mb_per_s[wi][si] =
-            static_cast<double>(T) * ops_per_thread *
-            static_cast<double>(kBigOp) / dt / (1 << 20);
-      }
-      upcxx::barrier();
-    }
-  }
-  upcxx::deallocate(seg);
-}
-
 void mixed_series(int ops_per_thread) {
   const int me = upcxx::rank_me();
   for (int si = 0; si < 3; ++si) {
@@ -209,7 +156,6 @@ void mixed_series(int ops_per_thread) {
 int main() {
   const int rput_ops = static_cast<int>(40000 * benchutil::work_scale());
   const int ff_ops = static_cast<int>(8000 * benchutil::work_scale());
-  const int engine_ops = static_cast<int>(400 * benchutil::work_scale());
   const int mixed_ops = static_cast<int>(2000 * benchutil::work_scale());
   const bool quick = benchutil::reps(2, 1) == 1;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -228,15 +174,6 @@ int main() {
         rpcff_series(ff_ops);
         mixed_series(mixed_ops);
       }))
-    return 2;
-
-  // Engine-bound run: AM wire, 32KB ops chunked at 4KB through the
-  // XferEngine so the pool's parallel chunk issue has work to split.
-  gex::Config am_cfg = cfg;
-  am_cfg.rma_wire = gex::RmaWire::kAm;
-  am_cfg.rma_async_min = 4096;
-  am_cfg.xfer_chunk_bytes = 4096;
-  if (upcxx::run(am_cfg, [engine_ops] { engine_series(engine_ops); }))
     return 2;
 
   benchutil::JsonReport json("abl_mt");
@@ -267,23 +204,6 @@ int main() {
     json.metric("mixed_ops_per_s_t" + std::to_string(kSeries[si]),
                 g_r.mixed_ops_per_s[si]);
   }
-
-  std::printf("\nengine-bound rput (AM wire, 32KB ops, 4KB chunks), "
-              "pool width 1 vs 2:\n");
-  for (int wi = 0; wi < 2; ++wi)
-    for (int si = 0; si < 3; ++si) {
-      std::printf("  width=%d T=%d  %10.1f MB/s\n", wi + 1, kSeries[si],
-                  g_r.engine_mb_per_s[wi][si]);
-      json.metric("engine_mb_per_s_w" + std::to_string(wi + 1) + "_t" +
-                      std::to_string(kSeries[si]),
-                  g_r.engine_mb_per_s[wi][si]);
-    }
-  const double pool_gain = g_r.engine_mb_per_s[1][2] /
-                           (g_r.engine_mb_per_s[0][2] > 0
-                                ? g_r.engine_mb_per_s[0][2]
-                                : 1.0);
-  std::printf("  width-2 gain at T=4: %.2fx\n", pool_gain);
-  json.metric("engine_pool_gain_t4", pool_gain);
   json.write();
 
   benchutil::ShapeChecks checks;
@@ -291,17 +211,12 @@ int main() {
     checks.expect(scale4 >= 3.0,
                   "direct-wire injection throughput scales >= 3x from 1 to "
                   "4 app threads");
-    checks.expect(pool_gain >= 1.5,
-                  "engine-bound throughput gains >= 1.5x from a width-2 "
-                  "progress pool (parallel chunk issue)");
   } else {
     checks.note("smoke host (<4 hw threads, BENCH_QUICK, or TSan): T=4 "
                 "scaling " + std::to_string(scale4) +
-                "x and pool gain " + std::to_string(pool_gain) +
                 "x reported, not enforced");
   }
-  checks.expect(g_r.rpcff_ops_per_s[2] > 0 && g_r.mixed_ops_per_s[2] > 0 &&
-                    g_r.engine_mb_per_s[1][2] > 0,
-                "threaded rpc_ff, mixed, and engine-bound series completed");
+  checks.expect(g_r.rpcff_ops_per_s[2] > 0 && g_r.mixed_ops_per_s[2] > 0,
+                "threaded rpc_ff and mixed series completed");
   return checks.summary("abl_mt");
 }

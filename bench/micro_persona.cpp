@@ -144,7 +144,7 @@ int main() {
             while ((arch::now_s() - t) * 1e6 < kSliceUs) sink += 1e-9;
           }
           comms.join();
-          new upcxx::persona_scope(master);
+          upcxx::reacquire_master_persona(master);
           upcxx::barrier();
         } else {
           // Single-threaded: progress only between compute slices.

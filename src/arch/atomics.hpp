@@ -4,11 +4,11 @@
 // std::uint64_t members so existing readers — benches printing fields,
 // tests comparing them after a quiesce — stay source-compatible, while
 // every *increment* goes through an atomic_ref: with injector threads and
-// progress-pool workers bumping the same counters concurrently, plain ++
-// would tear and lose counts that tests assert on. Reads via relaxed_load
-// are safe at any time; direct field reads remain fine wherever a
-// happens-before edge (thread join, barrier) separates them from the last
-// increment.
+// the master persona's thread bumping the same counters concurrently,
+// plain ++ would tear and lose counts that tests assert on. Reads via
+// relaxed_load are safe at any time; direct field reads remain fine
+// wherever a happens-before edge (thread join, barrier) separates them
+// from the last increment.
 #pragma once
 
 #include <atomic>

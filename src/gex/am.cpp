@@ -41,6 +41,7 @@ void* AmContext::adopt_frame() {
 AmEngine::AmEngine(Arena* arena, int my_rank)
     : arena_(arena),
       me_(my_rank),
+      owner_(self()),
       transport_(make_transport(arena, my_rank)),
       eager_max_(arena->config().eager_max),
       stamp_send_ns_(arena->config().sim_latency_ns > 0) {}
@@ -55,14 +56,14 @@ void release_frame(void* handle) {
   }
 }
 
-AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h, std::size_t n,
-                                    bool may_poll) {
+AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h,
+                                    std::size_t n) {
+  assert(self() == owner_ && "AmEngine used off its rank's thread");
   assert(target >= 0 && target < arena_->nranks());
   SendBuf sb;
   sb.size = n;
   sb.target = target;
   sb.handler = h;
-  sb.may_poll = may_poll;
   // Rendezvous stages the payload in the shared heap and ships only a
   // descriptor — meaningless when the peer cannot read our memory, so on
   // such transports (socket) every payload goes inline, whatever
@@ -83,10 +84,8 @@ AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h, std::size_t n,
       // Target ring full: drain our own inbox so a cyclic backlog cannot
       // deadlock, then retry. Yield when the drain found nothing — on an
       // oversubscribed host the consumer needs the core to make room.
-      // Off-consumer senders (may_poll false) only yield: poll() is
-      // single-consumer and the real consumer is running elsewhere.
       arch::relaxed_inc(stats_.send_stalls);
-      if (!may_poll || poll() == 0) std::this_thread::yield();
+      if (poll() == 0) std::this_thread::yield();
       arch::cpu_relax();
     }
   }
@@ -100,14 +99,14 @@ AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h, std::size_t n,
       return sb;
     }
     arch::relaxed_inc(stats_.send_stalls);
-    if (!may_poll || poll() == 0) std::this_thread::yield();
+    if (poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
 }
 
 AmEngine::SendBuf AmEngine::prepare_frame(int target, std::size_t n,
                                           HandlerIdx uniform_handler,
-                                          bool uniform, bool may_poll) {
+                                          bool uniform) {
   assert(target >= 0 && target < arena_->nranks());
   assert(n <= max_frame_payload() && "frame exceeds one ring record");
   SendBuf sb;
@@ -116,7 +115,6 @@ AmEngine::SendBuf AmEngine::prepare_frame(int target, std::size_t n,
   sb.frame = true;
   sb.uniform = uniform;
   sb.handler = uniform_handler;
-  sb.may_poll = may_poll;
   for (;;) {
     auto t = transport_->try_reserve(target, sizeof(WireHeader) + n);
     if (t.payload) {
@@ -125,7 +123,7 @@ AmEngine::SendBuf AmEngine::prepare_frame(int target, std::size_t n,
       return sb;
     }
     arch::relaxed_inc(stats_.send_stalls);
-    if (!may_poll || poll() == 0) std::this_thread::yield();
+    if (poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
 }
@@ -163,7 +161,7 @@ void AmEngine::commit(SendBuf& sb) {
       return;
     }
     arch::relaxed_inc(stats_.send_stalls);
-    if (!sb.may_poll || poll() == 0) std::this_thread::yield();
+    if (poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
 }
@@ -246,6 +244,7 @@ void AmEngine::exchange(std::uint64_t key, const int* group, std::size_t n,
 }
 
 int AmEngine::poll(int max_msgs) {
+  assert(self() == owner_ && "AmEngine polled off its rank's thread");
   int handled = 0;
   while (handled < max_msgs) {
     int delivered = 0;

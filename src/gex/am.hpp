@@ -20,6 +20,10 @@
 // it later with release_rendezvous(); frame sub-message handlers may
 // adopt_frame() to keep the shared frame buffer alive past the handler
 // (release with release_frame()).
+//
+// Threading: one thread per rank sends and polls — the holder of the
+// rank's context (prepare and poll assert it). A send stalled on a full
+// ring polls that same inbox, which is what keeps cyclic backlogs moving.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +40,7 @@
 namespace gex {
 
 class AmEngine;
+struct Rank;
 
 // ------------------------------------------------------------- wire format
 
@@ -140,12 +145,6 @@ class AmEngine {
   // target ring is full the call polls its own inbox while spinning, which
   // guarantees progress (every rank stuck sending still drains its inbox, so
   // some ring in the cycle eventually empties).
-  //
-  // may_poll = false marks a send issued off the consumer thread (an
-  // injection-shard drain by a progress-pool helper): poll() is strictly
-  // single-consumer, so a stalled reserve then only yields — the real
-  // consumer keeps draining and eventually makes room. Senders that ARE
-  // the consumer must leave it true or a cyclic backlog can deadlock.
   struct SendBuf {
     void* data = nullptr;
     std::size_t size = 0;
@@ -158,10 +157,8 @@ class AmEngine {
     bool rendezvous = false;
     bool frame = false;
     bool uniform = false;
-    bool may_poll = true;  // carried into commit's rendezvous reserve spin
   };
-  SendBuf prepare(int target, HandlerIdx h, std::size_t n,
-                  bool may_poll = true);
+  SendBuf prepare(int target, HandlerIdx h, std::size_t n);
   void commit(SendBuf& sb);
 
   // Reserves a frame record of `n` payload bytes (packed sub-messages, laid
@@ -170,8 +167,7 @@ class AmEngine {
   // handler, pass it as uniform_handler (with uniform = true) so the
   // receiver can hand the whole frame to a sink in one call.
   SendBuf prepare_frame(int target, std::size_t n,
-                        HandlerIdx uniform_handler, bool uniform,
-                        bool may_poll = true);
+                        HandlerIdx uniform_handler, bool uniform);
 
   // Registers a whole-frame delivery sink for uniform frames addressed to
   // handler `h`: instead of one handler call per sub-message, poll() makes
@@ -211,10 +207,9 @@ class AmEngine {
   void release_rendezvous(void* buf) { arena_->heap().deallocate(buf); }
 
   // Counters (per rank, for tests and the micro_am bench). Fields stay
-  // plain u64 (printf-able); the engine bumps them through
-  // arch::relaxed_inc since reserve/commit may run concurrently on
-  // injector-drain threads. Read exactly after a quiesce, or via
-  // arch::relaxed_load mid-run.
+  // plain u64 (printf-able), bumped through arch::relaxed_inc so benches
+  // may sample them from another thread with arch::relaxed_load mid-run.
+  // Read exactly after a quiesce.
   struct Stats {
     std::uint64_t sent_eager = 0;
     std::uint64_t sent_rendezvous = 0;
@@ -230,6 +225,9 @@ class AmEngine {
 
   Arena* arena_;
   int me_;
+  // The rank bound to the constructing thread (null outside an SPMD
+  // region). Only the thread holding that rank's context sends and polls.
+  const Rank* const owner_;
   std::unique_ptr<Transport> transport_;
   std::size_t eager_max_;
   bool stamp_send_ns_;  // WireHeader::send_ns has a reader (sim latency)

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "arch/cacheline.hpp"
 
@@ -186,19 +185,6 @@ void Config::normalize() {
   // A sub-1 envelope would declare every ack late; 0 stays 0 (auto).
   if (!(am_rtt_envelope >= 1.0) || !std::isfinite(am_rtt_envelope))
     am_rtt_envelope = 0;
-  if (progress_threads < 1) progress_threads = 1;
-  // A pool wider than the machine only adds context-switch pressure on the
-  // very loops that are supposed to soak idle cores; clamp loudly so a
-  // fat-fingered width is visible (hardware_concurrency may report 0 on
-  // exotic hosts — no clamp then, the user knows better than we do).
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0 && progress_threads > static_cast<int>(hw)) {
-    std::fprintf(stderr,
-                 "gex: clamping progress_threads=%d to hardware "
-                 "concurrency (%u)\n",
-                 progress_threads, hw);
-    progress_threads = static_cast<int>(hw);
-  }
   // Socket knobs: a record must at least hold a maximal eager payload plus
   // headers; fault probabilities are percentages; the fixed arena base
   // must be page-aligned for MAP_FIXED_NOREPLACE.
@@ -286,8 +272,6 @@ Config Config::from_env() {
                    v);
     }
   }
-  c.progress_threads = static_cast<int>(env_positive(
-      "UPCXX_PROGRESS_THREADS", static_cast<long>(c.progress_threads)));
   c.socket_max_record =
       static_cast<std::size_t>(env_positive(
           "UPCXX_SOCKET_MAX_RECORD_KB",

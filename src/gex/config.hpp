@@ -90,14 +90,9 @@ struct Config {
   std::uint32_t am_window = 0;            // UPCXX_AM_WINDOW
   // AM transport selection (see enum above).
   AmTransport am_transport = AmTransport::kAuto;  // UPCXX_AM_TRANSPORT
-  // Progress-pool width (upcxx::progress_pool): how many dedicated
-  // progress threads pump the rank when the app hands progress off. 1
-  // reproduces upcxx::progress_thread exactly (one worker owning the
-  // master persona); N > 1 adds N-1 helpers that drain the injection
-  // wire shards (partitioned by shard index, stealing when their
-  // partition is idle) while worker 0 keeps engine polling — engines
-  // stay single-consumer by construction.
-  int progress_threads = 1;               // UPCXX_PROGRESS_THREADS
+  // Unused: nothing reads it. Kept only because upcxx_bench assigns it;
+  // delete it together with that line at the next benchmark change.
+  int progress_threads = 1;
   // ------------------------------------------------- socket transport
   // Largest record the socket transport advertises via
   // Transport::max_record_payload (the stream itself accepts any size;

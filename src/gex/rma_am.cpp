@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "arch/atomics.hpp"
-#include "arch/spinlock.hpp"
 #include "arch/timer.hpp"
 #include "gex/handlers.hpp"
 #include "gex/runtime.hpp"
@@ -235,7 +234,7 @@ struct RmaAmHandlers {
                h.nfrags * sizeof(FragDesc) + off ==
            cx.size);
     (void)off;
-    p.owe_ack(cx.src, h.cookie);
+    p.peer(cx.src).acks_owed.push_back(h.cookie);
     ++p.stats_.puts_handled;
   }
 
@@ -254,7 +253,7 @@ struct RmaAmHandlers {
                 static_cast<const std::byte*>(local_ptr(p.wire_dec(h.buf))));
     assert(off == static_cast<std::size_t>(h.payload_bytes));
     (void)off;
-    p.owe_ack(cx.src, h.cookie);
+    p.peer(cx.src).acks_owed.push_back(h.cookie);
     ++p.stats_.puts_handled;
   }
 
@@ -290,21 +289,13 @@ struct RmaAmHandlers {
   static std::optional<std::size_t> land_reply(RmaAmProtocol& p,
                                                std::uint64_t cookie,
                                                const std::byte* payload) {
-    // Map lookup under the lock; the node reference stays valid after
-    // release (unordered_map nodes are stable under concurrent inserts
-    // from injected sends, and only this thread — the consumer — erases).
-    const RmaAmProtocol::Pending* pd = nullptr;
-    {
-      arch::SpinGuard g(p.pending_mu_);
-      auto it = p.pending_.find(cookie);
-      if (it != p.pending_.end()) pd = &it->second;
-    }
-    if (!pd) {
+    auto it = p.pending_.find(cookie);
+    if (it == p.pending_.end()) {
       ++p.stats_.stale_completions;
       return std::nullopt;
     }
     std::size_t off = 0;
-    for (const auto& f : pd->scatter) {
+    for (const auto& f : it->second.scatter) {
       if (f.bytes) std::memcpy(f.ptr, payload + off, f.bytes);
       off += f.bytes;
     }
@@ -336,7 +327,7 @@ struct RmaAmHandlers {
     auto& p = proto();
     RepStagedHdr h{};
     open(p, cx, h);
-    p.owe_rack(cx.src, h.cookie);
+    p.peer(cx.src).racks_owed.push_back(h.cookie);
     const auto off = land_reply(
         p, h.cookie,
         static_cast<const std::byte*>(local_ptr(p.wire_dec(h.buf))));
@@ -362,12 +353,9 @@ RmaAmProtocol::RmaAmProtocol(AmEngine* am, AmWindowSetting w,
       window_(w.window ? w.window : 1),
       max_window_(w.adaptive ? adaptive_ceiling(am)
                              : (w.window ? w.window : 1)),
-      envelope_(rtt_envelope) {
-  // The constructing thread is the consumer until poll_requests re-stamps
-  // (progress-thread migration moves the role with the poll loop).
-  consumer_tm_.store(thread_marker(), std::memory_order_relaxed);
-  // One peer per rank up front: peer() becomes an index, and helper issue
-  // passes hold stable references without a container lock. Every peer
+      envelope_(rtt_envelope),
+      owner_(self()) {
+  // One peer per rank up front: peer() becomes an index. Every peer
   // starts its controller at the configured window; pinned mode never
   // consults it (window_now short-circuits on adaptive_).
   const int n = am_->arena().config().ranks;
@@ -379,7 +367,6 @@ RmaAmProtocol::RmaAmProtocol(AmEngine* am, AmWindowSetting w,
 
 std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
                                          std::vector<LocalFrag> scatter) {
-  arch::SpinGuard g(pending_mu_);
   const std::uint64_t cookie = next_cookie_++;
   pending_.emplace(cookie,
                    Pending{target, std::move(done), std::move(scatter)});
@@ -387,45 +374,32 @@ std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
 }
 
 bool RmaAmProtocol::claim_outstanding(Peer& p) {
-  std::uint32_t cur = p.outstanding.load(std::memory_order_relaxed);
-  const std::uint32_t w = window_now(p);
-  while (cur < w) {
-    if (p.outstanding.compare_exchange_weak(cur, cur + 1,
-                                            std::memory_order_acq_rel)) {
-      arch::relaxed_max(stats_.max_outstanding, cur + 1);
-      return true;
-    }
-  }
-  return false;
+  if (p.outstanding >= window_now(p)) return false;
+  ++p.outstanding;
+  arch::relaxed_max(stats_.max_outstanding, p.outstanding);
+  return true;
 }
 
 bool RmaAmProtocol::try_claim_credit(Peer& p) {
-  // Queued requests go first — only flush_sendq (consumer) drains those,
-  // claiming credits past this check.
-  if (p.sendq_n.load(std::memory_order_acquire) != 0) return false;
-  return claim_outstanding(p);
+  // Queued requests go first — flush_sendq drains those, claiming credits
+  // past this check.
+  return p.sendq.empty() && claim_outstanding(p);
 }
 
 RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
                                                      std::size_t bytes) {
-  {
-    arch::SpinGuard g(p.mu);
-    if (StageBuf b = take_best_fit(p.stage_pool, bytes); b.p) return b;
-  }
-  // Pool miss: carve a fresh block (the shared heap is internally locked —
-  // any thread may allocate). On an exhausted heap the consumer spins with
-  // poll, like the AmEngine's rendezvous path — but bails out (null
-  // buffer; the caller cancels) once the error flag is up: the blocks we
-  // are waiting for may be bounce buffers pinned by a dead peer's
-  // never-coming acks. A *helper* must not poll, so it takes one attempt
-  // and returns null — its caller requeues the request for the consumer
-  // to retry.
+  if (StageBuf b = take_best_fit(p.stage_pool, bytes); b.p) return b;
+  // Pool miss: carve a fresh block (the shared heap is internally locked:
+  // every rank allocates from it). On an exhausted heap spin with poll,
+  // like the AmEngine's rendezvous path — but bail out (null buffer; the
+  // caller cancels) once the error flag is up: the blocks we are waiting
+  // for may be bounce buffers pinned by a dead peer's never-coming acks.
   const std::size_t cap = size_class(bytes);
   arch::relaxed_inc(stats_.stage_allocs);
   auto& heap = am_->arena().heap();
   for (;;) {
     if (void* buf = heap.allocate(cap)) return StageBuf{buf, cap};
-    if (!on_consumer() || job_failing()) return StageBuf{};
+    if (job_failing()) return StageBuf{};
     if (am_->poll() + poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
@@ -433,12 +407,9 @@ RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
 
 void RmaAmProtocol::recycle_stage(Peer& p, StageBuf buf) {
   if (!buf.p) return;
-  {
-    arch::SpinGuard g(p.mu);
-    if (p.stage_pool.size() < window_now(p)) {
-      p.stage_pool.push_back(buf);
-      return;
-    }
+  if (p.stage_pool.size() < window_now(p)) {
+    p.stage_pool.push_back(buf);
+    return;
   }
   am_->arena().heap().deallocate(buf.p);
 }
@@ -503,7 +474,6 @@ RmaAmProtocol::OwedAcks RmaAmProtocol::take_acks(int target) {
   // which polls our own inbox, whose handlers append fresh owed acks —
   // those wait for the next record.
   Peer& p = peer(target);
-  arch::SpinGuard g(p.mu);
   OwedAcks oa{std::move(p.acks_owed), std::move(p.racks_owed)};
   p.acks_owed.clear();
   p.racks_owed.clear();
@@ -512,26 +482,21 @@ RmaAmProtocol::OwedAcks RmaAmProtocol::take_acks(int target) {
 
 void RmaAmProtocol::enqueue(Peer& p, QueuedReq q) {
   arch::relaxed_inc(stats_.requests_queued);
-  // Bounded queue: past the slack, the injecting *consumer* call makes
-  // progress until a slot frees. Our own inbox keeps draining (acks retire
+  // Bounded queue: past the slack, the injecting call makes progress
+  // until a slot frees. Our own inbox keeps draining (acks retire
   // credits, which sends queued requests), so mutual floods advance in
   // lockstep instead of deadlocking. A set error flag means the acks may
   // never come — park the request regardless; teardown's fail_all_peers()
   // reclaims it. The cap uses the window *ceiling*, not the moving
   // operating point — a shrink must not strand already-parked requests
-  // behind a tighter bound. A helper cannot poll, so it parks
-  // unconditionally: only the consumer's flush_sendq grows the queue past
-  // the cap from the helper side, and it drains as fast as it grows.
+  // behind a tighter bound.
   const std::size_t cap = window() + kQueueSlack;
-  while (on_consumer() &&
-         p.sendq_n.load(std::memory_order_acquire) >= cap && !job_failing()) {
+  while (p.sendq.size() >= cap && !job_failing()) {
     arch::relaxed_inc(stats_.send_stalls);
     if (am_->poll() + poll() == 0) std::this_thread::yield();
     arch::cpu_relax();
   }
-  arch::SpinGuard g(p.mu);
   p.sendq.push_back(std::move(q));
-  p.sendq_n.store(p.sendq.size(), std::memory_order_release);
   arch::relaxed_max(stats_.queued_peak, p.sendq.size());
 }
 
@@ -540,24 +505,18 @@ void RmaAmProtocol::enqueue(Peer& p, QueuedReq q) {
 // drop the pending entry (its done callback is destroyed, not fired) and
 // return the credit the caller just consumed.
 void RmaAmProtocol::cancel_sent(Peer& p, std::uint64_t cookie) {
-  {
-    arch::SpinGuard g(pending_mu_);
-    pending_.erase(cookie);
-  }
+  pending_.erase(cookie);
   arch::relaxed_inc(stats_.cancelled);
-  const auto prev = p.outstanding.fetch_sub(1, std::memory_order_acq_rel);
-  assert(prev > 0);
-  (void)prev;
+  assert(p.outstanding > 0);
+  --p.outstanding;
 }
 
 // Stamps the wire-send time on a just-sent request so the completion loop
 // can feed the request→ack round trip to the peer's window controller.
 void RmaAmProtocol::note_wire_send(std::uint64_t cookie) {
   if (!adaptive_) return;
-  const std::uint64_t now = arch::now_ns();
-  arch::SpinGuard g(pending_mu_);
   auto it = pending_.find(cookie);
-  if (it != pending_.end()) it->second.send_ns = now;
+  if (it != pending_.end()) it->second.send_ns = arch::now_ns();
 }
 
 bool RmaAmProtocol::job_failing() const {
@@ -571,12 +530,8 @@ RmaAmProtocol::Record RmaAmProtocol::open_record(int target, HandlerIdx h,
   auto oa = take_acks(target);
   hdr.nacks = static_cast<std::uint32_t>(oa.acks.size());
   hdr.nracks = static_cast<std::uint32_t>(oa.racks.size());
-  // Helpers prepare with may_poll=false — on a full ring they yield-spin
-  // while the *target* drains it; only the consumer may poll its own inbox
-  // here.
   Record r{am_->prepare(target, h,
-                        sizeof hdr + ack_bytes(hdr.nacks + hdr.nracks) + body,
-                        /*may_poll=*/on_consumer()),
+                        sizeof hdr + ack_bytes(hdr.nacks + hdr.nracks) + body),
            nullptr, hdr.nacks, hdr.nracks};
   auto* q = static_cast<std::byte*>(r.sb.data);
   std::memcpy(q, &hdr, sizeof hdr);
@@ -630,21 +585,12 @@ void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
     Peer& p = peer(target);
     stage = acquire_stage(p, total);
     if (!stage.p) {
-      // Exhausted heap. A helper must not poll-spin for a block, and
-      // cancelling would silently drop the data: it releases the credit
-      // and parks the request (owned payload copy) for the consumer's
-      // flush_sendq to retry. The consumer only gets here when the job is
-      // failing, and cancels.
-      if (!on_consumer() && !job_failing()) {
-        p.outstanding.fetch_sub(1, std::memory_order_acq_rel);
-        enqueue(p, queued_put(cookie, dsts, ndsts, srcs, nsrcs));
-      } else {
-        cancel_sent(p, cookie);
-      }
+      // Exhausted heap while the job is failing: the request can never
+      // be serviced.
+      cancel_sent(p, cookie);
       return;
     }
     gather_local(static_cast<std::byte*>(stage.p), srcs, nsrcs);
-    arch::SpinGuard g(pending_mu_);
     auto it = pending_.find(cookie);
     if (it != pending_.end()) it->second.stage = stage;
   }
@@ -681,6 +627,7 @@ void RmaAmProtocol::send_get_frag(int target, std::uint64_t cookie,
 void RmaAmProtocol::start_put(int target, const Frag* dsts,
                               std::size_t ndsts, const LocalFrag* srcs,
                               std::size_t nsrcs, Done done) {
+  assert(self() == owner_ && "RmaAmProtocol used off its rank's thread");
   const std::uint64_t cookie = new_pending(target, std::move(done), {});
   Peer& p = peer(target);
   if (try_claim_credit(p)) {
@@ -695,6 +642,7 @@ void RmaAmProtocol::start_put(int target, const Frag* dsts,
 
 void RmaAmProtocol::start_get(int target, const Frag* srcs, std::size_t n,
                               std::vector<LocalFrag> dsts, Done done) {
+  assert(self() == owner_ && "RmaAmProtocol used off its rank's thread");
   const std::uint64_t cookie =
       new_pending(target, std::move(done), std::move(dsts));
   Peer& p = peer(target);
@@ -733,20 +681,12 @@ void RmaAmProtocol::get_fragments(int target, const std::vector<Frag>& srcs,
 }
 
 int RmaAmProtocol::flush_sendq(Peer& p) {
-  // Consumer-only drain. Pop + credit claim under the peer lock (ignoring
-  // the sendq_n gate — we ARE the queue), the send itself outside it: a
-  // send may spin on a full ring, and a helper blocked on p.mu for that
-  // long would stall its whole issue pass.
+  // Pop before sending: a send may spin on a full ring, whose poll can
+  // re-enter this drain through enqueue's wait.
   int work = 0;
-  for (;;) {
-    QueuedReq q;
-    {
-      arch::SpinGuard g(p.mu);
-      if (p.sendq.empty() || !claim_outstanding(p)) break;
-      q = std::move(p.sendq.front());
-      p.sendq.pop_front();
-      p.sendq_n.store(p.sendq.size(), std::memory_order_release);
-    }
+  while (!p.sendq.empty() && claim_outstanding(p)) {
+    QueuedReq q = std::move(p.sendq.front());
+    p.sendq.pop_front();
     if (q.kind == QueuedReq::kPut) {
       const LocalFrag whole{q.payload.data(), q.payload.size()};
       send_put_frag(p.target, q.cookie, q.remote.data(), q.remote.size(),
@@ -760,9 +700,7 @@ int RmaAmProtocol::flush_sendq(Peer& p) {
 }
 
 int RmaAmProtocol::poll_requests() {
-  // The poll loop defines the consumer: re-stamp every pass so the role
-  // follows a progress-thread migration (constructor thread vs worker 0).
-  consumer_tm_.store(thread_marker(), std::memory_order_relaxed);
+  assert(self() == owner_ && "RmaAmProtocol polled off its rank's thread");
   int work = 0;
   // Swap-to-local idiom throughout: every send below may spin on a full
   // ring, which polls our own inbox, whose handlers append to these very
@@ -777,21 +715,15 @@ int RmaAmProtocol::poll_requests() {
     // before this poll began, so now >= send_ns for each.
     const std::uint64_t now = adaptive_ ? arch::now_ns() : 0;
     for (const std::uint64_t cookie : comp) {
-      decltype(pending_)::node_type node;
-      {
-        arch::SpinGuard g(pending_mu_);
-        node = pending_.extract(cookie);
-      }
+      auto node = pending_.extract(cookie);
       if (node.empty()) {
         // Cancelled by fail_all_peers before the ack arrived.
         ++stats_.stale_completions;
         continue;
       }
       Peer& p = peer(node.mapped().target);
-      const auto prev =
-          p.outstanding.fetch_sub(1, std::memory_order_acq_rel);
-      assert(prev > 0 && "ack for a request never sent");
-      (void)prev;
+      assert(p.outstanding > 0 && "ack for a request never sent");
+      --p.outstanding;
       // The target is done with the bounce buffer once its ack arrived.
       recycle_stage(p, node.mapped().stage);
       // Feed the request→ack round trip to this peer's controller; its
@@ -801,8 +733,8 @@ int RmaAmProtocol::poll_requests() {
         if (d > 0) ++stats_.window_grow;
         if (d < 0) ++stats_.window_shrink;
       }
-      // Extracted from the map (and outside every lock) before firing:
-      // the callback may issue new protocol ops.
+      // Extracted from the map before firing: the callback may issue new
+      // protocol ops.
       Done done = std::move(node.mapped().done);
       if (done) done();
       ++work;
@@ -856,15 +788,13 @@ int RmaAmProtocol::poll_requests() {
 }
 
 int RmaAmProtocol::flush_acks() {
+  assert(self() == owner_ && "RmaAmProtocol polled off its rank's thread");
   int work = 0;
   // Acks and racks no request or reply carried: one combined multi-ack
   // record per indebted target per flush.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     Peer& pr = *peers_[i];
-    {
-      arch::SpinGuard g(pr.mu);
-      if (pr.acks_owed.empty() && pr.racks_owed.empty()) continue;
-    }
+    if (pr.acks_owed.empty() && pr.racks_owed.empty()) continue;
     Record rec = open_record(pr.target, am_handler<&RmaAmHandlers::on_ack>(),
                              AckHdr{0, 0}, 0);
     am_->commit(rec.sb);
@@ -877,16 +807,11 @@ int RmaAmProtocol::flush_acks() {
 }
 
 bool RmaAmProtocol::idle() const {
-  {
-    arch::SpinGuard g(pending_mu_);
-    if (!pending_.empty()) return false;
-  }
-  if (!replies_.empty() || !completed_.empty()) return false;
+  if (!pending_.empty() || !replies_.empty() || !completed_.empty())
+    return false;
   for (const auto& pp : peers_) {
     const Peer& p = *pp;
-    if (p.sendq_n.load(std::memory_order_acquire) != 0) return false;
-    arch::SpinGuard g(p.mu);
-    if (!p.acks_owed.empty() || !p.racks_owed.empty() ||
+    if (!p.sendq.empty() || !p.acks_owed.empty() || !p.racks_owed.empty() ||
         !p.reply_out.empty())
       return false;
   }
@@ -894,31 +819,26 @@ bool RmaAmProtocol::idle() const {
 }
 
 void RmaAmProtocol::fail_all_peers() {
-  // Teardown path (consumer, with helpers quiesced by the caller). Every
-  // request (in flight or queued) has a pending_ entry; dropping the map
+  // Teardown path. Every request (in flight or queued) has a pending_
+  // entry; dropping the map
   // cancels them all — done callbacks are destroyed, never fired, and the
   // arena error flag is the failure signal user code observes. Bounce
   // buffers go back to the shared heap (a dead target may still copy from
   // one, but it reads stale bytes at worst — it can no longer complete
   // anything).
   auto& heap = am_->arena().heap();
-  {
-    arch::SpinGuard g(pending_mu_);
-    stats_.cancelled += pending_.size();
-    for (auto& [cookie, pd] : pending_)
-      if (pd.stage.p) heap.deallocate(pd.stage.p);
-    pending_.clear();
-  }
+  stats_.cancelled += pending_.size();
+  for (auto& [cookie, pd] : pending_)
+    if (pd.stage.p) heap.deallocate(pd.stage.p);
+  pending_.clear();
   completed_.clear();
   replies_.clear();
   for (auto& pp : peers_) {
     Peer& p = *pp;
-    arch::SpinGuard g(p.mu);
     p.sendq.clear();
-    p.sendq_n.store(0, std::memory_order_release);
     p.acks_owed.clear();
     p.racks_owed.clear();
-    p.outstanding.store(0, std::memory_order_release);
+    p.outstanding = 0;
     for (auto& b : p.stage_pool) heap.deallocate(b.p);
     p.stage_pool.clear();
     // The reply side mirrors the put side: pooled buffers go back to the
@@ -956,10 +876,9 @@ XferEngine::WireOps RmaAmProtocol::wire_ops() {
     if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
       return window_now(target);
     const Peer& p = *peers_[static_cast<std::size_t>(target)];
-    if (p.sendq_n.load(std::memory_order_acquire) != 0) return 0;
+    if (!p.sendq.empty()) return 0;
     const std::uint32_t w = window_now(p);
-    const std::uint32_t out = p.outstanding.load(std::memory_order_relaxed);
-    return out < w ? w - out : 0;
+    return p.outstanding < w ? w - p.outstanding : 0;
   };
   return ops;
 }

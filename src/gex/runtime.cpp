@@ -30,6 +30,9 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
   Rank rank;
   rank.me = r;
   rank.arena = arena;
+  // Bound before the engines are built: each records the constructing
+  // thread's rank as its owner (the one thread allowed to drive it).
+  tls_rank = &rank;
   AmEngine engine(arena, r);
   rank.am = &engine;
   Aggregator aggregator(&engine);
@@ -50,7 +53,6 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
                              resolve_am_rtt_envelope(arena->config()));
   rank.rma_am = &rma_am_proto;
   if (rank.rma_wire_am) xfer_engine.set_wire(rma_am_proto.wire_ops());
-  tls_rank = &rank;
   arena->world_barrier();
   int rc = 0;
   try {

@@ -47,22 +47,14 @@
 // caps *reported* bandwidth without serializing the actual data motion —
 // fig3_rma_bandwidth uses this to produce a real bandwidth curve.
 //
-// Threading: split issue ownership. The rank's progress persona (worker 0
-// of a progress_pool, or the sole master-persona holder) owns submission,
-// the budget dealer (poll), the drains, and every user-visible callback;
-// progress-pool helpers run *chunk issue* for disjoint targets in parallel
-// through issue_pass(). Each channel carries a spinlock held across its
-// head chunk's wire call — one issuer per channel at a time — and every
-// acquisition anywhere is a try_lock: a busy channel is skipped, never
-// waited on. A submit that finds its channel busy parks the transfer on a
-// worker-0-local deferred queue drained at the next poll (per-target FIFO
-// is preserved: once anything is deferred, later submits park behind it).
-// Helpers never run user code: a helper-issued final chunk leaves
-// on_source parked on the landing queue, and worker 0's retire sweep
-// fires it — source still strictly before that transfer's on_landed.
+// Threading: one thread issues and consumes — the holder of the owning
+// rank's context (the master persona's thread, or a progress_thread it
+// migrated to). submit, poll and drain_copies assert it. Callbacks fire
+// outside any chunk issue and may submit again; a submit that arrives
+// while a channel is mid-issue (wire-call recursion) appends behind the
+// transfer being issued, so per-target FIFO holds either way.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -71,9 +63,10 @@
 #include <vector>
 
 #include "arch/small_fn.hpp"
-#include "arch/spinlock.hpp"
 
 namespace gex {
+
+struct Rank;
 
 class XferEngine {
  public:
@@ -133,7 +126,6 @@ class XferEngine {
   // empty. extra_landing_ns adds a fixed toll to the transfer's landing
   // time on top of the wire clock — the simulated-PCIe cost of a
   // device-kind copy() composes with the wire model through it.
-  // Progress-persona-only (helpers issue, they never submit).
   void submit(int target, void* dst, const void* src, std::size_t bytes,
               Callback on_source, Callback on_landed, bool is_get = false,
               std::uint64_t extra_landing_ns = 0);
@@ -150,17 +142,6 @@ class XferEngine {
   // chunks issued plus callbacks fired; 0 means there was nothing
   // actionable.
   int poll(int chunk_budget = kDefaultChunkBudget);
-
-  // Helper-side chunk issue: a progress-pool helper calls this with its
-  // slice (channels whose snapshot index is congruent to `slice` mod
-  // `nslices`) and issues up to chunk_budget chunks on channels it can
-  // try-lock, subject to the same wire readiness and credit metering as
-  // poll(). No callback ever fires here — a transfer that finishes
-  // issuing parks its on_source for worker 0's retire sweep — so the
-  // wire calls (payload staging memcpys on the AM wire, the whole data
-  // motion on the direct wire) are the only work that moves off the
-  // progress persona. Returns chunks issued.
-  int issue_pass(int chunk_budget, std::size_t slice, std::size_t nslices);
 
   // Issues every queued chunk the wire will currently accept (unbounded,
   // but a not-ready wire stops its channel's drain — the caller must keep
@@ -191,8 +172,7 @@ class XferEngine {
   std::size_t chunk_bytes() const { return chunk_bytes_; }
   double bw_gbps() const { return bw_gbps_; }
   std::size_t channel_count() const;
-  // Chunks not yet issued on the link to `target` (budget-scaling tests;
-  // call quiesced — it takes the channel lock blocking).
+  // Chunks not yet issued on the link to `target` (budget-scaling tests).
   std::size_t pending_chunks(int target) const;
 
   struct Stats {
@@ -217,9 +197,8 @@ class XferEngine {
     std::uint64_t landed_due_ns;  // virtual wire time of the last chunk
     // Chunks issued on a non-direct wire whose done has not fired yet.
     // Null on the direct wire (chunks complete synchronously — the
-    // zero-allocation fast path keeps holding). Atomic: a helper issues
-    // the chunk (increment), the consumer's ack path retires it.
-    std::shared_ptr<std::atomic<std::uint32_t>> unacked;
+    // zero-allocation fast path keeps holding).
+    std::shared_ptr<std::uint32_t> unacked;
   };
 
   // One target's lane: its own FIFO pair and its own wire clock.
@@ -232,21 +211,9 @@ class XferEngine {
     std::deque<Xfer> active_;
     std::deque<Xfer> landing_;
     std::uint64_t wire_free_ns_ = 0;
-    // Mirror of active_.size(): lock-free "anything to issue here?" peeks
-    // by the budget passes, so a channel another thread is working is
-    // never touched without its lock.
-    std::atomic<std::size_t> active_n{0};
-    // Issue ownership: held across the head chunk's wire call. Every
-    // acquisition on a hot path is a try_lock (see header comment).
-    arch::Spinlock mu;
   };
 
-  // Lock-free lookup is impossible while channels appear lazily, so every
-  // traversal goes through a pointer snapshot taken under channels_mu_;
-  // Channel objects themselves are stable (unique_ptr) for the engine's
-  // lifetime.
   Channel& channel(int target);
-  std::vector<Channel*> snapshot() const;
 
   // Weight of an uncapped link in the bandwidth-proportional budget split:
   // effectively "memcpy speed", far above any modeled link, so uncapped
@@ -260,43 +227,34 @@ class XferEngine {
     return ch.ns_per_byte > 0 ? 1.0 / ch.ns_per_byte : kUncappedWeightGbps;
   }
 
-  // Issues the next chunk of the channel's head transfer (ch.mu held by
-  // the caller). When the last byte goes out the transfer moves to
-  // landing_; its on_source is appended to `sources` for the caller to
-  // fire after dropping the lock, or — `sources` null (helper path) —
-  // left parked on the landing entry for worker 0's retire sweep.
-  void issue_one_chunk(Channel& ch, std::vector<Callback>* sources);
-  // Worker 0 only: collects helper-parked on_source callbacks and every
-  // due on_landed under a try-locked ch.mu, fires them after release
-  // (source before landed per transfer). Returns callbacks fired.
+  // Issues the next chunk of the channel's head transfer. When the last
+  // byte goes out the transfer moves to landing_ and its on_source is
+  // appended to `sources`, for the caller to fire once the channel's
+  // issue loop is done (user code may re-enter poll() or submit()).
+  void issue_one_chunk(Channel& ch, std::vector<Callback>& sources);
+  // Fires every due on_landed of the channel, in FIFO order. Returns
+  // callbacks fired.
   int retire_landed(Channel& ch);
-  // Worker 0 only: re-places deferred submits onto their channels in
-  // order, stopping at the first busy channel. Returns transfers placed.
-  int flush_deferred();
 
   std::size_t chunk_bytes_;
   double bw_gbps_;
   double ns_per_byte_;  // 0 when the bandwidth model is off
 
   std::optional<WireOps> wire_;
-  // Few targets; linear scan under channels_mu_ (guards the container
-  // only, never held while taking a channel lock). unique_ptr entries so
-  // Channel stays put — and needs no move ctor despite its lock/atomics —
-  // while completion callbacks grow the set mid-traversal.
+  // Few targets; linear scan. unique_ptr entries so a Channel stays put
+  // while completion callbacks grow the set mid-traversal — traversals go
+  // by index.
   std::vector<std::unique_ptr<Channel>> channels_;
-  mutable arch::Spinlock channels_mu_;
-  std::size_t rr_ = 0;  // round-robin start cursor (worker 0 only)
+  std::size_t rr_ = 0;  // round-robin start cursor
 
-  // Worker-0-local: transfers whose channel was busy at submit time, and
-  // submits arriving from wire-call recursion while worker 0 itself holds
-  // a channel lock (an AM handler running user code that calls rput).
-  std::deque<std::pair<int, Xfer>> deferred_submits_;
+  // Transfer population: active = submitted and not yet fully issued;
+  // inflight = not yet retired.
+  std::size_t active_count_ = 0;
+  std::size_t inflight_count_ = 0;
 
-  // Transfer population counters so idle()/inflight()/copies_pending()
-  // never walk queues other threads may be mutating. active: submitted
-  // (incl. deferred) and not yet fully issued; inflight: not yet retired.
-  std::atomic<std::size_t> active_count_{0};
-  std::atomic<std::size_t> inflight_count_{0};
+  // The rank bound to the constructing thread (null outside an SPMD
+  // region): the one rank whose context may drive this engine.
+  const Rank* const owner_;
 
   Stats stats_;
 };

@@ -67,9 +67,9 @@ inline future<> barrier_async(const team& tm = world()) {
     // ahead of the collective entry through the caller's submit shard —
     // shard FIFO guarantees they run (master-side) before the entry that
     // coll_enter submits next. The wire shards first, each drained to
-    // empty (waiting out a helper that holds one): this thread's earlier
-    // injected rpc/rpc_ff sends ride those queues, however many there
-    // are, and the barrier ordering contract covers them too.
+    // empty: this thread's earlier injected rpc/rpc_ff sends ride those
+    // queues, however many there are, and the barrier ordering contract
+    // covers them too.
     detail::op_context::current().run_at_rank([] {
       detail::drain_wire_shards(detail::persona(), /*to_empty=*/true);
       detail::flush_aggregation();

@@ -22,9 +22,10 @@
 //     through block MPSC queues (arch::MpscQueue: records built in place,
 //     no allocation in steady state) — the thread-hash-sharded submit
 //     queue (PersonaState::submit_shards, kSubmitShards of them) for
-//     engine dispatches, the wire shards for serialized sends — drained
-//     by the progress persona (whose wire drain packs small messages into
-//     Aggregator frames) or upcxx::progress_pool helpers inside poll.
+//     engine dispatches, the wire shards for serialized sends — all
+//     drained by the one thread holding the rank context, inside its
+//     progress calls (the wire drain packs small messages into
+//     Aggregator frames).
 //   * Completions ship back to the initiating thread's own persona inbox,
 //     so the returned futures/promises stay persona-affine: they become
 //     ready during *this thread's* upcxx::progress() / future::wait()

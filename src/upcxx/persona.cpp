@@ -116,6 +116,14 @@ void liberate_master_persona() {
   detail::bind_rank_context(nullptr);
 }
 
+void reacquire_master_persona(persona& m) {
+  assert(m.rank_state_ && "reacquire_master_persona(): not a master persona");
+  assert(m.owner_.load(std::memory_order_acquire) == nullptr &&
+         "reacquire_master_persona(): the master persona is still held");
+  detail::adopt_master(m, m.rank_state_);
+  detail::bind_rank_context(m.rank_state_);
+}
+
 void persona_scope::acquire() {
   const void* me = detail::thread_marker();
   const void* expected = nullptr;

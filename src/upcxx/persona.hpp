@@ -120,6 +120,7 @@ class persona {
   friend void detail::adopt_master(persona&, detail::PersonaState*);
   friend void detail::drop_master(persona&);
   friend void liberate_master_persona();
+  friend void reacquire_master_persona(persona&);
 
   // Every user-level progress call on every thread probes this inbox
   // (MpscQueue::empty_hint: two loads, no lock) before draining it.
@@ -150,6 +151,13 @@ persona& master_persona();
 // The rank context is unbound: this thread must not communicate until it
 // re-acquires the master persona.
 void liberate_master_persona();
+
+// The inverse of liberate_master_persona(): the calling thread takes the
+// liberated master persona back onto its stack and rebinds the rank
+// context, with no scope object — the persona stays held until rank
+// teardown (fini_persona) drops it. For the thread that liberated it,
+// once the thread that borrowed it has let go.
+void reacquire_master_persona(persona& master);
 
 // RAII acquisition of a persona onto the calling thread's stack. Acquiring a
 // persona owned by another thread is a programming error (assert); use the

@@ -143,28 +143,13 @@ int drain_submitq(PersonaState& st, int budget) {
   return work;
 }
 
-namespace {
-
-// Writes one queued upcxx message into `target`'s ring as its own record.
-void send_wire_record(gex::AmEngine& eng, const arch::MpscQueue::Record& r,
-                      bool may_poll) {
-  auto sb = eng.prepare(static_cast<int>(r.tag), am_delivery_index(), r.size,
-                        may_poll);
-  std::memcpy(sb.data, r.data, r.size);
-  eng.commit(sb);
-}
-
-// Moves shard `shard`'s messages on the wire's consumer thread, with the
-// shard lock held: small ones into the Aggregator, the rest direct after
-// flushing their target (per-target FIFO). Before returning (and so
-// before the lock is released — a helper taking the shard next writes to
-// the rings directly) every target of the shard is flushed: nothing this
-// drain staged can be overtaken.
-int drain_wire_shard_locked(PersonaState& st, std::uint32_t shard,
-                            bool to_empty) {
-  auto& q = st.wire_shards[shard].q;
+int drain_wire_shards(PersonaState& st, bool to_empty) {
+  assert(tls_persona == &st && "the wire's consumer drains with the rank "
+                               "context");
   auto& eng = *st.rank->am;
   gex::Aggregator* agg = st.rank->agg;
+  // Small messages join the Aggregator's frames; a larger one first
+  // flushes its target (per-target FIFO) and goes out as its own record.
   auto move = [&](const arch::MpscQueue::Record& r) {
     const int target = static_cast<int>(r.tag);
     if (agg && rides_frame(*agg, r.size)) {
@@ -173,62 +158,30 @@ int drain_wire_shard_locked(PersonaState& st, std::uint32_t shard,
       return;
     }
     if (agg && agg->enabled()) agg->flush(target);
-    send_wire_record(eng, r, /*may_poll=*/true);
+    auto sb = eng.prepare(target, am_delivery_index(), r.size);
+    std::memcpy(sb.data, r.data, r.size);
+    eng.commit(sb);
   };
-  const int n = to_empty ? q.drain_all(move) : q.drain(64, move);
-  if (n && agg && agg->enabled())
-    for (int t = static_cast<int>(shard); t < st.rank->arena->nranks();
-         t += static_cast<int>(PersonaState::kWireShards))
-      agg->flush(t);
-  return n;
-}
-
-}  // namespace
-
-int drain_wire_shards(PersonaState& st, bool to_empty) {
-  assert(tls_persona == &st && "the wire's consumer drains with the rank "
-                               "context");
   int work = 0;
   for (std::uint32_t s = 0; s < PersonaState::kWireShards; ++s) {
-    auto& sh = st.wire_shards[s];
-    if (sh.q.empty_hint()) continue;
-    if (to_empty) {
-      // A helper mid-drain finishes its messages first; they are in the
-      // rings once it lets go. It may be stalled on a full ring whose
-      // consumer is itself waiting on a message in our ring, so keep
-      // polling meanwhile, as any stalled send on this thread does.
-      while (!sh.mu.try_lock())
-        if (st.rank->am->poll() == 0) std::this_thread::yield();
-    } else if (!sh.mu.try_lock()) {
-      continue;  // a helper owns this shard right now
-    }
-    work += drain_wire_shard_locked(st, s, to_empty);
-    sh.mu.unlock();
+    auto& q = st.wire_shards[s];
+    if (q.empty_hint()) continue;
+    const int n = to_empty ? q.drain_all(move) : q.drain(64, move);
+    // Everything this drain staged leaves now, ahead of any later send.
+    if (n && agg && agg->enabled())
+      for (int t = static_cast<int>(s); t < st.rank->arena->nranks();
+           t += static_cast<int>(PersonaState::kWireShards))
+        agg->flush(t);
+    work += n;
   }
-  return work;
-}
-
-int drain_wire_shard(PersonaState& st, std::uint32_t shard) {
-  auto& sh = st.wire_shards[shard];
-  if (sh.q.empty_hint()) return 0;
-  if (!sh.mu.try_lock()) return 0;  // a competing drainer owns this shard
-  // Bounded so one drain cannot monopolize a helper pass. The lock is
-  // held across reserve -> memcpy -> commit, so a shard's sends hit the
-  // target ring in queue order and the transport's per-pair FIFO carries
-  // the ordering end to end.
-  auto& eng = *st.rank->am;
-  const int work = sh.q.drain(64, [&](const arch::MpscQueue::Record& r) {
-    send_wire_record(eng, r, /*may_poll=*/false);
-  });
-  sh.mu.unlock();
   return work;
 }
 
 bool inject_queues_empty(PersonaState& st) {
   for (auto& q : st.submit_shards)
     if (!q.empty_hint()) return false;
-  for (auto& sh : st.wire_shards)
-    if (!sh.q.empty_hint()) return false;
+  for (auto& q : st.wire_shards)
+    if (!q.empty_hint()) return false;
   return true;
 }
 

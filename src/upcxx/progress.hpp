@@ -34,7 +34,6 @@
 #include "arch/mpsc_queue.hpp"
 #include "arch/slot_table.hpp"
 #include "arch/small_fn.hpp"
-#include "arch/spinlock.hpp"
 #include "gex/agg.hpp"
 #include "gex/runtime.hpp"
 #include "upcxx/future.hpp"
@@ -118,9 +117,10 @@ struct PersonaState {
 
   // Counters surfaced by tests and benches. Plain u64 fields (printf-able,
   // source-compatible readers) bumped through arch::relaxed_inc — injector
-  // threads increment rputs/rgets/rpcs_sent concurrently with the progress
-  // threads, and plain ++ would tear counts the tests assert on. Read via
-  // experimental::stats() (relaxed loads) or directly after a quiesce.
+  // threads increment rputs/rgets/rpcs_sent concurrently with the master
+  // persona's thread, and plain ++ would tear counts the tests assert on.
+  // Read via experimental::stats() (relaxed loads) or directly after a
+  // quiesce.
   struct Stats {
     std::uint64_t rpcs_executed = 0;
     std::uint64_t rpcs_sent = 0;
@@ -154,31 +154,24 @@ struct PersonaState {
   //   wire_shards  upcxx messages ([idx prefix][body]) serialized by the
   //                caller straight into a byte record tagged with the
   //                target; shard index = target % kWireShards, so
-  //                unrelated targets never contend and progress-pool
-  //                helpers can drain disjoint shards in parallel. The
-  //                master (the wire's consumer thread) moves small
-  //                messages into the rank's Aggregator, so injected
-  //                traffic leaves as frames, and flushes the shard's
-  //                targets before it lets go of the shard; helpers write
-  //                each message straight into the target's ring. Either
-  //                way a drain holds the shard lock until its messages
-  //                are on the wire, so one thread's sends to one target
-  //                stay FIFO end to end; ordering against master-side
-  //                sends to the same target is unspecified.
+  //                injectors sending to unrelated targets never contend
+  //                on one producer cursor. The master (the wire's one
+  //                consumer) moves small messages into the rank's
+  //                Aggregator, so injected traffic leaves as frames, and
+  //                flushes the shard's targets at the end of each drain,
+  //                so one thread's sends to one target stay FIFO end to
+  //                end; ordering against master-side sends to the same
+  //                target is unspecified.
   //
   // Completions route the other way: deferred cx_state transitions are
   // shipped to the *initiating* thread's persona inbox (lpc_ff, the same
   // block queue), so futures and promises still fire persona-affine with
   // no global lock — the per-thread inboxes are the sharded completion
   // queues.
-  struct WireShard {
-    arch::Spinlock mu;  // serializes competing drainers (pool stealing)
-    arch::MpscQueue q;  // byte records, tag = target rank
-  };
   static constexpr std::uint32_t kSubmitShards = 4;
   static constexpr std::uint32_t kWireShards = 4;
   std::array<arch::MpscQueue, kSubmitShards> submit_shards;
-  std::array<WireShard, kWireShards> wire_shards;
+  std::array<arch::MpscQueue, kWireShards> wire_shards;  // tag = target
 
   // Monotone count of actions performed by progress calls on this rank
   // (messages handled, chunks moved, acks pumped, LPCs run). Spin loops
@@ -203,7 +196,7 @@ bool has_persona();
 // accessor — the rank state via either binding; it grants access to the
 // *thread-safe* subset only (config fields, stats via relaxed_inc, the
 // MPSC hand-off entry points below). Engine access (state.rank->am etc.)
-// remains the progress personas' exclusive right; op-layer code that
+// remains the master persona holder's exclusive right; op-layer code that
 // touches engines still goes through persona().
 PersonaState& op_state();
 bool has_op_state();
@@ -225,22 +218,18 @@ void submit_wire_send(PersonaState& st, int target, std::size_t bytes,
                       Write&& write) {
   st.wire_shards[static_cast<std::uint32_t>(target) %
                  PersonaState::kWireShards]
-      .q.push_bytes(bytes, static_cast<std::uint64_t>(target),
+      .push_bytes(bytes, static_cast<std::uint64_t>(target),
                     std::forward<Write>(write));
 }
-// Drain side. drain_submitq requires the rank context (closures dispatch
-// into the engines). drain_wire_shards runs on the wire's consumer thread
-// (the master persona's holder): small messages ride the Aggregator and
-// each shard's targets are flushed before its lock is released; with
-// to_empty it waits for every shard lock and moves everything queued at
-// the call (barrier entry), otherwise it try-locks and moves at most 64
-// messages per shard. drain_wire_shard is the progress-pool helpers'
-// drain: any thread, one shard, try-lock, straight into the target rings
-// with may_poll=false (see gex::AmEngine::SendBuf), never touching the
-// rank-private Aggregator. All return items processed.
+// Drain side; both require the rank context (the master persona's
+// holder is the one consumer of every shard). drain_submitq runs the
+// submitted closures, which dispatch into the engines. drain_wire_shards
+// moves queued messages onto the wire: small ones ride the Aggregator,
+// and each drained shard's targets are flushed before the next shard;
+// with to_empty it moves everything queued at the call (barrier entry),
+// otherwise at most 64 messages per shard. Both return items processed.
 int drain_submitq(PersonaState& st, int budget);
 int drain_wire_shards(PersonaState& st, bool to_empty = false);
-int drain_wire_shard(PersonaState& st, std::uint32_t shard);
 // True when every injection queue (submitq + all wire shards) looks empty
 // (teardown/idle checks; may be transiently false, never falsely empty at
 // a quiesced rank).

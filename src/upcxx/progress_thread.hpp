@@ -29,10 +29,8 @@
 #pragma once
 
 #include <atomic>
-#include <optional>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "gex/rma_am.hpp"
 #include "gex/xfer.hpp"
@@ -83,11 +81,8 @@ class progress_thread {
   void stop() {
     stop_.store(true, std::memory_order_release);
     thread_.join();
-    // Re-acquire for the remainder of the SPMD body and teardown. The
-    // scope must outlive this helper and the body itself (fini_persona
-    // still needs the master), hence the deliberate leak — the real-UPC++
-    // idiom is a persona_scope in main() outliving finalize().
-    new persona_scope(*master_);
+    // Held for the remainder of the SPMD body; fini_persona drops it.
+    reacquire_master_persona(*master_);
   }
 
  private:
@@ -102,104 +97,6 @@ class progress_thread {
   persona* master_;
   std::atomic<bool> stop_{false};
   std::thread thread_;
-};
-
-// upcxx::progress_pool — progress_thread generalized to N workers
-// (default width: Config::progress_threads, i.e. UPCXX_PROGRESS_THREADS).
-//
-// Worker 0 *is* a progress_thread: it holds the migrated master persona
-// and runs the full progress loop, staying the wire's single consumer
-// (AmEngine::poll) and the sole drainer of the rank's submit queue (the
-// closures in it need the rank context). Workers 1..N-1 are injection
-// helpers with two jobs:
-//
-//   * drain the MPSC wire shards that injector threads (inject.hpp) fill,
-//     each owning the shards congruent to its index and stealing the rest
-//     when its own slice runs dry;
-//   * run XferEngine::issue_pass over a disjoint slice of the engine's
-//     channels, pushing queued chunks onto the wire in parallel with
-//     worker 0's receive/completion path — per-channel issue locks make
-//     this safe, and helper-issued source callbacks park on the landing
-//     queue for worker 0 to fire (helpers never run user code).
-//
-// Helpers pass may_poll=false everywhere, so a full ring makes them yield
-// rather than touch the engine's single-consumer receive path — the
-// master keeps polling independently, which keeps the stall bounded.
-//
-// A pool of width 1 degenerates to exactly progress_thread; widths above
-// 1 add send-side bandwidth for heavily multi-threaded injection without
-// changing any receive-side or completion-side ownership.
-//
-// Construction/stop discipline matches progress_thread: build on the
-// thread holding the master persona, call stop() from that same thread
-// before the SPMD body returns.
-class progress_pool {
- public:
-  explicit progress_pool(int width = 0) {
-    // Capture the rank state before worker 0 migrates the master persona
-    // away from this thread.
-    st_ = &detail::persona();
-    int w = width > 0 ? width : st_->rank->arena->config().progress_threads;
-    if (w < 1) w = 1;
-    pt_.emplace();
-    for (int idx = 0, nh = w - 1; idx < nh; ++idx)
-      helpers_.emplace_back([this, idx, nh] { helper_loop(idx, nh); });
-  }
-
-  ~progress_pool() {
-    if (pt_) stop();
-  }
-
-  progress_pool(const progress_pool&) = delete;
-  progress_pool& operator=(const progress_pool&) = delete;
-
-  // The migrated master persona (worker 0's).
-  persona& master() { return pt_->master(); }
-
-  // Runs fn on worker 0 (the master-persona holder); see
-  // progress_thread::lpc.
-  template <typename Fn>
-  auto lpc(Fn&& fn) {
-    return pt_->lpc(std::forward<Fn>(fn));
-  }
-
-  // Stops helpers first (they only move already-submitted injector
-  // traffic), then worker 0 — which re-acquires the master persona on the
-  // calling thread, exactly as progress_thread::stop does.
-  void stop() {
-    stop_.store(true, std::memory_order_release);
-    for (auto& t : helpers_) t.join();
-    helpers_.clear();
-    pt_->stop();
-    pt_.reset();
-  }
-
- private:
-  void helper_loop(int idx, int nh) {
-    auto& st = *st_;
-    while (!stop_.load(std::memory_order_acquire)) {
-      int moved = 0;
-      // Own slice first — keeps shard-lock contention low when every
-      // helper has work — then steal across the whole set.
-      for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
-        if (static_cast<int>(s % static_cast<std::uint32_t>(nh)) == idx)
-          moved += detail::drain_wire_shard(st, s);
-      if (moved == 0)
-        for (std::uint32_t s = 0; s < detail::PersonaState::kWireShards; ++s)
-          moved += detail::drain_wire_shard(st, s);
-      // Chunk issue for this helper's channel slice: try-locks only, so a
-      // channel worker 0 (or another helper) holds is simply skipped.
-      if (st.rank && st.rank->xfer)
-        moved += st.rank->xfer->issue_pass(
-            8, static_cast<std::size_t>(idx), static_cast<std::size_t>(nh));
-      if (moved == 0) std::this_thread::yield();
-    }
-  }
-
-  detail::PersonaState* st_ = nullptr;
-  std::optional<progress_thread> pt_;
-  std::atomic<bool> stop_{false};
-  std::vector<std::thread> helpers_;
 };
 
 }  // namespace upcxx

@@ -7,7 +7,6 @@
 #include <limits>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -412,7 +411,6 @@ TEST(Config, NumericKnobsRejectGarbage) {
       "UPCXX_AM_WINDOW",        "UPCXX_SIM_LATENCY_NS", "UPCXX_SIM_BW_GBPS",
       "UPCXX_EAGER_MAX",        "UPCXX_RANKS",          "UPCXX_XFER_CHUNK_KB",
       "UPCXX_RING_KB",          "UPCXX_RMA_ASYNC_MIN",
-      "UPCXX_PROGRESS_THREADS",
   };
   std::vector<std::pair<const char*, std::string>> saved;
   for (const char* k : knobs) {
@@ -431,9 +429,6 @@ TEST(Config, NumericKnobsRejectGarbage) {
       {"UPCXX_RANKS", "four"},           {"UPCXX_XFER_CHUNK_KB", "256k"},
       {"UPCXX_RING_KB", "99999999999999999999"},  // ERANGE
       {"UPCXX_RMA_ASYNC_MIN", "-1"},
-      {"UPCXX_PROGRESS_THREADS", "many"},
-      {"UPCXX_PROGRESS_THREADS", "0"},
-      {"UPCXX_PROGRESS_THREADS", "-2"},
   };
   for (const auto& c : cases) {
     setenv(c.name, c.value, 1);
@@ -448,20 +443,8 @@ TEST(Config, NumericKnobsRejectGarbage) {
     EXPECT_EQ(got.ring_bytes, d.ring_bytes) << c.name << "=" << c.value;
     EXPECT_EQ(got.rma_async_min, d.rma_async_min)
         << c.name << "=" << c.value;
-    EXPECT_EQ(got.progress_threads, d.progress_threads)
-        << c.name << "=" << c.value;
     unsetenv(c.name);
   }
-  // normalize() clamps the pool width: a pool wider than the machine is
-  // pulled back to hardware_concurrency (when it reports nonzero).
-  {
-    gex::Config t;
-    t.progress_threads = 100000;
-    t.normalize();
-    if (const unsigned hw = std::thread::hardware_concurrency(); hw > 0)
-      EXPECT_LE(t.progress_threads, static_cast<int>(hw));
-  }
-
   // Valid values still parse (the strictness did not break the knobs).
   setenv("UPCXX_AM_WINDOW", "16", 1);
   setenv("UPCXX_SIM_LATENCY_NS", "250", 1);

@@ -351,10 +351,10 @@ TEST(Inject, CompletionLpcRunsOnInjectingThread) {
   });
 }
 
-TEST(Inject, ProgressPoolDrainsInjection) {
-  // The pool replaces the master thread's explicit progress loop: worker 0
-  // holds the migrated master persona; helpers drain the wire shards. The
-  // primordial thread just joins the injectors.
+TEST(Inject, ProgressThreadDrainsInjection) {
+  // A progress_thread replaces the master thread's explicit progress loop:
+  // it holds the migrated master persona and drains the submit and wire
+  // shards. The primordial thread just joins the injectors.
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;  // every op goes through the hand-off
   const int fails = upcxx::run(cfg, [] {
@@ -367,7 +367,7 @@ TEST(Inject, ProgressPoolDrainsInjection) {
 
     {
       upcxx::injector inj;
-      upcxx::progress_pool pool(/*width=*/2);
+      upcxx::progress_thread pt;
       std::vector<std::thread> ts;
       for (int t = 0; t < 2; ++t)
         ts.emplace_back([&, t] {
@@ -385,7 +385,7 @@ TEST(Inject, ProgressPoolDrainsInjection) {
           EXPECT_EQ(back, src);
         });
       for (auto& th : ts) th.join();
-      pool.stop();
+      pt.stop();
     }
 
     upcxx::barrier();
@@ -410,10 +410,10 @@ void count_ff_hit(int rank) { g_ff_hits[rank].fetch_add(1); }
 // An injector sends n rpc_ff to the peer and enters barrier(): the
 // barrier contract (collectives.hpp) says every send issued before it has
 // run at its target once the barrier completes — however many there are,
-// and whether or not a progress-pool helper holds a wire shard (`pool`
-// runs the rank under a width-2 progress_pool, whose helper drains the
-// wire shards concurrently with the master).
-void barrier_orders_sends_body(int n, bool pool) {
+// and whichever thread drives the rank (`on_thread` runs the master on a
+// progress_thread, whose loop drains the wire shards while the injector
+// is still sending).
+void barrier_orders_sends_body(int n, bool on_thread) {
   const int me = upcxx::rank_me();
   const int peer = 1 - me;
   g_ff_hits[me] = 0;
@@ -422,17 +422,18 @@ void barrier_orders_sends_body(int n, bool pool) {
     for (int i = 0; i < n; ++i) upcxx::rpc_ff(peer, count_ff_hit, peer);
     upcxx::barrier();
     EXPECT_EQ(g_ff_hits[me].load(), n)
-        << "rank " << me << ", n = " << n << (pool ? ", pool" : "");
+        << "rank " << me << ", n = " << n
+        << (on_thread ? ", progress_thread" : "");
   };
-  if (pool) {
+  if (on_thread) {
     upcxx::injector inj;
-    upcxx::progress_pool workers(/*width=*/2);
+    upcxx::progress_thread pt;
     std::thread t([&] {
       upcxx::injection_scope scope(inj);
       body(0);
     });
     t.join();
-    workers.stop();
+    pt.stop();
   } else {
     with_injectors(1, body);
   }
@@ -441,12 +442,12 @@ void barrier_orders_sends_body(int n, bool pool) {
 
 TEST(Inject, BarrierOrdersEarlierInjectedSends) {
   for (auto transport : {gex::AmTransport::kMmap, gex::AmTransport::kSocket})
-    for (bool pool : {false, true})
+    for (bool on_thread : {false, true})
       for (int n : {64, 65, 1000}) {
         gex::Config cfg = testutil::test_cfg(2);
         cfg.am_transport = transport;
-        EXPECT_EQ(upcxx::run(cfg, [n, pool] {
-                    barrier_orders_sends_body(n, pool);
+        EXPECT_EQ(upcxx::run(cfg, [n, on_thread] {
+                    barrier_orders_sends_body(n, on_thread);
                   }),
                   0);
       }

@@ -172,11 +172,8 @@ TEST(Persona, MasterMigratesToWorkerThread) {
         EXPECT_EQ(f.wait(), 1);
       });
       worker.join();
-      // Re-acquire for the rest of the SPMD region. The scope must outlive
-      // the SPMD body (teardown needs the master held), so it is leaked
-      // deliberately — the real UPC++ idiom is a persona_scope in main()
-      // outliving finalize().
-      new upcxx::persona_scope(master);
+      // Re-acquire for the rest of the SPMD region; teardown drops it.
+      upcxx::reacquire_master_persona(master);
       upcxx::barrier();
     } else {
       upcxx::rpc_ff(0, [] { rpcs_run.fetch_add(1); });
@@ -203,7 +200,7 @@ TEST(Persona, MigratedMasterCanRunCollectives) {
       upcxx::barrier();
     });
     worker.join();
-    new upcxx::persona_scope(master);  // reacquired through teardown
+    upcxx::reacquire_master_persona(master);  // held through teardown
     upcxx::barrier();
   });
 }

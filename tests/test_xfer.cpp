@@ -5,6 +5,7 @@
 // teardown drain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -69,6 +70,52 @@ TEST(XferEngine, FifoWithinOneTarget) {
   ASSERT_EQ(landed.size(), 2u);
   EXPECT_EQ(landed[0], 1);
   EXPECT_EQ(landed[1], 2);
+}
+
+TEST(XferEngine, SubmitFromInsideAWireCallKeepsTargetFifo) {
+  // Wire-call recursion: the first chunk's wire call submits a second
+  // transfer to the same target (and one to a new target, which grows the
+  // channel set mid-issue). The recursive submit queues behind the
+  // transfer being issued, so every chunk of the first goes out before
+  // any chunk of the second, and they land in submit order.
+  gex::XferEngine eng(512, 0);
+  std::vector<std::byte> s1(2048, std::byte{1}), d1(2048);
+  std::vector<std::byte> s2(2048, std::byte{2}), d2(2048);
+  std::vector<std::byte> s3(512, std::byte{3}), d3(512);
+  std::vector<int> issued;  // transfer id per chunk to target 1
+  std::vector<int> landed;
+  bool nested = false;
+  gex::XferEngine::WireOps ops;
+  ops.put_chunk = [&](int target, void* dst, const void* src, std::size_t n,
+                      gex::XferEngine::Callback done) {
+    std::memcpy(dst, src, n);
+    if (target == 1)
+      issued.push_back(static_cast<const std::byte*>(src)[0] == std::byte{1}
+                           ? 1
+                           : 2);
+    if (!nested) {
+      nested = true;
+      eng.submit(1, d2.data(), s2.data(), s2.size(), {},
+                 [&] { landed.push_back(2); });
+      eng.submit(2, d3.data(), s3.data(), s3.size(), {},
+                 [&] { landed.push_back(3); });
+    }
+    done();
+  };
+  ops.get_chunk = [](int, void*, const void*, std::size_t,
+                     gex::XferEngine::Callback) { FAIL(); };
+  eng.set_wire(std::move(ops));
+  eng.submit(1, d1.data(), s1.data(), s1.size(), {},
+             [&] { landed.push_back(1); });
+  while (!eng.idle()) eng.poll(1);
+  EXPECT_EQ(issued, (std::vector<int>{1, 1, 1, 1, 2, 2, 2, 2}));
+  ASSERT_EQ(landed.size(), 3u);
+  EXPECT_LT(std::find(landed.begin(), landed.end(), 1) - landed.begin(),
+            std::find(landed.begin(), landed.end(), 2) - landed.begin());
+  EXPECT_EQ(eng.channel_count(), 2u);
+  EXPECT_EQ(d1, s1);
+  EXPECT_EQ(d2, s2);
+  EXPECT_EQ(d3, s3);
 }
 
 TEST(XferEngine, IndependentTargetsInterleave) {
