@@ -316,7 +316,10 @@ class OldApiMap {
           lz_t lz{};
           auto it = lm->find(k);
           if (it != lm->end()) lz = it->second;
-          upcxx::rput(lz, out);  // write back into the caller's slot
+          // Write back into the caller's slot; the reply (and with it the
+          // caller's event) waits for the put's operation completion, since
+          // nothing else orders the put before the reply.
+          return upcxx::rput(lz, out);
         },
         store_, key, slot_gp);
     e.wait();

@@ -66,15 +66,17 @@ struct Config {
   double sim_bw_gbps = 0;                 // UPCXX_SIM_BW_GBPS
   // Chunk granularity of pipelined transfers.
   std::size_t xfer_chunk_bytes = 256 << 10;  // UPCXX_XFER_CHUNK_KB
-  // Contiguous RMA at or above this many bytes rides the asynchronous
-  // engine; below it, the zero-allocation synchronous path. 0 disables the
-  // async path entirely.
+  // Direct wire only: contiguous RMA at or above this many bytes rides the
+  // asynchronous engine; below it, the zero-allocation synchronous path.
+  // 0 disables the async path entirely. On the am wire every op rides the
+  // engine regardless.
   std::size_t rma_async_min = 64 << 10;   // UPCXX_RMA_ASYNC_MIN (bytes)
   // RMA wire selection (see enum above).
   RmaWire rma_wire = RmaWire::kAuto;      // UPCXX_RMA_WIRE=auto|direct|am
   // AM-wire flow control: at most this many unacknowledged protocol
-  // requests (put/get/fragment records) in flight per target; further
-  // requests queue sender-side and are released as acks retire credits.
+  // requests (put/get/fragment records) in flight per target; further ops
+  // wait in the target's XferEngine channel and go out as acks retire
+  // credits.
   // Small windows serialize (W=1 is the worst-case CI job); large windows
   // let a flood fill the target's ring and staging heap — and blow the
   // in-flight staging (window × chunk) out of cache, which is what caps

@@ -373,17 +373,18 @@ std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
   return cookie;
 }
 
-bool RmaAmProtocol::claim_outstanding(Peer& p) {
-  if (p.outstanding >= window_now(p)) return false;
+void RmaAmProtocol::claim_credit(Peer& p) {
+  assert(p.outstanding < window_now(p) && "request sent without a credit");
   ++p.outstanding;
   arch::relaxed_max(stats_.max_outstanding, p.outstanding);
-  return true;
 }
 
-bool RmaAmProtocol::try_claim_credit(Peer& p) {
-  // Queued requests go first — flush_sendq drains those, claiming credits
-  // past this check.
-  return p.sendq.empty() && claim_outstanding(p);
+std::uint32_t RmaAmProtocol::credits(int target) const {
+  assert(target >= 0 && static_cast<std::size_t>(target) < peers_.size());
+  if (job_failing()) return 0;
+  const Peer& p = *peers_[static_cast<std::size_t>(target)];
+  const std::uint32_t w = window_now(p);
+  return p.outstanding < w ? w - p.outstanding : 0;
 }
 
 RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
@@ -480,26 +481,6 @@ RmaAmProtocol::OwedAcks RmaAmProtocol::take_acks(int target) {
   return oa;
 }
 
-void RmaAmProtocol::enqueue(Peer& p, QueuedReq q) {
-  arch::relaxed_inc(stats_.requests_queued);
-  // Bounded queue: past the slack, the injecting call makes progress
-  // until a slot frees. Our own inbox keeps draining (acks retire
-  // credits, which sends queued requests), so mutual floods advance in
-  // lockstep instead of deadlocking. A set error flag means the acks may
-  // never come — park the request regardless; teardown's fail_all_peers()
-  // reclaims it. The cap uses the window *ceiling*, not the moving
-  // operating point — a shrink must not strand already-parked requests
-  // behind a tighter bound.
-  const std::size_t cap = window() + kQueueSlack;
-  while (p.sendq.size() >= cap && !job_failing()) {
-    arch::relaxed_inc(stats_.send_stalls);
-    if (am_->poll() + poll() == 0) std::this_thread::yield();
-    arch::cpu_relax();
-  }
-  p.sendq.push_back(std::move(q));
-  arch::relaxed_max(stats_.queued_peak, p.sendq.size());
-}
-
 // A staged send found the heap exhausted while the job is failing: the
 // request can never be serviced. Cancel it the way fail_all_peers would —
 // drop the pending entry (its done callback is destroyed, not fired) and
@@ -551,19 +532,6 @@ std::byte* RmaAmProtocol::write_descs(std::byte* q, const Frag* runs,
     const FragDesc fd{wire_enc(runs[i].addr), runs[i].bytes};
     std::memcpy(q, &fd, sizeof fd);
     q += sizeof fd;
-  }
-  return q;
-}
-
-RmaAmProtocol::QueuedReq RmaAmProtocol::queued_put(std::uint64_t cookie,
-                                                   const Frag* dsts,
-                                                   std::size_t ndsts,
-                                                   const LocalFrag* srcs,
-                                                   std::size_t nsrcs) {
-  QueuedReq q{QueuedReq::kPut, cookie, {dsts, dsts + ndsts}, {}};
-  for (std::size_t i = 0; i < nsrcs; ++i) {
-    const auto* b = static_cast<const std::byte*>(srcs[i].ptr);
-    q.payload.insert(q.payload.end(), b, b + srcs[i].bytes);
   }
   return q;
 }
@@ -628,75 +596,17 @@ void RmaAmProtocol::start_put(int target, const Frag* dsts,
                               std::size_t ndsts, const LocalFrag* srcs,
                               std::size_t nsrcs, Done done) {
   assert(self() == owner_ && "RmaAmProtocol used off its rank's thread");
-  const std::uint64_t cookie = new_pending(target, std::move(done), {});
-  Peer& p = peer(target);
-  if (try_claim_credit(p)) {
-    send_put_frag(target, cookie, dsts, ndsts, srcs, nsrcs);
-    return;
-  }
-  // Window full: park the request with an owned payload copy — the caller
-  // may reuse its sources the moment we return, exactly as on the
-  // immediate path.
-  enqueue(p, queued_put(cookie, dsts, ndsts, srcs, nsrcs));
+  claim_credit(peer(target));
+  send_put_frag(target, new_pending(target, std::move(done), {}), dsts,
+                ndsts, srcs, nsrcs);
 }
 
 void RmaAmProtocol::start_get(int target, const Frag* srcs, std::size_t n,
                               std::vector<LocalFrag> dsts, Done done) {
   assert(self() == owner_ && "RmaAmProtocol used off its rank's thread");
-  const std::uint64_t cookie =
-      new_pending(target, std::move(done), std::move(dsts));
-  Peer& p = peer(target);
-  if (try_claim_credit(p)) {
-    send_get_frag(target, cookie, srcs, n);
-    return;
-  }
-  enqueue(p, QueuedReq{QueuedReq::kGet, cookie, {srcs, srcs + n}, {}});
-}
-
-void RmaAmProtocol::put(int target, void* dst, const void* src,
-                        std::size_t bytes, Done done) {
-  const Frag d{reinterpret_cast<std::uintptr_t>(dst), bytes};
-  // The send path only reads source runs.
-  const LocalFrag s{const_cast<void*>(src), bytes};
-  start_put(target, &d, 1, &s, 1, std::move(done));
-}
-
-void RmaAmProtocol::get(int target, void* dst, const void* src,
-                        std::size_t bytes, Done done) {
-  const Frag s{reinterpret_cast<std::uintptr_t>(src), bytes};
-  start_get(target, &s, 1, {LocalFrag{dst, bytes}}, std::move(done));
-}
-
-void RmaAmProtocol::put_fragments(int target, const std::vector<Frag>& dsts,
-                                  const std::vector<LocalFrag>& srcs,
-                                  Done done) {
-  start_put(target, dsts.data(), dsts.size(), srcs.data(), srcs.size(),
-            std::move(done));
-}
-
-void RmaAmProtocol::get_fragments(int target, const std::vector<Frag>& srcs,
-                                  std::vector<LocalFrag> dsts, Done done) {
-  start_get(target, srcs.data(), srcs.size(), std::move(dsts),
-            std::move(done));
-}
-
-int RmaAmProtocol::flush_sendq(Peer& p) {
-  // Pop before sending: a send may spin on a full ring, whose poll can
-  // re-enter this drain through enqueue's wait.
-  int work = 0;
-  while (!p.sendq.empty() && claim_outstanding(p)) {
-    QueuedReq q = std::move(p.sendq.front());
-    p.sendq.pop_front();
-    if (q.kind == QueuedReq::kPut) {
-      const LocalFrag whole{q.payload.data(), q.payload.size()};
-      send_put_frag(p.target, q.cookie, q.remote.data(), q.remote.size(),
-                    &whole, 1);
-    } else {
-      send_get_frag(p.target, q.cookie, q.remote.data(), q.remote.size());
-    }
-    ++work;
-  }
-  return work;
+  claim_credit(peer(target));
+  send_get_frag(target, new_pending(target, std::move(done), std::move(dsts)),
+                srcs, n);
 }
 
 int RmaAmProtocol::poll_requests() {
@@ -706,8 +616,8 @@ int RmaAmProtocol::poll_requests() {
   // ring, which polls our own inbox, whose handlers append to these very
   // queues. Entries arriving mid-drain are picked up next poll.
   //
-  // Completions run first so their retired credits release queued requests
-  // within the same poll.
+  // Completions run first so the credits they retire are free for the
+  // XferEngine poll that follows.
   if (!completed_.empty()) {
     auto comp = std::move(completed_);
     completed_.clear();
@@ -740,9 +650,6 @@ int RmaAmProtocol::poll_requests() {
       ++work;
     }
   }
-  // Freed credits release window-blocked requests.
-  for (std::size_t i = 0; i < peers_.size(); ++i)
-    work += flush_sendq(*peers_[i]);
   if (!replies_.empty()) {
     auto reps = std::move(replies_);
     replies_.clear();
@@ -811,18 +718,16 @@ bool RmaAmProtocol::idle() const {
     return false;
   for (const auto& pp : peers_) {
     const Peer& p = *pp;
-    if (!p.sendq.empty() || !p.acks_owed.empty() || !p.racks_owed.empty() ||
-        !p.reply_out.empty())
+    if (!p.acks_owed.empty() || !p.racks_owed.empty() || !p.reply_out.empty())
       return false;
   }
   return true;
 }
 
 void RmaAmProtocol::fail_all_peers() {
-  // Teardown path. Every request (in flight or queued) has a pending_
-  // entry; dropping the map
-  // cancels them all — done callbacks are destroyed, never fired, and the
-  // arena error flag is the failure signal user code observes. Bounce
+  // Teardown path. Every in-flight request has a pending_ entry; dropping
+  // the map cancels them all — done callbacks are destroyed, never fired,
+  // and the arena error flag is the failure signal user code observes. Bounce
   // buffers go back to the shared heap (a dead target may still copy from
   // one, but it reads stale bytes at worst — it can no longer complete
   // anything).
@@ -835,7 +740,6 @@ void RmaAmProtocol::fail_all_peers() {
   replies_.clear();
   for (auto& pp : peers_) {
     Peer& p = *pp;
-    p.sendq.clear();
     p.acks_owed.clear();
     p.racks_owed.clear();
     p.outstanding = 0;
@@ -854,32 +758,16 @@ void RmaAmProtocol::fail_all_peers() {
 
 XferEngine::WireOps RmaAmProtocol::wire_ops() {
   XferEngine::WireOps ops;
-  ops.put_chunk = [this](int target, void* dst, const void* src,
-                         std::size_t bytes, XferEngine::Callback done) {
-    put(target, dst, src, bytes, std::move(done));
+  ops.put = [this](int target, const Frag* dsts, std::size_t ndsts,
+                   const LocalFrag* srcs, std::size_t nsrcs,
+                   XferEngine::Callback done) {
+    start_put(target, dsts, ndsts, srcs, nsrcs, std::move(done));
   };
-  ops.get_chunk = [this](int target, void* dst, const void* src,
-                         std::size_t bytes, XferEngine::Callback done) {
-    get(target, dst, src, bytes, std::move(done));
+  ops.get = [this](int target, const Frag* srcs, std::size_t n,
+                   std::vector<LocalFrag> dsts, XferEngine::Callback done) {
+    start_get(target, srcs, n, std::move(dsts), std::move(done));
   };
-  // Back-pressure: the engine holds chunks (zero-cost — the source buffer
-  // is pinned until on_source anyway) while the window to this target is
-  // full, instead of piling payload copies into the sender-side queue.
-  ops.ready = [this](int target) { return can_accept(target); };
-  // Budget metering: how many chunks this target can take right now —
-  // the *adaptive* window (window_now follows the controller as it
-  // moves) minus in-flight requests, zero while anything is parked in
-  // the sender-side queue. The engine's poll deals its chunk budget
-  // against this, so a shrunken window diverts budget to other targets
-  // within the same poll instead of consuming it on a closed channel.
-  ops.credits = [this](int target) -> std::uint32_t {
-    if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
-      return window_now(target);
-    const Peer& p = *peers_[static_cast<std::size_t>(target)];
-    if (!p.sendq.empty()) return 0;
-    const std::uint32_t w = window_now(p);
-    return p.outstanding < w ? w - p.outstanding : 0;
-  };
+  ops.credits = [this](int target) { return credits(target); };
   return ops;
 }
 

@@ -32,15 +32,15 @@
 // are opaque initiator-local ids, not addresses.
 //
 // Flow control (UPCXX_AM_WINDOW): at most `window` unacknowledged requests
-// may be in flight to one target; further requests park in the target's
-// sender-side queue and go out as acks retire credits, so a flood of puts
-// queues locally instead of spin-polling against the target's full ring and
-// staging heap. The queue itself is bounded (kQueueSlack beyond the
-// window); when it fills, the *injecting* call makes progress — polling our
-// own inbox, which retires credits — until a slot frees, which is
-// deadlock-free for the same reason the AmEngine's ring-full spin is: every
-// stuck sender still drains its own inbox. Replies and acks never consume
-// credits (a credit-gated ack would deadlock the very window it retires).
+// may be in flight to one target. The protocol holds no queue of its own:
+// every request comes from the XferEngine (gex/xfer.hpp), whose per-target
+// channel is the one sender-side queue. The engine asks credits(target)
+// before each issue and leaves the op in its channel — pointing at the
+// caller's buffer, no payload copy — while the answer is 0, so a flood of
+// puts waits locally instead of spin-polling against the target's full
+// ring and staging heap, and goes out as acks retire credits. Replies and
+// acks never consume credits (a credit-gated ack would deadlock the very
+// window it retires).
 //
 // Ack aggregation: every ack this rank owes is batched — all acks owed to
 // one target per poll() collapse into a single multi-ack record, and any
@@ -83,9 +83,9 @@
 // backs off multiplicatively (at most once per windowful). The window
 // therefore converges on the host's own knee without any tuning, within
 // [1, kMaxAmWindow]. An explicit UPCXX_AM_WINDOW=<n> pins it (tests, the
-// am-window-1 CI job). Every window-derived bound (pools, queue slack,
-// engine back-pressure) reads the *current* window, so the whole state
-// machine tracks the moving operating point.
+// am-window-1 CI job). Every window-derived bound (credits, the put pool)
+// reads the *current* window, so the whole state machine tracks the moving
+// operating point.
 //
 // Execution model (the part that differs from the direct wire): data lands
 // when the *target* runs the request handler inside its AmEngine::poll —
@@ -93,8 +93,8 @@
 // injection. Ring FIFO per rank pair still guarantees the barrier ordering:
 // requests issued before a barrier message are handled at the target before
 // the barrier message is, so "put, barrier, read" keeps its meaning —
-// upcxx's barrier entry drains both the XferEngine's pending chunks and
-// this protocol's sender-side queue before contributing to the barrier.
+// upcxx's barrier entry drains the XferEngine's channels onto the wire
+// before contributing to the barrier.
 //
 // Handler discipline: request handlers only copy bytes and *record* the ack
 // or reply to send; nothing is injected from inside a handler (a reply send
@@ -104,8 +104,8 @@
 // fires initiator-side completion callbacks.
 //
 // Threading: one thread issues and consumes — the holder of the owning
-// rank's context. It alone runs request injection (put/get, the
-// XferEngine chunk movers), AmEngine::poll with every request/reply
+// rank's context. It alone runs request injection (start_put/start_get,
+// called by the XferEngine), AmEngine::poll with every request/reply
 // handler, poll_requests/flush_acks and every completion callback;
 // start_put, start_get and both poll halves assert it. The protocol state
 // is therefore plain: no locks, and credits are plain counters.
@@ -113,7 +113,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -207,24 +206,11 @@ class RmaAmProtocol {
  public:
   using Done = arch::UniqueFunction<void()>;
 
-  // Sender-side queue slots beyond the window before an injecting call
-  // blocks (making progress while it waits). Bounds the payload copies a
-  // flood can park in private memory.
-  static constexpr std::size_t kQueueSlack = 64;
-
-  // A contiguous run in the *remote* rank's address space. In memory this
-  // holds the initiator's view of the address (cross-mapped today); on the
-  // wire it always travels as a (segment id, offset) pair resolved at the
-  // owning rank — see wire_enc/wire_dec below.
-  struct Frag {
-    std::uint64_t addr;
-    std::uint64_t bytes;
-  };
-  // A contiguous run in the initiator's address space.
-  struct LocalFrag {
-    void* ptr;
-    std::size_t bytes;
-  };
+  // A remote run holds the initiator's view of the address (cross-mapped
+  // today); on the wire it always travels as a (segment id, offset) pair
+  // resolved at the owning rank — see wire_enc/wire_dec below.
+  using Frag = XferEngine::Frag;
+  using LocalFrag = XferEngine::LocalFrag;
 
   // `w` is a resolved policy (gex::resolve_am_window at launch): a pinned
   // window, or the adaptive controller started at w.window per target.
@@ -240,40 +226,37 @@ class RmaAmProtocol {
 
   static std::uint32_t adaptive_ceiling(AmEngine* am);
 
-  // The four entry points below are one path: a contiguous transfer is
-  // the one-run case of the fragment records. Stats count one-run
-  // requests as puts_sent/gets_sent and multi-run ones as frag_*.
+  // The two entry points: one put path and one get path, each a single
+  // request naming its remote runs (a contiguous transfer is the one-run
+  // case). Stats count one-run requests as puts_sent/gets_sent and
+  // multi-run ones as frag_*. The caller must hold a credit —
+  // credits(target) > 0 — and each call claims one; the XferEngine is the
+  // caller that checks.
   //
-  // Contiguous put: the payload leaves src before this call returns (the
-  // initiator may reuse src immediately) — copied into the wire when a
-  // credit is available, into the sender-side queue otherwise. `done` fires
-  // from a later poll() once the target has memcpy'd the payload and its
-  // ack arrived.
-  void put(int target, void* dst, const void* src, std::size_t bytes,
-           Done done);
-
-  // Contiguous get: `dst` must stay valid until `done` fires (the reply
-  // handler scatters into it first).
-  void get(int target, void* dst, const void* src, std::size_t bytes,
-           Done done);
-
-  // Scatter-put: local fragments are gathered directly into the request
-  // payload (or the queue buffer when the window is full); the target
-  // scatters into `dsts` in order. Total source and destination bytes must
-  // match.
-  void put_fragments(int target, const std::vector<Frag>& dsts,
-                     const std::vector<LocalFrag>& srcs, Done done);
-
+  // Scatter-put: the local runs are gathered, in order, straight into the
+  // request record (or a pooled staging buffer) before this returns, so
+  // the initiator may reuse them; the target scatters into `dsts` in
+  // order. Total source and destination bytes must match. `done` fires
+  // from a later poll() once the target has copied the payload and its ack
+  // arrived.
+  void start_put(int target, const Frag* dsts, std::size_t ndsts,
+                 const LocalFrag* srcs, std::size_t nsrcs, Done done);
   // Gather-get: the target gathers `srcs` into one reply; the initiator
   // scatters the payload into `dsts` in order (each must stay valid until
   // `done` fires).
-  void get_fragments(int target, const std::vector<Frag>& srcs,
-                     std::vector<LocalFrag> dsts, Done done);
+  void start_get(int target, const Frag* srcs, std::size_t n,
+                 std::vector<LocalFrag> dsts, Done done);
 
-  // Fires due completion callbacks (returning their credits and releasing
-  // queued requests), sends queued requests as credits allow, and flushes
-  // deferred acks/replies — acks owed to one target coalesce into a single
-  // multi-ack record per call. Called from internal progress after
+  // Requests the window admits toward `target` right now: the current
+  // window minus requests in flight, and 0 once the job's error flag is up
+  // (so nothing is ever sent into a dead rank's ring). Reads the *current*
+  // window, so back-pressure follows an adaptive window as it moves: a
+  // shrink reports 0 until in-flight requests drain below the new bound.
+  std::uint32_t credits(int target) const;
+
+  // Fires due completion callbacks (returning their credits) and flushes
+  // deferred replies and acks — acks owed to one target coalesce into a
+  // single multi-ack record per call. Called from internal progress after
   // AmEngine::poll (upcxx::progress does; run_rank's teardown loop does for
   // raw-gex users). Returns the number of actions performed.
   //
@@ -284,61 +267,38 @@ class RmaAmProtocol {
   // reverse traffic before a standalone record is spent on them.
   int poll() { return poll_requests() + flush_acks(); }
 
-  // Completions, queued-request release, and deferred replies — everything
-  // except standalone ack records.
+  // Completions and deferred replies — everything except standalone ack
+  // records.
   int poll_requests();
 
   // One multi-ack record per target still owed acks after the piggyback
   // opportunities above.
   int flush_acks();
 
-  // No requests awaiting completion (in flight or queued), nothing
-  // deferred to send, and no staged reply still awaiting its consumption
-  // ack (the buffer is pinned until the rack arrives).
+  // No requests awaiting completion, nothing deferred to send, and no
+  // staged reply still awaiting its consumption ack (the buffer is pinned
+  // until the rack arrives).
   bool idle() const;
-  // Requests not yet completed, whether on the wire or still queued.
+  // Requests sent and not yet completed, summed over targets.
   std::size_t outstanding() const { return pending_.size(); }
-  // Requests parked sender-side waiting for credits.
-  std::size_t queued() const {
-    std::size_t n = 0;
-    for (const auto& p : peers_) n += p->sendq.size();
-    return n;
-  }
   // The pinned window, or — adaptive mode — the controller ceiling
   // (kMaxAmWindow): in both cases the hard bound every per-target window
   // and pool respects, which is what invariant checks compare against.
   std::uint32_t window() const { return adaptive_ ? max_window_ : window_; }
   bool adaptive_window() const { return adaptive_; }
-  // The current operating window for `target` (moves in adaptive mode).
-  std::uint32_t window_now(int target) const {
-    if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
-      return window_;
-    return window_now(*peers_[target]);
-  }
-
-  // True when a request to `target` would go straight onto the wire (a
-  // credit is free and nothing is queued ahead of it). The XferEngine's
-  // chunk movers consult this (WireOps::ready) so chunks wait in the
-  // engine — where they cost nothing — instead of piling up payload copies
-  // in the sender-side queue. Reads the *current* window, so engine
-  // back-pressure follows an adaptive window as it moves: a shrink simply
-  // reports not-ready until in-flight requests drain below the new bound.
-  bool can_accept(int target) const {
-    if (target < 0 || static_cast<std::size_t>(target) >= peers_.size())
-      return true;
-    const Peer& p = *peers_[target];
-    return p.sendq.empty() && p.outstanding < window_now(p);
-  }
 
   // Teardown giving-up path: a peer (or the whole job) failed, its acks and
-  // replies will never arrive. Releases every credit, cancels queued and
-  // in-flight requests (their `done` callbacks are destroyed, not fired —
-  // the arena error flag is the failure signal), and drops owed acks so no
-  // later poll tries to send into a dead rank's possibly-full ring.
+  // replies will never arrive. Releases every credit, cancels in-flight
+  // requests (their `done` callbacks are destroyed, not fired — the arena
+  // error flag is the failure signal), and drops owed acks so no later
+  // poll tries to send into a dead rank's possibly-full ring. Ops still in
+  // the XferEngine's channels stay there: credits() reads 0 while the
+  // error flag is up, so the engine never issues them.
   void fail_all_peers();
 
-  // XferEngine chunk movers backed by this protocol — install with
-  // XferEngine::set_wire to put the chunked engine on the am wire.
+  // The XferEngine wire backed by this protocol (start_put, start_get,
+  // credits) — install with XferEngine::set_wire to put the engine on the
+  // am wire.
   XferEngine::WireOps wire_ops();
 
   struct Stats {
@@ -352,10 +312,12 @@ class RmaAmProtocol {
     std::uint64_t ack_cookies_sent = 0;  // cookies in standalone records
     std::uint64_t acks_piggybacked = 0;  // cookies on reverse traffic
     std::uint64_t replies_sent = 0;
-    std::uint64_t requests_queued = 0;   // parked for lack of a credit
-    std::uint64_t send_stalls = 0;       // spins waiting for a queue slot
+    // Always 0: the protocol holds no queue (credit-blocked ops wait in
+    // the XferEngine channel). Kept only because upcxx_bench reads them;
+    // delete both with that read at the next benchmark change.
+    std::uint64_t requests_queued = 0;
+    std::uint64_t send_stalls = 0;
     std::uint64_t max_outstanding = 0;   // peak in-flight to any one target
-    std::uint64_t queued_peak = 0;       // peak sender-side queue depth
     std::uint64_t cancelled = 0;         // dropped by fail_all_peers
     std::uint64_t stale_completions = 0;  // acks/replies after a cancel
     std::uint64_t puts_staged = 0;       // puts through the bounce pool
@@ -390,34 +352,22 @@ class RmaAmProtocol {
     StageBuf stage{};  // staged puts: recycled into the pool on ack
     std::uint64_t send_ns = 0;  // wire-send time (adaptive RTT sampling)
   };
-  // A window-blocked request. Puts own their payload (the caller's source
-  // buffer is reusable the moment the injecting call returns); gets keep
-  // their scatter list in pending_ like every other get.
-  struct QueuedReq {
-    enum Kind : std::uint8_t { kPut, kGet };
-    Kind kind;
-    std::uint64_t cookie;
-    std::vector<Frag> remote;        // the remote runs, wire order
-    std::vector<std::byte> payload;  // puts only: the gathered sources
-  };
   struct QueuedReply {
     int target;
     std::uint64_t cookie;
     std::vector<Frag> gather;  // local (this rank's) source runs
   };
   // Per-target sender and receiver state: the credit window (with its
-  // adaptive controller), the queue of window-blocked requests, the acks
-  // and reply-consumption acks this rank owes that target, and both
-  // staging pools (put bounce buffers as initiator, reply buffers as
-  // target). `outstanding` is the credit counter, claimed against
-  // window_now.
+  // adaptive controller), the acks and reply-consumption acks this rank
+  // owes that target, and both staging pools (put bounce buffers as
+  // initiator, reply buffers as target). `outstanding` is the credit
+  // counter, claimed against window_now.
   struct Peer {
     Peer(int t, std::uint32_t start, std::uint32_t max, double envelope)
         : target(t), ctrl(start, max, envelope) {}
     const int target;
     AmWindowController ctrl;
     std::uint32_t outstanding = 0;  // on the wire, not retired
-    std::deque<QueuedReq> sendq;
     std::vector<std::uint64_t> acks_owed;
     std::vector<std::uint64_t> racks_owed;  // staged replies consumed here
     std::vector<StageBuf> stage_pool;  // free bounce buffers, ready to reuse
@@ -441,9 +391,9 @@ class RmaAmProtocol {
     return *peers_[static_cast<std::size_t>(target)];
   }
   // The operating window for one peer: pinned, or the controller's current
-  // value. Every bound in the protocol (credits, queue cap, both staging
-  // pools, engine back-pressure) derives from this so the state machine
-  // follows an adaptive window as it moves.
+  // value. Credits (and with them the engine's back-pressure) and the put
+  // pool derive from this so the state machine follows an adaptive window
+  // as it moves.
   std::uint32_t window_now(const Peer& p) const {
     return adaptive_ ? p.ctrl.window() : window_;
   }
@@ -476,29 +426,9 @@ class RmaAmProtocol {
   // Records the wire-send time of `cookie` for adaptive RTT sampling
   // (no-op when the window is pinned).
   void note_wire_send(std::uint64_t cookie);
-  // Claims one credit against the current window; true means the caller
-  // owns it and must send (or release it via cancel_sent). Fails while
-  // anything is parked in the sendq — queued requests go first.
-  bool try_claim_credit(Peer& p);
-  // Claims one credit ignoring the sendq (flush_sendq draining its own
-  // queue).
-  bool claim_outstanding(Peer& p);
-  void enqueue(Peer& p, QueuedReq q);
-  // A window-blocked put: the remote runs plus an owned copy of the
-  // gathered sources.
-  static QueuedReq queued_put(std::uint64_t cookie, const Frag* dsts,
-                              std::size_t ndsts, const LocalFrag* srcs,
-                              std::size_t nsrcs);
-  // Sends queued requests while credits allow; returns actions performed.
-  int flush_sendq(Peer& p);
-
-  // The one put and one get path every entry point funnels into (a
-  // contiguous transfer is the one-run case): claim a credit and send, or
-  // park the request in the peer's sendq.
-  void start_put(int target, const Frag* dsts, std::size_t ndsts,
-                 const LocalFrag* srcs, std::size_t nsrcs, Done done);
-  void start_get(int target, const Frag* srcs, std::size_t n,
-                 std::vector<LocalFrag> dsts, Done done);
+  // Claims the credit the caller checked for (the one claim: the caller
+  // then sends, or releases it via cancel_sent).
+  void claim_credit(Peer& p);
 
   // A record under construction: the engine send buffer, the cursor past
   // its header and piggybacked acks, and how many of each it carries.

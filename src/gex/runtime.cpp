@@ -86,9 +86,9 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
     rma_am_proto.poll();
   }
   // Gave up because a peer failed: its acks will never retire our credits.
-  // Release them and cancel queued/in-flight requests now, or the polls
-  // below would keep trying to send into the dead rank's (possibly full)
-  // ring and hang the survivors.
+  // Release them and cancel in-flight requests now, or the polls below
+  // would keep trying to send into the dead rank's (possibly full) ring and
+  // hang the survivors.
   if (arena->control().error_flag.value.load(std::memory_order_acquire) != 0)
     rma_am_proto.fail_all_peers();
   aggregator.flush_all();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 
 #include "arch/atomics.hpp"
 #include "arch/timer.hpp"
@@ -33,44 +32,93 @@ void XferEngine::set_link_bw_gbps(int target, double gbps) {
   channel(target).ns_per_byte = gbps > 0 ? 1.0 / gbps : 0;
 }
 
-void XferEngine::submit(int target, void* dst, const void* src,
-                        std::size_t bytes, Callback on_source,
-                        Callback on_landed, bool is_get,
-                        std::uint64_t extra_landing_ns) {
+XferEngine::Xfer& XferEngine::enqueue(int target) {
   assert(self() == owner_ && "XferEngine used off its rank's thread");
-  assert((bytes == 0 || (dst && src)) && "null endpoint on a live transfer");
+  Xfer* x;
+  if (free_.empty()) {
+    nodes_.push_back(std::make_unique<Xfer>());
+    x = nodes_.back().get();
+  } else {
+    x = free_.back();
+    free_.pop_back();
+  }
   ++active_count_;
   ++inflight_count_;
   arch::relaxed_inc(stats_.submitted);
   arch::relaxed_max(stats_.max_inflight, inflight_count_);
-  channel(target).active_.push_back(
-      Xfer{static_cast<std::byte*>(dst), static_cast<const std::byte*>(src),
-           bytes, 0, is_get, std::move(on_source), std::move(on_landed),
-           extra_landing_ns, 0, nullptr});
+  Channel& ch = channel(target);
+  (ch.tail ? ch.tail->next : ch.head) = x;
+  ch.tail = x;
+  if (!ch.issue) ch.issue = x;
+  return *x;
 }
 
-void XferEngine::issue_one_chunk(Channel& ch,
-                                 std::vector<Callback>& sources) {
-  Xfer& x = ch.active_.front();
-  const std::size_t take = std::min(chunk_bytes_, x.bytes - x.off);
-  if (take) {
+void XferEngine::submit(int target, void* dst, const void* src,
+                        std::size_t bytes, Callback on_source,
+                        Callback on_landed, bool is_get,
+                        std::uint64_t extra_landing_ns) {
+  assert((bytes == 0 || (dst && src)) && "null endpoint on a live transfer");
+  Xfer& x = enqueue(target);
+  x.dst = static_cast<std::byte*>(dst);
+  x.src = static_cast<const std::byte*>(src);
+  x.bytes = bytes;
+  x.is_get = is_get;
+  x.on_source = std::move(on_source);
+  x.on_landed = std::move(on_landed);
+  x.extra_landing_ns = extra_landing_ns;
+}
+
+void XferEngine::submit_runs(int target, std::vector<Frag> remote,
+                             std::vector<LocalFrag> local, Callback on_source,
+                             Callback on_landed, bool is_get) {
+  assert(wire_ && "run entries need an installed wire");
+  Xfer& x = enqueue(target);
+  for (const Frag& f : remote) x.bytes += static_cast<std::size_t>(f.bytes);
+  x.is_get = is_get;
+  x.runs = true;
+  x.remote = std::move(remote);
+  x.local = std::move(local);
+  x.on_source = std::move(on_source);
+  x.on_landed = std::move(on_landed);
+}
+
+std::size_t XferEngine::issue_one_chunk(Channel& ch) {
+  Xfer& x = *ch.issue;
+  const std::size_t take =
+      x.runs ? x.bytes : std::min(chunk_bytes_, x.bytes - x.off);
+  if (x.runs || take) {
     if (!wire_) {
       std::memcpy(x.dst + x.off, x.src + x.off, take);
     } else {
-      // Each wire chunk carries a pending-ack token; the transfer retires
+      // Each wire piece carries a pending-ack token; the transfer retires
       // only once every token has been returned. The wire may complete
-      // synchronously (done before put_chunk returns), so the counter is
-      // bumped first. A submit reached from inside the wire call appends
-      // to active_, which leaves `x` (its front) in place.
-      if (!x.unacked) x.unacked = std::make_shared<std::uint32_t>(0);
-      ++*x.unacked;
-      Callback done = [u = x.unacked] { --*u; };
-      if (x.is_get)
-        wire_->get_chunk(ch.target, x.dst + x.off, x.src + x.off, take,
-                         std::move(done));
-      else
-        wire_->put_chunk(ch.target, x.dst + x.off, x.src + x.off, take,
-                         std::move(done));
+      // synchronously (done before put returns), so the counter is bumped
+      // first. The node never moves while queued, and a submit reached
+      // from inside the wire call appends behind it.
+      ++x.unacked;
+      Callback done = [px = &x] { --px->unacked; };
+      if (x.runs) {
+        if (x.is_get)
+          wire_->get(ch.target, x.remote.data(), x.remote.size(),
+                     std::move(x.local), std::move(done));
+        else
+          wire_->put(ch.target, x.remote.data(), x.remote.size(),
+                     x.local.data(), x.local.size(), std::move(done));
+      } else {
+        // One run each side: the remote run is the side the transfer does
+        // not land locally.
+        std::byte* mine = x.is_get ? x.dst + x.off
+                                   : const_cast<std::byte*>(x.src + x.off);
+        const std::byte* theirs = x.is_get ? x.src + x.off : x.dst + x.off;
+        const Frag r{reinterpret_cast<std::uintptr_t>(theirs), take};
+        if (x.is_get) {
+          wire_->get(ch.target, &r, 1, {LocalFrag{mine, take}},
+                     std::move(done));
+        } else {
+          const LocalFrag l{mine, take};
+          wire_->put(ch.target, &r, 1, &l, 1, std::move(done));
+        }
+      }
     }
     x.off += take;
     arch::relaxed_add(stats_.bytes_copied, take);
@@ -85,29 +133,32 @@ void XferEngine::issue_one_chunk(Channel& ch,
   }
   if (x.off == x.bytes) {
     // Last byte read out of the source: the initiator may reuse it.
-    if (x.on_source) sources.push_back(std::move(x.on_source));
     x.landed_due_ns = ch.ns_per_byte > 0 ? ch.wire_free_ns_ : 0;
     if (x.extra_landing_ns)
       x.landed_due_ns = std::max(x.landed_due_ns, arch::now_ns()) +
                         x.extra_landing_ns;
-    ch.landing_.push_back(std::move(x));
-    ch.active_.pop_front();
+    ch.issue = x.next;
     --active_count_;
+    if (Callback cb = std::move(x.on_source)) cb();
   }
+  return std::max<std::size_t>(take, 1);
 }
 
 int XferEngine::retire_landed(Channel& ch) {
   // Due times are monotone per channel (its wire clock only advances) and
-  // acks return in chunk-issue order, so the head check suffices. Each
-  // callback runs after its entry left the queue: it may submit new
-  // transfers or re-enter poll.
+  // acks return in issue order, so the head check suffices. Each callback
+  // runs after its entry left the queue: it may submit new transfers or
+  // re-enter poll.
   int fired = 0;
-  while (!ch.landing_.empty()) {
-    Xfer& head = ch.landing_.front();
-    if (head.unacked && *head.unacked != 0) break;
+  while (ch.head && ch.head != ch.issue) {
+    Xfer& head = *ch.head;
+    if (head.unacked != 0) break;
     if (head.landed_due_ns > arch::now_ns()) break;
     Callback cb = std::move(head.on_landed);
-    ch.landing_.pop_front();
+    ch.head = head.next;
+    if (!ch.head) ch.tail = nullptr;
+    head = Xfer{};
+    free_.push_back(&head);
     --inflight_count_;
     arch::relaxed_inc(stats_.landed);
     if (cb) cb();
@@ -121,83 +172,50 @@ int XferEngine::poll(int chunk_budget) {
   int work = 0;
   const std::size_t n = channels_.size();
   if (n == 0) return work;
-  // Per-poll credit ledger on metered wires (WireOps::credits — the AM
-  // wire's adaptive window): how many more chunks each channel may issue
-  // this poll. Both passes deal against the same ledger, so budget a
-  // throttled channel cannot use flows to the others rather than being
-  // burned on a channel whose window is already full. Unmetered wires
-  // (the direct wire) skip the ledger entirely — no allocation on the
-  // fast path. Channels a callback adds during this poll (index >= n)
+  // The budget in bytes: a full chunk costs one chunk's worth, a small op
+  // only its size. Channels a callback adds during this poll (index >= n)
   // wait for the next one.
-  const bool metered = wire_ && wire_->credits;
-  std::vector<int> credit;
-  auto credit_of = [&](std::size_t i) -> int {
-    if (!metered) return std::numeric_limits<int>::max();
-    while (credit.size() <= i)
-      credit.push_back(static_cast<int>(std::min<std::uint32_t>(
-          wire_->credits(channels_[credit.size()]->target), 1u << 30)));
-    return credit[i];
-  };
-  auto spend_credit = [&](std::size_t i) {
-    if (metered) --credit[i];
-  };
-  std::vector<Callback> sources;
-  auto fire_sources = [&] {
-    for (auto& cb : sources) {
-      cb();
-      ++work;
-    }
-    sources.clear();
+  std::size_t budget =
+      chunk_budget > 0 ? static_cast<std::size_t>(chunk_budget) * chunk_bytes_
+                       : 0;
+  auto spend = [&](std::size_t cost) {
+    budget -= std::min(cost, budget);
+    ++work;
+    return cost;
   };
   // Pass 1 — bandwidth-proportional quotas: each channel with queued work
-  // and a ready wire gets a share of the budget scaled by its link
+  // and a wire credit gets a share of the budget scaled by its link
   // bandwidth (minimum one chunk), so a fast link soaks up the budget a
   // clock-bound capped link cannot convert into delivered bytes. Weights
   // are recomputed per poll: completion callbacks change the channel set.
-  if (chunk_budget > 0) {
+  if (budget > 0) {
     double total_weight = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      Channel& ch = *channels_[i];
-      if (!ch.active_.empty() && wire_ready(ch) && credit_of(i) > 0)
-        total_weight += link_weight(ch);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      if (can_issue(*channels_[i])) total_weight += link_weight(*channels_[i]);
     if (total_weight > 0) {
-      const int budget0 = chunk_budget;
-      for (std::size_t k = 0; k < n && chunk_budget > 0; ++k) {
-        const std::size_t i = (rr_ + k) % n;
-        Channel& ch = *channels_[i];
-        if (ch.active_.empty() || !wire_ready(ch)) continue;
-        int quota = std::max(
-            1, static_cast<int>(budget0 * (link_weight(ch) / total_weight)));
-        quota = std::min({quota, chunk_budget, credit_of(i)});
-        // Re-check readiness per chunk: each issued chunk may consume a
-        // wire credit (the AM window) and close the channel mid-quota.
-        while (quota > 0 && !ch.active_.empty() && wire_ready(ch)) {
-          issue_one_chunk(ch, sources);
-          spend_credit(i);
-          --quota;
-          --chunk_budget;
-          ++work;
-        }
-        fire_sources();
+      for (std::size_t k = 0; k < n && budget > 0; ++k) {
+        Channel& ch = *channels_[(rr_ + k) % n];
+        if (!can_issue(ch)) continue;
+        const int chunks = std::max(
+            1, static_cast<int>(chunk_budget * (link_weight(ch) / total_weight)));
+        std::size_t quota =
+            std::min(static_cast<std::size_t>(chunks) * chunk_bytes_, budget);
+        // Credits are re-read per piece: each one issued consumes a wire
+        // credit (the AM window) and may close the channel mid-quota.
+        while (quota > 0 && can_issue(ch))
+          quota -= std::min(spend(issue_one_chunk(ch)), quota);
       }
     }
   }
   // Pass 2 — leftover budget (quotas rounded down, or their channels ran
-  // dry) goes round-robin one chunk at a time, the pre-quota behavior.
-  while (chunk_budget > 0) {
+  // dry) goes round-robin one piece at a time.
+  while (budget > 0) {
     bool any = false;
-    for (std::size_t k = 0; k < n && chunk_budget > 0; ++k) {
-      const std::size_t i = (rr_ + k) % n;
-      Channel& ch = *channels_[i];
-      if (ch.active_.empty() || !wire_ready(ch) || credit_of(i) <= 0)
-        continue;
-      issue_one_chunk(ch, sources);
-      spend_credit(i);
-      --chunk_budget;
-      ++work;
+    for (std::size_t k = 0; k < n && budget > 0; ++k) {
+      Channel& ch = *channels_[(rr_ + k) % n];
+      if (!can_issue(ch)) continue;
+      spend(issue_one_chunk(ch));
       any = true;
-      fire_sources();
     }
     if (!any) break;
   }
@@ -210,16 +228,12 @@ int XferEngine::poll(int chunk_budget) {
 
 void XferEngine::drain_copies() {
   assert(self() == owner_ && "XferEngine drained off its rank's thread");
-  // A not-ready wire stops its channel: the chunks must wait for wire
-  // credits, which only arrive through the caller's AM polling — the
-  // barrier-entry loop in upcxx re-invokes until copies_pending() clears.
-  std::vector<Callback> sources;
+  // A channel out of credits stops: its entries must wait for acks, which
+  // only arrive through the caller's AM polling — the barrier-entry loop
+  // in upcxx re-invokes until copies_pending() clears.
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     Channel& ch = *channels_[i];
-    while (!ch.active_.empty() && wire_ready(ch))
-      issue_one_chunk(ch, sources);
-    for (auto& cb : sources) cb();
-    sources.clear();
+    while (can_issue(ch)) issue_one_chunk(ch);
     retire_landed(ch);
   }
 }
@@ -238,8 +252,8 @@ std::size_t XferEngine::pending_chunks(int target) const {
   for (const auto& ch : channels_) {
     if (ch->target != target) continue;
     std::size_t n = 0;
-    for (const auto& x : ch->active_)
-      n += (x.bytes - x.off + chunk_bytes_ - 1) / chunk_bytes_;
+    for (const Xfer* x = ch->issue; x; x = x->next)
+      n += x->runs ? 1 : (x->bytes - x->off + chunk_bytes_ - 1) / chunk_bytes_;
     return n;
   }
   return 0;

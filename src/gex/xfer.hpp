@@ -1,10 +1,11 @@
 // Asynchronous data-motion engine — the substrate's bulk-transfer path and
 // the paper's actQ (§III) made real.
 //
-// Large RMA transfers are decomposed into pipelined chunks held in
-// *per-target channels* and drained by *internal* progress with bounded
-// work per poll. The initiating call returns immediately after queueing;
-// the actual data motion happens inside later poll() calls made by
+// Large RMA transfers (and every transfer on the AM wire) are decomposed
+// into pipelined chunks held in *per-target channels* and drained by
+// *internal* progress with bounded work per poll. The initiating call
+// returns immediately after queueing; the actual data motion happens
+// inside later poll() calls made by
 // whichever thread holds the rank's master persona — so a dedicated
 // progress-thread persona gives true communication/computation overlap on
 // multicore, which is the property bench/abl_overlap.cpp measures.
@@ -24,7 +25,14 @@
 // zero-allocation, remotely visible on return. The AM wire
 // (gex/rma_am.hpp, selected by UPCXX_RMA_WIRE=am) ships each chunk as an
 // active-message put/get request and completes it when the target's ack
-// arrives; the engine's completion pipeline is identical either way.
+// arrives; the engine's completion pipeline is identical either way. On
+// the AM wire the channels are the *only* sender-side queue: every op,
+// small contiguous ones and non-contiguous fragment lists included, waits
+// here until the protocol has a credit for its target.
+//
+// Entries: a contiguous transfer is chunked; a run entry (submit_runs — a
+// scatter-put or gather-get over lists of runs) is one wire request that
+// is never split. Both share the channel's FIFO.
 //
 // Two completion signals per transfer, always in this order:
 //   on_source — every byte has been read out of the source buffer (the
@@ -53,11 +61,15 @@
 // outside any chunk issue and may submit again; a submit that arrives
 // while a channel is mid-issue (wire-call recursion) appends behind the
 // transfer being issued, so per-target FIFO holds either way.
+//
+// Memory: entries are pooled nodes linked into their channel's FIFO, so
+// an entry never moves while its chunks are on the wire (each chunk's
+// done callback counts down the entry's own ack counter) and a steady
+// stream of transfers allocates nothing in the engine.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -72,36 +84,50 @@ class XferEngine {
  public:
   using Callback = arch::UniqueFunction<void()>;
 
-  // Chunks issued per poll() by default: bounds the work one internal
-  // progress call performs so injection-heavy loops stay responsive.
+  // Chunks' worth of bytes issued per poll() by default: bounds the work
+  // one internal progress call performs so injection-heavy loops stay
+  // responsive. The budget is charged in bytes, so a small op costs its
+  // size rather than a whole chunk.
   static constexpr int kDefaultChunkBudget = 4;
 
-  // A pluggable chunk mover. Each op transports one chunk to/from `target`
-  // and must invoke `done` exactly once when the chunk's data is remotely
-  // visible — synchronously (the direct wire) or from a later engine/AM
-  // poll (the AM wire, once the target's ack arrives). put_chunk must
-  // consume `src` before returning (the engine fires on_source when the
-  // last chunk has been issued); get_chunk must have written `dst` by the
-  // time it calls done. An optional `ready` predicate lets the wire apply
-  // back-pressure: while ready(target) is false the engine holds that
-  // channel's chunks (they cost nothing in the engine — the source buffer
-  // is pinned until on_source) instead of pushing them into a wire that
-  // would have to buffer or block. The AM wire reports false while its
-  // credit window to the target is full.
+  // A contiguous run in the *remote* rank's address space (the address as
+  // this rank sees it; the AM wire encodes it as a segment offset).
+  struct Frag {
+    std::uint64_t addr;
+    std::uint64_t bytes;
+  };
+  // A contiguous run in this rank's address space.
+  struct LocalFrag {
+    void* ptr;
+    std::size_t bytes;
+  };
+
+  // A pluggable mover. `put` gathers the `local` runs, in order, into the
+  // `remote` runs (equal totals) and must consume the local runs before
+  // returning (the engine fires on_source once a transfer's last piece
+  // has been issued); `get` scatters the `remote` runs into `local` and
+  // must have written them by the time it calls done. Either way `done`
+  // fires exactly once, when the data is remotely visible — synchronously
+  // or from a later engine/AM poll (the AM wire, once the target's ack or
+  // reply arrives). A contiguous chunk is the one-run case.
+  //
+  // `credits` is the wire's back-pressure: how many more requests it
+  // accepts toward `target` right now — on the AM wire, the adaptive
+  // window (window_now) minus requests in flight, and 0 once the job's
+  // error flag is up. Each put/get consumes one. The engine re-reads it
+  // before every issue, so a channel whose count is 0 holds its entries
+  // (they cost nothing here — the source stays pinned until on_source)
+  // and poll() deals the budget it cannot use to other channels. Null =
+  // unmetered.
   struct WireOps {
-    arch::UniqueFunction<void(int target, void* dst, const void* src,
-                              std::size_t bytes, Callback done)>
-        put_chunk;
-    arch::UniqueFunction<void(int target, void* dst, const void* src,
-                              std::size_t bytes, Callback done)>
-        get_chunk;
-    arch::UniqueFunction<bool(int target)> ready;  // null = always ready
-    // Chunks the wire will accept toward `target` right now — the AM
-    // wire's *adaptive* credit window (window_now) minus its in-flight
-    // requests, rather than any static ceiling. Null = unmetered. poll()
-    // deals its per-poll budget against this, so quota a throttled
-    // channel cannot convert flows to other channels in the same poll
-    // instead of dying with the throttled one.
+    arch::UniqueFunction<void(int target, const Frag* remote,
+                              std::size_t nremote, const LocalFrag* local,
+                              std::size_t nlocal, Callback done)>
+        put;
+    arch::UniqueFunction<void(int target, const Frag* remote,
+                              std::size_t nremote,
+                              std::vector<LocalFrag> local, Callback done)>
+        get;
     arch::UniqueFunction<std::uint32_t(int target)> credits;
   };
 
@@ -113,7 +139,6 @@ class XferEngine {
   // Installs a wire (replacing the built-in direct memcpy). Must happen
   // before any submit().
   void set_wire(WireOps ops) { wire_.emplace(std::move(ops)); }
-  bool wire_is_direct() const { return !wire_.has_value(); }
 
   // Overrides the simulated bandwidth of the link to `target` (per-link
   // cap; other links keep the engine default).
@@ -130,21 +155,29 @@ class XferEngine {
               Callback on_source, Callback on_landed, bool is_get = false,
               std::uint64_t extra_landing_ns = 0);
 
-  // Bounded internal progress: issues at most `chunk_budget` chunks across
-  // channels with queued work (per-channel FIFO is preserved), and fires
-  // every due completion callback. The budget is dealt in two passes:
-  // first bandwidth-proportionally — each eligible channel gets a share
-  // scaled by its link bandwidth (minimum one chunk), so a fast link stays
-  // saturated while a clock-bound capped link gets just enough to keep its
-  // virtual wire busy — then any leftover budget goes round-robin to
-  // channels that still have work. Channels whose wire reports not-ready
-  // are skipped entirely (see WireOps::ready). Returns the number of
-  // chunks issued plus callbacks fired; 0 means there was nothing
+  // Queues one scatter-put (is_get false: the `local` runs are gathered
+  // into the `remote` runs) or gather-get (the `remote` runs land in
+  // `local`) as a single wire request that is never chunked. Needs an
+  // installed wire. Buffer lifetimes as for submit().
+  void submit_runs(int target, std::vector<Frag> remote,
+                   std::vector<LocalFrag> local, Callback on_source,
+                   Callback on_landed, bool is_get);
+
+  // Bounded internal progress: issues at most `chunk_budget` chunks' worth
+  // of bytes across channels with queued work (per-channel FIFO is
+  // preserved), and fires every due completion callback. The budget is
+  // dealt in two passes: first bandwidth-proportionally — each eligible
+  // channel gets a share scaled by its link bandwidth (minimum one chunk),
+  // so a fast link stays saturated while a clock-bound capped link gets
+  // just enough to keep its virtual wire busy — then any leftover budget
+  // goes round-robin to channels that still have work. Channels without
+  // wire credits are skipped (see WireOps::credits). Returns the number
+  // of pieces issued plus callbacks fired; 0 means there was nothing
   // actionable.
   int poll(int chunk_budget = kDefaultChunkBudget);
 
   // Issues every queued chunk the wire will currently accept (unbounded,
-  // but a not-ready wire stops its channel's drain — the caller must keep
+  // but a channel out of credits stops its drain — the caller must keep
   // polling the wire's ack path and re-invoking until copies_pending() is
   // false; upcxx's barrier entry does). Fires the source callbacks as
   // transfers finish issuing; wire-time and ack gating of on_landed still
@@ -172,7 +205,8 @@ class XferEngine {
   std::size_t chunk_bytes() const { return chunk_bytes_; }
   double bw_gbps() const { return bw_gbps_; }
   std::size_t channel_count() const;
-  // Chunks not yet issued on the link to `target` (budget-scaling tests).
+  // Pieces not yet issued on the link to `target`: chunks of contiguous
+  // transfers, one per run entry.
   std::size_t pending_chunks(int target) const;
 
   struct Stats {
@@ -185,53 +219,60 @@ class XferEngine {
   const Stats& stats() const { return stats_; }
 
  private:
+  // One queued transfer: a pooled node in its channel's FIFO.
   struct Xfer {
-    std::byte* dst;
-    const std::byte* src;
-    std::size_t bytes;
-    std::size_t off;  // bytes issued so far
-    bool is_get;
+    Xfer* next = nullptr;
+    std::byte* dst = nullptr;
+    const std::byte* src = nullptr;
+    std::size_t bytes = 0;
+    std::size_t off = 0;  // bytes issued so far
+    bool is_get = false;
+    bool runs = false;  // a run entry: `remote`/`local` issued whole
+    std::vector<Frag> remote;
+    std::vector<LocalFrag> local;
     Callback on_source;
     Callback on_landed;
-    std::uint64_t extra_landing_ns;
-    std::uint64_t landed_due_ns;  // virtual wire time of the last chunk
-    // Chunks issued on a non-direct wire whose done has not fired yet.
-    // Null on the direct wire (chunks complete synchronously — the
-    // zero-allocation fast path keeps holding).
-    std::shared_ptr<std::uint32_t> unacked;
+    std::uint64_t extra_landing_ns = 0;
+    std::uint64_t landed_due_ns = 0;  // virtual wire time of the last chunk
+    // Pieces issued on a non-direct wire whose done has not fired yet.
+    std::uint32_t unacked = 0;
   };
 
-  // One target's lane: its own FIFO pair and its own wire clock.
+  // One target's lane: a single FIFO and its own wire clock. Entries from
+  // `head` up to `issue` are fully issued and wait for acks / the virtual
+  // wire clock (due times are monotone per channel); `issue` onward are
+  // still to go out.
   struct Channel {
     int target = -1;
     double ns_per_byte = 0;  // 0 when the bandwidth model is off
-    // Head transfer is being chunked out; the rest wait. Separate landing
-    // queue for issued transfers awaiting acks / the virtual wire clock
-    // (due times are monotone per channel, so FIFO).
-    std::deque<Xfer> active_;
-    std::deque<Xfer> landing_;
+    Xfer* head = nullptr;
+    Xfer* issue = nullptr;
+    Xfer* tail = nullptr;
     std::uint64_t wire_free_ns_ = 0;
   };
 
   Channel& channel(int target);
+  Xfer& enqueue(int target);
 
   // Weight of an uncapped link in the bandwidth-proportional budget split:
   // effectively "memcpy speed", far above any modeled link, so uncapped
   // channels absorb the budget a clock-bound capped link cannot use.
   static constexpr double kUncappedWeightGbps = 128.0;
 
-  bool wire_ready(const Channel& ch) {
-    return !wire_ || !wire_->ready || wire_->ready(ch.target);
+  // The channel has a piece to issue and the wire has a credit for it.
+  bool can_issue(const Channel& ch) {
+    return ch.issue &&
+           (!wire_ || !wire_->credits || wire_->credits(ch.target) > 0);
   }
   double link_weight(const Channel& ch) const {
     return ch.ns_per_byte > 0 ? 1.0 / ch.ns_per_byte : kUncappedWeightGbps;
   }
 
-  // Issues the next chunk of the channel's head transfer. When the last
-  // byte goes out the transfer moves to landing_ and its on_source is
-  // appended to `sources`, for the caller to fire once the channel's
-  // issue loop is done (user code may re-enter poll() or submit()).
-  void issue_one_chunk(Channel& ch, std::vector<Callback>& sources);
+  // Issues the next piece of the channel's first unissued transfer and
+  // returns the budget it costs (its bytes, at least 1). When the last
+  // byte goes out the transfer's on_source is fired, outside the wire call
+  // (user code may re-enter poll() or submit()).
+  std::size_t issue_one_chunk(Channel& ch);
   // Fires every due on_landed of the channel, in FIFO order. Returns
   // callbacks fired.
   int retire_landed(Channel& ch);
@@ -241,6 +282,9 @@ class XferEngine {
   double ns_per_byte_;  // 0 when the bandwidth model is off
 
   std::optional<WireOps> wire_;
+  // Every entry node ever made, and the ones free for reuse.
+  std::vector<std::unique_ptr<Xfer>> nodes_;
+  std::vector<Xfer*> free_;
   // Few targets; linear scan. unique_ptr entries so a Channel stays put
   // while completion callbacks grow the set mid-traversal — traversals go
   // by index.

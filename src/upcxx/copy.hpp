@@ -6,18 +6,17 @@
 // (device_allocator.hpp).
 //
 // Data paths mirror rput/rget (rma.hpp) and are wire-agnostic:
-//   * at or above Config::rma_async_min, any copy that is remote or pays a
-//     device toll rides gex::XferEngine: chunks move through the target's
-//     channel (on whichever wire is installed) and the simulated-PCIe cost
-//     gates landing via the engine's extra-toll hook, so it *composes* with
-//     the virtual wire clock instead of being charged at injection —
-//     overlapped device copies pipeline exactly like host RMA
-//     (bench/micro_copy_devmem.cpp's async section measures this);
-//   * below the threshold on the am wire, remote copies ship as one AM
-//     put/get. A third-party copy (both endpoints remote) ships as a put to
-//     the destination rank whose payload is read through the cross-map —
-//     honest for the write side; a distributed backend would stage through
-//     a get first;
+//   * any copy that is remote or pays a device toll rides gex::XferEngine
+//     whenever rput would (every size on the am wire, at or above
+//     Config::rma_async_min on the direct wire): chunks move through the
+//     target's channel (on whichever wire is installed) and the
+//     simulated-PCIe cost gates landing via the engine's extra-toll hook,
+//     so it *composes* with the virtual wire clock instead of being charged
+//     at injection — overlapped device copies pipeline exactly like host
+//     RMA (bench/micro_copy_devmem.cpp's async section measures this). A
+//     third-party copy (both endpoints remote) is a put to the destination
+//     rank whose payload is read through the cross-map — honest for the
+//     write side; a distributed backend would stage through a get first;
 //   * otherwise the move is a synchronous memcpy at injection with the
 //     device/wire cost charged to operation completion, as before.
 //
@@ -48,14 +47,10 @@ auto copy_impl(Cxs cxs, intrank_t src_rank, intrank_t dst_rank, void* dst,
   const intrank_t target = is_get ? src_rank : dst_rank;
   const std::uint64_t wire_delay = remote ? 2 * op_state().sim_latency_ns : 0;
   if (use_xfer(bytes) && (remote || dev_ns > 0)) {
-    // issue_xfer_ns / issue_am_contig_ns are op_context-routed: the same
-    // call works from the master persona and from injector threads.
+    // issue_xfer_ns is op_context-routed: the same call works from the
+    // master persona and from injector threads.
     return issue_xfer_ns(std::move(cxs), target, dst, src, bytes,
                          wire_delay, is_get, /*extra_landing_ns=*/dev_ns);
-  }
-  if (wire_am() && remote) {
-    return issue_am_contig_ns(std::move(cxs), target, dst, src, bytes,
-                              is_get, wire_delay + dev_ns);
   }
   // Synchronous move: thread-safe as-is (the memcpy is the caller's own;
   // the completion hooks route off-persona), so injectors fall through.

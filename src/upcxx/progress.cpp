@@ -222,18 +222,15 @@ void drain_xfer_copies() {
   if (!rank || !rank->xfer) return;
   // Barrier-entry contract: every RMA issued before the barrier must be in
   // its target's inbox before our barrier message goes out. On the am wire
-  // the engine's drain stops at the credit window and requests can park in
-  // the protocol's sender-side queue, so keep pumping acks (which retire
-  // credits and release queued requests) until both are empty. Peers
-  // draining toward the same barrier serve our requests from their own
-  // loops, so this terminates — unless a peer died, which the error flag
-  // reports (its acks will never come; the teardown path cancels).
+  // the engine's drain stops at the credit window, so keep pumping acks
+  // (which retire credits) until the channels are empty. Peers draining
+  // toward the same barrier serve our requests from their own loops, so
+  // this terminates — unless a peer died, which the error flag reports
+  // (its acks will never come; the teardown path cancels).
   auto& err = rank->arena->control().error_flag.value;
   for (;;) {
     rank->xfer->drain_copies();
-    const bool engine_pending = rank->xfer->copies_pending();
-    const bool queued = rank->rma_am && rank->rma_am->queued() != 0;
-    if (!engine_pending && !queued) break;
+    if (!rank->xfer->copies_pending()) break;
     if (err.load(std::memory_order_acquire) != 0) break;
     int work = rank->am->poll();
     if (rank->rma_am) work += rank->rma_am->poll();
@@ -347,10 +344,9 @@ void progress(progress_level lvl) {
   // alone to keep batches intact across back-to-back injection calls.
   if (lvl == progress_level::user && p.rank->agg) p.rank->agg->flush_all();
   // Internal progress: poll the wire (stages incoming messages), fire the
-  // AM RMA protocol's due completions and queued-request releases (its
-  // handlers only record work — nothing is injected from inside a ring
-  // consume), advance the data-motion engine by a bounded number of
-  // chunks, and retire timed active operations whose completion time has
+  // AM RMA protocol's due completions and deferred replies (its handlers
+  // only record work — nothing is injected from inside a ring consume),
+  // advance the data-motion engine by a bounded number of chunks, and retire timed active operations whose completion time has
   // passed. The protocol's standalone-ack flush runs LAST, after the
   // engine: chunk requests issued in between are reverse traffic that
   // carries the acks piggybacked, so the flush only spends a ring record
@@ -440,8 +436,9 @@ void fini_persona() {
     progress();
   }
   // A failed peer holds credits that will never be returned: cancel the
-  // protocol's queued and in-flight requests so the final drain below does
-  // not try to send into a dead rank's ring.
+  // protocol's in-flight requests so the final drain below does not try to
+  // send into a dead rank's ring (ops still in the engine's channels stay
+  // there: the protocol reports no credits while the error flag is up).
   if (r->rma_am && err.load(std::memory_order_acquire) != 0)
     r->rma_am->fail_all_peers();
   // Final drain so peers' teardown traffic (e.g. late rpc_ff acks) does not

@@ -1,29 +1,30 @@
 // One-sided RMA: rput/rget plus the non-contiguous variants (paper §II).
 //
 // Every call is *wire-agnostic*: the data path is selected per target by
-// the resolved RMA wire (gex::resolve_rma_wire, UPCXX_RMA_WIRE=direct|am),
-// and within a wire by transfer size (Config::rma_async_min):
+// the resolved RMA wire (gex::resolve_rma_wire, UPCXX_RMA_WIRE=direct|am):
 //
 //   direct wire, small — the data motion is a memcpy performed by the
 //     initiator at injection (exactly what GASNet does over PSHM). Zero
 //     allocation; source completion is inherently synchronous.
-//   direct wire, large contiguous — handed to gex::XferEngine (the paper's
-//     actQ): decomposed into pipelined chunks in the target's channel,
-//     drained by internal progress with bounded work per poll, so the
-//     initiating call returns immediately and a progress-thread persona
-//     overlaps the copy with computation.
-//   am wire, small — one AM put/get request through gex::RmaAmProtocol
-//     (eager payloads inline in the ring, larger ones rendezvous-staged);
-//     the target's ack/reply drives completion. Non-contiguous shapes ship
-//     as one scatter-put / gather-get record per target rank.
-//   am wire, large contiguous — the XferEngine again, with its chunk
-//     movers bound to the AM protocol: each chunk is a request, each ack a
+//   direct wire, large contiguous (at or above Config::rma_async_min) —
+//     handed to gex::XferEngine (the paper's actQ): decomposed into
+//     pipelined chunks in the target's channel, drained by internal
+//     progress with bounded work per poll, so the initiating call returns
+//     immediately and a progress-thread persona overlaps the copy with
+//     computation.
+//   am wire, every op — the XferEngine again, with its wire bound to
+//     gex::RmaAmProtocol: each chunk is one AM put/get request (eager
+//     payloads inline in the ring, larger ones staged), each ack or reply a
 //     chunk completion, under the same per-channel budget and bandwidth
-//     clock as the direct wire.
+//     clock as the direct wire. A small op is a one-chunk transfer; a
+//     non-contiguous shape is one scatter-put / gather-get entry per
+//     target rank. The channel is the one queue in front of the
+//     protocol's credit window.
 //
 // Completion semantics on all paths follow the paper's model:
 //   * source completion — the source buffer is reusable (on the am wire:
-//     the payload has been copied into the wire);
+//     the payload has been copied into the wire, which for an op waiting
+//     on credits happens at a later progress call);
 //   * operation completion — remotely complete, including the
 //     network-level acknowledgment a blocking rput waits for (§IV-B);
 //     under simulated latency this costs a full round trip (2 hops) past
@@ -39,11 +40,13 @@
 // synchronous by construction), matching §III.
 //
 // Ordering note: as in real UPC++, two RMAs touching the same remote region
-// are unordered unless sequenced through completions; with the async engine
-// a small synchronous put can land before a still-draining large one.
-// Barrier entry drains the engine's pending chunks (on the am wire that
-// puts every request in the target's inbox ahead of the barrier message),
-// so the common "put, barrier, read" idiom keeps its pre-engine meaning.
+// are unordered unless sequenced through completions. On the direct wire a
+// small synchronous put can land before a still-draining large one; on the
+// am wire every op to one target shares its channel's FIFO, so a small op
+// no longer overtakes a large one issued before it. Barrier entry drains
+// the engine's pending chunks (on the am wire that puts every request in
+// the target's inbox ahead of the barrier message), so the common "put,
+// barrier, read" idiom keeps its pre-engine meaning.
 #pragma once
 
 #include <algorithm>
@@ -54,7 +57,6 @@
 #include <vector>
 
 #include "arch/atomics.hpp"
-#include "gex/rma_am.hpp"
 #include "gex/xfer.hpp"
 #include "upcxx/completion.hpp"
 #include "upcxx/global_ptr.hpp"
@@ -93,12 +95,13 @@ auto finish_rma(Cxs&& cxs, intrank_t target, std::uint64_t hops) {
 inline bool wire_am() { return op_state().rma_wire_am; }
 
 // True when a contiguous transfer of `bytes` should ride the asynchronous
-// data-motion engine instead of the injection-time path. Off-persona-safe
-// for the same reason as wire_am().
+// data-motion engine instead of the injection-time path: always on the am
+// wire, at or above rma_async_min on the direct wire. Off-persona-safe for
+// the same reason as wire_am().
 inline bool use_xfer(std::size_t bytes) {
   auto& p = op_state();
-  return p.rma_async_min != 0 && bytes >= p.rma_async_min &&
-         p.rank->xfer != nullptr;
+  return p.rank->xfer != nullptr &&
+         (p.rma_wire_am || (p.rma_async_min != 0 && bytes >= p.rma_async_min));
 }
 
 // Hands a contiguous transfer to the XferEngine and wires its two
@@ -113,18 +116,29 @@ inline bool use_xfer(std::size_t bytes) {
 // remote_now() stays on the progress persona: it only reads the remote-cx
 // items (the notification AM's payload), so the target's notification
 // fires at data-landing time instead of one inbox round trip later.
+// `hold` is a caller-side copy of the source (a scalar put's value): source
+// completion fires at once, and the engine's on_source keeps the copy
+// alive until the request has read it out.
 template <typename Cxs>
 auto issue_xfer_ns(Cxs cxs, intrank_t target, void* dst, const void* src,
                    std::size_t bytes, std::uint64_t delay, bool is_get,
-                   std::uint64_t extra_landing_ns = 0) {
+                   std::uint64_t extra_landing_ns = 0,
+                   std::shared_ptr<const void> hold = nullptr) {
   auto st = std::make_shared<cx_state<Cxs>>(std::move(cxs), target);
   st->prepare_deferred();
   const op_context cx = op_context::current();
   cx.run_at_rank([cx, st, target, dst, src, bytes, delay, is_get,
-                  extra_landing_ns]() mutable {
+                  extra_landing_ns, hold = std::move(hold)]() mutable {
     gex::XferEngine::Callback on_source;
-    if constexpr (has_source_completions<Cxs>)
+    if (hold) {
+      // The caller's value was copied into `hold` at injection, so its
+      // source is free now; the holder lives until the engine read it out.
+      on_source = [hold = std::move(hold)] {};
+      if constexpr (has_source_completions<Cxs>)
+        cx.complete_now([st] { st->source_now(); });
+    } else if constexpr (has_source_completions<Cxs>) {
       on_source = [cx, st] { cx.complete_now([st] { st->source_now(); }); };
+    }
     persona().rank->xfer->submit(
         target, dst, src, bytes, std::move(on_source),
         [cx, st, delay] {
@@ -139,65 +153,13 @@ auto issue_xfer_ns(Cxs cxs, intrank_t target, void* dst, const void* src,
   return st->result();
 }
 
-// Hop-based wrapper (the RMA calls charge a 2-hop round trip).
-template <typename Cxs>
-auto issue_xfer(Cxs cxs, intrank_t target, void* dst, const void* src,
-                std::size_t bytes, std::uint64_t hops, bool is_get) {
-  return issue_xfer_ns(std::move(cxs), target, dst, src, bytes,
-                       hops * op_state().sim_latency_ns, is_get);
-}
-
-// One sub-engine-threshold contiguous op on the am wire: a single protocol
-// request whose ack/reply drives remote and operation completion. put()
-// copies the payload out before the dispatched closure finishes, so for a
-// master-persona initiator source completion is synchronous exactly as
-// before; for gets the initiator has no source buffer to protect and the
-// same holds trivially. `hold` keeps a caller-side staging buffer (a
-// scalar put's value) alive until the closure has consumed it — needed
-// only when the initiator's stack frame dies before an injected closure
-// runs.
-template <typename Cxs>
-auto issue_am_contig_ns(Cxs cxs, intrank_t target, void* dst,
-                        const void* src, std::size_t bytes, bool is_get,
-                        std::uint64_t delay,
-                        std::shared_ptr<const void> hold = nullptr) {
-  auto st = std::make_shared<cx_state<Cxs>>(std::move(cxs), target);
-  st->prepare_deferred();
-  const op_context cx = op_context::current();
-  cx.run_at_rank([cx, st, target, dst, src, bytes, is_get, delay,
-                  hold = std::move(hold)]() mutable {
-    (void)hold;  // kept alive until this closure has run
-    auto& proto = *persona().rank->rma_am;
-    auto done = [cx, st, delay] {
-      st->remote_now();
-      cx.complete_after_ns(delay, [st] { st->operation_done(0); });
-    };
-    if (is_get)
-      proto.get(target, dst, src, bytes, std::move(done));
-    else
-      proto.put(target, dst, src, bytes, std::move(done));
-    // put() copied the payload out (or there is none): the source is
-    // reusable as soon as the initiator hears so.
-    if constexpr (has_source_completions<Cxs>)
-      cx.complete_now([st] { st->source_now(); });
-  });
-  return st->result();
-}
-
-template <typename Cxs>
-auto issue_am_contig(Cxs cxs, intrank_t target, void* dst, const void* src,
-                     std::size_t bytes, bool is_get, std::uint64_t hops) {
-  return issue_am_contig_ns(std::move(cxs), target, dst, src, bytes, is_get,
-                            hops * op_state().sim_latency_ns);
-}
-
 // Matched fragment runs grouped by target rank — the unit the am wire's
 // scatter-put / gather-get records carry. `remote` and `local` line up
 // index-by-index in wire order.
 struct AmFragGroup {
   intrank_t target;
-  std::vector<gex::RmaAmProtocol::Frag> remote;
-  std::vector<gex::RmaAmProtocol::LocalFrag> local;
+  std::vector<gex::XferEngine::Frag> remote;
+  std::vector<gex::XferEngine::LocalFrag> local;
 };
 
 inline AmFragGroup& am_frag_group(std::vector<AmFragGroup>& groups,
@@ -208,15 +170,16 @@ inline AmFragGroup& am_frag_group(std::vector<AmFragGroup>& groups,
   return groups.back();
 }
 
-// Issues one scatter-put or gather-get per target group and delivers
-// completions: each target is remote-notified once when its fragments
-// landed (its ack/reply arrived); the operation completes when every
-// target has. `is_get` moves each group's local runs into the protocol as
-// the reply's scatter list. op_context-routed like the contiguous issue
-// paths, so irregular/strided transfers work from injector threads too
-// (the fragment descriptors travel inside the dispatched closure; the
-// user buffers they point at are pinned until source/operation
-// completion by the usual RMA contract).
+// Queues one scatter-put or gather-get per target group — a run entry in
+// that target's XferEngine channel — and delivers completions: source
+// completion once every group's request has been issued; each target is
+// remote-notified once when its fragments landed (its ack/reply arrived);
+// the operation completes when every target has. `is_get` hands each
+// group's local runs to the wire as the reply's scatter list.
+// op_context-routed like the contiguous issue path, so irregular/strided
+// transfers work from injector threads too (the fragment descriptors
+// travel inside the dispatched closure; the user buffers they point at are
+// pinned until source/operation completion by the usual RMA contract).
 template <typename Cxs>
 auto issue_am_fragments(Cxs cxs, std::vector<AmFragGroup> groups,
                         bool is_get) {
@@ -228,22 +191,28 @@ auto issue_am_fragments(Cxs cxs, std::vector<AmFragGroup> groups,
   const op_context cx = op_context::current();
   cx.run_at_rank([cx, st, groups = std::move(groups), is_get,
                   delay]() mutable {
-    auto remaining = std::make_shared<std::size_t>(groups.size());
-    auto& proto = *persona().rank->rma_am;
+    struct Left {
+      std::size_t unsourced, unlanded;
+    };
+    auto left = std::make_shared<Left>(Left{groups.size(), groups.size()});
+    auto& xfer = *persona().rank->xfer;
     for (auto& g : groups) {
-      auto done = [cx, st, remaining, t = g.target, delay] {
-        st->remote_now(t);
-        if (--*remaining == 0)
-          cx.complete_after_ns(delay, [st] { st->operation_done(0); });
-      };
-      if (is_get)
-        proto.get_fragments(g.target, g.remote, std::move(g.local),
-                            std::move(done));
-      else
-        proto.put_fragments(g.target, g.remote, g.local, std::move(done));
+      gex::XferEngine::Callback on_source;
+      if constexpr (has_source_completions<Cxs>)
+        on_source = [cx, st, left] {
+          if (--left->unsourced == 0)
+            cx.complete_now([st] { st->source_now(); });
+        };
+      xfer.submit_runs(
+          g.target, std::move(g.remote), std::move(g.local),
+          std::move(on_source),
+          [cx, st, left, t = g.target, delay] {
+            st->remote_now(t);
+            if (--left->unlanded == 0)
+              cx.complete_after_ns(delay, [st] { st->operation_done(0); });
+          },
+          is_get);
     }
-    if constexpr (has_source_completions<Cxs>)
-      cx.complete_now([st] { st->source_now(); });
   });
   return st->result();
 }
@@ -268,13 +237,10 @@ auto rput(const T* src, global_ptr<T> dest, std::size_t n,
   arch::relaxed_inc(detail::op_state().stats.rputs);
   const std::size_t bytes = n * sizeof(T);
   if (detail::use_xfer(bytes)) {
-    return detail::issue_xfer(std::move(cxs), dest.where(), dest.local(),
-                              src, bytes, /*hops=*/2, /*is_get=*/false);
-  }
-  if (detail::wire_am()) {
-    return detail::issue_am_contig(std::move(cxs), dest.where(),
-                                   dest.local(), src, bytes,
-                                   /*is_get=*/false, /*hops=*/2);
+    return detail::issue_xfer_ns(std::move(cxs), dest.where(), dest.local(),
+                                 src, bytes,
+                                 2 * detail::op_state().sim_latency_ns,
+                                 /*is_get=*/false);
   }
   // Direct-wire injection path: runs unchanged on injector threads — the
   // memcpy is the initiator's own, and every completion hook routes
@@ -284,10 +250,10 @@ auto rput(const T* src, global_ptr<T> dest, std::size_t n,
   return detail::finish_rma(std::move(cxs), dest.where(), /*hops=*/2);
 }
 
-// Scalar value put. Never rides the engine: the source is the by-value
-// parameter itself, which dies when this call returns — but both wires
-// consume it synchronously (memcpy, or the AM request's payload copy), so
-// an 8-byte transfer needs no chunking anyway.
+// Scalar value put. On the direct wire it is consumed synchronously (a
+// memcpy). On the am wire it is a one-chunk engine transfer like any
+// other, but the source is the by-value parameter itself, which dies when
+// this call returns.
 template <typename T, typename Cxs = default_cx_t>
 auto rput(T value, global_ptr<T> dest, Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -295,17 +261,15 @@ auto rput(T value, global_ptr<T> dest, Cxs cxs = Cxs{}) {
   assert(!dest.is_null());
   arch::relaxed_inc(detail::op_state().stats.rputs);
   if (detail::wire_am()) {
-    // The by-value parameter dies with this call; when an injector thread
-    // initiates, the AM request is built later on the progress persona —
-    // stage the value in a holder the dispatched closure keeps alive (on
-    // the master-persona path the closure runs inline, same lifetime,
-    // one small allocation next to the cx_state's own).
+    // The put may wait in its channel for a credit: stage the value in a
+    // holder the engine's on_source keeps alive until the request has
+    // copied it out.
     auto holder = std::make_shared<T>(value);
     const void* src = holder.get();
-    return detail::issue_am_contig_ns(
+    return detail::issue_xfer_ns(
         std::move(cxs), dest.where(), dest.local(), src, sizeof(T),
-        /*is_get=*/false, 2 * detail::op_state().sim_latency_ns,
-        std::move(holder));
+        2 * detail::op_state().sim_latency_ns, /*is_get=*/false,
+        /*extra_landing_ns=*/0, std::move(holder));
   }
   std::memcpy(dest.local(), &value, sizeof(T));
   return detail::finish_rma(std::move(cxs), dest.where(), /*hops=*/2);
@@ -323,14 +287,10 @@ auto rget(global_ptr<T> src, T* dest, std::size_t n, Cxs cxs = Cxs{}) {
   arch::relaxed_inc(detail::op_state().stats.rgets);
   const std::size_t bytes = n * sizeof(T);
   if (detail::use_xfer(bytes)) {
-    return detail::issue_xfer(std::move(cxs), src.where(), dest,
-                              src.local(), bytes, /*hops=*/2,
-                              /*is_get=*/true);
-  }
-  if (detail::wire_am()) {
-    return detail::issue_am_contig(std::move(cxs), src.where(), dest,
-                                   src.local(), bytes, /*is_get=*/true,
-                                   /*hops=*/2);
+    return detail::issue_xfer_ns(std::move(cxs), src.where(), dest,
+                                 src.local(), bytes,
+                                 2 * detail::op_state().sim_latency_ns,
+                                 /*is_get=*/true);
   }
   if (bytes) std::memcpy(dest, src.local(), bytes);
   return detail::finish_rma(std::move(cxs), src.where(), /*hops=*/2);
@@ -345,22 +305,24 @@ future<T> rget(global_ptr<T> src) {
   assert(!src.is_null());
   arch::relaxed_inc(detail::op_state().stats.rgets);
   if (detail::wire_am()) {
-    // The reply scatters into a shared holder; the value ships to the
-    // future through compQ (plus the modeled round trip) like every other
-    // deferred completion — back through the initiating persona's inbox
-    // when an injector thread asked, where the promise lives.
+    // A one-chunk engine get whose reply scatters into a shared holder;
+    // the value ships to the future through compQ (plus the modeled round
+    // trip) like every other deferred completion — back through the
+    // initiating persona's inbox when an injector thread asked, where the
+    // promise lives.
     auto buf = std::make_shared<T>();
     promise<T> pr;
     const std::uint64_t delay = 2 * detail::op_state().sim_latency_ns;
     const detail::op_context cx = detail::op_context::current();
     cx.run_at_rank([cx, buf, pr, src, delay]() mutable {
-      detail::persona().rank->rma_am->get(
-          src.where(), buf.get(), src.local(), sizeof(T),
+      detail::persona().rank->xfer->submit(
+          src.where(), buf.get(), src.local(), sizeof(T), {},
           [cx, buf, pr, delay]() mutable {
             cx.complete_after_ns(delay, [buf, pr]() mutable {
               pr.fulfill_result(*buf);
             });
-          });
+          },
+          /*is_get=*/true);
     });
     return pr.get_future();
   }

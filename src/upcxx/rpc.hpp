@@ -29,22 +29,29 @@ namespace upcxx {
 
 namespace detail {
 
-// Writes the callable as a pod (alignment-safe).
+// Writes the callable as a pod (alignment-safe). An empty callable (a
+// captureless lambda) has no state, so nothing — not even its one
+// indeterminate byte — goes on the wire.
 template <typename Ar, typename F>
 void serialization_write_fn(Ar& ar, const F& fn) {
-  ar.align(alignof(F) > kWireAlign ? kWireAlign : alignof(F));
-  ar.bytes(&fn, sizeof(F));
+  if constexpr (!std::is_empty_v<F>) {
+    ar.align(alignof(F) > kWireAlign ? kWireAlign : alignof(F));
+    ar.bytes(&fn, sizeof(F));
+  }
 }
 
 // Reads the callable back. Capturing lambdas are not default-constructible,
-// so reconstitute through aligned storage and trivial copy.
+// so reconstitute through aligned storage and trivial copy; an empty
+// callable reads nothing.
 template <typename F>
 F read_fn(Reader& r) {
-  r.align(alignof(F) > kWireAlign ? kWireAlign : alignof(F));
   struct Box {
     alignas(F) unsigned char bytes[sizeof(F)];
-  } box;
-  std::memcpy(box.bytes, r.raw(sizeof(F)), sizeof(F));
+  } box{};
+  if constexpr (!std::is_empty_v<F>) {
+    r.align(alignof(F) > kWireAlign ? kWireAlign : alignof(F));
+    std::memcpy(box.bytes, r.raw(sizeof(F)), sizeof(F));
+  }
   return *reinterpret_cast<F*>(box.bytes);
 }
 

@@ -8,7 +8,9 @@
 //   * an injected rpc round trip (request, execution, reply, fulfillment
 //     back on the injector's persona);
 //   * an injected 64 B rput over the AM wire (request, ack, operation
-//     completion back on the injector's persona).
+//     completion back on the injector's persona);
+//   * the same 64 B AM-wire rput issued by the master persona itself, with
+//     no injector thread in between.
 //
 // The bounds are half of what the op layer allocated before the
 // cross-thread hand-offs moved onto block queues and reply slots (the
@@ -132,6 +134,40 @@ TEST(AllocCount, InjectedAmWireRput) {
   std::printf("allocations per injected AM-wire rput: %.3f\n", got);
   ASSERT_GE(got, 0);
   EXPECT_LE(got, kBefore / 2);
+}
+
+TEST(AllocCount, MasterAmWireRput) {
+  // Reference: 5.125 operator-new calls per rput when the master persona
+  // handed small AM-wire ops straight to the protocol (measured by this
+  // same test body on that code). The transport is pinned to mmap: the
+  // socket transport's send queue adds its own allocations per record.
+  constexpr double kBefore = 5.125;
+  double got = -1;
+  gex::Config cfg = testutil::test_cfg(2);
+  cfg.rma_wire = gex::RmaWire::kAm;
+  cfg.am_transport = gex::AmTransport::kMmap;
+  const int fails = upcxx::run(cfg, [&] {
+    auto slots = upcxx::allocate<char>(64);
+    upcxx::dist_object<upcxx::global_ptr<char>> dir(slots);
+    const auto peer = dir.fetch(1 - upcxx::rank_me()).wait();
+    std::vector<char> src(64, 'x');
+    if (upcxx::rank_me() == 0) {
+      auto op = [&](int i) {
+        src[0] = static_cast<char>(i);
+        upcxx::rput(src.data(), peer, 64).wait();
+      };
+      for (int i = 0; i < kWarmup; ++i) op(i);
+      const std::uint64_t before = g_news.load();
+      for (int i = 0; i < kWindow; ++i) op(kWarmup + i);
+      got = static_cast<double>(g_news.load() - before) / kWindow;
+    }
+    upcxx::barrier();
+    upcxx::deallocate(slots);
+  });
+  EXPECT_EQ(fails, 0);
+  std::printf("allocations per master-persona AM-wire rput: %.3f\n", got);
+  ASSERT_GE(got, 0);
+  EXPECT_LE(got, kBefore);
 }
 
 }  // namespace

@@ -217,15 +217,16 @@ TEST(ProcessBackend, DeviceCopyAcrossProcesses) {
 TEST(ProcessBackend, FailedPeerReleasesAmWireCredits) {
   // Regression: teardown's drain gives up when a peer fails, but the
   // survivor's credits held by that peer (window slots consumed by
-  // unacknowledged requests) were never returned, and requests parked
-  // behind them sat in the sender-side queue forever. fail_all_peers()
-  // must cancel both so survivors tear down instead of waiting for acks
-  // from a dead rank. The flood below exceeds the window, so without the
-  // release this hangs (and trips the 600 s ctest timeout).
+  // unacknowledged requests) were never returned. fail_all_peers() must
+  // cancel the in-flight requests, and the ops still waiting behind them
+  // in the XferEngine channel must never go out (the protocol reports no
+  // credits once the error flag is up), so survivors tear down instead of
+  // waiting for acks from a dead rank. The flood below exceeds the window,
+  // so without the release this hangs (and trips the 600 s ctest timeout).
   gex::Config cfg = testutil::test_cfg(4);
   cfg.backend = gex::Backend::kProcess;
   cfg.rma_wire = gex::RmaWire::kAm;
-  cfg.am_window = 1;  // every request beyond the first parks in the queue
+  cfg.am_window = 1;  // every op beyond the first waits in the channel
   const int fails = upcxx::run(cfg, [] {
     const int me = upcxx::rank_me();
     static upcxx::global_ptr<long> victim;
@@ -235,14 +236,16 @@ TEST(ProcessBackend, FailedPeerReleasesAmWireCredits) {
     if (me == 3) throw std::runtime_error("injected fault");
     if (me == 0) {
       // Flood the failing rank: one request takes the only credit, the
-      // rest queue behind it. Do NOT wait on completion — rank 3 may die
-      // before acking anything.
-      std::vector<long> pat(64, 7);
+      // rest wait behind it in the channel. Do NOT wait on completion —
+      // rank 3 may die before acking anything. The source outlives the
+      // body: queued puts keep pointing at it.
+      static const std::vector<long> pat(64, 7);
       for (int i = 0; i < 6; ++i)
         upcxx::rput(pat.data(), ptrs[3], 64,
                     upcxx::operation_cx::as_lpc([] {}));
-      require(gex::rma_am().stats().requests_queued >= 1,
-              "window=1 flood parked requests in the sender-side queue");
+      upcxx::progress();
+      require(gex::xfer().pending_chunks(3) >= 5,
+              "window=1 flood left its backlog in the XferEngine channel");
     }
     // Survivors make bounded progress; no barrier (rank 3 never arrives).
     for (int i = 0; i < 200; ++i) upcxx::progress();

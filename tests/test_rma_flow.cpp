@@ -1,13 +1,16 @@
 // AM-wire transport performance layer: credit-based flow control (the
-// UPCXX_AM_WINDOW per-target request window with sender-side queueing) and
-// ack aggregation (multi-ack records batched per poll, ack piggybacking on
-// reverse traffic). These tests drive gex::RmaAmProtocol directly — raw
-// polls, no upcxx progress in the measured phases — so record-level
+// UPCXX_AM_WINDOW per-target request window, with credit-blocked ops
+// waiting in the target's XferEngine channel) and ack aggregation
+// (multi-ack records batched per poll, ack piggybacking on reverse
+// traffic). These tests drive gex::RmaAmProtocol and its engine directly —
+// raw polls, no upcxx progress in the measured phases — so record-level
 // behavior (exactly one ack record per poll, acks riding a reverse put) is
 // observable instead of averaged away.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -19,10 +22,23 @@
 
 namespace {
 
-// Raw progress for one rank: inbox + protocol pumps, no upcxx layers.
+// Raw progress for one rank: the inbox, the protocol and the XferEngine
+// channels that feed it, in upcxx's internal-progress order — no upcxx
+// layers.
 void pump() {
   gex::am().poll();
-  gex::rma_am().poll();
+  gex::rma_am().poll_requests();
+  gex::xfer().poll();
+  gex::rma_am().flush_acks();
+}
+
+// One contiguous protocol put straight onto the wire. The caller holds a
+// credit: every use below stays inside the window.
+void put_now(int target, void* dst, const void* src, std::size_t n,
+             gex::RmaAmProtocol::Done done) {
+  const gex::XferEngine::Frag d{reinterpret_cast<std::uintptr_t>(dst), n};
+  const gex::XferEngine::LocalFrag l{const_cast<void*>(src), n};
+  gex::rma_am().start_put(target, &d, 1, &l, 1, std::move(done));
 }
 
 std::atomic<int> g_phase{0};
@@ -41,19 +57,31 @@ TEST(AmFlowControl, WindowCapsOutstandingPerTarget) {
     upcxx::barrier();
     if (upcxx::rank_me() == 0) {
       auto& proto = gex::rma_am();
+      auto& xfer = gex::xfer();
       EXPECT_EQ(proto.window(), 4u);
+      EXPECT_EQ(proto.credits(1), 4u);
       std::vector<char> src(kBytes, 'w');
       for (int i = 0; i < kPuts; ++i)
-        proto.put(1, remote.local(), src.data(), kBytes,
-                  [] { g_done.fetch_add(1); });
-      // The flood exceeded the window: most requests parked sender-side.
-      EXPECT_GT(proto.stats().requests_queued, 0u);
-      while (g_done.load() < kPuts) pump();
+        xfer.submit(1, remote.local(), src.data(), kBytes, {},
+                    [] { g_done.fetch_add(1); });
+      // Nothing moves at submit: the whole flood waits in the channel.
+      EXPECT_EQ(xfer.pending_chunks(1), static_cast<std::size_t>(kPuts));
+      EXPECT_EQ(proto.outstanding(), 0u);
+      pump();
+      // One poll spent the window; the rest of the flood is still queued
+      // in the channel, not in the protocol.
+      EXPECT_EQ(proto.credits(1), 0u);
+      EXPECT_GT(xfer.pending_chunks(1), 0u);
+      while (g_done.load() < kPuts) {
+        pump();
+        ASSERT_LE(proto.outstanding(), 4u);
+      }
       const auto& st = proto.stats();
       // At no point were more than W requests unacknowledged on the wire.
       EXPECT_LE(st.max_outstanding, 4u);
       EXPECT_EQ(st.puts_sent, static_cast<std::uint64_t>(kPuts));
-      EXPECT_EQ(proto.queued(), 0u);
+      EXPECT_EQ(xfer.pending_chunks(1), 0u);
+      EXPECT_TRUE(xfer.idle());
       EXPECT_TRUE(proto.idle());
     } else {
       while (gex::rma_am().stats().puts_handled <
@@ -78,9 +106,12 @@ TEST(AmFlowControl, WindowOneSerializesAndCompletes) {
     if (upcxx::rank_me() == 1) remote = upcxx::new_array<long>(1);
     upcxx::barrier();
     if (upcxx::rank_me() == 0) {
-      for (long i = 0; i < kPuts; ++i)
-        gex::rma_am().put(1, remote.local(), &i, sizeof i,
-                          [] { g_done.fetch_add(1); });
+      // Each queued put points at its own source until it is issued.
+      std::vector<long> vals(kPuts);
+      std::iota(vals.begin(), vals.end(), 0L);
+      for (const long& v : vals)
+        gex::xfer().submit(1, remote.local(), &v, sizeof v, {},
+                           [] { g_done.fetch_add(1); });
       while (g_done.load() < kPuts) pump();
       EXPECT_EQ(gex::rma_am().stats().max_outstanding, 1u);
       EXPECT_TRUE(gex::rma_am().idle());
@@ -100,39 +131,132 @@ TEST(AmFlowControl, WindowOneSerializesAndCompletes) {
   EXPECT_EQ(fails, 0);
 }
 
+// A window of 1 under a flood of small upcxx puts: the protocol never has
+// more than one request in flight while the rest of the flood waits in the
+// XferEngine channel (pointing at the callers' buffers), and every put
+// lands.
+TEST(AmFlowControl, WindowOneFloodWaitsInChannel) {
+  gex::Config cfg = testutil::test_cfg(2);
+  cfg.rma_wire = gex::RmaWire::kAm;
+  cfg.am_window = 1;
+  const int fails = upcxx::run(cfg, [] {
+    constexpr int kPuts = 256;
+    const int me = upcxx::rank_me();
+    auto mine = upcxx::new_array<long>(kPuts);
+    std::fill_n(mine.local(), kPuts, -1L);
+    upcxx::dist_object<upcxx::global_ptr<long>> dir(mine);
+    auto peer = dir.fetch(1 - me).wait();
+    upcxx::barrier();
+    if (me == 0) {
+      std::vector<long> vals(kPuts);
+      std::iota(vals.begin(), vals.end(), 1L);
+      upcxx::promise<> pr;
+      for (int i = 0; i < kPuts; ++i)
+        upcxx::rput(&vals[i], peer + i, 1,
+                    upcxx::operation_cx::as_promise(pr));
+      // Issued from the master persona: queued, nothing on the wire yet.
+      EXPECT_EQ(gex::xfer().pending_chunks(1),
+                static_cast<std::size_t>(kPuts));
+      EXPECT_EQ(gex::rma_am().outstanding(), 0u);
+      bool saw_backlog = false;
+      auto all = pr.finalize();
+      while (!all.is_ready()) {
+        upcxx::progress();
+        ASSERT_LE(gex::rma_am().outstanding(), 1u);
+        if (gex::rma_am().outstanding() == 1 &&
+            gex::xfer().pending_chunks(1) > 0)
+          saw_backlog = true;
+      }
+      EXPECT_TRUE(saw_backlog);
+      EXPECT_EQ(gex::rma_am().stats().max_outstanding, 1u);
+      EXPECT_EQ(gex::xfer().pending_chunks(1), 0u);
+    }
+    upcxx::barrier();
+    if (me == 1)
+      for (int i = 0; i < kPuts; ++i)
+        ASSERT_EQ(mine.local()[i], i + 1L) << "put " << i << " missing";
+    upcxx::barrier();
+    upcxx::delete_array(mine, kPuts);
+    upcxx::barrier();
+  });
+  EXPECT_EQ(fails, 0);
+}
+
+// Every AM-wire op to one target shares that target's channel FIFO, whatever
+// its size: a 64 B put issued after a 1 MiB put to the same target lands
+// after it — its bytes survive the large put's first chunk over the same
+// addresses, and its completion follows the large put's.
+TEST(AmChannelFifo, SmallPutLandsAfterEarlierLargePut) {
+  gex::Config cfg = testutil::test_cfg(2);
+  cfg.rma_wire = gex::RmaWire::kAm;
+  const int fails = upcxx::run(cfg, [] {
+    constexpr std::size_t kBig = 1 << 20;
+    constexpr std::size_t kSmall = 64;
+    const int me = upcxx::rank_me();
+    auto mine = upcxx::new_array<char>(kBig);
+    upcxx::dist_object<upcxx::global_ptr<char>> dir(mine);
+    auto peer = dir.fetch(1 - me).wait();
+    upcxx::barrier();
+    if (me == 0) {
+      std::vector<char> big(kBig, 'L'), small(kSmall, 's');
+      auto large = upcxx::rput(big.data(), peer, kBig);
+      bool large_done_first = false;
+      auto tiny = upcxx::rput(small.data(), peer, kSmall).then(
+          [&] { large_done_first = large.is_ready(); });
+      upcxx::when_all(large, tiny).wait();
+      EXPECT_TRUE(large_done_first);
+    }
+    upcxx::barrier();
+    if (me == 1) {
+      const char* p = mine.local();
+      EXPECT_EQ(std::count(p, p + kSmall, 's'),
+                static_cast<std::ptrdiff_t>(kSmall));
+      EXPECT_EQ(std::count(p + kSmall, p + kBig, 'L'),
+                static_cast<std::ptrdiff_t>(kBig - kSmall));
+    }
+    upcxx::barrier();
+    upcxx::delete_array(mine, kBig);
+    upcxx::barrier();
+  });
+  EXPECT_EQ(fails, 0);
+}
+
 // Both ranks flood each other through a deliberately tiny ring with a tiny
-// window: rings fill, windows exhaust, sender queues overflow into the
-// bounded-queue stall path — and everything must still drain, because every
-// stalled sender keeps polling its own inbox (retiring the peer's credits).
+// window: rings fill, windows exhaust, and the floods back up in the
+// XferEngine channels — and everything must still drain, because every
+// sender keeps polling its own inbox (retiring the peer's credits).
 TEST(AmFlowControl, MutualFloodMakesProgress) {
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;
   cfg.am_window = 2;
   cfg.ring_bytes = 8 << 10;  // the minimum: eager records are scarce
-  cfg.rma_async_min = 0;     // every rput is one protocol request
   const int fails = upcxx::run(cfg, [] {
     constexpr int kPuts = 2000;
-    constexpr std::size_t kN = 128;  // 1 KB payloads
+    constexpr std::size_t kN = 128;  // 1 KB payloads: one request each
     const int me = upcxx::rank_me();
     auto mine = upcxx::new_array<long>(kN);
     std::fill_n(mine.local(), kN, -1L);
     upcxx::dist_object<upcxx::global_ptr<long>> dir(mine);
     auto peer = dir.fetch(1 - me).wait();
     upcxx::barrier();
-    std::vector<long> src(kN);
+    // One source per put: a put waiting for a credit reads its source when
+    // it is issued, so none may be rewritten before operation completion.
+    std::vector<long> src(kPuts * kN);
     upcxx::promise<> pr;
     for (int i = 0; i < kPuts; ++i) {
+      long* s = src.data() + static_cast<std::size_t>(i) * kN;
       for (std::size_t j = 0; j < kN; ++j)
-        src[j] = static_cast<long>(i) * 1000 + static_cast<long>(j);
-      upcxx::rput(src.data(), peer, kN,
-                  upcxx::operation_cx::as_promise(pr));
+        s[j] = static_cast<long>(i) * 1000 + static_cast<long>(j);
+      upcxx::rput(s, peer, kN, upcxx::operation_cx::as_promise(pr));
       if (!(i % 16)) upcxx::progress();
     }
+    // Each progress call issues at most a window's worth: the backlog is
+    // held in the channel to the peer.
+    EXPECT_GT(gex::xfer().pending_chunks(1 - me), 0u);
     pr.finalize().wait();
     const auto& st = gex::rma_am().stats();
     EXPECT_LE(st.max_outstanding, 2u);
-    EXPECT_LE(st.queued_peak,
-              gex::rma_am().window() + gex::RmaAmProtocol::kQueueSlack);
+    EXPECT_EQ(gex::xfer().pending_chunks(1 - me), 0u);
     upcxx::barrier();
     // Peer's last put landed whole.
     EXPECT_EQ(mine.local()[0], (kPuts - 1) * 1000L);
@@ -171,9 +295,9 @@ TEST(AmAckAggregation, OneAckRecordPerTargetPerPoll) {
         std::this_thread::yield();
       // Burst of eager puts; the window (64) admits all of them at once.
       for (long i = 0; i < kPuts; ++i)
-        gex::rma_am().put(1, remote.local(), &i, sizeof i,
-                          [] { g_done.fetch_add(1); });
-      EXPECT_EQ(gex::rma_am().stats().requests_queued, 0u);
+        put_now(1, remote.local(), &i, sizeof i,
+                [] { g_done.fetch_add(1); });
+      EXPECT_EQ(gex::rma_am().credits(1), 64u - kPuts);
       g_phase.store(1, std::memory_order_release);
       while (g_done.load() < kPuts) pump();
       EXPECT_TRUE(gex::rma_am().idle());
@@ -229,8 +353,8 @@ TEST(AmAckAggregation, AcksRideReverseTraffic) {
       while (s_parked.load(std::memory_order_acquire) < 1)
         std::this_thread::yield();
       for (long i = 0; i < kPuts; ++i)
-        gex::rma_am().put(1, remote1.local(), &i, sizeof i,
-                          [] { g_done.fetch_add(1); });
+        put_now(1, remote1.local(), &i, sizeof i,
+                [] { g_done.fetch_add(1); });
       g_phase.store(1, std::memory_order_release);
       // Serve rank 1's reverse put and collect our piggybacked acks; our
       // completions must all fire even though no ack record was sent.
@@ -244,8 +368,8 @@ TEST(AmAckAggregation, AcksRideReverseTraffic) {
       const auto before = gex::rma_am().stats();
       // Reverse-direction request: the owed acks ride along.
       long v = 4242;
-      gex::rma_am().put(0, remote0.local(), &v, sizeof v,
-                        [] { s_reverse_done.fetch_add(1); });
+      put_now(0, remote0.local(), &v, sizeof v,
+              [] { s_reverse_done.fetch_add(1); });
       const auto after = gex::rma_am().stats();
       EXPECT_EQ(after.acks_piggybacked - before.acks_piggybacked,
                 static_cast<std::uint64_t>(kPuts));
@@ -296,11 +420,13 @@ TEST_P(AmStagingPool, PoolBuffersRecycleAcrossAStream) {
       for (int i = 0; i < kPuts; ++i) {
         auto done = [] { g_done.fetch_add(1); };
         if (fragments)
-          gex::rma_am().put_fragments(
+          gex::xfer().submit_runs(
               1, {{dst, kHalf}, {dst + kHalf, kHalf}},
-              {{src.data(), kHalf}, {src.data() + kHalf, kHalf}}, done);
+              {{src.data(), kHalf}, {src.data() + kHalf, kHalf}}, {}, done,
+              /*is_get=*/false);
         else
-          gex::rma_am().put(1, remote.local(), src.data(), kBytes, done);
+          gex::xfer().submit(1, remote.local(), src.data(), kBytes, {},
+                             done);
       }
       while (g_done.load() < kPuts) pump();
       const auto& st = gex::rma_am().stats();
@@ -356,8 +482,8 @@ TEST(AmReplyStaging, ReplyPoolRecyclesAcrossAStream) {
       std::vector<std::vector<char>> sinks(
           kGets, std::vector<char>(kBytes, 'x'));
       for (int i = 0; i < kGets; ++i)
-        gex::rma_am().get(1, sinks[i].data(), remote.local(), kBytes,
-                          [] { g_done.fetch_add(1); });
+        gex::xfer().submit(1, sinks[i].data(), remote.local(), kBytes, {},
+                           [] { g_done.fetch_add(1); }, /*is_get=*/true);
       while (g_done.load() < kGets) pump();
       const auto& st = gex::rma_am().stats();
       // Every reply arrived through the staged path and was consumed here.
@@ -428,9 +554,12 @@ TEST(AmReplyStaging, ExhaustedPoolFallsBackToRendezvous) {
         std::this_thread::yield();
       std::vector<std::vector<char>> sinks(
           kGets, std::vector<char>(kBytes, 'x'));
+      // The burst fits the private window (8): straight onto the wire.
+      const gex::XferEngine::Frag from{
+          reinterpret_cast<std::uintptr_t>(remote.local()), kBytes};
       for (int i = 0; i < kGets; ++i)
-        proto.get(1, sinks[i].data(), remote.local(), kBytes,
-                  [] { g_done.fetch_add(1); });
+        proto.start_get(1, &from, 1, {{sinks[i].data(), kBytes}},
+                        [] { g_done.fetch_add(1); });
       g_phase.store(1, std::memory_order_release);
       while (g_done.load() < kGets) pump();
       const auto& st = proto.stats();

@@ -1,8 +1,8 @@
 // Randomized RMA soak: interleaved rput/rget/copy/strided/irregular traffic
 // of random sizes across all ranks, on both RMA wires, under the transport
 // performance layer's worst settings (tiny chunks so everything pipelines
-// through the engine, a small credit window so requests queue and credits
-// churn). Verifies payload integrity against a sender-side shadow and full
+// through the engine, a small credit window so ops wait in their channels
+// and credits churn). Verifies payload integrity against a sender-side shadow and full
 // quiescence (idle() engines, every handled put acked) — the adversarial
 // lock on the flow-control/ack-aggregation/budget machinery, run under
 // ASan/UBSan in CI like the rest of the test tree.
@@ -36,9 +36,9 @@ long stamp(int writer, int round, std::size_t idx) {
 
 // One rank's soak body. Every rank is simultaneously a writer (to its
 // slice in every peer) and an owner (serving peers' traffic). `adaptive`
-// marks the auto-window cells: the moving window makes sender-side
-// queueing load-dependent, so only the invariants that hold at any window
-// are asserted there.
+// marks the auto-window cells: the moving window makes credit exhaustion
+// load-dependent, so only the invariants that hold at any window are
+// asserted there.
 void soak_body(std::uint64_t seed, bool am_wire, bool adaptive = false) {
   const int me = upcxx::rank_me(), P = upcxx::rank_n();
   const std::size_t total = kSlice * static_cast<std::size_t>(P);
@@ -182,7 +182,7 @@ void soak_body(std::uint64_t seed, bool am_wire, bool adaptive = false) {
   while (!gex::xfer().idle() || !gex::rma_am().idle()) upcxx::progress();
   EXPECT_TRUE(gex::xfer().idle());
   EXPECT_TRUE(gex::rma_am().idle());
-  EXPECT_EQ(gex::rma_am().queued(), 0u);
+  EXPECT_FALSE(gex::xfer().copies_pending());
   const auto& st = gex::rma_am().stats();
   if (am_wire) {
     // The soak actually exercised the protocol on every rank, in both
@@ -191,9 +191,10 @@ void soak_body(std::uint64_t seed, bool am_wire, bool adaptive = false) {
                   st.frag_gets_sent,
               0u);
     EXPECT_GT(st.puts_handled + st.gets_handled, 0u);
-    // A fixed tiny window provably forces window-blocked requests through
-    // the queue; an adaptive window may grow past the load instead.
-    if (!adaptive) EXPECT_GT(st.requests_queued, 0u);
+    // A fixed tiny window fills: ops beyond it had to wait in their
+    // channel for credits. An adaptive window may grow past the load
+    // instead.
+    if (!adaptive) EXPECT_EQ(st.max_outstanding, gex::rma_am().window());
     EXPECT_EQ(gex::rma_am().adaptive_window(), adaptive);
   }
   // The credit window held: never more in flight to one target than the
@@ -258,10 +259,10 @@ TEST(RmaStress, AdaptiveWindowSoakMmap) {
   EXPECT_EQ(fails, 0);
 }
 
-// The ISSUE's flood acceptance: 10k eager puts to one target complete with
-// bounded state everywhere — the window caps the target's ring and staging
-// exposure, the bounded sender-side queue caps initiator memory, and
-// everything drains to idle.
+// Flood acceptance: 10k eager puts to one target complete with bounded
+// protocol state — the window caps the target's ring and staging exposure,
+// the backlog waits in the channel as references to the callers' sources
+// (no payload copies), and everything drains to idle.
 TEST(RmaStress, EagerPutFloodToOneTarget) {
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;
@@ -273,22 +274,25 @@ TEST(RmaStress, EagerPutFloodToOneTarget) {
     if (upcxx::rank_me() == 1) remote = upcxx::new_array<long>(kN);
     upcxx::barrier();
     if (upcxx::rank_me() == 0) {
-      std::vector<long> src(kN);
+      // One source per put: a put waiting for a credit reads its source
+      // when it is issued, so none may be rewritten before completion.
+      std::vector<long> src(kPuts * kN);
       upcxx::promise<> pr;
       for (int i = 0; i < kPuts; ++i) {
+        long* s = src.data() + static_cast<std::size_t>(i) * kN;
         for (std::size_t j = 0; j < kN; ++j)
-          src[j] = static_cast<long>(i) * 1000 + static_cast<long>(j);
-        upcxx::rput(src.data(), remote, kN,
-                    upcxx::operation_cx::as_promise(pr));
+          s[j] = static_cast<long>(i) * 1000 + static_cast<long>(j);
+        upcxx::rput(s, remote, kN, upcxx::operation_cx::as_promise(pr));
         if (!(i % 64)) upcxx::progress();
       }
+      // Each progress call issues at most a window's worth: the rest of
+      // the flood is held in the channel, not in the protocol.
+      EXPECT_GT(gex::xfer().pending_chunks(1), 0u);
+      EXPECT_LE(gex::rma_am().outstanding(), gex::rma_am().window());
       pr.finalize().wait();
       const auto& st = gex::rma_am().stats();
       EXPECT_LE(st.max_outstanding, gex::rma_am().window());
-      // The sender-side queue stayed within its bound: window + slack.
-      EXPECT_LE(st.queued_peak,
-                gex::rma_am().window() + gex::RmaAmProtocol::kQueueSlack);
-      EXPECT_EQ(gex::rma_am().queued(), 0u);
+      EXPECT_EQ(gex::xfer().pending_chunks(1), 0u);
     }
     upcxx::barrier();
     if (upcxx::rank_me() == 1) {

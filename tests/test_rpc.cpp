@@ -40,6 +40,28 @@ TEST(Rpc, ScalarArgumentsAndResult) {
   });
 }
 
+TEST(Rpc, CapturelessLambdaShipsNoCallableBytes) {
+  // An empty callable carries no state: the wire image holds none of its
+  // bytes, while a capturing one still ships its captures.
+  auto add_one = [](int x) { return x + 1; };
+  upcxx::detail::SizeArchive empty;
+  upcxx::detail::serialization_write_fn(empty, add_one);
+  EXPECT_EQ(empty.size(), 0u);
+  const long bias = 7;
+  auto add_bias = [bias](int x) { return x + bias; };
+  upcxx::detail::SizeArchive captured;
+  upcxx::detail::serialization_write_fn(captured, add_bias);
+  EXPECT_EQ(captured.size(), sizeof(add_bias));
+  spmd(2, [] {
+    const int peer = 1 - upcxx::rank_me();
+    EXPECT_EQ(upcxx::rpc(peer, [](int x) { return x + 1; }, 41).wait(), 42);
+    const long bias = 7;
+    EXPECT_EQ(upcxx::rpc(peer, [bias](int x) { return x + bias; }, 35).wait(),
+              42);
+    upcxx::barrier();
+  });
+}
+
 TEST(Rpc, ExecutesOnTargetRank) {
   spmd(4, [] {
     const int me = upcxx::rank_me();

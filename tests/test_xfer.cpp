@@ -23,6 +23,32 @@ namespace {
 // ------------------------------------------------- engine-level unit tests
 // XferEngine is a plain object: these run without an SPMD region.
 
+// A synthetic wire from one contiguous-chunk mover, mover(target, dst, src,
+// bytes, done): the engine hands a wire one run per side for every chunk
+// of a contiguous transfer.
+template <typename Mover>
+gex::XferEngine::WireOps chunk_wire(Mover mover) {
+  using gex::XferEngine;
+  XferEngine::WireOps ops;
+  ops.put = [mover](int t, const XferEngine::Frag* remote, std::size_t nr,
+                    const XferEngine::LocalFrag* local, std::size_t nl,
+                    XferEngine::Callback done) mutable {
+    EXPECT_EQ(nr, 1u);
+    EXPECT_EQ(nl, 1u);
+    mover(t, reinterpret_cast<void*>(remote->addr), local->ptr, local->bytes,
+          std::move(done));
+  };
+  ops.get = [mover](int t, const XferEngine::Frag* remote, std::size_t nr,
+                    std::vector<XferEngine::LocalFrag> local,
+                    XferEngine::Callback done) mutable {
+    EXPECT_EQ(nr, 1u);
+    EXPECT_EQ(local.size(), 1u);
+    mover(t, local[0].ptr, reinterpret_cast<const void*>(remote->addr),
+          local[0].bytes, std::move(done));
+  };
+  return ops;
+}
+
 TEST(XferEngine, ChunkedCopySignalsSourceThenLanded) {
   gex::XferEngine eng(/*chunk_bytes=*/1024, /*bw_gbps=*/0);
   std::vector<std::byte> src(10 * 1024), dst(10 * 1024);
@@ -85,9 +111,8 @@ TEST(XferEngine, SubmitFromInsideAWireCallKeepsTargetFifo) {
   std::vector<int> issued;  // transfer id per chunk to target 1
   std::vector<int> landed;
   bool nested = false;
-  gex::XferEngine::WireOps ops;
-  ops.put_chunk = [&](int target, void* dst, const void* src, std::size_t n,
-                      gex::XferEngine::Callback done) {
+  auto ops = chunk_wire([&](int target, void* dst, const void* src,
+                            std::size_t n, gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);
     if (target == 1)
       issued.push_back(static_cast<const std::byte*>(src)[0] == std::byte{1}
@@ -101,9 +126,7 @@ TEST(XferEngine, SubmitFromInsideAWireCallKeepsTargetFifo) {
                  [&] { landed.push_back(3); });
     }
     done();
-  };
-  ops.get_chunk = [](int, void*, const void*, std::size_t,
-                     gex::XferEngine::Callback) { FAIL(); };
+  });
   eng.set_wire(std::move(ops));
   eng.submit(1, d1.data(), s1.data(), s1.size(), {},
              [&] { landed.push_back(1); });
@@ -176,18 +199,11 @@ TEST(XferEngine, WireAcksGateLanding) {
   // rely on.
   gex::XferEngine eng(1024, 0);
   std::vector<gex::XferEngine::Callback> pending_dones;
-  gex::XferEngine::WireOps ops;
-  ops.put_chunk = [&](int, void* dst, const void* src, std::size_t n,
-                      gex::XferEngine::Callback done) {
+  eng.set_wire(chunk_wire([&](int, void* dst, const void* src, std::size_t n,
+                              gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);  // a real wire moves the bytes
     pending_dones.push_back(std::move(done));
-  };
-  ops.get_chunk = [&](int, void* dst, const void* src, std::size_t n,
-                      gex::XferEngine::Callback done) {
-    std::memcpy(dst, src, n);
-    pending_dones.push_back(std::move(done));
-  };
-  eng.set_wire(std::move(ops));
+  }));
   std::vector<std::byte> src(4 * 1024, std::byte{5}), dst(4 * 1024);
   bool source_fired = false, landed = false;
   eng.submit(1, dst.data(), src.data(), src.size(),
@@ -237,27 +253,20 @@ TEST(XferEngine, EqualLinksStillSplitEvenly) {
   eng.drain_all();
 }
 
-TEST(XferEngine, WireReadinessHoldsChunksInEngine) {
-  // The AM wire's back-pressure contract: while ready(target) is false the
+TEST(XferEngine, NoCreditsHoldChunksInEngine) {
+  // The AM wire's back-pressure contract: while credits(target) is 0 the
   // engine must not push chunks into the wire — they wait in the channel
   // (costing nothing) until credits free. drain_copies honors it too.
   gex::XferEngine eng(1024, 0);
   bool open = false;
   int moved = 0;
-  gex::XferEngine::WireOps ops;
-  ops.put_chunk = [&](int, void* dst, const void* src, std::size_t n,
-                      gex::XferEngine::Callback done) {
+  auto ops = chunk_wire([&](int, void* dst, const void* src, std::size_t n,
+                            gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);
     ++moved;
     done();
-  };
-  ops.get_chunk = [&](int, void* dst, const void* src, std::size_t n,
-                      gex::XferEngine::Callback done) {
-    std::memcpy(dst, src, n);
-    ++moved;
-    done();
-  };
-  ops.ready = [&](int) { return open; };
+  });
+  ops.credits = [&](int) -> std::uint32_t { return open ? 8 : 0; };
   eng.set_wire(std::move(ops));
   std::vector<std::byte> src(4 * 1024, std::byte{9}), dst(4 * 1024);
   bool landed = false;
@@ -265,8 +274,9 @@ TEST(XferEngine, WireReadinessHoldsChunksInEngine) {
              [&] { landed = true; });
   eng.poll(64);
   eng.drain_copies();
-  EXPECT_EQ(moved, 0) << "chunks pushed into a wire that reported not ready";
+  EXPECT_EQ(moved, 0) << "chunks pushed into a wire that had no credits";
   EXPECT_TRUE(eng.copies_pending());
+  EXPECT_EQ(eng.pending_chunks(1), 4u);
   open = true;  // credits freed
   eng.drain_copies();
   eng.poll();
@@ -276,25 +286,25 @@ TEST(XferEngine, WireReadinessHoldsChunksInEngine) {
 }
 
 TEST(XferEngine, CreditsMeterBudgetAcrossChannels) {
-  // The budget dealer reads the wire's *current* credit window
-  // (WireOps::credits — on the AM wire, the adaptive controller's
-  // window_now minus in-flight) instead of a static ceiling. Target 1
-  // offers 1 credit, target 2 offers 8: a budget-8 poll must hand target
-  // 1 exactly its single credit and spend the other 7 chunks on target 2
+  // The budget dealer reads the wire's *current* credit count before every
+  // chunk (WireOps::credits — on the AM wire, the adaptive controller's
+  // window_now minus in-flight requests) instead of a static ceiling.
+  // Target 1 offers 1 credit, target 2 offers 8, and each chunk holds its
+  // credit until its done fires: a budget-8 poll must hand target 1
+  // exactly its single credit and spend the other 7 chunks on target 2
   // rather than burning quota on the throttled channel.
   gex::XferEngine eng(512, 0);
   int moved1 = 0, moved2 = 0;
-  gex::XferEngine::WireOps ops;
-  auto mover = [&](int t, void* dst, const void* src, std::size_t n,
-                   gex::XferEngine::Callback done) {
+  std::vector<gex::XferEngine::Callback> held[3];
+  auto ops = chunk_wire([&](int t, void* dst, const void* src, std::size_t n,
+                            gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);
     (t == 1 ? moved1 : moved2)++;
-    done();
+    held[t].push_back(std::move(done));
+  });
+  ops.credits = [&](int t) -> std::uint32_t {
+    return (t == 1 ? 1u : 8u) - static_cast<std::uint32_t>(held[t].size());
   };
-  ops.put_chunk = mover;
-  ops.get_chunk = mover;
-  ops.ready = [](int) { return true; };  // sticky: credits do the metering
-  ops.credits = [](int t) -> std::uint32_t { return t == 1 ? 1u : 8u; };
   eng.set_wire(std::move(ops));
   std::vector<std::byte> s1(8 * 512), d1(8 * 512), s2(8 * 512), d2(8 * 512);
   eng.submit(1, d1.data(), s1.data(), s1.size(), {}, {});
@@ -302,9 +312,16 @@ TEST(XferEngine, CreditsMeterBudgetAcrossChannels) {
   eng.poll(/*chunk_budget=*/8);
   EXPECT_EQ(moved1, 1) << "throttled channel exceeded its credit window";
   EXPECT_EQ(moved2, 7) << "unused quota did not flow to the open channel";
-  // Credits are re-read each poll, so the throttled channel still drains.
+  // Returned credits are seen by the next poll, so the throttled channel
+  // still drains.
   int polls = 0;
-  while (!eng.idle() && polls++ < 32) eng.poll(8);
+  while (!eng.idle() && polls++ < 32) {
+    for (auto& h : held) {
+      for (auto& d : h) d();
+      h.clear();
+    }
+    eng.poll(8);
+  }
   EXPECT_EQ(moved1, 8);
   EXPECT_EQ(moved2, 8);
   EXPECT_EQ(s1, d1);
