@@ -66,10 +66,11 @@ struct Config {
   double sim_bw_gbps = 0;                 // UPCXX_SIM_BW_GBPS
   // Chunk granularity of pipelined transfers.
   std::size_t xfer_chunk_bytes = 256 << 10;  // UPCXX_XFER_CHUNK_KB
-  // Direct wire only: contiguous RMA at or above this many bytes rides the
+  // Direct wire: contiguous RMA at or above this many bytes rides the
   // asynchronous engine; below it, the zero-allocation synchronous path.
-  // 0 disables the async path entirely. On the am wire every op rides the
-  // engine regardless.
+  // 0 disables the async path entirely. On the am wire every remote op
+  // rides the engine regardless; only a local device-toll copy() still
+  // consults this threshold there.
   std::size_t rma_async_min = 64 << 10;   // UPCXX_RMA_ASYNC_MIN (bytes)
   // RMA wire selection (see enum above).
   RmaWire rma_wire = RmaWire::kAuto;      // UPCXX_RMA_WIRE=auto|direct|am

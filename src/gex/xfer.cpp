@@ -82,7 +82,7 @@ void XferEngine::submit_runs(int target, std::vector<Frag> remote,
   x.on_landed = std::move(on_landed);
 }
 
-std::size_t XferEngine::issue_one_chunk(Channel& ch) {
+void XferEngine::issue_one_chunk(Channel& ch) {
   Xfer& x = *ch.issue;
   const std::size_t take =
       x.runs ? x.bytes : std::min(chunk_bytes_, x.bytes - x.off);
@@ -141,7 +141,6 @@ std::size_t XferEngine::issue_one_chunk(Channel& ch) {
     --active_count_;
     if (Callback cb = std::move(x.on_source)) cb();
   }
-  return std::max<std::size_t>(take, 1);
 }
 
 int XferEngine::retire_landed(Channel& ch) {
@@ -172,49 +171,43 @@ int XferEngine::poll(int chunk_budget) {
   int work = 0;
   const std::size_t n = channels_.size();
   if (n == 0) return work;
-  // The budget in bytes: a full chunk costs one chunk's worth, a small op
-  // only its size. Channels a callback adds during this poll (index >= n)
-  // wait for the next one.
-  std::size_t budget =
-      chunk_budget > 0 ? static_cast<std::size_t>(chunk_budget) * chunk_bytes_
-                       : 0;
-  auto spend = [&](std::size_t cost) {
-    budget -= std::min(cost, budget);
-    ++work;
-    return cost;
-  };
+  // Channels a callback adds during this poll (index >= n) wait for the
+  // next one.
+  //
   // Pass 1 — bandwidth-proportional quotas: each channel with queued work
   // and a wire credit gets a share of the budget scaled by its link
-  // bandwidth (minimum one chunk), so a fast link soaks up the budget a
+  // bandwidth (minimum one piece), so a fast link soaks up the budget a
   // clock-bound capped link cannot convert into delivered bytes. Weights
   // are recomputed per poll: completion callbacks change the channel set.
-  if (budget > 0) {
+  if (chunk_budget > 0) {
     double total_weight = 0;
     for (std::size_t i = 0; i < n; ++i)
       if (can_issue(*channels_[i])) total_weight += link_weight(*channels_[i]);
     if (total_weight > 0) {
-      for (std::size_t k = 0; k < n && budget > 0; ++k) {
+      const int budget0 = chunk_budget;
+      for (std::size_t k = 0; k < n && chunk_budget > 0; ++k) {
         Channel& ch = *channels_[(rr_ + k) % n];
         if (!can_issue(ch)) continue;
-        const int chunks = std::max(
-            1, static_cast<int>(chunk_budget * (link_weight(ch) / total_weight)));
-        std::size_t quota =
-            std::min(static_cast<std::size_t>(chunks) * chunk_bytes_, budget);
+        int quota = std::max(
+            1, static_cast<int>(budget0 * (link_weight(ch) / total_weight)));
+        quota = std::min(quota, chunk_budget);
         // Credits are re-read per piece: each one issued consumes a wire
         // credit (the AM window) and may close the channel mid-quota.
-        while (quota > 0 && can_issue(ch))
-          quota -= std::min(spend(issue_one_chunk(ch)), quota);
+        for (; quota > 0 && can_issue(ch); --quota, --chunk_budget, ++work)
+          issue_one_chunk(ch);
       }
     }
   }
   // Pass 2 — leftover budget (quotas rounded down, or their channels ran
   // dry) goes round-robin one piece at a time.
-  while (budget > 0) {
+  while (chunk_budget > 0) {
     bool any = false;
-    for (std::size_t k = 0; k < n && budget > 0; ++k) {
+    for (std::size_t k = 0; k < n && chunk_budget > 0; ++k) {
       Channel& ch = *channels_[(rr_ + k) % n];
       if (!can_issue(ch)) continue;
-      spend(issue_one_chunk(ch));
+      issue_one_chunk(ch);
+      --chunk_budget;
+      ++work;
       any = true;
     }
     if (!any) break;

@@ -65,7 +65,9 @@
 // Memory: entries are pooled nodes linked into their channel's FIFO, so
 // an entry never moves while its chunks are on the wire (each chunk's
 // done callback counts down the entry's own ack counter) and a steady
-// stream of transfers allocates nothing in the engine.
+// stream of transfers allocates nothing in the engine. The pool never
+// shrinks: it holds as many nodes as the most transfers ever queued at
+// once, and nothing but the caller's outstanding ops bounds that.
 #pragma once
 
 #include <cstddef>
@@ -84,10 +86,9 @@ class XferEngine {
  public:
   using Callback = arch::UniqueFunction<void()>;
 
-  // Chunks' worth of bytes issued per poll() by default: bounds the work
-  // one internal progress call performs so injection-heavy loops stay
-  // responsive. The budget is charged in bytes, so a small op costs its
-  // size rather than a whole chunk.
+  // Pieces issued per poll() by default: bounds the work one internal
+  // progress call performs so injection-heavy loops stay responsive. A
+  // piece is one chunk of a contiguous transfer or one whole run entry.
   static constexpr int kDefaultChunkBudget = 4;
 
   // A contiguous run in the *remote* rank's address space (the address as
@@ -163,11 +164,11 @@ class XferEngine {
                    std::vector<LocalFrag> local, Callback on_source,
                    Callback on_landed, bool is_get);
 
-  // Bounded internal progress: issues at most `chunk_budget` chunks' worth
-  // of bytes across channels with queued work (per-channel FIFO is
-  // preserved), and fires every due completion callback. The budget is
+  // Bounded internal progress: issues at most `chunk_budget` pieces across
+  // channels with queued work (per-channel FIFO is preserved), and fires
+  // every due completion callback. The budget is
   // dealt in two passes: first bandwidth-proportionally — each eligible
-  // channel gets a share scaled by its link bandwidth (minimum one chunk),
+  // channel gets a share scaled by its link bandwidth (minimum one piece),
   // so a fast link stays saturated while a clock-bound capped link gets
   // just enough to keep its virtual wire busy — then any leftover budget
   // goes round-robin to channels that still have work. Channels without
@@ -268,11 +269,10 @@ class XferEngine {
     return ch.ns_per_byte > 0 ? 1.0 / ch.ns_per_byte : kUncappedWeightGbps;
   }
 
-  // Issues the next piece of the channel's first unissued transfer and
-  // returns the budget it costs (its bytes, at least 1). When the last
-  // byte goes out the transfer's on_source is fired, outside the wire call
-  // (user code may re-enter poll() or submit()).
-  std::size_t issue_one_chunk(Channel& ch);
+  // Issues the next piece of the channel's first unissued transfer. When
+  // the last byte goes out the transfer's on_source is fired, outside the
+  // wire call (user code may re-enter poll() or submit()).
+  void issue_one_chunk(Channel& ch);
   // Fires every due on_landed of the channel, in FIFO order. Returns
   // callbacks fired.
   int retire_landed(Channel& ch);

@@ -6,9 +6,10 @@
 // (device_allocator.hpp).
 //
 // Data paths mirror rput/rget (rma.hpp) and are wire-agnostic:
-//   * any copy that is remote or pays a device toll rides gex::XferEngine
-//     whenever rput would (every size on the am wire, at or above
-//     Config::rma_async_min on the direct wire): chunks move through the
+//   * a remote copy rides gex::XferEngine whenever rput would (every size
+//     on the am wire, at or above Config::rma_async_min on the direct
+//     wire), and so does a local one that pays a device toll at or above
+//     Config::rma_async_min on either wire: chunks move through the
 //     target's channel (on whichever wire is installed) and the
 //     simulated-PCIe cost gates landing via the engine's extra-toll hook,
 //     so it *composes* with the virtual wire clock instead of being charged
@@ -46,7 +47,7 @@ auto copy_impl(Cxs cxs, intrank_t src_rank, intrank_t dst_rank, void* dst,
   const bool is_get = src_rank != me && dst_rank == me;
   const intrank_t target = is_get ? src_rank : dst_rank;
   const std::uint64_t wire_delay = remote ? 2 * op_state().sim_latency_ns : 0;
-  if (use_xfer(bytes) && (remote || dev_ns > 0)) {
+  if ((remote || dev_ns > 0) && use_xfer(bytes, remote)) {
     // issue_xfer_ns is op_context-routed: the same call works from the
     // master persona and from injector threads.
     return issue_xfer_ns(std::move(cxs), target, dst, src, bytes,

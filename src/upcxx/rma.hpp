@@ -95,13 +95,14 @@ auto finish_rma(Cxs&& cxs, intrank_t target, std::uint64_t hops) {
 inline bool wire_am() { return op_state().rma_wire_am; }
 
 // True when a contiguous transfer of `bytes` should ride the asynchronous
-// data-motion engine instead of the injection-time path: always on the am
-// wire, at or above rma_async_min on the direct wire. Off-persona-safe for
-// the same reason as wire_am().
-inline bool use_xfer(std::size_t bytes) {
+// data-motion engine instead of the injection-time path: always for a
+// remote transfer on the am wire, otherwise at or above rma_async_min.
+// Off-persona-safe for the same reason as wire_am().
+inline bool use_xfer(std::size_t bytes, bool remote = true) {
   auto& p = op_state();
   return p.rank->xfer != nullptr &&
-         (p.rma_wire_am || (p.rma_async_min != 0 && bytes >= p.rma_async_min));
+         ((p.rma_wire_am && remote) ||
+          (p.rma_async_min != 0 && bytes >= p.rma_async_min));
 }
 
 // Hands a contiguous transfer to the XferEngine and wires its two

@@ -167,6 +167,29 @@ TEST(MemoryKinds, BandwidthTermScalesWithSize) {
   });
 }
 
+TEST(MemoryKinds, CostedLocalDeviceCopyToPrivateHostOnAmWire) {
+  // A small local device->host copy stays off the wire on the am wire too:
+  // the destination is process-private memory, which no AM request can
+  // address. The device toll is charged to operation completion instead.
+  gex::Config cfg = testutil::test_cfg(1);
+  cfg.rma_wire = gex::RmaWire::kAm;
+  const int fails = upcxx::run(cfg, [] {
+    upcxx::experimental::set_sim_device_params(10'000, 0.0);
+    upcxx::device_allocator<upcxx::sim_device> dev(1 << 20);
+    auto d = dev.allocate<double>(8);
+    std::vector<double> v(8);
+    std::iota(v.begin(), v.end(), 1.0);
+    upcxx::copy(v.data(), d, 8).wait();
+    std::vector<double> out(8, 0.0);
+    const std::uint64_t t0 = arch::now_ns();
+    upcxx::copy(d, out.data(), 8).wait();
+    EXPECT_GE(arch::now_ns() - t0, 10'000u);
+    EXPECT_EQ(out, v);
+    upcxx::experimental::set_sim_device_params(0, 0.0);
+  });
+  EXPECT_EQ(fails, 0);
+}
+
 TEST(MemoryKinds, ZeroCostDeviceCopyCompletesAtInjection) {
   solo([] {
     upcxx::experimental::set_sim_device_params(0, 0.0);
