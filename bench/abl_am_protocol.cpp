@@ -261,14 +261,14 @@ int main() {
     std::printf("%10u %14.1f %14.1f\n", windows[i], win_mbs[i],
                 get_win_mbs[i]);
 
-  // ---- put/get symmetry at 4MB, window=auto --------------------------------
-  // Large transfers with every knob at its default (adaptive window,
-  // auto chunking). Before pooled reply staging, every rendezvous reply
+  // ---- put/get symmetry at 4MB, default window -----------------------------
+  // Large transfers with every knob at its default (credit window,
+  // chunking). Before pooled reply staging, every rendezvous reply
   // was a fresh shared-heap allocation plus a descriptor round-trip, and
   // gets trailed puts badly at this size; with the reply pool recycling
   // through racks the two directions should be near-symmetric. The
   // protocol counters from both ranks are surfaced in BENCH_JSON so a
-  // regression here is attributable (pool misses vs window thrash).
+  // regression here is attributable (pool misses vs fallbacks).
   constexpr std::size_t kBigBytes = 4 << 20;
   static double s_put4_mbs, s_get4_mbs;
   static gex::RmaAmProtocol::Stats s_stats[2];
@@ -276,7 +276,7 @@ int main() {
     gex::Config cfg = gex::Config::from_env();
     cfg.ranks = 2;
     cfg.rma_wire = gex::RmaWire::kAm;
-    cfg.am_window = gex::kAmWindowForceAuto;  // adaptive even under CI pins
+    cfg.am_window = gex::kAmWindowForceAuto;  // the default even under CI pins
     cfg.ring_bytes = 1 << 20;
     cfg.heap_bytes = 256 << 20;
     const int iters = static_cast<int>(std::max(
@@ -329,7 +329,7 @@ int main() {
   }
   const double get_vs_put = s_get4_mbs / s_put4_mbs;
   std::printf(
-      "\n4MB put/get symmetry (window=auto): put %.1f MB/s, get %.1f MB/s "
+      "\n4MB put/get symmetry (default window): put %.1f MB/s, get %.1f MB/s "
       "(get/put = %.2f)\n",
       s_put4_mbs, s_get4_mbs, get_vs_put);
   const auto stat_sum = [](auto f) {
@@ -341,16 +341,10 @@ int main() {
       stat_sum([](const auto& s) { return s.reply_pool_hits; });
   const double st_reply_fallbacks =
       stat_sum([](const auto& s) { return s.reply_fallbacks; });
-  const double st_window_grow =
-      stat_sum([](const auto& s) { return s.window_grow; });
-  const double st_window_shrink =
-      stat_sum([](const auto& s) { return s.window_shrink; });
   std::printf(
       "  protocol counters (both ranks): replies_staged=%.0f "
-      "reply_pool_hits=%.0f reply_fallbacks=%.0f window_grow=%.0f "
-      "window_shrink=%.0f\n",
-      st_replies_staged, st_reply_pool_hits, st_reply_fallbacks,
-      st_window_grow, st_window_shrink);
+      "reply_pool_hits=%.0f reply_fallbacks=%.0f\n",
+      st_replies_staged, st_reply_pool_hits, st_reply_fallbacks);
 
   benchutil::ShapeChecks checks;
   // The knee: any pipelining at all must beat full serialization. Compare
@@ -372,7 +366,7 @@ int main() {
   // The headline symmetry claim: pooled reply staging makes the get
   // direction keep pace with puts at large sizes (within 10%).
   checks.expect(get_vs_put >= 0.9,
-                "4MB gets within 10% of puts under window=auto");
+                "4MB gets within 10% of puts at the default window");
   checks.expect(st_replies_staged > 0,
                 "4MB gets exercised the staged-reply path");
   if (crossover)
@@ -412,8 +406,6 @@ int main() {
   json.metric("replies_staged", st_replies_staged);
   json.metric("reply_pool_hits", st_reply_pool_hits);
   json.metric("reply_fallbacks", st_reply_fallbacks);
-  json.metric("window_grow", st_window_grow);
-  json.metric("window_shrink", st_window_shrink);
   if (crossover)
     json.metric("put_crossover_bytes", static_cast<double>(crossover));
   json.write();

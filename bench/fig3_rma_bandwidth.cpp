@@ -201,11 +201,9 @@ int main() {
   // ---- wire=am flood -------------------------------------------------------
   // The same promise-tracked flood with the RMA wire pinned to the AM
   // protocol: every transfer moves as put requests through the target's
-  // inbox (chunked above UPCXX_RMA_ASYNC_MIN), and completion waits for
-  // acks. Run twice — once with the window pinned (the fixed-window series
-  // CI has always tracked) and once with the adaptive controller forced
-  // (`window=auto`, the default since the self-tuning transport landed) —
-  // and emitted as wire=am series next to wire=direct in BENCH_JSON.
+  // inbox (chunked to the am-wire chunk), and completion waits for acks.
+  // Run at the default credit window and emitted as the wire=am series
+  // next to wire=direct in BENCH_JSON.
   struct AmRow {
     std::size_t size;
     double mbs;
@@ -255,36 +253,22 @@ int main() {
   gex::Config amcfg = gex::Config::from_env();
   amcfg.ranks = 2;
   amcfg.rma_wire = gex::RmaWire::kAm;
-  // The fixed-window series: pin the default when the environment would
-  // select the adaptive controller, keep an explicit CI pin (am-window-1).
-  if (gex::resolve_am_window(amcfg).adaptive)
-    amcfg.am_window = gex::kDefaultAmWindow;
-  const auto fixed_rows = am_flood(amcfg);
+  amcfg.am_window = gex::kAmWindowForceAuto;  // the default even under CI pins
+  const auto wire_am_rows = am_flood(amcfg);
   if (fails) return 2;
 
-  gex::Config autocfg = gex::Config::from_env();
-  autocfg.ranks = 2;
-  autocfg.rma_wire = gex::RmaWire::kAm;
-  autocfg.am_window = gex::kAmWindowForceAuto;  // adaptive even under CI pins
-  const auto auto_rows = am_flood(autocfg);
-  if (fails) return 2;
-
-  std::printf("%10s %16s %16s\n", "size", "am fixed (MB/s)",
-              "am auto (MB/s)");
-  for (std::size_t i = 0; i < fixed_rows.size(); ++i)
-    std::printf("%10s %16.1f %16.1f\n",
-                benchutil::human_size(fixed_rows[i].size).c_str(),
-                fixed_rows[i].mbs, auto_rows[i].mbs);
-  const double am_vs_direct = fixed_rows.back().mbs / big.upcxx_mbs;
-  const double am_auto_vs_direct = auto_rows.back().mbs / big.upcxx_mbs;
+  std::printf("%10s %16s\n", "size", "am (MB/s)");
+  for (const auto& r : wire_am_rows)
+    std::printf("%10s %16.1f\n", benchutil::human_size(r.size).c_str(),
+                r.mbs);
+  const double am_vs_direct = wire_am_rows.back().mbs / big.upcxx_mbs;
   {
     char nbuf[200];
     std::snprintf(nbuf, sizeof nbuf,
-                  "am wire reaches %.0f%% (fixed window) / %.0f%% "
-                  "(window=auto) of direct-wire bandwidth at 4MB (credit "
-                  "window + pooled staging both directions + batched acks; "
-                  "the residual is the extra copy)",
-                  100 * am_vs_direct, 100 * am_auto_vs_direct);
+                  "am wire reaches %.0f%% of direct-wire bandwidth at 4MB "
+                  "(default credit window + pooled staging both directions "
+                  "+ batched acks; the residual is the extra copy)",
+                  100 * am_vs_direct);
     checks.note(nbuf);
   }
   // Flow control + hot pooled staging + ack batching keep the request/ack
@@ -295,9 +279,6 @@ int main() {
   checks.expect(am_vs_direct >= 0.5,
                 "am-wire flood reaches at least half of direct-wire "
                 "bandwidth at 4MB");
-  checks.expect(am_auto_vs_direct >= 0.5,
-                "adaptive-window am-wire flood reaches at least half of "
-                "direct-wire bandwidth at 4MB");
 
   // ---- transport=socket flood ----------------------------------------------
   // The same am-wire flood with the records framed onto loopback TCP
@@ -312,8 +293,6 @@ int main() {
   sockcfg.ranks = 2;
   sockcfg.am_transport = gex::AmTransport::kSocket;
   sockcfg.rma_wire = gex::RmaWire::kAm;
-  if (gex::resolve_am_window(sockcfg).adaptive)
-    sockcfg.am_window = gex::kDefaultAmWindow;
   const auto socket_rows = am_flood(sockcfg);
   if (fails) return 2;
   std::printf("%10s %16s\n", "size", "socket (MB/s)");
@@ -336,12 +315,9 @@ int main() {
   json.metric("mpi_4mb_mbs", big.mpi_mbs);
   json.metric("simbw_cap_gbps", s_cap);
   json.metric("simbw_4mb_gbps", sim_rows.back().gbps);
-  for (const auto& r : fixed_rows)
+  for (const auto& r : wire_am_rows)
     json.metric("am_" + std::to_string(r.size) + "_mbs", r.mbs);
   json.metric("am_4mb_vs_direct", am_vs_direct);
-  for (const auto& r : auto_rows)
-    json.metric("am_auto_" + std::to_string(r.size) + "_mbs", r.mbs);
-  json.metric("am_auto_4mb_vs_direct", am_auto_vs_direct);
   for (const auto& r : socket_rows)
     json.metric("socket_" + std::to_string(r.size) + "_mbs", r.mbs);
   json.metric("socket_4mb_vs_direct", socket_vs_direct);

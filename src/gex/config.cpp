@@ -97,36 +97,18 @@ AmTransport parse_am_transport(const char* v) {
 
 }  // namespace
 
-AmWindowSetting resolve_am_window(const Config& cfg) {
-  if (cfg.am_window == kAmWindowForceAuto)
-    return {true, kDefaultAmWindow};
-  if (cfg.am_window != 0) return {false, cfg.am_window};
-  if (const char* v = std::getenv("UPCXX_AM_WINDOW"); v && *v) {
-    // `auto` is the spelled-out default; a positive integer pins the
-    // window (the CI am-window-1 job). Garbage already warned in
-    // from_env; degrade to adaptive, the default.
-    if (std::strcmp(v, "auto") != 0) {
-      long n = 0;
-      if (parse_long("UPCXX_AM_WINDOW", v, n) && n > 0)
-        return {false, static_cast<std::uint32_t>(n)};
-    }
+std::uint32_t resolve_am_window(const Config& cfg) {
+  if (cfg.am_window == kAmWindowForceAuto) return kDefaultAmWindow;
+  if (cfg.am_window != 0) return cfg.am_window;
+  if (const char* v = std::getenv("UPCXX_AM_WINDOW");
+      v && *v && std::strcmp(v, "auto") != 0) {
+    // A positive integer pins the window (the CI am-window-1 job).
+    // Garbage already warned in from_env; degrade to the default.
+    long n = 0;
+    if (parse_long("UPCXX_AM_WINDOW", v, n) && n > 0)
+      return static_cast<std::uint32_t>(n);
   }
-  return {true, kDefaultAmWindow};
-}
-
-double resolve_am_rtt_envelope(const Config& cfg) {
-  if (cfg.am_rtt_envelope >= 1.0 && std::isfinite(cfg.am_rtt_envelope))
-    return cfg.am_rtt_envelope;
-  if (const char* v = std::getenv("UPCXX_AM_RTT_ENVELOPE"); v && *v) {
-    char* end = nullptr;
-    const double e = std::strtod(v, &end);
-    if (end != v && *end == '\0' && e >= 1.0 && std::isfinite(e)) return e;
-    std::fprintf(stderr,
-                 "gex: ignoring UPCXX_AM_RTT_ENVELOPE=%s (must be a finite "
-                 "factor >= 1)\n",
-                 v);
-  }
-  return kDefaultAmRttEnvelope;
+  return kDefaultAmWindow;
 }
 
 RmaWire resolve_rma_wire(const Config& cfg) {
@@ -182,9 +164,6 @@ void Config::normalize() {
   if (xfer_chunk_bytes < 256) xfer_chunk_bytes = 256;
   // am_window 0 means auto (resolve_am_window consults the environment),
   // so normalize leaves it alone.
-  // A sub-1 envelope would declare every ack late; 0 stays 0 (auto).
-  if (!(am_rtt_envelope >= 1.0) || !std::isfinite(am_rtt_envelope))
-    am_rtt_envelope = 0;
   // Socket knobs: a record must at least hold a maximal eager payload plus
   // headers; fault probabilities are percentages; the fixed arena base
   // must be page-aligned for MAP_FIXED_NOREPLACE.
@@ -232,10 +211,6 @@ Config Config::from_env() {
                    v);
     }
   }
-  c.xfer_chunk_bytes =
-      static_cast<std::size_t>(env_positive(
-          "UPCXX_XFER_CHUNK_KB", static_cast<long>(c.xfer_chunk_bytes >> 10)))
-      << 10;
   // 0 is meaningful here (disable the async path), so no env_positive.
   c.rma_async_min = static_cast<std::size_t>(env_nonnegative(
       "UPCXX_RMA_ASYNC_MIN", static_cast<long>(c.rma_async_min)));
@@ -245,9 +220,9 @@ Config Config::from_env() {
   if (const char* v = std::getenv("UPCXX_AM_TRANSPORT"); v && *v) {
     c.am_transport = parse_am_transport(v);
   }
-  // 0 (auto → adaptive) stays 0 unless the environment names a window;
-  // `auto` is the spelled-out default. Resolution to the adaptive
-  // controller or a pinned window happens in resolve_am_window at launch.
+  // 0 (auto → kDefaultAmWindow) stays 0 unless the environment names a
+  // window; `auto` is the spelled-out default. resolve_am_window turns it
+  // into the window at launch.
   if (const char* v = std::getenv("UPCXX_AM_WINDOW");
       v && *v && std::strcmp(v, "auto") != 0) {
     if (long n = env_long("UPCXX_AM_WINDOW", 0); n != 0) {
@@ -258,18 +233,6 @@ Config Config::from_env() {
                      "gex: ignoring UPCXX_AM_WINDOW=%ld (must be positive)\n",
                      n);
       }
-    }
-  }
-  if (const char* v = std::getenv("UPCXX_AM_RTT_ENVELOPE"); v && *v) {
-    char* end = nullptr;
-    const double e = std::strtod(v, &end);
-    if (end != v && *end == '\0' && e >= 1.0 && std::isfinite(e)) {
-      c.am_rtt_envelope = e;
-    } else {
-      std::fprintf(stderr,
-                   "gex: ignoring UPCXX_AM_RTT_ENVELOPE=%s (must be a "
-                   "finite factor >= 1)\n",
-                   v);
     }
   }
   c.socket_max_record =

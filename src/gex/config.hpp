@@ -64,8 +64,9 @@ struct Config {
   // Data-motion engine knobs (gex/xfer.hpp).
   // Simulated wire bandwidth in GB/s; 0 = unlimited (no model).
   double sim_bw_gbps = 0;                 // UPCXX_SIM_BW_GBPS
-  // Chunk granularity of pipelined transfers.
-  std::size_t xfer_chunk_bytes = 256 << 10;  // UPCXX_XFER_CHUNK_KB
+  // Chunk granularity of pipelined transfers (no environment knob; tests
+  // set it to force chunking).
+  std::size_t xfer_chunk_bytes = 256 << 10;
   // Direct wire: contiguous RMA at or above this many bytes rides the
   // asynchronous engine; below it, the zero-allocation synchronous path.
   // 0 disables the async path entirely. On the am wire every remote op
@@ -83,13 +84,11 @@ struct Config {
   // in-flight staging (window × chunk) out of cache, which is what caps
   // am-wire bandwidth (see kAmXferChunkBytes). 0 = auto: consult
   // UPCXX_AM_WINDOW (so hand-built test Configs honor the CI matrix, like
-  // rma_wire's kAuto); `auto` or an unset environment selects the
-  // *adaptive* window (an ack-RTT-driven BBR-style controller per target —
-  // see resolve_am_window below), an explicit positive integer pins a
-  // fixed window for tests/CI. kAmWindowForceAuto forces the adaptive
-  // controller even when the environment pins a window (benchmark series
-  // that must measure `auto` under any CI matrix). An explicit value wins
-  // over the environment.
+  // rma_wire's kAuto); `auto` or an unset environment selects
+  // kDefaultAmWindow, an explicit positive integer pins another window
+  // for tests/CI. kAmWindowForceAuto selects the default even when the
+  // environment pins a window. An explicit value wins over the
+  // environment.
   std::uint32_t am_window = 0;            // UPCXX_AM_WINDOW
   // AM transport selection (see enum above).
   AmTransport am_transport = AmTransport::kAuto;  // UPCXX_AM_TRANSPORT
@@ -132,12 +131,9 @@ struct Config {
   int socket_fault_die_rank = -1;         // UPCXX_SOCKET_FAULT_DIE_RANK
   std::uint64_t socket_fault_die_at = 0;  // UPCXX_SOCKET_FAULT_DIE_AT
 
-  // Adaptive-window RTT envelope: an ack counts as "timely" while its RTT
-  // stays at or below envelope × the observed RTT floor (plus a small
-  // absolute slack absorbing scheduler noise — see rma_am.hpp). Larger
-  // values tolerate more queuing before the controller backs off. 0 =
-  // auto: consult UPCXX_AM_RTT_ENVELOPE, else kDefaultAmRttEnvelope.
-  double am_rtt_envelope = 0;             // UPCXX_AM_RTT_ENVELOPE
+  // Unused: nothing reads it. Kept only because upcxx_bench assigns it;
+  // delete it together with that line at the next benchmark change.
+  double am_rtt_envelope = 0;
 
   // Loads defaults overridden by environment variables; the result is
   // normalized.
@@ -161,45 +157,23 @@ struct Config {
 // ranks still share one arena — thread or plain process backends).
 RmaWire resolve_rma_wire(const Config& cfg);
 
-// The resolved AM-window policy: either a fixed per-target window (an
-// explicit integer in the Config or the environment — tests and CI pin
-// the flow-control state machine with these) or the adaptive controller
-// (the default), which starts every target at `window` and moves it
-// within [1, kMaxAmWindow] from ack-RTT feedback (gex::AmWindowController,
-// rma_am.hpp).
-struct AmWindowSetting {
-  bool adaptive;
-  std::uint32_t window;  // fixed window, or the adaptive starting window
-};
-
-// Adaptive starting window (also the fixed default if the environment
-// names no number).
-inline constexpr std::uint32_t kDefaultAmWindow = 8;
-// Adaptive ceiling: window × kAmXferChunkBytes is the staging working
-// set, so 64 × 64K = 4M bounds it at roughly an L3's worth.
-inline constexpr std::uint32_t kMaxAmWindow = 64;
-// Config::am_window sentinel: adaptive regardless of the environment.
+// Default AM-wire credit window: the 1 MiB in-flight staging budget over
+// the am-wire chunk, so window × chunk stays cache-sized.
+inline constexpr std::uint32_t kDefaultAmWindow =
+    (std::size_t{1} << 20) / kAmXferChunkBytes;
+// Config::am_window sentinel: kDefaultAmWindow regardless of the
+// environment (benchmark series that must measure the default under any
+// CI window pin).
 inline constexpr std::uint32_t kAmWindowForceAuto = 0xFFFFFFFFu;
-// Default RTT envelope factor (see Config::am_rtt_envelope).
-// Default 4.0: on a shared-memory "wire" the ack RTT is dominated by the
-// window's own queuing (depth × chunk service time), not propagation, so a
-// tight envelope reads healthy pipelining as lateness and oscillates. 4×
-// the floor plus the absolute slack keeps the controller near the
-// footprint-clamped ceiling in steady state (measured: window_grow/shrink
-// counts drop ~10× vs 2.0 with no bandwidth cost) while a genuinely
-// descheduled peer — milliseconds, far past any envelope — still backs off.
+// Unused: nothing reads it. Kept only because upcxx_bench assigns it to
+// Config::am_rtt_envelope; delete both at the next benchmark change.
 inline constexpr double kDefaultAmRttEnvelope = 4.0;
 
-// Resolves a Config's am_window: kAmWindowForceAuto selects the adaptive
-// controller unconditionally; any other explicit (non-zero) value pins a
-// fixed window; 0 (auto) consults UPCXX_AM_WINDOW — a positive integer
-// pins, `auto`/unset/garbage selects the adaptive controller (the
-// default since the self-tuning transport landed).
-AmWindowSetting resolve_am_window(const Config& cfg);
-
-// Resolves the RTT envelope: an explicit (>= 1) value wins; otherwise
-// UPCXX_AM_RTT_ENVELOPE, else kDefaultAmRttEnvelope.
-double resolve_am_rtt_envelope(const Config& cfg);
+// Resolves a Config's am_window to the per-target credit window:
+// kAmWindowForceAuto gives kDefaultAmWindow; any other explicit (non-zero)
+// value pins; 0 (auto) consults UPCXX_AM_WINDOW — a positive integer
+// pins, `auto`/unset/garbage gives kDefaultAmWindow.
+std::uint32_t resolve_am_window(const Config& cfg);
 
 // Resolves a Config's am_transport. kAuto consults UPCXX_AM_TRANSPORT (so
 // hand-built Configs — the test helpers — honor a CI-level transport

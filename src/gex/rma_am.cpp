@@ -1,13 +1,11 @@
 #include "gex/rma_am.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <optional>
 #include <thread>
 
 #include "arch/atomics.hpp"
-#include "arch/timer.hpp"
 #include "gex/handlers.hpp"
 #include "gex/runtime.hpp"
 
@@ -346,23 +344,12 @@ std::uint64_t RmaAmProtocol::wire_dec(WireAddr wa) const {
       am_->arena().segmap().decode(wa)));
 }
 
-RmaAmProtocol::RmaAmProtocol(AmEngine* am, AmWindowSetting w,
-                             double rtt_envelope)
-    : am_(am),
-      adaptive_(w.adaptive),
-      window_(w.window ? w.window : 1),
-      max_window_(w.adaptive ? adaptive_ceiling(am)
-                             : (w.window ? w.window : 1)),
-      envelope_(rtt_envelope),
-      owner_(self()) {
-  // One peer per rank up front: peer() becomes an index. Every peer
-  // starts its controller at the configured window; pinned mode never
-  // consults it (window_now short-circuits on adaptive_).
+RmaAmProtocol::RmaAmProtocol(AmEngine* am, std::uint32_t window)
+    : am_(am), window_(window ? window : 1), owner_(self()) {
+  // One peer per rank up front: peer() becomes an index.
   const int n = am_->arena().config().ranks;
   peers_.reserve(static_cast<std::size_t>(n));
-  for (int t = 0; t < n; ++t)
-    peers_.push_back(
-        std::make_unique<Peer>(t, window_, max_window_, envelope_));
+  for (int t = 0; t < n; ++t) peers_.push_back(std::make_unique<Peer>(t));
 }
 
 std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
@@ -374,7 +361,7 @@ std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
 }
 
 void RmaAmProtocol::claim_credit(Peer& p) {
-  assert(p.outstanding < window_now(p) && "request sent without a credit");
+  assert(p.outstanding < window_ && "request sent without a credit");
   ++p.outstanding;
   arch::relaxed_max(stats_.max_outstanding, p.outstanding);
 }
@@ -383,8 +370,7 @@ std::uint32_t RmaAmProtocol::credits(int target) const {
   assert(target >= 0 && static_cast<std::size_t>(target) < peers_.size());
   if (job_failing()) return 0;
   const Peer& p = *peers_[static_cast<std::size_t>(target)];
-  const std::uint32_t w = window_now(p);
-  return p.outstanding < w ? w - p.outstanding : 0;
+  return p.outstanding < window_ ? window_ - p.outstanding : 0;
 }
 
 RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
@@ -408,39 +394,21 @@ RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
 
 void RmaAmProtocol::recycle_stage(Peer& p, StageBuf buf) {
   if (!buf.p) return;
-  if (p.stage_pool.size() < window_now(p)) {
+  if (p.stage_pool.size() < window_) {
     p.stage_pool.push_back(buf);
     return;
   }
   am_->arena().heap().deallocate(buf.p);
 }
 
-std::uint32_t RmaAmProtocol::adaptive_ceiling(AmEngine* am) {
-  // Ceiling × chunk = the in-flight staging working set; 1MB keeps it
-  // cache-resident at the default 64K am-wire chunk (ceiling 16) while
-  // small-chunk configs (tests, soaks) still get the full range.
-  constexpr std::size_t kStagingBudgetBytes = 1 << 20;
-  std::size_t chunk =
-      std::min(am->arena().config().xfer_chunk_bytes, kAmXferChunkBytes);
-  if (chunk == 0) chunk = 1;
-  auto cap = static_cast<std::uint32_t>(kStagingBudgetBytes / chunk);
-  if (cap < kDefaultAmWindow) cap = kDefaultAmWindow;
-  if (cap > kMaxAmWindow) cap = kMaxAmWindow;
-  return cap;
-}
-
 RmaAmProtocol::StageBuf RmaAmProtocol::acquire_reply_stage(
     Peer& p, std::size_t bytes) {
-  // Staged replies are bounded by the window *ceiling*, not the adaptive
-  // operating point: a pure responder's controller never sees acks (it
-  // sends no credit-consuming requests), so its operating point would sit
-  // at the start window forever and clamp an initiator whose window has
-  // grown — the initiator's own window already bounds how many replies
-  // can be awaited, this bound only has to keep a failing peer from
-  // pinning unbounded heap. Past it the caller falls back to the
-  // rendezvous REPLY path — never block here, a reply send runs inside
-  // the target's poll loop.
-  if (p.reply_out.size() >= window()) return StageBuf{};
+  // Staged replies are bounded by the window: the initiator's own window
+  // already bounds how many replies can be awaited, this bound only has to
+  // keep a failing peer from pinning unbounded heap. Past it the caller
+  // falls back to the rendezvous REPLY path — never block here, a reply
+  // send runs inside the target's poll loop.
+  if (p.reply_out.size() >= window_) return StageBuf{};
   if (StageBuf b = take_best_fit(p.reply_pool, bytes); b.p) {
     ++stats_.reply_pool_hits;
     return b;
@@ -460,10 +428,9 @@ void RmaAmProtocol::recycle_reply(Peer& p, std::uint64_t cookie) {
   if (it == p.reply_out.end()) return;  // freed by fail_all_peers already
   StageBuf b = it->second;
   p.reply_out.erase(it);
-  // Pool retention matches the stage bound (the window ceiling); a pinned
-  // window may have shrunk the bound since this buffer went out, and the
-  // excess drains back to the heap.
-  if (p.reply_pool.size() < window()) {
+  // Pool retention matches the stage bound; the excess drains back to the
+  // heap.
+  if (p.reply_pool.size() < window_) {
     p.reply_pool.push_back(b);
     return;
   }
@@ -490,14 +457,6 @@ void RmaAmProtocol::cancel_sent(Peer& p, std::uint64_t cookie) {
   arch::relaxed_inc(stats_.cancelled);
   assert(p.outstanding > 0);
   --p.outstanding;
-}
-
-// Stamps the wire-send time on a just-sent request so the completion loop
-// can feed the request→ack round trip to the peer's window controller.
-void RmaAmProtocol::note_wire_send(std::uint64_t cookie) {
-  if (!adaptive_) return;
-  auto it = pending_.find(cookie);
-  if (it != pending_.end()) it->second.send_ns = arch::now_ns();
 }
 
 bool RmaAmProtocol::job_failing() const {
@@ -578,7 +537,6 @@ void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
   send_record(r);
   arch::relaxed_inc(ndsts == 1 ? stats_.puts_sent : stats_.frag_puts_sent);
   if (stage.p) arch::relaxed_inc(stats_.puts_staged);
-  note_wire_send(cookie);
 }
 
 void RmaAmProtocol::send_get_frag(int target, std::uint64_t cookie,
@@ -589,7 +547,6 @@ void RmaAmProtocol::send_get_frag(int target, std::uint64_t cookie,
   write_descs(r.body, srcs, n);
   send_record(r);
   arch::relaxed_inc(n == 1 ? stats_.gets_sent : stats_.frag_gets_sent);
-  note_wire_send(cookie);
 }
 
 void RmaAmProtocol::start_put(int target, const Frag* dsts,
@@ -621,9 +578,6 @@ int RmaAmProtocol::poll_requests() {
   if (!completed_.empty()) {
     auto comp = std::move(completed_);
     completed_.clear();
-    // One clock read for the whole batch: every cookie in comp was sent
-    // before this poll began, so now >= send_ns for each.
-    const std::uint64_t now = adaptive_ ? arch::now_ns() : 0;
     for (const std::uint64_t cookie : comp) {
       auto node = pending_.extract(cookie);
       if (node.empty()) {
@@ -636,13 +590,6 @@ int RmaAmProtocol::poll_requests() {
       --p.outstanding;
       // The target is done with the bounce buffer once its ack arrived.
       recycle_stage(p, node.mapped().stage);
-      // Feed the request→ack round trip to this peer's controller; its
-      // window moves and every derived bound follows on the next check.
-      if (adaptive_ && node.mapped().send_ns) {
-        const int d = p.ctrl.on_ack(now - node.mapped().send_ns);
-        if (d > 0) ++stats_.window_grow;
-        if (d < 0) ++stats_.window_shrink;
-      }
       // Extracted from the map before firing: the callback may issue new
       // protocol ops.
       Done done = std::move(node.mapped().done);

@@ -49,8 +49,7 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
           : arena->config().xfer_chunk_bytes;
   XferEngine xfer_engine(chunk_bytes, arena->config().sim_bw_gbps);
   rank.xfer = &xfer_engine;
-  RmaAmProtocol rma_am_proto(&engine, resolve_am_window(arena->config()),
-                             resolve_am_rtt_envelope(arena->config()));
+  RmaAmProtocol rma_am_proto(&engine, resolve_am_window(arena->config()));
   rank.rma_am = &rma_am_proto;
   if (rank.rma_wire_am) xfer_engine.set_wire(rma_am_proto.wire_ops());
   arena->world_barrier();

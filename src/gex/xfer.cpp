@@ -10,6 +10,30 @@
 
 namespace gex {
 
+namespace {
+
+// Copies the runs `from`, in order, into the runs `to` (equal totals).
+void copy_runs(const std::vector<XferEngine::LocalFrag>& from,
+               const std::vector<XferEngine::LocalFrag>& to) {
+  std::size_t i = 0, off = 0;  // cursor in `from`
+  for (const auto& d : to) {
+    for (std::size_t done = 0; done < d.bytes;) {
+      const std::size_t n = std::min(d.bytes - done, from[i].bytes - off);
+      if (n)
+        std::memcpy(static_cast<std::byte*>(d.ptr) + done,
+                    static_cast<const std::byte*>(from[i].ptr) + off, n);
+      done += n;
+      off += n;
+      if (off == from[i].bytes) {
+        ++i;
+        off = 0;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 XferEngine::XferEngine(std::size_t chunk_bytes, double bw_gbps)
     : chunk_bytes_(chunk_bytes ? chunk_bytes : std::size_t{256} << 10),
       bw_gbps_(bw_gbps > 0 ? bw_gbps : 0),
@@ -22,6 +46,7 @@ XferEngine::Channel& XferEngine::channel(int target) {
     if (ch->target == target) return *ch;
   channels_.push_back(std::make_unique<Channel>());
   channels_.back()->target = target;
+  channels_.back()->own = owner_ && target == owner_->me;
   channels_.back()->ns_per_byte = ns_per_byte_;
   return *channels_.back();
 }
@@ -87,7 +112,19 @@ void XferEngine::issue_one_chunk(Channel& ch) {
   const std::size_t take =
       x.runs ? x.bytes : std::min(chunk_bytes_, x.bytes - x.off);
   if (x.runs || take) {
-    if (!wire_) {
+    if (x.runs && ch.own) {
+      // Own rank: the remote runs are this rank's own addresses.
+      std::vector<LocalFrag> mine;
+      mine.reserve(x.remote.size());
+      for (const Frag& f : x.remote)
+        mine.push_back(
+            {reinterpret_cast<void*>(static_cast<std::uintptr_t>(f.addr)),
+             static_cast<std::size_t>(f.bytes)});
+      if (x.is_get)
+        copy_runs(mine, x.local);
+      else
+        copy_runs(x.local, mine);
+    } else if (!wire_ || ch.own) {
       std::memcpy(x.dst + x.off, x.src + x.off, take);
     } else {
       // Each wire piece carries a pending-ack token; the transfer retires

@@ -28,7 +28,12 @@
 // arrives; the engine's completion pipeline is identical either way. On
 // the AM wire the channels are the *only* sender-side queue: every op,
 // small contiguous ones and non-contiguous fragment lists included, waits
-// here until the protocol has a credit for its target.
+// here until the protocol has a credit for its target. The channel to the
+// engine's own rank never uses the wire: its entries move by memcpy, with
+// no credit gate, whatever wire is installed — an own-rank endpoint may be
+// process-private memory no wire request can address (a device-toll
+// copy() to a host buffer), and landing still waits out the wire clock
+// and the extra toll.
 //
 // Entries: a contiguous transfer is chunked; a run entry (submit_runs — a
 // scatter-put or gather-get over lists of runs) is one wire request that
@@ -113,13 +118,12 @@ class XferEngine {
   // reply arrives). A contiguous chunk is the one-run case.
   //
   // `credits` is the wire's back-pressure: how many more requests it
-  // accepts toward `target` right now — on the AM wire, the adaptive
-  // window (window_now) minus requests in flight, and 0 once the job's
-  // error flag is up. Each put/get consumes one. The engine re-reads it
-  // before every issue, so a channel whose count is 0 holds its entries
-  // (they cost nothing here — the source stays pinned until on_source)
-  // and poll() deals the budget it cannot use to other channels. Null =
-  // unmetered.
+  // accepts toward `target` right now — on the AM wire, the credit window
+  // minus requests in flight, and 0 once the job's error flag is up. Each
+  // put/get consumes one. The engine re-reads it before every issue, so a
+  // channel whose count is 0 holds its entries (they cost nothing here —
+  // the source stays pinned until on_source) and poll() deals the budget
+  // it cannot use to other channels. Null = unmetered.
   struct WireOps {
     arch::UniqueFunction<void(int target, const Frag* remote,
                               std::size_t nremote, const LocalFrag* local,
@@ -158,8 +162,9 @@ class XferEngine {
 
   // Queues one scatter-put (is_get false: the `local` runs are gathered
   // into the `remote` runs) or gather-get (the `remote` runs land in
-  // `local`) as a single wire request that is never chunked. Needs an
-  // installed wire. Buffer lifetimes as for submit().
+  // `local`) as a single wire request that is never chunked (a memcpy of
+  // the runs when `target` is the engine's own rank). Needs an installed
+  // wire. Buffer lifetimes as for submit().
   void submit_runs(int target, std::vector<Frag> remote,
                    std::vector<LocalFrag> local, Callback on_source,
                    Callback on_landed, bool is_get);
@@ -245,6 +250,7 @@ class XferEngine {
   // still to go out.
   struct Channel {
     int target = -1;
+    bool own = false;  // target is the engine's own rank: never the wire
     double ns_per_byte = 0;  // 0 when the bandwidth model is off
     Xfer* head = nullptr;
     Xfer* issue = nullptr;
@@ -260,10 +266,11 @@ class XferEngine {
   // channels absorb the budget a clock-bound capped link cannot use.
   static constexpr double kUncappedWeightGbps = 128.0;
 
-  // The channel has a piece to issue and the wire has a credit for it.
+  // The channel has a piece to issue and the wire (if it is used) has a
+  // credit for it.
   bool can_issue(const Channel& ch) {
-    return ch.issue &&
-           (!wire_ || !wire_->credits || wire_->credits(ch.target) > 0);
+    return ch.issue && (!wire_ || ch.own || !wire_->credits ||
+                        wire_->credits(ch.target) > 0);
   }
   double link_weight(const Channel& ch) const {
     return ch.ns_per_byte > 0 ? 1.0 / ch.ns_per_byte : kUncappedWeightGbps;

@@ -10,11 +10,12 @@
 //     on the am wire, at or above Config::rma_async_min on the direct
 //     wire), and so does a local one that pays a device toll at or above
 //     Config::rma_async_min on either wire: chunks move through the
-//     target's channel (on whichever wire is installed) and the
-//     simulated-PCIe cost gates landing via the engine's extra-toll hook,
-//     so it *composes* with the virtual wire clock instead of being charged
-//     at injection — overlapped device copies pipeline exactly like host
-//     RMA (bench/micro_copy_devmem.cpp's async section measures this). A
+//     target's channel (a local copy's is the own-rank channel, a memcpy
+//     on any wire) and the simulated-PCIe cost gates landing via the
+//     engine's extra-toll hook, so it *composes* with the virtual wire
+//     clock instead of being charged at injection — overlapped device
+//     copies pipeline exactly like host RMA
+//     (bench/micro_copy_devmem.cpp's async section measures this). A
 //     third-party copy (both endpoints remote) is a put to the destination
 //     rank whose payload is read through the cross-map — honest for the
 //     write side; a distributed backend would stage through a get first;

@@ -387,17 +387,14 @@ TEST(Config, XferKnobsNormalize) {
 
 TEST(Config, XferEnvParsing) {
   setenv("UPCXX_SIM_BW_GBPS", "2.5", 1);
-  setenv("UPCXX_XFER_CHUNK_KB", "64", 1);
   setenv("UPCXX_RMA_ASYNC_MIN", "0", 1);
   auto c = gex::Config::from_env();
   EXPECT_DOUBLE_EQ(c.sim_bw_gbps, 2.5);
-  EXPECT_EQ(c.xfer_chunk_bytes, std::size_t{64} << 10);
   EXPECT_EQ(c.rma_async_min, 0u);
   // Malformed bandwidth falls back to the default, not garbage.
   setenv("UPCXX_SIM_BW_GBPS", "fast", 1);
   EXPECT_EQ(gex::Config::from_env().sim_bw_gbps, 0.0);
   unsetenv("UPCXX_SIM_BW_GBPS");
-  unsetenv("UPCXX_XFER_CHUNK_KB");
   unsetenv("UPCXX_RMA_ASYNC_MIN");
 }
 
@@ -408,9 +405,9 @@ TEST(Config, NumericKnobsRejectGarbage) {
   // Save and clear every knob this test touches: the surrounding test run
   // may pin some of them (the CI am-window-1 job exports UPCXX_AM_WINDOW).
   const char* knobs[] = {
-      "UPCXX_AM_WINDOW",        "UPCXX_SIM_LATENCY_NS", "UPCXX_SIM_BW_GBPS",
-      "UPCXX_EAGER_MAX",        "UPCXX_RANKS",          "UPCXX_XFER_CHUNK_KB",
-      "UPCXX_RING_KB",          "UPCXX_RMA_ASYNC_MIN",
+      "UPCXX_AM_WINDOW", "UPCXX_SIM_LATENCY_NS", "UPCXX_SIM_BW_GBPS",
+      "UPCXX_EAGER_MAX", "UPCXX_RANKS",          "UPCXX_RING_KB",
+      "UPCXX_RMA_ASYNC_MIN",
   };
   std::vector<std::pair<const char*, std::string>> saved;
   for (const char* k : knobs) {
@@ -426,7 +423,7 @@ TEST(Config, NumericKnobsRejectGarbage) {
       {"UPCXX_SIM_LATENCY_NS", "-5"},    {"UPCXX_SIM_LATENCY_NS", "x"},
       {"UPCXX_SIM_BW_GBPS", "inf"},      {"UPCXX_SIM_BW_GBPS", "-2"},
       {"UPCXX_EAGER_MAX", "-1"},         {"UPCXX_RANKS", "0"},
-      {"UPCXX_RANKS", "four"},           {"UPCXX_XFER_CHUNK_KB", "256k"},
+      {"UPCXX_RANKS", "four"},
       {"UPCXX_RING_KB", "99999999999999999999"},  // ERANGE
       {"UPCXX_RMA_ASYNC_MIN", "-1"},
   };
@@ -453,33 +450,25 @@ TEST(Config, NumericKnobsRejectGarbage) {
   EXPECT_EQ(ok.sim_latency_ns, 250u);
   unsetenv("UPCXX_AM_WINDOW");
   unsetenv("UPCXX_SIM_LATENCY_NS");
-  // resolve_am_window falls back to adaptive-at-default on a garbage
-  // environment, `auto` spells the default explicitly, an integer pins,
-  // and kAmWindowForceAuto overrides even a pinned environment.
-  setenv("UPCXX_AM_WINDOW", "zero", 1);
+  // resolve_am_window: unset, `auto` and garbage give the default window
+  // (1 MiB of 64 KiB am-wire chunks), an integer pins, and
+  // kAmWindowForceAuto gives the default even under a pinned environment.
+  EXPECT_EQ(gex::kDefaultAmWindow, 16u);
   gex::Config c;
-  {
-    const auto w = gex::resolve_am_window(c);
-    EXPECT_TRUE(w.adaptive);
-    EXPECT_EQ(w.window, gex::kDefaultAmWindow);
-  }
+  EXPECT_EQ(gex::resolve_am_window(c), gex::kDefaultAmWindow);
+  setenv("UPCXX_AM_WINDOW", "zero", 1);
+  EXPECT_EQ(gex::resolve_am_window(c), gex::kDefaultAmWindow);
   setenv("UPCXX_AM_WINDOW", "auto", 1);
-  {
-    const auto w = gex::resolve_am_window(c);
-    EXPECT_TRUE(w.adaptive);
-    EXPECT_EQ(w.window, gex::kDefaultAmWindow);
-  }
-  setenv("UPCXX_AM_WINDOW", "16", 1);
-  {
-    const auto w = gex::resolve_am_window(c);
-    EXPECT_FALSE(w.adaptive);
-    EXPECT_EQ(w.window, 16u);
-  }
+  EXPECT_EQ(gex::resolve_am_window(c), gex::kDefaultAmWindow);
+  setenv("UPCXX_AM_WINDOW", "3", 1);
+  EXPECT_EQ(gex::resolve_am_window(c), 3u);
   {
     gex::Config forced;
     forced.am_window = gex::kAmWindowForceAuto;
-    const auto w = gex::resolve_am_window(forced);
-    EXPECT_TRUE(w.adaptive);
+    EXPECT_EQ(gex::resolve_am_window(forced), gex::kDefaultAmWindow);
+    gex::Config pinned;
+    pinned.am_window = 5;
+    EXPECT_EQ(gex::resolve_am_window(pinned), 5u);
   }
   unsetenv("UPCXX_AM_WINDOW");
   // Non-finite bandwidth is scrubbed by normalize() for hand-built

@@ -168,23 +168,31 @@ TEST(MemoryKinds, BandwidthTermScalesWithSize) {
 }
 
 TEST(MemoryKinds, CostedLocalDeviceCopyToPrivateHostOnAmWire) {
-  // A small local device->host copy stays off the wire on the am wire too:
-  // the destination is process-private memory, which no AM request can
-  // address. The device toll is charged to operation completion instead.
+  // A local device<->host copy never becomes an AM request on the am wire:
+  // the host end is process-private memory, which no AM request can
+  // address. A small copy is a memcpy with the device toll charged to
+  // operation completion; one at or above rma_async_min (256 KiB here)
+  // moves by memcpy through the engine's own-rank channel, with the toll
+  // gating landing. Both directions, both sizes.
   gex::Config cfg = testutil::test_cfg(1);
   cfg.rma_wire = gex::RmaWire::kAm;
   const int fails = upcxx::run(cfg, [] {
     upcxx::experimental::set_sim_device_params(10'000, 0.0);
     upcxx::device_allocator<upcxx::sim_device> dev(1 << 20);
-    auto d = dev.allocate<double>(8);
-    std::vector<double> v(8);
-    std::iota(v.begin(), v.end(), 1.0);
-    upcxx::copy(v.data(), d, 8).wait();
-    std::vector<double> out(8, 0.0);
-    const std::uint64_t t0 = arch::now_ns();
-    upcxx::copy(d, out.data(), 8).wait();
-    EXPECT_GE(arch::now_ns() - t0, 10'000u);
-    EXPECT_EQ(out, v);
+    for (const std::size_t n : {std::size_t{8}, std::size_t{32} << 10}) {
+      auto d = dev.allocate<double>(n);
+      std::vector<double> v(n);
+      std::iota(v.begin(), v.end(), 1.0);
+      std::uint64_t t0 = arch::now_ns();
+      upcxx::copy(v.data(), d, n).wait();
+      EXPECT_GE(arch::now_ns() - t0, 10'000u) << n;
+      std::vector<double> out(n, 0.0);
+      t0 = arch::now_ns();
+      upcxx::copy(d, out.data(), n).wait();
+      EXPECT_GE(arch::now_ns() - t0, 10'000u) << n;
+      EXPECT_EQ(out, v) << n;
+      dev.deallocate(d);
+    }
     upcxx::experimental::set_sim_device_params(0, 0.0);
   });
   EXPECT_EQ(fails, 0);

@@ -543,9 +543,7 @@ TEST(AmReplyStaging, ExhaustedPoolFallsBackToRendezvous) {
     // Swap in per-rank protocol instances with mismatched pinned windows;
     // the handlers route through gex::self()->rma_am, so both sides see
     // their own instance.
-    gex::RmaAmProtocol proto(
-        gex::self()->am,
-        gex::AmWindowSetting{false, me == 1 ? 2u : 8u});
+    gex::RmaAmProtocol proto(gex::self()->am, me == 1 ? 2u : 8u);
     auto* saved = gex::self()->rma_am;
     gex::self()->rma_am = &proto;
     if (me == 1) s_parked.store(1, std::memory_order_release);
@@ -593,51 +591,45 @@ TEST(AmReplyStaging, ExhaustedPoolFallsBackToRendezvous) {
   EXPECT_EQ(fails, 0);
 }
 
-// The adaptive controller is a pure state machine; drive it with synthetic
-// RTTs and check the control law: additive growth on timely windowfuls,
-// multiplicative backoff (at most once per windowful) on late acks, window
-// always within [1, max].
-TEST(AmWindowAdaptive, ControllerGrowsShrinksAndStaysBounded) {
-  gex::AmWindowController c(4, 16, 2.0);
-  EXPECT_EQ(c.window(), 4u);
-  EXPECT_EQ(c.max_window(), 16u);
-  // Timely acks (at the floor) grow the window one credit per windowful:
-  // 4+5+...+15 = 114 acks to reach the ceiling.
-  int acks_to_max = 0;
-  while (c.window() < 16 && acks_to_max < 1000) {
-    c.on_ack(1000);
-    ++acks_to_max;
-  }
-  EXPECT_EQ(c.window(), 16u);
-  EXPECT_EQ(acks_to_max, 114);
-  // The ceiling holds under continued timely acks.
-  for (int i = 0; i < 200; ++i) c.on_ack(1000);
-  EXPECT_EQ(c.window(), 16u);
-  // One late ack does not shrink twice within a windowful; a sustained
-  // late regime halves per windowful down to 1, never below.
-  std::uint32_t prev = c.window();
-  for (int i = 0; i < 400 && c.window() > 1; ++i) {
-    const int d = c.on_ack(50'000'000);
-    if (d < 0) {
-      EXPECT_EQ(c.window(), prev / 2);
-      prev = c.window();
-    }
-  }
-  EXPECT_EQ(c.window(), 1u);
-  for (int i = 0; i < 100; ++i) c.on_ack(100'000'000);
-  EXPECT_GE(c.window(), 1u);
-  EXPECT_LE(c.window(), 16u);
-  // Recovery: back in the timely regime, the window climbs again.
-  gex::AmWindowController r(2, 8, 2.0);
-  for (int i = 0; i < 16; ++i) r.on_ack(60'000'000);  // establish high floor
-  const std::uint32_t before = r.window();
-  for (int i = 0; i < 200; ++i) r.on_ack(1000);  // fast acks lower the floor
-  EXPECT_GT(r.window(), before);
-  // Degenerate parameters clamp instead of misbehaving.
-  gex::AmWindowController z(0, 0, 0.5);
-  EXPECT_EQ(z.window(), 1u);
-  z.on_ack(0);
-  EXPECT_EQ(z.window(), 1u);
+// Transfers whose target is the calling rank never become AM requests:
+// the engine's own-rank channel moves them by memcpy, with no credit gate
+// (window 1 here, and no ack ever arrives), contiguous and run entries
+// alike, with mismatched run boundaries on the two sides.
+TEST(AmOwnRank, OwnRankTransfersNeverTakeTheWire) {
+  gex::Config cfg = testutil::test_cfg(1);
+  cfg.rma_wire = gex::RmaWire::kAm;
+  cfg.am_window = 1;
+  const int fails = upcxx::run(cfg, [] {
+    constexpr std::size_t kN = 12;
+    auto mine = upcxx::allocate<int>(kN);
+    std::fill_n(mine.local(), kN, 0);
+    std::vector<int> a{1, 2, 3, 4, 5};
+    std::vector<int> b{6, 7, 8, 9, 10, 11, 12};
+    std::vector<upcxx::src_fragment<int>> srcs{{a.data(), a.size()},
+                                               {b.data(), b.size()}};
+    std::vector<upcxx::dst_fragment<int>> dsts{
+        {mine, 4}, {mine + 4, 4}, {mine + 8, 4}};
+    upcxx::rput_irregular(srcs, dsts).wait();
+    std::vector<int> out(kN, -1);
+    std::vector<upcxx::dst_fragment<int>> from{{mine, 7}, {mine + 7, 5}};
+    std::vector<upcxx::local_fragment<int>> into{{out.data(), 3},
+                                                 {out.data() + 3, 9}};
+    upcxx::rget_irregular(from, into).wait();
+    for (std::size_t i = 0; i < kN; ++i)
+      EXPECT_EQ(out[i], static_cast<int>(i + 1));
+    std::vector<int> big(8 << 10, 7);
+    auto dst = upcxx::allocate<int>(big.size());
+    upcxx::rput(big.data(), dst, big.size()).wait();
+    EXPECT_EQ(dst.local()[big.size() - 1], 7);
+    upcxx::deallocate(dst);
+    const auto& st = gex::rma_am().stats();
+    EXPECT_EQ(st.puts_sent + st.gets_sent + st.frag_puts_sent +
+                  st.frag_gets_sent,
+              0u);
+    EXPECT_TRUE(gex::rma_am().idle());
+    upcxx::deallocate(mine);
+  });
+  EXPECT_EQ(fails, 0);
 }
 
 }  // namespace

@@ -34,12 +34,14 @@ long stamp(int writer, int round, std::size_t idx) {
          (static_cast<long>(round) << 28) ^ static_cast<long>(idx);
 }
 
+// Samples, taken between progress calls, that found a target's window
+// full while its channel still held unissued work: proof that ops really
+// waited sender-side. Set by the calling rank's soak_body.
+thread_local std::uint64_t t_channel_waits = 0;
+
 // One rank's soak body. Every rank is simultaneously a writer (to its
-// slice in every peer) and an owner (serving peers' traffic). `adaptive`
-// marks the auto-window cells: the moving window makes credit exhaustion
-// load-dependent, so only the invariants that hold at any window are
-// asserted there.
-void soak_body(std::uint64_t seed, bool am_wire, bool adaptive = false) {
+// slice in every peer) and an owner (serving peers' traffic).
+void soak_body(std::uint64_t seed, bool am_wire) {
   const int me = upcxx::rank_me(), P = upcxx::rank_n();
   const std::size_t total = kSlice * static_cast<std::size_t>(P);
   auto mine = upcxx::new_array<long>(total);
@@ -56,11 +58,7 @@ void soak_body(std::uint64_t seed, bool am_wire, bool adaptive = false) {
   auto slice_of = [&](int p) {
     return dir[p] + static_cast<std::size_t>(me) * kSlice;
   };
-
-  // Samples, taken between progress calls, that found a target's window
-  // full while its channel still held unissued work: proof that ops
-  // really waited sender-side.
-  std::uint64_t channel_waits = 0;
+  t_channel_waits = 0;
 
   for (int round = 0; round < kRounds; ++round) {
     upcxx::promise<> pr;
@@ -167,7 +165,7 @@ void soak_body(std::uint64_t seed, bool am_wire, bool adaptive = false) {
       for (int p = 0; p < P; ++p)
         if (am_wire && p != me && gex::rma_am().credits(p) == 0 &&
             gex::xfer().pending_chunks(p) > 0)
-          ++channel_waits;
+          ++t_channel_waits;
     }
     for (const auto& [sink, expect] : get_checks) {
       ASSERT_EQ(sink->size(), expect.size());
@@ -205,15 +203,8 @@ void soak_body(std::uint64_t seed, bool am_wire, bool adaptive = false) {
                   st.frag_gets_sent,
               0u);
     EXPECT_GT(st.puts_handled + st.gets_handled, 0u);
-    // A fixed tiny window provably forces window-blocked ops to wait in
-    // their channel for credits; an adaptive window may grow past the load
-    // instead.
-    if (!adaptive) EXPECT_GT(channel_waits, 0u);
-    EXPECT_EQ(gex::rma_am().adaptive_window(), adaptive);
   }
-  // The credit window held: never more in flight to one target than the
-  // window ceiling (the pinned value, or kMaxAmWindow under the adaptive
-  // controller).
+  // The credit window held: never more in flight to one target.
   EXPECT_LE(st.max_outstanding, gex::rma_am().window());
   // Ack conservation: every put this rank handled was acknowledged through
   // exactly one channel (a standalone multi-ack record or a piggyback).
@@ -240,8 +231,12 @@ gex::Config stress_cfg(gex::RmaWire wire) {
 }
 
 TEST(RmaStress, RandomizedSoakAmWire) {
-  const int fails = upcxx::run(stress_cfg(gex::RmaWire::kAm),
-                               [] { soak_body(0xC0FFEE, true); });
+  const int fails = upcxx::run(stress_cfg(gex::RmaWire::kAm), [] {
+    soak_body(0xC0FFEE, true);
+    // The window of 4 provably forces window-blocked ops to wait in their
+    // channel for credits.
+    EXPECT_GT(t_channel_waits, 0u);
+  });
   EXPECT_EQ(fails, 0);
 }
 
@@ -251,13 +246,12 @@ TEST(RmaStress, RandomizedSoakDirectWire) {
   EXPECT_EQ(fails, 0);
 }
 
-// The adaptive-window soak: same traffic, `UPCXX_AM_WINDOW=auto` semantics
-// forced (kAmWindowForceAuto beats any CI window pin), and chunks sized so
-// GET replies exceed eager_max and exercise the staged-reply pool under
-// racing multi-rank traffic. The conservation asserts inside soak_body
-// (ack and rack channels, window ceiling) are the point: the moving window
-// must never break the flow-control invariants.
-gex::Config adaptive_cfg() {
+// The default-window soak: same traffic at kDefaultAmWindow
+// (kAmWindowForceAuto beats any CI window pin), and chunks sized so GET
+// replies exceed eager_max and exercise the staged-reply pool under racing
+// multi-rank traffic. The conservation asserts inside soak_body (ack and
+// rack channels, window bound) are the point.
+gex::Config default_window_cfg() {
   gex::Config cfg = testutil::test_cfg(3);
   cfg.rma_wire = gex::RmaWire::kAm;
   cfg.am_transport = gex::AmTransport::kMmap;
@@ -267,9 +261,11 @@ gex::Config adaptive_cfg() {
   return cfg;
 }
 
-TEST(RmaStress, AdaptiveWindowSoakMmap) {
-  const int fails = upcxx::run(adaptive_cfg(),
-                               [] { soak_body(0xAD0BE, true, true); });
+TEST(RmaStress, DefaultWindowSoakMmap) {
+  const int fails = upcxx::run(default_window_cfg(), [] {
+    EXPECT_EQ(gex::rma_am().window(), gex::kDefaultAmWindow);
+    soak_body(0xAD0BE, true);
+  });
   EXPECT_EQ(fails, 0);
 }
 

@@ -287,8 +287,8 @@ TEST(XferEngine, NoCreditsHoldChunksInEngine) {
 
 TEST(XferEngine, CreditsMeterBudgetAcrossChannels) {
   // The budget dealer reads the wire's *current* credit count before every
-  // chunk (WireOps::credits — on the AM wire, the adaptive controller's
-  // window_now minus in-flight requests) instead of a static ceiling.
+  // chunk (WireOps::credits — on the AM wire, the credit window minus
+  // in-flight requests) instead of a static ceiling.
   // Target 1 offers 1 credit, target 2 offers 8, and each chunk holds its
   // credit until its done fires: a budget-8 poll must hand target 1
   // exactly its single credit and spend the other 7 chunks on target 2
