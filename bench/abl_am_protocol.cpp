@@ -213,10 +213,11 @@ int main() {
     if (fails) return 2;
     win_mbs.push_back(s_mbs);
   }
-  // Get-direction knee: same flood, but the payload rides the *reply* path
-  // (target stages it in a pooled shared-heap buffer, initiator's rack
-  // recycles the buffer). The knee should mirror the put sweep's — if it
-  // doesn't, reply staging is the bottleneck, not the request window.
+  // Get-direction knee: same flood, but the payload moves target-to-
+  // initiator (the initiator stages a pooled shared-heap block, the target
+  // gathers into it and acks, the ack recycles the block). The knee should
+  // mirror the put sweep's — if it doesn't, get staging is the bottleneck,
+  // not the request window.
   static std::vector<double> get_win_mbs;
   get_win_mbs.clear();
   for (std::uint32_t w : windows) {
@@ -263,12 +264,12 @@ int main() {
 
   // ---- put/get symmetry at 4MB, default window -----------------------------
   // Large transfers with every knob at its default (credit window,
-  // chunking). Before pooled reply staging, every rendezvous reply
-  // was a fresh shared-heap allocation plus a descriptor round-trip, and
-  // gets trailed puts badly at this size; with the reply pool recycling
-  // through racks the two directions should be near-symmetric. The
-  // protocol counters from both ranks are surfaced in BENCH_JSON so a
-  // regression here is attributable (pool misses vs fallbacks).
+  // chunking). Before pooled get staging, every rendezvous reply was a
+  // fresh shared-heap allocation plus a descriptor round-trip, and gets
+  // trailed puts badly at this size; with staged gets recycling the
+  // initiator's bounce pool, as puts do, the two directions should be
+  // near-symmetric. The protocol counters from both ranks are surfaced in
+  // BENCH_JSON so a regression here is attributable (pool hits vs misses).
   constexpr std::size_t kBigBytes = 4 << 20;
   static double s_put4_mbs, s_get4_mbs;
   static gex::RmaAmProtocol::Stats s_stats[2];
@@ -335,16 +336,16 @@ int main() {
   const auto stat_sum = [](auto f) {
     return static_cast<double>(f(s_stats[0]) + f(s_stats[1]));
   };
-  const double st_replies_staged =
-      stat_sum([](const auto& s) { return s.replies_staged; });
+  const double st_gets_staged =
+      stat_sum([](const auto& s) { return s.gets_staged; });
   const double st_reply_pool_hits =
       stat_sum([](const auto& s) { return s.reply_pool_hits; });
-  const double st_reply_fallbacks =
-      stat_sum([](const auto& s) { return s.reply_fallbacks; });
+  const double st_reply_stage_allocs =
+      stat_sum([](const auto& s) { return s.reply_stage_allocs; });
   std::printf(
-      "  protocol counters (both ranks): replies_staged=%.0f "
-      "reply_pool_hits=%.0f reply_fallbacks=%.0f\n",
-      st_replies_staged, st_reply_pool_hits, st_reply_fallbacks);
+      "  protocol counters (both ranks): gets_staged=%.0f "
+      "reply_pool_hits=%.0f reply_stage_allocs=%.0f\n",
+      st_gets_staged, st_reply_pool_hits, st_reply_stage_allocs);
 
   benchutil::ShapeChecks checks;
   // The knee: any pipelining at all must beat full serialization. Compare
@@ -363,12 +364,11 @@ int main() {
       *std::max_element(get_win_mbs.begin() + 1, get_win_mbs.end());
   checks.expect(best_get_windowed >= get_win_mbs[0] * 0.7,
                 "widened windows do not collapse get-direction bandwidth");
-  // The headline symmetry claim: pooled reply staging makes the get
+  // The headline symmetry claim: pooled get staging makes the get
   // direction keep pace with puts at large sizes (within 10%).
   checks.expect(get_vs_put >= 0.9,
                 "4MB gets within 10% of puts at the default window");
-  checks.expect(st_replies_staged > 0,
-                "4MB gets exercised the staged-reply path");
+  checks.expect(st_gets_staged > 0, "4MB gets exercised the staged-get path");
   if (crossover)
     checks.note("rma-am put eager->rendezvous crossover at " +
                 benchutil::human_size(crossover));
@@ -403,9 +403,9 @@ int main() {
   json.metric("put_4mb_mbs", s_put4_mbs);
   json.metric("get_4mb_mbs", s_get4_mbs);
   json.metric("get_vs_put_4mb", get_vs_put);
-  json.metric("replies_staged", st_replies_staged);
+  json.metric("gets_staged", st_gets_staged);
   json.metric("reply_pool_hits", st_reply_pool_hits);
-  json.metric("reply_fallbacks", st_reply_fallbacks);
+  json.metric("reply_stage_allocs", st_reply_stage_allocs);
   if (crossover)
     json.metric("put_crossover_bytes", static_cast<double>(crossover));
   json.write();

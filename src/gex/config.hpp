@@ -39,11 +39,12 @@ enum class AmTransport {
   kSocket,
 };
 
-// Chunk granularity on the am wire: the XferEngine uses
-// min(Config::xfer_chunk_bytes, kAmXferChunkBytes) there, so explicit small
-// test chunkings still apply while default transfers keep their in-flight
-// staging footprint (window × chunk) inside L2 — the bounce pool only pays
-// off while the target consumes a chunk before it cools.
+// Chunk granularity on the am wire: the XferEngine uses at most
+// min(Config::xfer_chunk_bytes, kAmXferChunkBytes) there
+// (RmaAmProtocol::chunk_bytes), so explicit small test chunkings still
+// apply while default transfers keep their in-flight staging footprint
+// (window × chunk) inside L2 — the bounce pool only pays off while the
+// target consumes a chunk before it cools.
 inline constexpr std::size_t kAmXferChunkBytes = 64 << 10;
 
 struct Config {

@@ -1,8 +1,8 @@
 #include "gex/rma_am.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <optional>
 #include <thread>
 
 #include "arch/atomics.hpp"
@@ -22,20 +22,15 @@ std::size_t inline_cutoff(AmEngine* am) {
   return am->transport().shared_memory() ? am->eager_max() : am->inline_max();
 }
 
-}  // namespace
-
-namespace {
-
 // Wire record headers. Always memcpy'd to/from the ring (record payloads
 // are only 4-byte aligned). Cookies are initiator-local ids; `addr`/`buf`
 // fields are (segment id, offset) wire addresses (gex/segment.hpp) encoded
 // by the sender and resolved against the *receiver's own* mapping at
 // decode — no record byte depends on the peer's virtual-address layout.
-// Every header carries `nacks` and `nracks`: the counts of piggybacked
-// request-ack cookies and staged-reply consumption-ack cookies (u64 each)
-// laid out immediately after the header — acks first, then racks — ahead
-// of any descriptors or payload, so reverse-direction traffic retires the
-// sender's completions and unpins its staged reply buffers for free.
+// Every header carries `nacks`: the count of piggybacked ack cookies (u64
+// each) laid out immediately after the header, ahead of any descriptors or
+// payload, so reverse-direction traffic retires the sender's completions
+// for free.
 //
 // A request names its remote runs with `nfrags` FragDescs in the record
 // itself; a contiguous put or get is simply nfrags == 1.
@@ -43,48 +38,30 @@ struct FragHdr {
   std::uint64_t cookie;
   std::uint32_t nfrags;
   std::uint32_t nacks;
-  std::uint32_t nracks;
-  std::uint32_t reserved;
 };
-// Pool-staged put: the gathered payload sits in an initiator-owned bounce
-// buffer in the shared heap; the header and descriptors cross the ring.
-// The target scatters and acks; the ack hands the buffer back to the
-// initiator's pool. Keeping the descriptors out of the buffer keeps its
-// size the payload's, so a 64 KiB chunk takes a 64 KiB pool block.
+// Pool-staged put or get: the payload sits in (put) or lands in (get) the
+// initiator's bounce buffer `buf`; only the header and descriptors cross
+// the ring.
 struct FragStagedHdr {
   std::uint64_t cookie;
   std::uint64_t buf;
   std::uint64_t payload_bytes;
   std::uint32_t nfrags;
   std::uint32_t nacks;
-  std::uint32_t nracks;
-  std::uint32_t reserved;
 };
 struct FragDesc {
   std::uint64_t addr;
   std::uint64_t bytes;
 };
-// Standalone multi-ack record: every ack (and rack) owed to one target,
-// batched per poll into one ring transaction.
+// Standalone multi-ack record: every ack owed to one target, batched into
+// one ring transaction.
 struct AckHdr {
   std::uint32_t nacks;
-  std::uint32_t nracks;
 };
 struct RepHdr {
   std::uint64_t cookie;
   std::uint32_t nacks;
-  std::uint32_t nracks;
-};
-// Pool-staged GET reply: the gathered payload sits in a target-owned reply
-// buffer in the shared heap; only this descriptor crosses the ring. The
-// initiator scatters out of the buffer and owes a rack for `cookie`; the
-// rack hands the buffer back to the target's reply pool.
-struct RepStagedHdr {
-  std::uint64_t cookie;
-  std::uint64_t buf;
-  std::uint64_t bytes;
-  std::uint32_t nacks;
-  std::uint32_t nracks;
+  std::uint32_t reserved;
 };
 
 template <typename H>
@@ -130,6 +107,18 @@ void gather_runs(std::byte* q,
   }
 }
 
+// Copies `payload` back to back into the initiator's landing runs; returns
+// the bytes consumed.
+std::size_t scatter_local(const std::byte* payload,
+                          const std::vector<RmaAmProtocol::LocalFrag>& dsts) {
+  std::size_t off = 0;
+  for (const auto& f : dsts) {
+    if (f.bytes) std::memcpy(f.ptr, payload + off, f.bytes);
+    off += f.bytes;
+  }
+  return off;
+}
+
 // Removes and returns the smallest pooled buffer that holds `bytes`; null
 // .p when none does. Pools hold at most a window's worth of entries (one
 // per possible in-flight request), so the scan is short.
@@ -168,43 +157,19 @@ RmaAmProtocol& proto() {
 // gex handler registry at static initialization via am_handler<>, so every
 // rank — thread or fork — agrees on the indices.
 struct RmaAmHandlers {
-  // Retires `n` piggybacked ack cookies and returns the cursor past them.
-  static const std::byte* consume_acks(RmaAmProtocol& p, const std::byte* q,
-                                       std::uint32_t n) {
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::uint64_t cookie;
-      std::memcpy(&cookie, q + i * sizeof cookie, sizeof cookie);
-      p.completed_.push_back(cookie);
-    }
-    return q + ack_bytes(n);
-  }
-
-  // Retires `n` piggybacked rack cookies from rank `src` — each unpins a
-  // staged reply buffer this rank sent to src — and returns the cursor past
-  // them. recycle_reply only moves a buffer between local containers (or
-  // frees it), so this is handler-safe.
-  static const std::byte* consume_racks(RmaAmProtocol& p, int src,
-                                        const std::byte* q,
-                                        std::uint32_t n) {
-    if (n == 0) return q;
-    auto& pr = p.peer(src);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      std::uint64_t cookie;
-      std::memcpy(&cookie, q + i * sizeof cookie, sizeof cookie);
-      p.recycle_reply(pr, cookie);
-    }
-    return q + ack_bytes(n);
-  }
-
-  // Reads the record's header into `h`, retires the acks and racks
+  // Reads the record's header into `h`, retires the ack cookies
   // piggybacked after it, and returns the cursor past them.
   template <typename H>
   static const std::byte* open(RmaAmProtocol& p, const AmContext& cx,
                                H& h) {
     h = read_hdr<H>(cx.data);
     const auto* q = static_cast<const std::byte*>(cx.data) + sizeof(H);
-    q = consume_acks(p, q, h.nacks);
-    return consume_racks(p, cx.src, q, h.nracks);
+    for (std::uint32_t i = 0; i < h.nacks; ++i) {
+      std::uint64_t cookie;
+      std::memcpy(&cookie, q + i * sizeof cookie, sizeof cookie);
+      p.completed_.push_back(cookie);
+    }
+    return q + ack_bytes(h.nacks);
   }
 
   // Scatters `payload` into the `n` wire-addressed runs at `descs`, in
@@ -228,7 +193,7 @@ struct RmaAmHandlers {
     const auto* descs = open(p, cx, h);
     const std::size_t off =
         scatter(p, descs, h.nfrags, descs + h.nfrags * sizeof(FragDesc));
-    assert(sizeof(FragHdr) + ack_bytes(h.nacks) + ack_bytes(h.nracks) +
+    assert(sizeof(FragHdr) + ack_bytes(h.nacks) +
                h.nfrags * sizeof(FragDesc) + off ==
            cx.size);
     (void)off;
@@ -236,11 +201,11 @@ struct RmaAmHandlers {
     ++p.stats_.puts_handled;
   }
 
+  // A staged record names a bounce buffer in the *initiator's* heap —
+  // reachable here only because the transport cross-maps it. One arriving
+  // over a transport without that property (socket) is a protocol bug:
+  // RmaAmProtocol::chunk_bytes should have kept every piece inline.
   static void on_put_frag_staged(AmContext& cx) {
-    // h.buf names a bounce buffer in the *initiator's* heap — readable
-    // here only because the transport cross-maps it. A staged record
-    // arriving over a transport without that property (socket) is a
-    // protocol bug: inline_cutoff should have kept the payload inline.
     assert(cx.engine->transport().shared_memory() &&
            "staged put crossed a non-shared-memory transport");
     auto& p = proto();
@@ -255,82 +220,64 @@ struct RmaAmHandlers {
     ++p.stats_.puts_handled;
   }
 
+  // Queues a get's gather for poll_requests (the reply or ack is a send,
+  // which a handler must not make). The runs are resolved here: the gather
+  // list holds this rank's own raw addresses from now on. `stage` is the
+  // initiator's bounce buffer for a staged get, null for an inline one.
+  static void queue_get(RmaAmProtocol& p, int src, std::uint64_t cookie,
+                        const std::byte* descs, std::uint32_t n,
+                        void* stage) {
+    std::vector<RmaAmProtocol::Frag> gather;
+    gather.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto d = read_hdr<FragDesc>(descs + i * sizeof(FragDesc));
+      gather.push_back({p.wire_dec(d.addr), d.bytes});
+    }
+    p.replies_.push_back({src, cookie, std::move(gather), stage});
+    ++p.stats_.gets_handled;
+  }
+
   static void on_get_frag(AmContext& cx) {
     auto& p = proto();
     FragHdr h{};
     const auto* descs = open(p, cx, h);
-    // Resolve at decode; the gather list in replies_ holds this rank's own
-    // raw addresses from here on.
-    std::vector<RmaAmProtocol::Frag> gather;
-    gather.reserve(h.nfrags);
-    for (std::uint32_t i = 0; i < h.nfrags; ++i) {
-      const auto d = read_hdr<FragDesc>(descs + i * sizeof(FragDesc));
-      gather.push_back({p.wire_dec(d.addr), d.bytes});
-    }
-    p.replies_.push_back({cx.src, h.cookie, std::move(gather)});
-    ++p.stats_.gets_handled;
+    queue_get(p, cx.src, h.cookie, descs, h.nfrags, nullptr);
+  }
+
+  static void on_get_frag_staged(AmContext& cx) {
+    assert(cx.engine->transport().shared_memory() &&
+           "staged get crossed a non-shared-memory transport");
+    auto& p = proto();
+    FragStagedHdr h{};
+    const auto* descs = open(p, cx, h);
+    queue_get(p, cx.src, h.cookie, descs, h.nfrags,
+              local_ptr(p.wire_dec(h.buf)));
   }
 
   static void on_ack(AmContext& cx) {
     auto& p = proto();
     AckHdr h{};
     open(p, cx, h);
-    assert(sizeof(AckHdr) + ack_bytes(h.nacks) + ack_bytes(h.nracks) ==
-           cx.size);
+    assert(sizeof(AckHdr) + ack_bytes(h.nacks) == cx.size);
   }
 
-  // Scatters a reply payload into the pending get's landing runs and
-  // queues its completion (deferred to poll()). Returns the bytes
-  // scattered, or nothing when the request was cancelled (fail_all_peers)
-  // before the reply arrived — the landing buffers may be gone, so the
-  // payload is dropped.
-  static std::optional<std::size_t> land_reply(RmaAmProtocol& p,
-                                               std::uint64_t cookie,
-                                               const std::byte* payload) {
-    auto it = p.pending_.find(cookie);
-    if (it == p.pending_.end()) {
-      ++p.stats_.stale_completions;
-      return std::nullopt;
-    }
-    std::size_t off = 0;
-    for (const auto& f : it->second.scatter) {
-      if (f.bytes) std::memcpy(f.ptr, payload + off, f.bytes);
-      off += f.bytes;
-    }
-    p.completed_.push_back(cookie);
-    return off;
-  }
-
+  // Scatters an inline reply into the pending get's landing runs while the
+  // payload is alive (eager payloads die with the handler) and queues its
+  // completion (deferred to poll()). A reply to a request cancelled by
+  // fail_all_peers is dropped: the landing buffers may be gone.
   static void on_get_reply(AmContext& cx) {
     auto& p = proto();
     RepHdr h{};
     const auto* payload = open(p, cx, h);
-    // Scatter while the payload is alive (eager payloads die with the
-    // handler).
-    const auto off = land_reply(p, h.cookie, payload);
-    assert(!off || sizeof(RepHdr) + ack_bytes(h.nacks) +
-                           ack_bytes(h.nracks) + *off ==
-                       cx.size);
+    auto it = p.pending_.find(h.cookie);
+    if (it == p.pending_.end()) {
+      ++p.stats_.stale_completions;
+      return;
+    }
+    const std::size_t off = scatter_local(payload, it->second.scatter);
+    assert(sizeof(RepHdr) + ack_bytes(h.nacks) + off == cx.size);
     (void)off;
-  }
-
-  // Pool-staged reply: scatter straight out of the target's reply buffer
-  // (cross-mapped shared heap — the same addressing contract as every
-  // staged put), then owe a rack so the target can recycle it. The rack is
-  // owed even when the request was cancelled: the buffer must go back
-  // regardless of what happens to the payload.
-  static void on_reply_staged(AmContext& cx) {
-    assert(cx.engine->transport().shared_memory() &&
-           "staged reply crossed a non-shared-memory transport");
-    auto& p = proto();
-    RepStagedHdr h{};
-    open(p, cx, h);
-    p.peer(cx.src).racks_owed.push_back(h.cookie);
-    const auto off = land_reply(
-        p, h.cookie,
-        static_cast<const std::byte*>(local_ptr(p.wire_dec(h.buf))));
-    assert(!off || *off == static_cast<std::size_t>(h.bytes));
-    if (off) ++p.stats_.staged_replies_handled;
+    p.completed_.push_back(h.cookie);
   }
 };
 
@@ -350,6 +297,23 @@ RmaAmProtocol::RmaAmProtocol(AmEngine* am, std::uint32_t window)
   const int n = am_->arena().config().ranks;
   peers_.reserve(static_cast<std::size_t>(n));
   for (int t = 0; t < n; ++t) peers_.push_back(std::make_unique<Peer>(t));
+}
+
+std::size_t RmaAmProtocol::chunk_bytes(AmEngine& am, std::uint32_t window,
+                                       std::size_t want) {
+  std::size_t chunk = std::min(want, kAmXferChunkBytes);
+  if (!am.transport().shared_memory()) {
+    // Every record rides inline there. The largest one a piece makes is a
+    // contiguous put: header, owed acks, one descriptor and the payload (a
+    // run entry counts its descriptors inside the piece; a reply's header
+    // is no larger). Config's 256 B chunk floor still applies.
+    const std::size_t overhead =
+        sizeof(FragHdr) + ack_bytes(window) + sizeof(FragDesc);
+    const std::size_t room =
+        am.inline_max() - std::min(am.inline_max(), overhead);
+    chunk = std::max(std::min(chunk, room), std::size_t{256});
+  }
+  return chunk;
 }
 
 std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
@@ -374,15 +338,19 @@ std::uint32_t RmaAmProtocol::credits(int target) const {
 }
 
 RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
-                                                     std::size_t bytes) {
-  if (StageBuf b = take_best_fit(p.stage_pool, bytes); b.p) return b;
+                                                     std::size_t bytes,
+                                                     bool get) {
+  if (StageBuf b = take_best_fit(p.stage_pool, bytes); b.p) {
+    if (get) ++stats_.reply_pool_hits;
+    return b;
+  }
   // Pool miss: carve a fresh block (the shared heap is internally locked:
   // every rank allocates from it). On an exhausted heap spin with poll,
   // like the AmEngine's rendezvous path — but bail out (null buffer; the
   // caller cancels) once the error flag is up: the blocks we are waiting
   // for may be bounce buffers pinned by a dead peer's never-coming acks.
   const std::size_t cap = size_class(bytes);
-  arch::relaxed_inc(stats_.stage_allocs);
+  arch::relaxed_inc(get ? stats_.reply_stage_allocs : stats_.stage_allocs);
   auto& heap = am_->arena().heap();
   for (;;) {
     if (void* buf = heap.allocate(cap)) return StageBuf{buf, cap};
@@ -401,51 +369,21 @@ void RmaAmProtocol::recycle_stage(Peer& p, StageBuf buf) {
   am_->arena().heap().deallocate(buf.p);
 }
 
-RmaAmProtocol::StageBuf RmaAmProtocol::acquire_reply_stage(
-    Peer& p, std::size_t bytes) {
-  // Staged replies are bounded by the window: the initiator's own window
-  // already bounds how many replies can be awaited, this bound only has to
-  // keep a failing peer from pinning unbounded heap. Past it the caller
-  // falls back to the rendezvous REPLY path — never block here, a reply
-  // send runs inside the target's poll loop.
-  if (p.reply_out.size() >= window_) return StageBuf{};
-  if (StageBuf b = take_best_fit(p.reply_pool, bytes); b.p) {
-    ++stats_.reply_pool_hits;
-    return b;
+RmaAmProtocol::StageBuf RmaAmProtocol::stage_for(Peer& p,
+                                                 std::uint64_t cookie,
+                                                 std::size_t bytes,
+                                                 bool get) {
+  assert(am_->transport().shared_memory() &&
+         "staged record built for a non-shared-memory transport");
+  const StageBuf stage = acquire_stage(p, bytes, get);
+  if (!stage.p) {
+    // Exhausted heap while the job is failing: the request can never be
+    // serviced.
+    cancel_sent(p, cookie);
+  } else if (auto it = pending_.find(cookie); it != pending_.end()) {
+    it->second.stage = stage;
   }
-  // Pool miss: one allocation attempt, same size classes as the put pool.
-  // A momentarily exhausted heap is a fallback, not a stall.
-  const std::size_t cap = size_class(bytes);
-  if (void* buf = am_->arena().heap().allocate(cap)) {
-    ++stats_.reply_stage_allocs;
-    return StageBuf{buf, cap};
-  }
-  return StageBuf{};
-}
-
-void RmaAmProtocol::recycle_reply(Peer& p, std::uint64_t cookie) {
-  auto it = p.reply_out.find(cookie);
-  if (it == p.reply_out.end()) return;  // freed by fail_all_peers already
-  StageBuf b = it->second;
-  p.reply_out.erase(it);
-  // Pool retention matches the stage bound; the excess drains back to the
-  // heap.
-  if (p.reply_pool.size() < window_) {
-    p.reply_pool.push_back(b);
-    return;
-  }
-  am_->arena().heap().deallocate(b.p);
-}
-
-RmaAmProtocol::OwedAcks RmaAmProtocol::take_acks(int target) {
-  // Snapshot-and-clear before any send: the send may spin on a full ring,
-  // which polls our own inbox, whose handlers append fresh owed acks —
-  // those wait for the next record.
-  Peer& p = peer(target);
-  OwedAcks oa{std::move(p.acks_owed), std::move(p.racks_owed)};
-  p.acks_owed.clear();
-  p.racks_owed.clear();
-  return oa;
+  return stage;
 }
 
 // A staged send found the heap exhausted while the job is failing: the
@@ -467,22 +405,32 @@ bool RmaAmProtocol::job_failing() const {
 template <typename H>
 RmaAmProtocol::Record RmaAmProtocol::open_record(int target, HandlerIdx h,
                                                  H hdr, std::size_t body) {
-  auto oa = take_acks(target);
-  hdr.nacks = static_cast<std::uint32_t>(oa.acks.size());
-  hdr.nracks = static_cast<std::uint32_t>(oa.racks.size());
-  Record r{am_->prepare(target, h,
-                        sizeof hdr + ack_bytes(hdr.nacks + hdr.nracks) + body),
-           nullptr, hdr.nacks, hdr.nracks};
+  // Snapshot-and-clear before the send: it may spin on a full ring, which
+  // polls our own inbox, whose handlers append fresh owed acks — those
+  // wait for the next record.
+  Peer& p = peer(target);
+  const std::vector<std::uint64_t> acks = std::move(p.acks_owed);
+  p.acks_owed.clear();
+  hdr.nacks = static_cast<std::uint32_t>(acks.size());
+  Record r{am_->prepare(target, h, sizeof hdr + ack_bytes(hdr.nacks) + body),
+           nullptr, hdr.nacks};
   auto* q = static_cast<std::byte*>(r.sb.data);
   std::memcpy(q, &hdr, sizeof hdr);
-  r.body = write_acks(write_acks(q + sizeof hdr, oa.acks), oa.racks);
+  r.body = write_acks(q + sizeof hdr, acks);
   return r;
 }
 
 void RmaAmProtocol::send_record(Record& r) {
   am_->commit(r.sb);
   arch::relaxed_add(stats_.acks_piggybacked, r.nacks);
-  arch::relaxed_add(stats_.reply_acks_piggybacked, r.nracks);
+}
+
+void RmaAmProtocol::send_acks(Peer& p) {
+  Record rec = open_record(p.target, am_handler<&RmaAmHandlers::on_ack>(),
+                           AckHdr{0}, 0);
+  am_->commit(rec.sb);
+  ++stats_.acks_sent;
+  stats_.ack_cookies_sent += rec.nacks;
 }
 
 std::byte* RmaAmProtocol::write_descs(std::byte* q, const Frag* runs,
@@ -495,75 +443,75 @@ std::byte* RmaAmProtocol::write_descs(std::byte* q, const Frag* runs,
   return q;
 }
 
-void RmaAmProtocol::send_put_frag(int target, std::uint64_t cookie,
-                                  const Frag* dsts, std::size_t ndsts,
-                                  const LocalFrag* srcs, std::size_t nsrcs) {
+void RmaAmProtocol::start_put(int target, const Frag* dsts,
+                              std::size_t ndsts, const LocalFrag* srcs,
+                              std::size_t nsrcs, Done done) {
+  assert(self() == owner_ && "RmaAmProtocol used off its rank's thread");
+  claim_credit(peer(target));
+  const std::uint64_t cookie = new_pending(target, std::move(done), {});
   std::size_t total = 0;
   for (std::size_t i = 0; i < nsrcs; ++i) total += srcs[i].bytes;
   const std::size_t desc_bytes = ndsts * sizeof(FragDesc);
   const auto n = static_cast<std::uint32_t>(ndsts);
   // The inline-fit decision ignores the (yet untaken) piggyback list: if
   // the acks push an inline record past eager_max, AmEngine::prepare
-  // falls back to its rendezvous staging transparently.
-  StageBuf stage;
-  if (sizeof(FragHdr) + desc_bytes + total > inline_cutoff(am_)) {
+  // falls back to its rendezvous staging transparently (and where it has
+  // none, chunk_bytes left room for them).
+  if (sizeof(FragHdr) + desc_bytes + total <= inline_cutoff(am_)) {
+    Record r = open_record(target, am_handler<&RmaAmHandlers::on_put_frag>(),
+                           FragHdr{cookie, n, 0}, desc_bytes + total);
+    // Gather the local fragments straight into the wire buffer.
+    gather_local(write_descs(r.body, dsts, ndsts), srcs, nsrcs);
+    send_record(r);
+  } else {
     // Large put: the payload goes through a pooled bounce buffer, the
     // descriptors stay in the ring record.
-    Peer& p = peer(target);
-    stage = acquire_stage(p, total);
-    if (!stage.p) {
-      // Exhausted heap while the job is failing: the request can never
-      // be serviced.
-      cancel_sent(p, cookie);
-      return;
-    }
+    const StageBuf stage = stage_for(peer(target), cookie, total, false);
+    if (!stage.p) return;
     gather_local(static_cast<std::byte*>(stage.p), srcs, nsrcs);
-    auto it = pending_.find(cookie);
-    if (it != pending_.end()) it->second.stage = stage;
+    Record r = open_record(
+        target, am_handler<&RmaAmHandlers::on_put_frag_staged>(),
+        FragStagedHdr{cookie, am_->arena().segmap().encode(stage.p), total,
+                      n, 0},
+        desc_bytes);
+    write_descs(r.body, dsts, ndsts);
+    send_record(r);
+    arch::relaxed_inc(stats_.puts_staged);
   }
-  Record r =
-      stage.p
-          ? open_record(target,
-                        am_handler<&RmaAmHandlers::on_put_frag_staged>(),
-                        FragStagedHdr{cookie,
-                                      am_->arena().segmap().encode(stage.p),
-                                      total, n, 0, 0, 0},
-                        desc_bytes)
-          : open_record(target, am_handler<&RmaAmHandlers::on_put_frag>(),
-                        FragHdr{cookie, n, 0, 0, 0}, desc_bytes + total);
-  std::byte* q = write_descs(r.body, dsts, ndsts);
-  // Inline: gather the local fragments straight into the wire buffer.
-  if (!stage.p) gather_local(q, srcs, nsrcs);
-  send_record(r);
   arch::relaxed_inc(ndsts == 1 ? stats_.puts_sent : stats_.frag_puts_sent);
-  if (stage.p) arch::relaxed_inc(stats_.puts_staged);
-}
-
-void RmaAmProtocol::send_get_frag(int target, std::uint64_t cookie,
-                                  const Frag* srcs, std::size_t n) {
-  const auto nf = static_cast<std::uint32_t>(n);
-  Record r = open_record(target, am_handler<&RmaAmHandlers::on_get_frag>(),
-                         FragHdr{cookie, nf, 0, 0, 0}, n * sizeof(FragDesc));
-  write_descs(r.body, srcs, n);
-  send_record(r);
-  arch::relaxed_inc(n == 1 ? stats_.gets_sent : stats_.frag_gets_sent);
-}
-
-void RmaAmProtocol::start_put(int target, const Frag* dsts,
-                              std::size_t ndsts, const LocalFrag* srcs,
-                              std::size_t nsrcs, Done done) {
-  assert(self() == owner_ && "RmaAmProtocol used off its rank's thread");
-  claim_credit(peer(target));
-  send_put_frag(target, new_pending(target, std::move(done), {}), dsts,
-                ndsts, srcs, nsrcs);
 }
 
 void RmaAmProtocol::start_get(int target, const Frag* srcs, std::size_t n,
                               std::vector<LocalFrag> dsts, Done done) {
   assert(self() == owner_ && "RmaAmProtocol used off its rank's thread");
   claim_credit(peer(target));
-  send_get_frag(target, new_pending(target, std::move(done), std::move(dsts)),
-                srcs, n);
+  const std::uint64_t cookie =
+      new_pending(target, std::move(done), std::move(dsts));
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    total += static_cast<std::size_t>(srcs[i].bytes);
+  const std::size_t desc_bytes = n * sizeof(FragDesc);
+  const auto nf = static_cast<std::uint32_t>(n);
+  if (sizeof(RepHdr) + total <= inline_cutoff(am_)) {
+    Record r = open_record(target, am_handler<&RmaAmHandlers::on_get_frag>(),
+                           FragHdr{cookie, nf, 0}, desc_bytes);
+    write_descs(r.body, srcs, n);
+    send_record(r);
+  } else {
+    // Large get: the target gathers straight into a pooled bounce buffer
+    // of ours and acks; the completion that ack drives scatters out of it.
+    const StageBuf stage = stage_for(peer(target), cookie, total, true);
+    if (!stage.p) return;
+    Record r = open_record(
+        target, am_handler<&RmaAmHandlers::on_get_frag_staged>(),
+        FragStagedHdr{cookie, am_->arena().segmap().encode(stage.p), total,
+                      nf, 0},
+        desc_bytes);
+    write_descs(r.body, srcs, n);
+    send_record(r);
+    arch::relaxed_inc(stats_.gets_staged);
+  }
+  arch::relaxed_inc(n == 1 ? stats_.gets_sent : stats_.frag_gets_sent);
 }
 
 int RmaAmProtocol::poll_requests() {
@@ -585,14 +533,19 @@ int RmaAmProtocol::poll_requests() {
         ++stats_.stale_completions;
         continue;
       }
-      Peer& p = peer(node.mapped().target);
+      Pending& pd = node.mapped();
+      Peer& p = peer(pd.target);
       assert(p.outstanding > 0 && "ack for a request never sent");
       --p.outstanding;
-      // The target is done with the bounce buffer once its ack arrived.
-      recycle_stage(p, node.mapped().stage);
+      // A staged get's target gathered into the bounce buffer before its
+      // ack: land the payload. Either way the target is done with the
+      // buffer once its ack arrived.
+      if (pd.stage.p && !pd.scatter.empty())
+        scatter_local(static_cast<const std::byte*>(pd.stage.p), pd.scatter);
+      recycle_stage(p, pd.stage);
       // Extracted from the map before firing: the callback may issue new
       // protocol ops.
-      Done done = std::move(node.mapped().done);
+      Done done = std::move(pd.done);
       if (done) done();
       ++work;
     }
@@ -601,40 +554,26 @@ int RmaAmProtocol::poll_requests() {
     auto reps = std::move(replies_);
     replies_.clear();
     for (const auto& r : reps) {
-      std::size_t total = 0;
-      for (const auto& f : r.gather) total += f.bytes;
-      // A reply too large to ride inline goes through the pooled reply
-      // stage: gather into a recycled shared-heap buffer, ship only the
-      // descriptor, get the buffer back on the initiator's rack. Bound
-      // reached or heap empty → the rendezvous REPLY below (staging is an
-      // optimization, never a requirement).
-      StageBuf stage;
-      if (sizeof(RepHdr) + total > inline_cutoff(am_)) {
+      if (r.stage) {
+        // Staged get: gather straight into the initiator's buffer, then
+        // ack at once (draining every ack owed to that peer), so the
+        // initiator's scatter of this chunk overlaps our gather of the
+        // next. Leaving the ack to a piggyback or flush_acks measured
+        // slower on rma_bulk_am (DESIGN.md, "Staged gets").
+        gather_runs(static_cast<std::byte*>(r.stage), r.gather);
         Peer& p = peer(r.target);
-        stage = acquire_reply_stage(p, total);
-        if (stage.p) {
-          gather_runs(static_cast<std::byte*>(stage.p), r.gather);
-          p.reply_out.emplace(r.cookie, stage);
-          ++stats_.replies_staged;
-        } else {
-          ++stats_.reply_fallbacks;
-        }
-      }
-      if (stage.p) {
-        Record rec = open_record(
-            r.target, am_handler<&RmaAmHandlers::on_reply_staged>(),
-            RepStagedHdr{r.cookie, am_->arena().segmap().encode(stage.p),
-                         static_cast<std::uint64_t>(total), 0, 0},
-            0);
-        send_record(rec);
+        p.acks_owed.push_back(r.cookie);
+        send_acks(p);
       } else {
+        std::size_t total = 0;
+        for (const auto& f : r.gather) total += f.bytes;
         Record rec =
             open_record(r.target, am_handler<&RmaAmHandlers::on_get_reply>(),
                         RepHdr{r.cookie, 0, 0}, total);
         gather_runs(rec.body, r.gather);
         send_record(rec);
+        ++stats_.replies_sent;
       }
-      ++stats_.replies_sent;
       ++work;
     }
   }
@@ -644,17 +583,11 @@ int RmaAmProtocol::poll_requests() {
 int RmaAmProtocol::flush_acks() {
   assert(self() == owner_ && "RmaAmProtocol polled off its rank's thread");
   int work = 0;
-  // Acks and racks no request or reply carried: one combined multi-ack
-  // record per indebted target per flush.
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    Peer& pr = *peers_[i];
-    if (pr.acks_owed.empty() && pr.racks_owed.empty()) continue;
-    Record rec = open_record(pr.target, am_handler<&RmaAmHandlers::on_ack>(),
-                             AckHdr{0, 0}, 0);
-    am_->commit(rec.sb);
-    ++stats_.acks_sent;
-    stats_.ack_cookies_sent += rec.nacks;
-    stats_.reply_ack_cookies_sent += rec.nracks;
+  // Acks no request or reply carried: one multi-ack record per indebted
+  // target per flush.
+  for (auto& pp : peers_) {
+    if (pp->acks_owed.empty()) continue;
+    send_acks(*pp);
     ++work;
   }
   return work;
@@ -663,43 +596,33 @@ int RmaAmProtocol::flush_acks() {
 bool RmaAmProtocol::idle() const {
   if (!pending_.empty() || !replies_.empty() || !completed_.empty())
     return false;
-  for (const auto& pp : peers_) {
-    const Peer& p = *pp;
-    if (!p.acks_owed.empty() || !p.racks_owed.empty() || !p.reply_out.empty())
-      return false;
-  }
+  for (const auto& pp : peers_)
+    if (!pp->acks_owed.empty()) return false;
   return true;
 }
 
 void RmaAmProtocol::fail_all_peers() {
   // Teardown path. Every in-flight request has a pending_ entry; dropping
   // the map cancels them all — done callbacks are destroyed, never fired,
-  // and the arena error flag is the failure signal user code observes. Bounce
-  // buffers go back to the shared heap (a dead target may still copy from
-  // one, but it reads stale bytes at worst — it can no longer complete
-  // anything).
+  // and the arena error flag is the failure signal user code observes.
+  // A staged put's buffer goes back to the shared heap: its target only
+  // reads it (a dead one reads stale bytes at worst — it can no longer
+  // complete anything). A staged get's buffer does not: a live target may
+  // still gather into it, so handing the block out again could corrupt its
+  // next owner. It stays allocated until the arena is torn down.
   auto& heap = am_->arena().heap();
   stats_.cancelled += pending_.size();
   for (auto& [cookie, pd] : pending_)
-    if (pd.stage.p) heap.deallocate(pd.stage.p);
+    if (pd.stage.p && pd.scatter.empty()) heap.deallocate(pd.stage.p);
   pending_.clear();
   completed_.clear();
   replies_.clear();
   for (auto& pp : peers_) {
     Peer& p = *pp;
     p.acks_owed.clear();
-    p.racks_owed.clear();
     p.outstanding = 0;
     for (auto& b : p.stage_pool) heap.deallocate(b.p);
     p.stage_pool.clear();
-    // The reply side mirrors the put side: pooled buffers go back to the
-    // heap, and staged replies whose racks will never arrive are unpinned
-    // and freed — a dead initiator may still scatter from one, but it
-    // reads stale bytes at worst and can no longer complete anything.
-    for (auto& b : p.reply_pool) heap.deallocate(b.p);
-    p.reply_pool.clear();
-    for (auto& [cookie, b] : p.reply_out) heap.deallocate(b.p);
-    p.reply_out.clear();
   }
 }
 

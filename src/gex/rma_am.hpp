@@ -5,20 +5,20 @@
 // that property must move RMA through active messages instead; this file is
 // that protocol, shaped like the real GASNet-EX AM-based rput/rget path:
 //
-//   PUT           [FragHdr][acks][racks][n descs][payload]
-//                                          -> target scatters, owes an ACK
-//   PUT_STAGED    [FragStagedHdr][acks][racks][n descs]
-//                 (payload in the initiator's pooled bounce buffer)
-//                                          -> target scatters, owes an ACK
-//   GET           [FragHdr][acks][racks][n descs]
-//                                          -> target gathers, REPLY
-//   REPLY         [RepHdr][acks][racks][payload]
-//                                          -> initiator scatters, completes
-//   REPLY_STAGED  [RepStagedHdr][acks][racks]
-//                 (payload in the target's pooled reply buffer)
-//                                          -> initiator scatters, completes,
-//                                             owes a rack
-//   ACK           [AckHdr][acks][racks]    -> initiator completions
+//   PUT         [FragHdr][acks][n descs][payload]
+//                                        -> target scatters, owes an ACK
+//   PUT_STAGED  [FragStagedHdr][acks][n descs]
+//               (payload in the initiator's pooled bounce buffer)
+//                                        -> target scatters, owes an ACK
+//   GET         [FragHdr][acks][n descs]
+//                                        -> target gathers, REPLY
+//   GET_STAGED  [FragStagedHdr][acks][n descs]
+//               (landing room in the initiator's pooled bounce buffer)
+//                                        -> target gathers into it, ACK
+//   REPLY       [RepHdr][acks][payload]  -> initiator scatters, completes
+//   ACK         [AckHdr][acks]           -> initiator completions (a
+//                                           staged get scatters out of
+//                                           its buffer first)
 //
 // One record shape per direction: a request names its remote runs with
 // `n` (address, bytes) descriptors in the record itself, and a contiguous
@@ -42,37 +42,30 @@
 // acks never consume credits (a credit-gated ack would deadlock the very
 // window it retires).
 //
-// Ack aggregation: every ack this rank owes is batched — all acks owed to
-// one target per poll() collapse into a single multi-ack record, and any
-// request or reply headed toward a peer carries the acks owed to that peer
-// piggybacked after its header. A chunked transfer's ack traffic therefore
-// costs a handful of ring transactions instead of one per chunk.
+// Ack aggregation: a put's ack is batched — all acks owed to one target
+// per poll() collapse into a single multi-ack record, and any request or
+// reply headed toward a peer carries the acks owed to that peer
+// piggybacked after its header. A staged get's ack is the exception: it
+// leaves in an ACK record right after its gather (draining every other
+// ack owed to that peer with it), so the target's gather of the next
+// chunk overlaps the initiator's scatter of this one.
 //
-// Pooled put staging: a put payload too large to ride inline goes through
-// a per-peer pool of recycled shared-heap bounce buffers instead of the
-// AmEngine's allocate-per-message rendezvous path. The initiator gathers
-// into a pool buffer (payload only — the descriptors ride in the record,
-// so a 64 KiB chunk takes a 64 KiB block), ships a small PUT_STAGED
-// record, and gets the buffer back when the target's ack arrives (the ack
-// that already drives completion — no extra traffic). The pool is bounded
-// by the credit window (at most `window` buffers can be in flight), so a
-// steady chunked stream cycles through the same few cache-hot buffers with
-// no allocator traffic — which is what lets the am wire track the direct
-// wire's bandwidth instead of paying a cold DRAM round trip per chunk.
-//
-// Pooled reply staging (the get-direction mirror): a GET reply too large
-// to ride inline goes through the *target's* per-peer pool of recycled
-// shared-heap buffers instead of the AmEngine's allocate-per-message
-// rendezvous path. The target gathers into a pool buffer, ships a small
-// REPLY_STAGED descriptor (wire addresses only, exactly as every
-// staged-put buffer), and gets the buffer back when the initiator's
-// consumption ack arrives — a second cookie namespace ("racks") batched
-// and piggybacked through the very same machinery as request acks, so a
-// chunked rget stream recycles the same cache-hot blocks with no extra
-// record traffic. At most `window` staged replies may be awaiting
-// consumption per peer; past that bound (or on a momentarily exhausted
-// heap) the reply falls back to the old inline/rendezvous REPLY path —
-// staging is an optimization, never a requirement.
+// Pooled staging: a payload too large to ride inline goes through the
+// initiator's per-peer pool of recycled shared-heap bounce buffers instead
+// of the AmEngine's allocate-per-message rendezvous path — in both
+// directions. A put gathers into a pool buffer (payload only — the
+// descriptors ride in the record, so a 64 KiB chunk takes a 64 KiB block)
+// and ships a small PUT_STAGED record; a get takes a block as landing room
+// and ships GET_STAGED, the target gathers straight into it. Either way the
+// buffer comes back when the target's ack arrives (the ack that already
+// drives completion — no extra traffic). The pool is bounded by the credit
+// window (at most `window` buffers can be in flight), so a steady chunked
+// stream cycles through the same few cache-hot buffers with no allocator
+// traffic — which is what lets the am wire track the direct wire's
+// bandwidth instead of paying a cold DRAM round trip per chunk. Staging
+// needs a cross-mapped heap: on a transport without one (socket) every
+// request and reply rides inline, and chunk_bytes() sizes the engine's
+// pieces so that always fits one record.
 //
 // Fixed window: every target gets the same credit window, kDefaultAmWindow
 // (16) unless UPCXX_AM_WINDOW=<n> or Config::am_window pins another. 16 is
@@ -132,6 +125,15 @@ class RmaAmProtocol {
   explicit RmaAmProtocol(AmEngine* am,
                          std::uint32_t window = kDefaultAmWindow);
 
+  // The XferEngine piece size on the am wire: `want` (Config::
+  // xfer_chunk_bytes) capped at kAmXferChunkBytes, and on a transport
+  // without shared memory also capped so that a request or reply carrying
+  // one piece — payload plus 16 B per run descriptor — together with its
+  // header and the at most `window` acks owed to its peer fits inside
+  // AmEngine::inline_max().
+  static std::size_t chunk_bytes(AmEngine& am, std::uint32_t window,
+                                 std::size_t want);
+
   // The two entry points: one put path and one get path, each a single
   // request naming its remote runs (a contiguous transfer is the one-run
   // case). Stats count one-run requests as puts_sent/gets_sent and
@@ -147,9 +149,10 @@ class RmaAmProtocol {
   // arrived.
   void start_put(int target, const Frag* dsts, std::size_t ndsts,
                  const LocalFrag* srcs, std::size_t nsrcs, Done done);
-  // Gather-get: the target gathers `srcs` into one reply; the initiator
-  // scatters the payload into `dsts` in order (each must stay valid until
-  // `done` fires).
+  // Gather-get: the target gathers `srcs` into one reply (or, for a payload
+  // too large to ride inline, straight into a pooled bounce buffer of this
+  // rank's); the initiator scatters the payload into `dsts` in order (each
+  // must stay valid until `done` fires).
   void start_get(int target, const Frag* srcs, std::size_t n,
                  std::vector<LocalFrag> dsts, Done done);
 
@@ -172,28 +175,29 @@ class RmaAmProtocol {
   int poll() { return poll_requests() + flush_acks(); }
 
   // Completions and deferred replies — everything except standalone ack
-  // records.
+  // records for puts (a staged get's ACK leaves right after its gather).
   int poll_requests();
 
   // One multi-ack record per target still owed acks after the piggyback
   // opportunities above.
   int flush_acks();
 
-  // No requests awaiting completion, nothing deferred to send, and no
-  // staged reply still awaiting its consumption ack (the buffer is pinned
-  // until the rack arrives).
+  // No requests awaiting completion and nothing deferred to send.
   bool idle() const;
   // Requests sent and not yet completed, summed over targets.
   std::size_t outstanding() const { return pending_.size(); }
   // The per-target credit window: the bound on requests in flight to one
-  // target and on each of its staging pools.
+  // target and on its staging pool.
   std::uint32_t window() const { return window_; }
 
   // Teardown giving-up path: a peer (or the whole job) failed, its acks and
   // replies will never arrive. Releases every credit, cancels in-flight
   // requests (their `done` callbacks are destroyed, not fired — the arena
   // error flag is the failure signal), and drops owed acks so no later
-  // poll tries to send into a dead rank's possibly-full ring. Ops still in
+  // poll tries to send into a dead rank's possibly-full ring. Pooled
+  // buffers and staged puts' buffers go back to the heap; an in-flight
+  // staged get's buffer does not — a live target may still gather into
+  // it — and stays allocated until the arena is torn down. Ops still in
   // the XferEngine's channels stay there: credits() reads 0 while the
   // error flag is up, so the engine never issues them.
   void fail_all_peers();
@@ -213,27 +217,23 @@ class RmaAmProtocol {
     std::uint64_t acks_sent = 0;       // standalone multi-ack records
     std::uint64_t ack_cookies_sent = 0;  // cookies in standalone records
     std::uint64_t acks_piggybacked = 0;  // cookies on reverse traffic
-    std::uint64_t replies_sent = 0;
-    // Always 0: the protocol holds no queue (credit-blocked ops wait in
-    // the XferEngine channel). Kept only because upcxx_bench reads them;
-    // delete both with that read at the next benchmark change.
-    std::uint64_t requests_queued = 0;
-    std::uint64_t send_stalls = 0;
+    std::uint64_t replies_sent = 0;       // inline replies
     std::uint64_t max_outstanding = 0;   // peak in-flight to any one target
     std::uint64_t cancelled = 0;         // dropped by fail_all_peers
     std::uint64_t stale_completions = 0;  // acks/replies after a cancel
+    // Initiator-side staging, one shared bounce pool per peer.
     std::uint64_t puts_staged = 0;       // puts through the bounce pool
-    std::uint64_t stage_allocs = 0;      // pool misses (fresh heap blocks)
-    // Pooled reply staging (target side unless noted).
-    std::uint64_t replies_staged = 0;    // GET replies through the pool
-    std::uint64_t reply_pool_hits = 0;   // stage acquisitions from the pool
-    std::uint64_t reply_stage_allocs = 0;  // fresh heap blocks for replies
-    std::uint64_t reply_fallbacks = 0;   // bound/heap exhausted -> old path
-    std::uint64_t staged_replies_handled = 0;  // initiator: consumed
-    std::uint64_t reply_ack_cookies_sent = 0;  // racks in standalone records
-    std::uint64_t reply_acks_piggybacked = 0;  // racks on reverse traffic
-    // Always 0: the window is fixed. Kept only because upcxx_bench reads
-    // it; delete it with that read at the next benchmark change.
+    std::uint64_t stage_allocs = 0;      // put pool misses (fresh blocks)
+    std::uint64_t gets_staged = 0;       // gets landing in the bounce pool
+    std::uint64_t reply_pool_hits = 0;   // get pool hits
+    std::uint64_t reply_stage_allocs = 0;  // get pool misses (fresh blocks)
+    // Always 0, kept only because upcxx_bench reads them (delete each with
+    // that read at the next benchmark change): the protocol holds no queue
+    // (credit-blocked ops wait in the XferEngine channel), a get too large
+    // to ride inline is always staged, and the window is fixed.
+    std::uint64_t requests_queued = 0;
+    std::uint64_t send_stalls = 0;
+    std::uint64_t reply_fallbacks = 0;
     std::uint64_t window_shrink = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -251,27 +251,25 @@ class RmaAmProtocol {
     int target;
     Done done;
     std::vector<LocalFrag> scatter;  // gets: local landing runs, wire order
-    StageBuf stage{};  // staged puts: recycled into the pool on ack
+    // Staged puts and gets: the bounce buffer, recycled into the pool on
+    // ack (a staged get scatters out of it first).
+    StageBuf stage{};
   };
   struct QueuedReply {
     int target;
     std::uint64_t cookie;
     std::vector<Frag> gather;  // local (this rank's) source runs
+    void* stage;  // GET_STAGED: the initiator's bounce buffer; else null
   };
-  // Per-target sender and receiver state: the acks and reply-consumption
-  // acks this rank owes that target, and both staging pools (put bounce
-  // buffers as initiator, reply buffers as target). `outstanding` is the
+  // Per-target sender and receiver state: the acks this rank owes that
+  // target and its staging pool (as initiator). `outstanding` is the
   // credit counter, claimed against the window.
   struct Peer {
     explicit Peer(int t) : target(t) {}
     const int target;
     std::uint32_t outstanding = 0;  // on the wire, not retired
     std::vector<std::uint64_t> acks_owed;
-    std::vector<std::uint64_t> racks_owed;  // staged replies consumed here
     std::vector<StageBuf> stage_pool;  // free bounce buffers, ready to reuse
-    std::vector<StageBuf> reply_pool;  // free reply buffers, ready to reuse
-    // Staged replies sent to this peer, pinned until its rack returns.
-    std::unordered_map<std::uint64_t, StageBuf> reply_out;
   };
 
   // Wire-address translation (gex/segment.hpp): every remote/staged
@@ -290,44 +288,36 @@ class RmaAmProtocol {
   }
   // The job's error flag is up (a peer failed).
   bool job_failing() const;
-  // Null .p when the job is failing and the heap is exhausted (the blocks
-  // may be pinned by a dead peer's unacked requests) — the caller cancels.
-  StageBuf acquire_stage(Peer& p, std::size_t bytes);
+  // A bounce buffer of at least `bytes` for a staged put (`get` false) or
+  // get, counted as a pool hit or miss of that direction. Null .p when the
+  // job is failing and the heap is exhausted (the blocks may be pinned by
+  // a dead peer's unacked requests) — the caller cancels.
+  StageBuf acquire_stage(Peer& p, std::size_t bytes, bool get);
   void recycle_stage(Peer& p, StageBuf buf);
-  // Reply-staging twin of acquire_stage, but *non-blocking*: null .p when
-  // the per-peer staged-reply bound is reached or the heap has no block
-  // right now — the caller falls back to the rendezvous REPLY path instead
-  // of stalling the target's poll loop.
-  StageBuf acquire_reply_stage(Peer& p, std::size_t bytes);
-  // Initiator's rack arrived: unpin the staged reply buffer `cookie` and
-  // recycle it into the peer's reply pool (freed if the pool is full).
-  void recycle_reply(Peer& p, std::uint64_t cookie);
+  // acquire_stage for the pending request `cookie`, attached to it so the
+  // ack recycles it. Null .p when none could be had: the request is then
+  // cancelled (cancel_sent).
+  StageBuf stage_for(Peer& p, std::uint64_t cookie, std::size_t bytes,
+                     bool get);
   void cancel_sent(Peer& p, std::uint64_t cookie);
   std::uint64_t new_pending(int target, Done done,
                             std::vector<LocalFrag> scatter);
-  // Both ack namespaces owed to one target, drained together for embedding
-  // in an outgoing record (request acks retire credits at the receiver;
-  // reply acks unpin staged reply buffers).
-  struct OwedAcks {
-    std::vector<std::uint64_t> acks;   // request cookies
-    std::vector<std::uint64_t> racks;  // staged-reply cookies
-  };
-  OwedAcks take_acks(int target);
+  // One multi-ack record carrying every ack owed to `p`.
+  void send_acks(Peer& p);
   // Claims the credit the caller checked for (the one claim: the caller
   // then sends, or releases it via cancel_sent).
   void claim_credit(Peer& p);
 
   // A record under construction: the engine send buffer, the cursor past
-  // its header and piggybacked acks, and how many of each it carries.
+  // its header and piggybacked acks, and how many acks it carries.
   struct Record {
     AmEngine::SendBuf sb;
     std::byte* body;
     std::uint32_t nacks;
-    std::uint32_t nracks;
   };
   // Reserves a record for handler `h` with `body` bytes after the header
-  // and drains the target's owed acks and racks into it (the header's
-  // nacks/nracks are filled in here).
+  // and drains the target's owed acks into it (the header's nacks is
+  // filled in here).
   template <typename H>
   Record open_record(int target, HandlerIdx h, H hdr, std::size_t body);
   // Commits a request or reply record, counting its piggybacked acks.
@@ -335,14 +325,6 @@ class RmaAmProtocol {
   // Writes `n` remote runs as wire descriptors; returns the end.
   std::byte* write_descs(std::byte* q, const Frag* runs,
                          std::size_t n) const;
-
-  // Wire writers for a claimed credit: inline when header, descriptors
-  // and payload fit a record, otherwise payload through the staging pool.
-  void send_put_frag(int target, std::uint64_t cookie, const Frag* dsts,
-                     std::size_t ndsts, const LocalFrag* srcs,
-                     std::size_t nsrcs);
-  void send_get_frag(int target, std::uint64_t cookie, const Frag* srcs,
-                     std::size_t n);
 
   AmEngine* am_;
   const std::uint32_t window_;  // per-target credit window

@@ -40,16 +40,19 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
   // Wire selection: on the am wire the engine's chunk movers are the AM
   // protocol; on the direct wire the engine keeps its built-in memcpy.
   // AM-wire chunks are additionally clamped so window × chunk (the
-  // in-flight bounce staging) stays cache-sized — explicit smaller test
-  // chunkings still win through the min().
+  // in-flight bounce staging) stays cache-sized and, on a transport
+  // without shared memory, so every piece fits one record — explicit
+  // smaller test chunkings still win (RmaAmProtocol::chunk_bytes).
   rank.rma_wire_am = resolve_rma_wire(arena->config()) == RmaWire::kAm;
+  const std::uint32_t am_window = resolve_am_window(arena->config());
   const std::size_t chunk_bytes =
       rank.rma_wire_am
-          ? std::min(arena->config().xfer_chunk_bytes, kAmXferChunkBytes)
+          ? RmaAmProtocol::chunk_bytes(engine, am_window,
+                                       arena->config().xfer_chunk_bytes)
           : arena->config().xfer_chunk_bytes;
   XferEngine xfer_engine(chunk_bytes, arena->config().sim_bw_gbps);
   rank.xfer = &xfer_engine;
-  RmaAmProtocol rma_am_proto(&engine, resolve_am_window(arena->config()));
+  RmaAmProtocol rma_am_proto(&engine, am_window);
   rank.rma_am = &rma_am_proto;
   if (rank.rma_wire_am) xfer_engine.set_wire(rma_am_proto.wire_ops());
   arena->world_barrier();

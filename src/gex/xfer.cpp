@@ -47,15 +47,10 @@ XferEngine::Channel& XferEngine::channel(int target) {
   channels_.push_back(std::make_unique<Channel>());
   channels_.back()->target = target;
   channels_.back()->own = owner_ && target == owner_->me;
-  channels_.back()->ns_per_byte = ns_per_byte_;
   return *channels_.back();
 }
 
 std::size_t XferEngine::channel_count() const { return channels_.size(); }
-
-void XferEngine::set_link_bw_gbps(int target, double gbps) {
-  channel(target).ns_per_byte = gbps > 0 ? 1.0 / gbps : 0;
-}
 
 XferEngine::Xfer& XferEngine::enqueue(int target) {
   assert(self() == owner_ && "XferEngine used off its rank's thread");
@@ -97,14 +92,60 @@ void XferEngine::submit_runs(int target, std::vector<Frag> remote,
                              std::vector<LocalFrag> local, Callback on_source,
                              Callback on_landed, bool is_get) {
   assert(wire_ && "run entries need an installed wire");
-  Xfer& x = enqueue(target);
-  for (const Frag& f : remote) x.bytes += static_cast<std::size_t>(f.bytes);
-  x.is_get = is_get;
-  x.runs = true;
-  x.remote = std::move(remote);
-  x.local = std::move(local);
-  x.on_source = std::move(on_source);
-  x.on_landed = std::move(on_landed);
+  std::size_t bytes = 0;
+  for (const Frag& f : remote) bytes += static_cast<std::size_t>(f.bytes);
+  Xfer* x = nullptr;
+  const auto next_entry = [&] {
+    x = &enqueue(target);
+    x->is_get = is_get;
+    x->runs = true;
+  };
+  if (bytes + remote.size() * sizeof(Frag) <= chunk_bytes_) {
+    next_entry();
+    x->bytes = bytes;
+    x->remote = std::move(remote);
+    x->local = std::move(local);
+  } else {
+    // More than one piece: cut both lists at the same byte offsets. Each
+    // entry takes remote runs — each costing its descriptor — until the
+    // chunk is spent, splitting the run that straddles the boundary, then
+    // as many bytes of local runs. chunk_bytes_ >= 256 leaves every entry
+    // room for at least one descriptor and a byte.
+    std::size_t li = 0, loff = 0;  // cursor in `local`
+    for (std::size_t ri = 0, roff = 0; ri < remote.size();) {
+      next_entry();
+      for (std::size_t room = chunk_bytes_;
+           ri < remote.size() && room > sizeof(Frag);) {
+        room -= sizeof(Frag);
+        const std::size_t take = std::min(
+            static_cast<std::size_t>(remote[ri].bytes) - roff, room);
+        x->remote.push_back({remote[ri].addr + roff, take});
+        x->bytes += take;
+        room -= take;
+        roff += take;
+        if (roff == remote[ri].bytes) {
+          ++ri;
+          roff = 0;
+        }
+      }
+      for (std::size_t need = x->bytes; need > 0;) {
+        const std::size_t take = std::min(local[li].bytes - loff, need);
+        if (take)
+          x->local.push_back(
+              {static_cast<std::byte*>(local[li].ptr) + loff, take});
+        need -= take;
+        loff += take;
+        if (loff == local[li].bytes) {
+          ++li;
+          loff = 0;
+        }
+      }
+    }
+  }
+  // The last entry completes the list: it issues after, and retires no
+  // earlier than, every entry before it.
+  x->on_source = std::move(on_source);
+  x->on_landed = std::move(on_landed);
 }
 
 void XferEngine::issue_one_chunk(Channel& ch) {
@@ -161,16 +202,16 @@ void XferEngine::issue_one_chunk(Channel& ch) {
     arch::relaxed_add(stats_.bytes_copied, take);
   }
   arch::relaxed_inc(stats_.chunks_copied);
-  if (ch.ns_per_byte > 0) {
+  if (ns_per_byte_ > 0) {
     // Virtual wire clock (per link): the wire starts this chunk when it
     // frees up (or now, if it has been idle) and holds it for bytes/bw.
     const std::uint64_t now = arch::now_ns();
     ch.wire_free_ns_ = std::max(ch.wire_free_ns_, now) +
-                       static_cast<std::uint64_t>(take * ch.ns_per_byte);
+                       static_cast<std::uint64_t>(take * ns_per_byte_);
   }
   if (x.off == x.bytes) {
     // Last byte read out of the source: the initiator may reuse it.
-    x.landed_due_ns = ch.ns_per_byte > 0 ? ch.wire_free_ns_ : 0;
+    x.landed_due_ns = ns_per_byte_ > 0 ? ch.wire_free_ns_ : 0;
     if (x.extra_landing_ns)
       x.landed_due_ns = std::max(x.landed_due_ns, arch::now_ns()) +
                         x.extra_landing_ns;
@@ -209,34 +250,10 @@ int XferEngine::poll(int chunk_budget) {
   const std::size_t n = channels_.size();
   if (n == 0) return work;
   // Channels a callback adds during this poll (index >= n) wait for the
-  // next one.
-  //
-  // Pass 1 — bandwidth-proportional quotas: each channel with queued work
-  // and a wire credit gets a share of the budget scaled by its link
-  // bandwidth (minimum one piece), so a fast link soaks up the budget a
-  // clock-bound capped link cannot convert into delivered bytes. Weights
-  // are recomputed per poll: completion callbacks change the channel set.
-  if (chunk_budget > 0) {
-    double total_weight = 0;
-    for (std::size_t i = 0; i < n; ++i)
-      if (can_issue(*channels_[i])) total_weight += link_weight(*channels_[i]);
-    if (total_weight > 0) {
-      const int budget0 = chunk_budget;
-      for (std::size_t k = 0; k < n && chunk_budget > 0; ++k) {
-        Channel& ch = *channels_[(rr_ + k) % n];
-        if (!can_issue(ch)) continue;
-        int quota = std::max(
-            1, static_cast<int>(budget0 * (link_weight(ch) / total_weight)));
-        quota = std::min(quota, chunk_budget);
-        // Credits are re-read per piece: each one issued consumes a wire
-        // credit (the AM window) and may close the channel mid-quota.
-        for (; quota > 0 && can_issue(ch); --quota, --chunk_budget, ++work)
-          issue_one_chunk(ch);
-      }
-    }
-  }
-  // Pass 2 — leftover budget (quotas rounded down, or their channels ran
-  // dry) goes round-robin one piece at a time.
+  // next one. The budget goes round-robin, one piece at a time, to
+  // channels that still have work; credits are re-read per piece — each
+  // one issued consumes a wire credit (the AM window) and may close the
+  // channel.
   while (chunk_budget > 0) {
     bool any = false;
     for (std::size_t k = 0; k < n && chunk_budget > 0; ++k) {

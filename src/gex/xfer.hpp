@@ -14,10 +14,9 @@
 // never start before transfer N's finish), but *different* targets'
 // channels advance independently — poll() deals its chunk budget round-
 // robin across channels with queued work, so a saturated or slow link to
-// one target never head-of-line-blocks traffic to another. Each channel
-// owns its own virtual wire clock (per-link bandwidth: Config::sim_bw_gbps
-// is the per-channel default, overridable per target with
-// set_link_bw_gbps()).
+// one target (out of wire credits, or its acks withheld) never
+// head-of-line-blocks traffic to another. Each channel owns its own
+// virtual wire clock at the engine-wide Config::sim_bw_gbps.
 //
 // Wires: the engine decides *when* each chunk moves; a pluggable wire
 // decides *how* (WireOps below). The built-in direct wire is an
@@ -35,9 +34,10 @@
 // copy() to a host buffer), and landing still waits out the wire clock
 // and the extra toll.
 //
-// Entries: a contiguous transfer is chunked; a run entry (submit_runs — a
-// scatter-put or gather-get over lists of runs) is one wire request that
-// is never split. Both share the channel's FIFO.
+// Entries: a contiguous transfer is chunked; a run list (submit_runs — a
+// scatter-put or gather-get over lists of runs) is cut into consecutive
+// run entries, each one wire request carrying at most one chunk of
+// payload plus its descriptors. Both share the channel's FIFO.
 //
 // Two completion signals per transfer, always in this order:
 //   on_source — every byte has been read out of the source buffer (the
@@ -52,8 +52,8 @@
 //               operation completion from this callback, so remote RPCs
 //               never observe partially-landed data.
 //
-// Bandwidth model: with a channel's bw_gbps > 0 the channel maintains a
-// virtual wire clock. Each chunk issued at real time t advances the clock
+// Bandwidth model: with bw_gbps > 0 each channel maintains a virtual wire
+// clock. Each chunk issued at real time t advances the clock
 // by chunk_bytes / bw; a transfer "lands" only once the clock entry of its
 // last chunk has passed. Copies themselves are never delayed (the memory
 // system is the real wire here, exactly as GASNet PSHM), so the model
@@ -137,17 +137,13 @@ class XferEngine {
   };
 
   // chunk_bytes: pipelining granularity (Config::xfer_chunk_bytes).
-  // bw_gbps: default per-channel simulated wire bandwidth in GB/s;
-  // 0 disables the model.
+  // bw_gbps: simulated bandwidth of each channel's wire in GB/s; 0
+  // disables the model.
   XferEngine(std::size_t chunk_bytes, double bw_gbps);
 
   // Installs a wire (replacing the built-in direct memcpy). Must happen
   // before any submit().
   void set_wire(WireOps ops) { wire_.emplace(std::move(ops)); }
-
-  // Overrides the simulated bandwidth of the link to `target` (per-link
-  // cap; other links keep the engine default).
-  void set_link_bw_gbps(int target, double gbps);
 
   // Queues an asynchronous move of `bytes` between this rank and `target`
   // (is_get: dst is local, src remote; otherwise src is local, dst
@@ -160,23 +156,24 @@ class XferEngine {
               Callback on_source, Callback on_landed, bool is_get = false,
               std::uint64_t extra_landing_ns = 0);
 
-  // Queues one scatter-put (is_get false: the `local` runs are gathered
-  // into the `remote` runs) or gather-get (the `remote` runs land in
-  // `local`) as a single wire request that is never chunked (a memcpy of
-  // the runs when `target` is the engine's own rank). Needs an installed
-  // wire. Buffer lifetimes as for submit().
+  // Queues a scatter-put (is_get false: the `local` runs are gathered into
+  // the `remote` runs) or gather-get (the `remote` runs land in `local`)
+  // as consecutive run entries, each one wire request (a memcpy of the
+  // runs when `target` is the engine's own rank) whose payload plus
+  // sizeof(Frag) per remote run — an AM-wire descriptor is an address
+  // and a length too — fits chunk_bytes(), so it fits one AM record and
+  // one staging block. Runs are split where they straddle an
+  // entry boundary. on_source and on_landed ride the last entry: the
+  // channel issues and retires in FIFO order. Needs an installed wire.
+  // Buffer lifetimes as for submit().
   void submit_runs(int target, std::vector<Frag> remote,
                    std::vector<LocalFrag> local, Callback on_source,
                    Callback on_landed, bool is_get);
 
   // Bounded internal progress: issues at most `chunk_budget` pieces across
   // channels with queued work (per-channel FIFO is preserved), and fires
-  // every due completion callback. The budget is
-  // dealt in two passes: first bandwidth-proportionally — each eligible
-  // channel gets a share scaled by its link bandwidth (minimum one piece),
-  // so a fast link stays saturated while a clock-bound capped link gets
-  // just enough to keep its virtual wire busy — then any leftover budget
-  // goes round-robin to channels that still have work. Channels without
+  // every due completion callback. The budget is dealt round-robin, one
+  // piece at a time, to channels that still have work; channels without
   // wire credits are skipped (see WireOps::credits). Returns the number
   // of pieces issued plus callbacks fired; 0 means there was nothing
   // actionable.
@@ -251,7 +248,6 @@ class XferEngine {
   struct Channel {
     int target = -1;
     bool own = false;  // target is the engine's own rank: never the wire
-    double ns_per_byte = 0;  // 0 when the bandwidth model is off
     Xfer* head = nullptr;
     Xfer* issue = nullptr;
     Xfer* tail = nullptr;
@@ -261,19 +257,11 @@ class XferEngine {
   Channel& channel(int target);
   Xfer& enqueue(int target);
 
-  // Weight of an uncapped link in the bandwidth-proportional budget split:
-  // effectively "memcpy speed", far above any modeled link, so uncapped
-  // channels absorb the budget a clock-bound capped link cannot use.
-  static constexpr double kUncappedWeightGbps = 128.0;
-
   // The channel has a piece to issue and the wire (if it is used) has a
   // credit for it.
   bool can_issue(const Channel& ch) {
     return ch.issue && (!wire_ || ch.own || !wire_->credits ||
                         wire_->credits(ch.target) > 0);
-  }
-  double link_weight(const Channel& ch) const {
-    return ch.ns_per_byte > 0 ? 1.0 / ch.ns_per_byte : kUncappedWeightGbps;
   }
 
   // Issues the next piece of the channel's first unissued transfer. When

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "gex/arena.hpp"
@@ -458,54 +460,77 @@ INSTANTIATE_TEST_SUITE_P(ContiguousAndFragments, AmStagingPool,
                                              : "ContiguousPuts";
                          });
 
-// The staged-reply pool mirrors the put pool: a long stream of large gets
-// from one target stages every reply, recycles the target's reply buffers
-// (bounded allocations), and conserves racks on the initiator.
-TEST(AmReplyStaging, ReplyPoolRecyclesAcrossAStream) {
+// Staged gets share the put bounce pool: a long stream of large gets from
+// one target lands every payload in the initiator's pool and allocates at
+// most `window` blocks — whether each get is one contiguous run or a
+// two-run gather (GET_STAGED either way; only the descriptor count
+// differs). The target gathers straight into the block and acks it, and
+// every ack it owed left through exactly one channel.
+class AmReplyStaging : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AmReplyStaging, ReplyPoolRecyclesAcrossAStream) {
+  static bool fragments;
+  fragments = GetParam();
   g_done = 0;
   g_phase = 0;
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;
   cfg.am_window = 4;
-  // Reply staging requires shared memory; pin mmap against the CI matrix.
+  // Staging requires shared memory; pin mmap against the CI matrix.
   cfg.am_transport = gex::AmTransport::kMmap;
   const int fails = upcxx::run(cfg, [] {
     constexpr int kGets = 64;
     constexpr std::size_t kBytes = 32 << 10;  // far beyond eager_max
+    constexpr std::size_t kHalf = kBytes / 2;
     static upcxx::global_ptr<char> remote;
+    std::vector<char> want(kBytes);
+    for (std::size_t i = 0; i < kBytes; ++i)
+      want[i] = static_cast<char>('a' + i % 23);
     if (upcxx::rank_me() == 1) {
       remote = upcxx::allocate<char>(kBytes);
-      std::fill_n(remote.local(), kBytes, 'r');
+      std::copy(want.begin(), want.end(), remote.local());
     }
     upcxx::barrier();
     if (upcxx::rank_me() == 0) {
-      std::vector<std::vector<char>> sinks(
-          kGets, std::vector<char>(kBytes, 'x'));
-      for (int i = 0; i < kGets; ++i)
-        gex::xfer().submit(1, sinks[i].data(), remote.local(), kBytes, {},
-                           [] { g_done.fetch_add(1); }, /*is_get=*/true);
+      std::vector<std::vector<char>> sinks(kGets,
+                                           std::vector<char>(kBytes, 'x'));
+      const auto src = reinterpret_cast<std::uintptr_t>(remote.local());
+      for (int i = 0; i < kGets; ++i) {
+        auto done = [] { g_done.fetch_add(1); };
+        char* sink = sinks[i].data();
+        if (fragments)
+          gex::xfer().submit_runs(1, {{src, kHalf}, {src + kHalf, kHalf}},
+                                  {{sink, kHalf}, {sink + kHalf, kHalf}}, {},
+                                  done, /*is_get=*/true);
+        else
+          gex::xfer().submit(1, sink, remote.local(), kBytes, {}, done,
+                             /*is_get=*/true);
+      }
       while (g_done.load() < kGets) pump();
+      for (const auto& s : sinks) ASSERT_EQ(s, want);
       const auto& st = gex::rma_am().stats();
-      // Every reply arrived through the staged path and was consumed here.
-      EXPECT_EQ(st.staged_replies_handled,
+      EXPECT_EQ(st.gets_staged, static_cast<std::uint64_t>(kGets));
+      EXPECT_EQ(fragments ? st.frag_gets_sent : st.gets_sent,
                 static_cast<std::uint64_t>(kGets));
-      for (const auto& s : sinks)
-        ASSERT_EQ(s[0], 'r');
-      // Rack conservation: each consumed staged reply was acknowledged
-      // through exactly one channel.
-      while (!gex::rma_am().idle()) pump();
-      EXPECT_EQ(st.reply_ack_cookies_sent + st.reply_acks_piggybacked,
-                st.staged_replies_handled);
+      // Every get beyond the first window reused a recycled block.
+      EXPECT_LE(st.reply_stage_allocs, gex::rma_am().window());
+      EXPECT_GT(st.reply_pool_hits, 0u);
+      EXPECT_EQ(st.reply_pool_hits + st.reply_stage_allocs,
+                static_cast<std::uint64_t>(kGets));
+      // The put-side counters stay put-only.
+      EXPECT_EQ(st.puts_staged, 0u);
+      EXPECT_EQ(st.stage_allocs, 0u);
       g_phase.store(1, std::memory_order_release);
     } else {
       while (g_phase.load(std::memory_order_acquire) < 1) pump();
-      while (!gex::rma_am().idle()) pump();  // last racks may be in flight
+      while (!gex::rma_am().idle()) pump();
       const auto& st = gex::rma_am().stats();
-      EXPECT_EQ(st.replies_staged, static_cast<std::uint64_t>(kGets));
+      EXPECT_EQ(st.gets_handled, static_cast<std::uint64_t>(kGets));
+      EXPECT_EQ(st.replies_sent, 0u) << "a staged get answered inline";
       EXPECT_EQ(st.reply_fallbacks, 0u);
-      // Every reply beyond the first window reused a recycled buffer.
-      EXPECT_LE(st.reply_stage_allocs, 8u);
-      EXPECT_GT(st.reply_pool_hits, 0u);
+      // Ack conservation on the target: one cookie per staged get.
+      EXPECT_EQ(st.ack_cookies_sent + st.acks_piggybacked,
+                static_cast<std::uint64_t>(kGets));
     }
     upcxx::barrier();
     if (upcxx::rank_me() == 1) upcxx::deallocate(remote);
@@ -514,73 +539,79 @@ TEST(AmReplyStaging, ReplyPoolRecyclesAcrossAStream) {
   EXPECT_EQ(fails, 0);
 }
 
-// Reply-pool exhaustion falls back to the rendezvous REPLY path: the
-// replier runs a private protocol instance whose window (2) is smaller
-// than the initiator's (8), so a burst of 8 large gets finds the staged
-// bound exhausted after two replies — the rest must still complete through
-// the old path, with intact payloads.
-TEST(AmReplyStaging, ExhaustedPoolFallsBackToRendezvous) {
+INSTANTIATE_TEST_SUITE_P(ContiguousAndFragments, AmReplyStaging,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "TwoFragmentGets"
+                                             : "ContiguousGets";
+                         });
+
+// fail_all_peers() with staged gets in flight must not hand their blocks
+// back to the shared heap: the target is alive and may still gather into
+// them. The target runs a private protocol instance and stays parked while
+// the initiator issues the gets and gives up on them; once it wakes it
+// serves the gets into the still-allocated blocks, and its acks retire
+// nothing but stale completions.
+TEST(AmStagedGets, FailAllPeersKeepsStagedGetBlocks) {
   g_done = 0;
   g_phase = 0;
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;
   cfg.am_window = 8;
-  // Staged replies and the rendezvous fallback both assume shared
-  // memory; pin mmap against the CI matrix.
+  // Staging requires shared memory; pin mmap against the CI matrix.
   cfg.am_transport = gex::AmTransport::kMmap;
   const int fails = upcxx::run(cfg, [] {
-    constexpr int kGets = 8;
+    constexpr int kGets = 4;
     constexpr std::size_t kBytes = 32 << 10;
     const int me = upcxx::rank_me();
     static upcxx::global_ptr<char> remote;
     static std::atomic<int> s_parked{0};
     if (me == 1) {
       remote = upcxx::allocate<char>(kBytes);
-      std::fill_n(remote.local(), kBytes, 'f');
+      std::fill_n(remote.local(), kBytes, 'g');
       s_parked = 0;
     }
     upcxx::barrier();
-    // Swap in per-rank protocol instances with mismatched pinned windows;
-    // the handlers route through gex::self()->rma_am, so both sides see
+    // The handlers route through gex::self()->rma_am, so both sides see
     // their own instance.
-    gex::RmaAmProtocol proto(gex::self()->am, me == 1 ? 2u : 8u);
+    gex::RmaAmProtocol proto(gex::self()->am, 8);
     auto* saved = gex::self()->rma_am;
     gex::self()->rma_am = &proto;
     if (me == 1) s_parked.store(1, std::memory_order_release);
     if (me == 0) {
+      // Rank 1 may still be polling inside the barrier: wait until its
+      // private instance is installed.
       while (s_parked.load(std::memory_order_acquire) < 1)
         std::this_thread::yield();
-      std::vector<std::vector<char>> sinks(
-          kGets, std::vector<char>(kBytes, 'x'));
-      // The burst fits the private window (8): straight onto the wire.
+      auto& heap = gex::arena().heap();
+      std::vector<std::vector<char>> sinks(kGets,
+                                           std::vector<char>(kBytes, 'x'));
       const gex::XferEngine::Frag from{
           reinterpret_cast<std::uintptr_t>(remote.local()), kBytes};
+      const std::size_t before = heap.bytes_free();
       for (int i = 0; i < kGets; ++i)
         proto.start_get(1, &from, 1, {{sinks[i].data(), kBytes}},
                         [] { g_done.fetch_add(1); });
+      const std::size_t staged = heap.bytes_free();
+      EXPECT_GE(before - staged, kGets * kBytes);
+      EXPECT_EQ(proto.stats().gets_staged, static_cast<std::uint64_t>(kGets));
+      proto.fail_all_peers();
+      EXPECT_EQ(heap.bytes_free(), staged)
+          << "a staged get's block went back while its target may write it";
+      EXPECT_EQ(proto.stats().cancelled, static_cast<std::uint64_t>(kGets));
       g_phase.store(1, std::memory_order_release);
-      while (g_done.load() < kGets) pump();
-      const auto& st = proto.stats();
-      // A mix: the replier staged up to its window, the rest fell back.
-      EXPECT_EQ(st.staged_replies_handled, 2u);
-      for (const auto& s : sinks)
-        ASSERT_EQ(s[kBytes - 1], 'f');
-      while (!proto.idle()) pump();
+      while (proto.stats().stale_completions <
+             static_cast<std::uint64_t>(kGets))
+        pump();
+      EXPECT_EQ(g_done.load(), 0) << "a cancelled get completed";
+      for (const auto& s : sinks) EXPECT_EQ(s[0], 'x');
+      EXPECT_TRUE(proto.idle());
       g_phase.store(2, std::memory_order_release);
     } else {
-      // Hold all polling until the full burst is in our ring, then serve
-      // it in one poll: 2 staged replies (the bound), 6 fallbacks.
       while (g_phase.load(std::memory_order_acquire) < 1)
         std::this_thread::yield();
-      gex::am().poll(/*max_msgs=*/64);
-      proto.poll();
-      const auto& st = proto.stats();
-      EXPECT_EQ(st.gets_handled, static_cast<std::uint64_t>(kGets));
-      EXPECT_EQ(st.replies_sent, static_cast<std::uint64_t>(kGets));
-      EXPECT_EQ(st.replies_staged, 2u);
-      EXPECT_EQ(st.reply_fallbacks, 6u);
       while (g_phase.load(std::memory_order_acquire) < 2) pump();
-      while (!proto.idle()) pump();
+      EXPECT_EQ(proto.stats().gets_handled, static_cast<std::uint64_t>(kGets));
     }
     upcxx::barrier();
     gex::self()->rma_am = saved;
@@ -590,6 +621,112 @@ TEST(AmReplyStaging, ExhaustedPoolFallsBackToRendezvous) {
   });
   EXPECT_EQ(fails, 0);
 }
+
+// AM-wire requests that would not fit one record or one staging block:
+// the engine cuts every piece to fit — contiguous chunks to the record
+// limit, run lists into entries of at most one chunk — on both transports
+// and in both directions. Nothing is ever staged on the socket transport,
+// whose peers cannot read this rank's heap.
+using FitParam = std::tuple<gex::AmTransport, bool>;  // transport, is_get
+class AmRecordFit : public ::testing::TestWithParam<FitParam> {
+ protected:
+  gex::Config cfg() const {
+    gex::Config c = testutil::test_cfg(2);
+    c.rma_wire = gex::RmaWire::kAm;
+    c.am_transport = std::get<0>(GetParam());
+    return c;
+  }
+
+  // Moves `nruns` adjacent runs of `run_bytes` between rank 0 and rank 1's
+  // segment: one contiguous rput/rget when nruns is 1, else an irregular
+  // one whose local side is two runs (so the two sides' boundaries
+  // differ). Checks every byte.
+  void move_and_check(const gex::Config& c, std::size_t nruns,
+                      std::size_t run_bytes) const {
+    const bool get = std::get<1>(GetParam());
+    const int fails = upcxx::run(c, [=] {
+      const std::size_t total = nruns * run_bytes;
+      static upcxx::global_ptr<char> remote;
+      std::vector<char> want(total);
+      for (std::size_t i = 0; i < total; ++i)
+        want[i] = static_cast<char>(i * 131 + i / 4093);
+      if (upcxx::rank_me() == 1) {
+        remote = upcxx::allocate<char>(total);
+        if (get) std::copy(want.begin(), want.end(), remote.local());
+      }
+      upcxx::barrier();
+      if (upcxx::rank_me() == 0) {
+        std::vector<char> mine = get ? std::vector<char>(total, 0) : want;
+        std::vector<upcxx::dst_fragment<char>> theirs;
+        for (std::size_t k = 0; k < nruns; ++k)
+          theirs.push_back({remote + k * run_bytes, run_bytes});
+        const std::size_t half = total / 2;
+        if (get && nruns == 1) {
+          upcxx::rget(remote, mine.data(), total).wait();
+        } else if (get) {
+          std::vector<upcxx::local_fragment<char>> into{
+              {mine.data(), half}, {mine.data() + half, total - half}};
+          upcxx::rget_irregular(theirs, into).wait();
+        } else if (nruns == 1) {
+          upcxx::rput(mine.data(), remote, total).wait();
+        } else {
+          std::vector<upcxx::src_fragment<char>> from{
+              {mine.data(), half}, {mine.data() + half, total - half}};
+          upcxx::rput_irregular(from, theirs).wait();
+        }
+        if (get) EXPECT_TRUE(mine == want) << "get landed wrong bytes";
+        if (!gex::am().transport().shared_memory()) {
+          EXPECT_EQ(gex::rma_am().stats().puts_staged, 0u);
+          EXPECT_EQ(gex::rma_am().stats().gets_staged, 0u);
+        }
+      }
+      upcxx::barrier();
+      if (upcxx::rank_me() == 1) {
+        if (!get)
+          EXPECT_TRUE(std::equal(want.begin(), want.end(), remote.local()))
+              << "put landed wrong bytes";
+        upcxx::deallocate(remote);
+      }
+      upcxx::barrier();
+    });
+    EXPECT_EQ(fails, 0);
+  }
+};
+
+// A 64 KiB chunk plus its header overflows a record at the socket
+// transport's 64 KiB record floor.
+TEST_P(AmRecordFit, ContiguousMiBAtTheRecordFloor) {
+  gex::Config c = cfg();
+  c.socket_max_record = 64 << 10;
+  move_and_check(c, 1, 1 << 20);
+}
+
+// A run list larger than one record is cut into several entries.
+TEST_P(AmRecordFit, IrregularRunsAtTheRecordFloor) {
+  gex::Config c = cfg();
+  c.socket_max_record = 64 << 10;
+  move_and_check(c, 4, 64 << 10);
+}
+
+// A run list larger than the whole shared heap stages chunk by chunk.
+TEST_P(AmRecordFit, IrregularRunsBeyondTheHeap) {
+  gex::Config c = cfg();
+  c.heap_bytes = 8 << 20;
+  c.segment_bytes = 32 << 20;
+  move_and_check(c, 4, 4 << 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TransportsAndDirections, AmRecordFit,
+    ::testing::Combine(::testing::Values(gex::AmTransport::kMmap,
+                                         gex::AmTransport::kSocket),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<FitParam>& info) {
+      return std::string(std::get<0>(info.param) == gex::AmTransport::kMmap
+                             ? "Mmap"
+                             : "Socket") +
+             (std::get<1>(info.param) ? "Get" : "Put");
+    });
 
 // Transfers whose target is the calling rank never become AM requests:
 // the engine's own-rank channel moves them by memcpy, with no credit gate

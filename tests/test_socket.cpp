@@ -267,8 +267,8 @@ void socket_spmd_body() {
   require(half.rank_n() == P / 2, "split team size");
   require(gex::rma_am().stats().puts_staged == 0,
           "no staged puts on a non-shared-memory transport");
-  require(gex::rma_am().stats().replies_staged == 0,
-          "no staged replies on a non-shared-memory transport");
+  require(gex::rma_am().stats().gets_staged == 0,
+          "no staged gets on a non-shared-memory transport");
   upcxx::barrier();
   upcxx::delete_array(mine, kN);
   upcxx::barrier();

@@ -95,8 +95,8 @@ TEST(SegmentMap, RejectsRawVirtualAddresses) {
 
 // The "no raw virtual address on the wire" hook: every decoded record
 // resolves through the segment registry, so a burst of am-wire RMA that
-// sends each of the protocol's six records (PUT, PUT_STAGED, GET, REPLY,
-// REPLY_STAGED, ACK) must grow decode_count by every descriptor and
+// sends each of the protocol's six records (PUT, PUT_STAGED, GET,
+// GET_STAGED, REPLY, ACK) must grow decode_count by every descriptor and
 // staging buffer it names — and land the right bytes, proving the decoded
 // addresses were correct.
 TEST(WireAddressing, EveryAmRecordResolvesThroughRegistry) {
@@ -119,7 +119,7 @@ TEST(WireAddressing, EveryAmRecordResolvesThroughRegistry) {
         src[i] = static_cast<long>(i);
       upcxx::rput(src.data(), remote, 64).wait();     // PUT: 1 desc
       upcxx::rput(src.data(), remote, kN).wait();     // PUT_STAGED: 4 × 2
-      upcxx::rget(remote, sink.data(), kN).wait();    // GET + REPLY_STAGED:
+      upcxx::rget(remote, sink.data(), kN).wait();    // GET_STAGED + ACK:
                                                       //   4 × (1 + 1)
       upcxx::rget(remote, small.data(), 64).wait();   // GET + REPLY: 1
       std::vector<upcxx::src_fragment<long>> s{{src.data(), 32}};
@@ -131,17 +131,18 @@ TEST(WireAddressing, EveryAmRecordResolvesThroughRegistry) {
       const auto& st = gex::rma_am().stats();
       EXPECT_EQ(st.puts_staged, 4u);
       EXPECT_GE(st.frag_puts_sent, 1u);
-      EXPECT_EQ(st.staged_replies_handled, 4u);
+      EXPECT_EQ(st.gets_staged, 4u);
     }
     upcxx::barrier();
     if (me == 1) {
-      // The target answered with both reply shapes and acked every put,
-      // standalone or piggybacked.
+      // The target answered the inline get with a reply and acked every
+      // put and staged get, standalone or piggybacked.
       const auto& st = gex::rma_am().stats();
-      EXPECT_EQ(st.replies_staged, 4u);
-      EXPECT_EQ(st.replies_sent, 5u);
+      EXPECT_EQ(st.gets_handled, 5u);
+      EXPECT_EQ(st.replies_sent, 1u);
       EXPECT_GT(st.acks_sent, 0u);
-      EXPECT_EQ(st.ack_cookies_sent + st.acks_piggybacked, st.puts_handled);
+      EXPECT_EQ(st.ack_cookies_sent + st.acks_piggybacked,
+                st.puts_handled + 4u);
       upcxx::delete_array(remote, kN);
     }
     upcxx::barrier();

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "arch/timer.hpp"
@@ -169,26 +170,41 @@ TEST(XferEngine, IndependentTargetsInterleave) {
 }
 
 TEST(XferEngine, SlowLinkDoesNotBlockFastTarget) {
-  // The head-of-line regression the per-target split exists for: a
-  // saturated slow link to target 1 must not delay landings on target 2's
-  // uncapped link.
+  // The head-of-line regression the per-target split exists for: a link
+  // whose acks never come back (target 1 holds its one credit) must not
+  // delay landings on target 2's link.
   gex::XferEngine eng(64 << 10, /*bw_gbps=*/0);
-  eng.set_link_bw_gbps(1, 0.01);  // 1 MB -> ~100 ms of virtual wire time
+  std::vector<gex::XferEngine::Callback> withheld;
+  auto ops = chunk_wire([&](int t, void* dst, const void* src, std::size_t n,
+                            gex::XferEngine::Callback done) {
+    std::memcpy(dst, src, n);
+    if (t == 1)
+      withheld.push_back(std::move(done));
+    else
+      done();
+  });
+  ops.credits = [&](int t) -> std::uint32_t {
+    return t == 1 && !withheld.empty() ? 0 : 1;
+  };
+  eng.set_wire(std::move(ops));
   std::vector<std::byte> s1(1 << 20), d1(1 << 20), s2(1 << 20), d2(1 << 20);
   bool landed_slow = false, landed_fast = false;
   eng.submit(1, d1.data(), s1.data(), s1.size(), {},
              [&] { landed_slow = true; });
   eng.submit(2, d2.data(), s2.data(), s2.size(), {},
              [&] { landed_fast = true; });
-  const std::uint64_t t0 = arch::now_ns();
-  eng.drain_copies();  // all chunks issued on both links
-  eng.poll(0);         // retire pass only
-  const std::uint64_t drained_ns = arch::now_ns() - t0;
+  for (int i = 0; i < 64 && !landed_fast; ++i) eng.poll();
   EXPECT_TRUE(landed_fast) << "fast target queued behind the slow link";
-  // Only assert the slow link is still gated if the drain finished well
-  // inside its wire window (a preempted CI host can stall past it).
-  if (drained_ns < 50'000'000ull) EXPECT_FALSE(landed_slow);
-  eng.drain_all();
+  EXPECT_FALSE(landed_slow);
+  EXPECT_EQ(withheld.size(), 1u);
+  EXPECT_EQ(eng.pending_chunks(1), 15u);
+  // The slow link's acks arrive: it drains one chunk per ack.
+  while (!eng.idle()) {
+    auto due = std::move(withheld);
+    withheld.clear();
+    for (auto& d : due) d();
+    eng.poll();
+  }
   EXPECT_TRUE(landed_slow);
 }
 
@@ -219,30 +235,9 @@ TEST(XferEngine, WireAcksGateLanding) {
   EXPECT_EQ(src, dst);
 }
 
-TEST(XferEngine, BudgetScalesWithLinkBandwidth) {
-  // ROADMAP item "channel-aware chunk budget": one poll's budget is dealt
-  // proportionally to link bandwidth, so the fast link soaks up what the
-  // clock-bound capped link cannot use — instead of a flat round-robin
-  // split leaving the fast link half idle.
-  gex::XferEngine eng(/*chunk_bytes=*/512, /*bw_gbps=*/0);
-  eng.set_link_bw_gbps(1, 100.0);  // fast
-  eng.set_link_bw_gbps(2, 1.0);    // capped: 1% of the fast link
-  std::vector<std::byte> s1(8 * 512), d1(8 * 512), s2(8 * 512), d2(8 * 512);
-  eng.submit(1, d1.data(), s1.data(), s1.size(), {}, {});
-  eng.submit(2, d2.data(), s2.data(), s2.size(), {}, {});
-  EXPECT_EQ(eng.pending_chunks(1), 8u);
-  EXPECT_EQ(eng.pending_chunks(2), 8u);
-  eng.poll(/*chunk_budget=*/8);
-  EXPECT_EQ(eng.stats().chunks_copied, 8u);
-  // Fast link got ~budget * 100/101 = 7 chunks, capped link its minimum 1.
-  EXPECT_EQ(eng.pending_chunks(1), 1u);
-  EXPECT_EQ(eng.pending_chunks(2), 7u);
-  eng.drain_all();
-}
-
 TEST(XferEngine, EqualLinksStillSplitEvenly) {
-  // Two uncapped links weigh the same: the proportional split degenerates
-  // to the old fair round-robin.
+  // One poll's budget is dealt round-robin: two links with work get equal
+  // shares.
   gex::XferEngine eng(512, 0);
   std::vector<std::byte> s1(4 * 512), d1(4 * 512), s2(4 * 512), d2(4 * 512);
   eng.submit(1, d1.data(), s1.data(), s1.size(), {}, {});
@@ -364,6 +359,60 @@ TEST(XferEngine, ZeroByteTransferCompletes) {
   while (!eng.idle()) eng.poll();
   EXPECT_TRUE(source_fired);
   EXPECT_TRUE(landed);
+}
+
+TEST(XferEngine, RunListsCutToOneChunkPerEntry) {
+  // A run list larger than one chunk becomes consecutive entries whose
+  // payload plus 16 B per remote run fits the chunk, with both sides cut
+  // at the same byte offsets (their run boundaries differ here), and the
+  // list's completions fire once, after its last entry.
+  using gex::XferEngine;
+  XferEngine eng(/*chunk_bytes=*/256, /*bw_gbps=*/0);
+  std::vector<std::size_t> entry_bytes;
+  XferEngine::WireOps ops;
+  ops.put = [&](int, const XferEngine::Frag* remote, std::size_t nr,
+                const XferEngine::LocalFrag* local, std::size_t nl,
+                XferEngine::Callback done) {
+    std::vector<XferEngine::LocalFrag> to;
+    std::size_t bytes = 0;
+    for (std::size_t i = 0; i < nr; ++i) {
+      to.push_back({reinterpret_cast<void*>(remote[i].addr),
+                    static_cast<std::size_t>(remote[i].bytes)});
+      bytes += to.back().bytes;
+    }
+    EXPECT_LE(bytes + nr * sizeof(XferEngine::Frag), 256u);
+    std::size_t off = 0;  // gather the local runs, scatter into `to`
+    std::vector<std::byte> staged;
+    for (std::size_t i = 0; i < nl; ++i) {
+      const auto* p = static_cast<const std::byte*>(local[i].ptr);
+      staged.insert(staged.end(), p, p + local[i].bytes);
+    }
+    EXPECT_EQ(staged.size(), bytes);
+    for (const auto& t : to) {
+      std::memcpy(t.ptr, staged.data() + off, t.bytes);
+      off += t.bytes;
+    }
+    entry_bytes.push_back(bytes);
+    done();
+  };
+  eng.set_wire(std::move(ops));
+  std::vector<std::byte> src(600), dst(600);
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = static_cast<std::byte>(i * 13);
+  const auto at = [&](std::size_t off) {
+    return reinterpret_cast<std::uintptr_t>(dst.data() + off);
+  };
+  int order = 0, source_at = 0, landed_at = 0;
+  eng.submit_runs(1, {{at(0), 200}, {at(200), 200}, {at(400), 200}},
+                  {{src.data(), 300}, {src.data() + 300, 300}},
+                  [&] { source_at = ++order; },
+                  [&] { landed_at = ++order; }, /*is_get=*/false);
+  EXPECT_EQ(eng.pending_chunks(1), 3u);
+  while (!eng.idle()) eng.poll(1);
+  EXPECT_EQ(entry_bytes, (std::vector<std::size_t>{224, 224, 152}));
+  EXPECT_EQ(source_at, 1);
+  EXPECT_EQ(landed_at, 2);
+  EXPECT_EQ(src, dst);
 }
 
 // --------------------------------------------------- upcxx-level behavior
@@ -621,37 +670,48 @@ TEST(AsyncRma, AmWireBlockingPutGetRoundTrip) {
   EXPECT_EQ(fails, 0);
 }
 
-// The per-target channel regression at the upcxx level: rank 0 saturates a
-// bandwidth-capped link to rank 1, then puts to rank 2 over an uncapped
-// link; the second op must complete while the first is still waiting out
-// its virtual wire time.
+// The per-target channel regression at the upcxx level: on the AM wire,
+// rank 0 floods rank 1, which is parked without progress (no acks come
+// back), then puts to rank 2; the second op must complete while the first
+// is still stuck in its channel.
 TEST(AsyncRma, SlowLinkDoesNotDelayOtherTargetsOps) {
   gex::Config cfg = testutil::test_cfg(3);
-  cfg.rma_async_min = 1;
-  cfg.xfer_chunk_bytes = 64 << 10;
+  cfg.rma_wire = gex::RmaWire::kAm;
+  // A parked socket peer stops reading, so its kernel buffer could fill
+  // and block rank 0's sends; the ring transport has no such stall.
+  cfg.am_transport = gex::AmTransport::kMmap;
   const int fails = upcxx::run(cfg, [] {
     constexpr std::size_t kBytes = 1 << 20;
     static upcxx::global_ptr<char> bufs[3];
-    bufs[upcxx::rank_me()] = upcxx::allocate<char>(kBytes);
+    static std::atomic<bool> s_parked{false}, s_release{false};
+    const int me = upcxx::rank_me();
+    bufs[me] = upcxx::allocate<char>(kBytes);
+    s_parked = false;
+    s_release = false;
     upcxx::barrier();
-    if (upcxx::rank_me() == 0) {
-      // Thread backend: the static directory is shared, read it directly.
-      gex::xfer().set_link_bw_gbps(1, 0.01);  // ~100 ms for 1 MB
+    if (me == 0) {
+      // Rank 1 may still be polling inside the barrier: wait until it
+      // parks. Thread backend: the static directory is shared, read it
+      // directly.
+      while (!s_parked.load(std::memory_order_acquire))
+        std::this_thread::yield();
       std::vector<char> src(kBytes, 'x');
-      const std::uint64_t t0 = arch::now_ns();
       auto slow = upcxx::rput(src.data(), bufs[1], kBytes);
       auto fast = upcxx::rput(src.data(), bufs[2], kBytes);
       fast.wait();
-      const std::uint64_t fast_done = arch::now_ns() - t0;
-      // The uncapped op completed; the capped one is still gated unless
-      // the host stalled us past the whole wire window.
-      if (fast_done < 50'000'000ull)
-        EXPECT_FALSE(slow.is_ready())
-            << "fast-target op waited for the slow link";
+      EXPECT_FALSE(slow.is_ready())
+          << "fast-target op waited for the parked target";
+      s_release.store(true, std::memory_order_release);
       slow.wait();
+    } else if (me == 1) {
+      s_parked.store(true, std::memory_order_release);
+      while (!s_release.load(std::memory_order_acquire))
+        std::this_thread::yield();
     }
     upcxx::barrier();
-    upcxx::deallocate(bufs[upcxx::rank_me()]);
+    if (me != 0) EXPECT_EQ(bufs[me].local()[kBytes - 1], 'x');
+    upcxx::barrier();
+    upcxx::deallocate(bufs[me]);
   });
   EXPECT_EQ(fails, 0);
 }
