@@ -29,57 +29,66 @@ int main() {
   const std::vector<std::size_t> sizes{256, 1024, 4096, 16384, 65536,
                                        262144};
   const std::vector<std::size_t> thresholds{512, 8192, 65536};
-  // MB/s per (threshold, size).
-  static std::vector<std::vector<double>> rate;
-
-  for (std::size_t th : thresholds) {
-    rate.emplace_back();
-    for (std::size_t sz : sizes) {
-      gex::Config cfg = gex::Config::from_env();
-      cfg.ranks = 2;
-      cfg.eager_max = th;
-      cfg.ring_bytes = 1 << 20;
-      cfg.heap_bytes = 256 << 20;
-      const int iters = static_cast<int>(
-          std::max<std::size_t>(64, ((16u << 20) / sz)) *
-          benchutil::work_scale());
-      static double mbs;
-      int fails = upcxx::run(cfg, [sz, iters] {
-        g_received = 0;
-        std::vector<double> payload(sz / sizeof(double));
-        upcxx::barrier();
-        if (upcxx::rank_me() == 0) {
-          const double t0 = arch::now_s();
-          upcxx::promise<> p;
-          for (int i = 0; i < iters; ++i) {
-            p.require_anonymous(1);
-            upcxx::rpc(1,
-                       [](upcxx::view<double> v) {
-                         g_received.fetch_add(
-                             static_cast<long>(v.size()),
-                             std::memory_order_relaxed);
-                       },
-                       upcxx::make_view(payload.data(),
-                                        payload.data() + payload.size()))
-                .then([p]() mutable { p.fulfill_anonymous(1); });
-            if (!(i % 8)) upcxx::progress();
-          }
-          p.finalize().wait();
-          mbs = static_cast<double>(sz) * iters /
-                (arch::now_s() - t0) / 1e6;
-        } else {
-          const long expect =
-              static_cast<long>(iters) *
-              static_cast<long>(sz / sizeof(double));
-          while (g_received.load(std::memory_order_relaxed) < expect)
-            upcxx::progress();
+  // Every compared point is the median of reps(5, 3) runs, and the runs
+  // of all points interleave (trial-major), so a slow phase of the host
+  // lands on every configuration alike instead of deciding one point.
+  const int trials = benchutil::reps(5, 3);
+  // RPC payload MB/s of one run.
+  const auto rpc_run = [](std::size_t th, std::size_t sz) -> double {
+    gex::Config cfg = gex::Config::from_env();
+    cfg.ranks = 2;
+    cfg.eager_max = th;
+    cfg.ring_bytes = 1 << 20;
+    cfg.heap_bytes = 256 << 20;
+    const int iters = static_cast<int>(
+        std::max<std::size_t>(64, ((16u << 20) / sz)) *
+        benchutil::work_scale());
+    static double mbs;
+    int fails = upcxx::run(cfg, [sz, iters] {
+      g_received = 0;
+      std::vector<double> payload(sz / sizeof(double));
+      upcxx::barrier();
+      if (upcxx::rank_me() == 0) {
+        const double t0 = arch::now_s();
+        upcxx::promise<> p;
+        for (int i = 0; i < iters; ++i) {
+          p.require_anonymous(1);
+          upcxx::rpc(1,
+                     [](upcxx::view<double> v) {
+                       g_received.fetch_add(static_cast<long>(v.size()),
+                                            std::memory_order_relaxed);
+                     },
+                     upcxx::make_view(payload.data(),
+                                      payload.data() + payload.size()))
+              .then([p]() mutable { p.fulfill_anonymous(1); });
+          if (!(i % 8)) upcxx::progress();
         }
-        upcxx::barrier();
-      });
-      if (fails) return 2;
-      rate.back().push_back(mbs);
-    }
-  }
+        p.finalize().wait();
+        mbs = static_cast<double>(sz) * iters / (arch::now_s() - t0) / 1e6;
+      } else {
+        const long expect = static_cast<long>(iters) *
+                            static_cast<long>(sz / sizeof(double));
+        while (g_received.load(std::memory_order_relaxed) < expect)
+          upcxx::progress();
+      }
+      upcxx::barrier();
+    });
+    return fails ? -1 : mbs;
+  };
+  // MB/s per (threshold, size).
+  std::vector<std::vector<std::vector<double>>> rpc_runs(
+      thresholds.size(), std::vector<std::vector<double>>(sizes.size()));
+  for (int t = 0; t < trials; ++t)
+    for (std::size_t ti = 0; ti < thresholds.size(); ++ti)
+      for (std::size_t si = 0; si < sizes.size(); ++si) {
+        const double mbs = rpc_run(thresholds[ti], sizes[si]);
+        if (mbs < 0) return 2;
+        rpc_runs[ti][si].push_back(mbs);
+      }
+  std::vector<std::vector<double>> rate(thresholds.size());
+  for (std::size_t ti = 0; ti < thresholds.size(); ++ti)
+    for (const auto& runs : rpc_runs[ti])
+      rate[ti].push_back(benchutil::median(runs));
 
   std::printf("%10s", "payload");
   for (std::size_t th : thresholds)
@@ -101,48 +110,65 @@ int main() {
   // the reply path (the reply carries the payload).
   const std::vector<std::size_t> rma_sizes{256, 1024, 4096, 16384, 65536};
   const std::vector<std::size_t> rma_thresholds{512, 65536};
+  // One run: blocking put and get latency in us, at one size and
+  // threshold.
+  const auto rma_run = [](std::size_t th, std::size_t sz, double& put,
+                          double& get) {
+    gex::Config cfg = gex::Config::from_env();
+    cfg.ranks = 2;
+    cfg.rma_wire = gex::RmaWire::kAm;
+    cfg.rma_async_min = 0;  // one protocol request per op, no chunking
+    cfg.eager_max = th;
+    cfg.ring_bytes = 1 << 20;
+    cfg.heap_bytes = 128 << 20;
+    const int iters = static_cast<int>(
+        std::max<std::size_t>(128, ((8u << 20) / sz)) *
+        benchutil::work_scale());
+    static double s_put_us, s_get_us;
+    int fails = upcxx::run(cfg, [sz, iters] {
+      static upcxx::global_ptr<char> remote;
+      if (upcxx::rank_me() == 1) remote = upcxx::allocate<char>(sz);
+      upcxx::barrier();
+      if (upcxx::rank_me() == 0) {
+        std::vector<char> buf(sz, 'p');
+        upcxx::rput(buf.data(), remote, sz).wait();  // warm
+        double t0 = arch::now_s();
+        for (int i = 0; i < iters; ++i)
+          upcxx::rput(buf.data(), remote, sz).wait();
+        s_put_us = (arch::now_s() - t0) / iters * 1e6;
+        t0 = arch::now_s();
+        for (int i = 0; i < iters; ++i)
+          upcxx::rget(remote, buf.data(), sz).wait();
+        s_get_us = (arch::now_s() - t0) / iters * 1e6;
+      }
+      upcxx::barrier();  // rank 1 serves requests inside this barrier
+      if (upcxx::rank_me() == 1) upcxx::deallocate(remote);
+      upcxx::barrier();
+    });
+    put = s_put_us;
+    get = s_get_us;
+    return fails == 0;
+  };
   // us per blocking op: [threshold][size], puts then gets.
-  static std::vector<std::vector<double>> put_us, get_us;
-  for (std::size_t th : rma_thresholds) {
-    put_us.emplace_back();
-    get_us.emplace_back();
-    for (std::size_t sz : rma_sizes) {
-      gex::Config cfg = gex::Config::from_env();
-      cfg.ranks = 2;
-      cfg.rma_wire = gex::RmaWire::kAm;
-      cfg.rma_async_min = 0;  // one protocol request per op, no chunking
-      cfg.eager_max = th;
-      cfg.ring_bytes = 1 << 20;
-      cfg.heap_bytes = 128 << 20;
-      const int iters = static_cast<int>(
-          std::max<std::size_t>(128, ((8u << 20) / sz)) *
-          benchutil::work_scale());
-      static double s_put_us, s_get_us;
-      int fails = upcxx::run(cfg, [sz, iters] {
-        static upcxx::global_ptr<char> remote;
-        if (upcxx::rank_me() == 1) remote = upcxx::allocate<char>(sz);
-        upcxx::barrier();
-        if (upcxx::rank_me() == 0) {
-          std::vector<char> buf(sz, 'p');
-          upcxx::rput(buf.data(), remote, sz).wait();  // warm
-          double t0 = arch::now_s();
-          for (int i = 0; i < iters; ++i)
-            upcxx::rput(buf.data(), remote, sz).wait();
-          s_put_us = (arch::now_s() - t0) / iters * 1e6;
-          t0 = arch::now_s();
-          for (int i = 0; i < iters; ++i)
-            upcxx::rget(remote, buf.data(), sz).wait();
-          s_get_us = (arch::now_s() - t0) / iters * 1e6;
-        }
-        upcxx::barrier();  // rank 1 serves requests inside this barrier
-        if (upcxx::rank_me() == 1) upcxx::deallocate(remote);
-        upcxx::barrier();
-      });
-      if (fails) return 2;
-      put_us.back().push_back(s_put_us);
-      get_us.back().push_back(s_get_us);
+  using Runs = std::vector<std::vector<std::vector<double>>>;
+  Runs put_runs(rma_thresholds.size(),
+                std::vector<std::vector<double>>(rma_sizes.size())),
+      get_runs = put_runs;
+  for (int t = 0; t < trials; ++t)
+    for (std::size_t ti = 0; ti < rma_thresholds.size(); ++ti)
+      for (std::size_t si = 0; si < rma_sizes.size(); ++si) {
+        double put = 0, get = 0;
+        if (!rma_run(rma_thresholds[ti], rma_sizes[si], put, get)) return 2;
+        put_runs[ti][si].push_back(put);
+        get_runs[ti][si].push_back(get);
+      }
+  std::vector<std::vector<double>> put_us(rma_thresholds.size()),
+      get_us(rma_thresholds.size());
+  for (std::size_t ti = 0; ti < rma_thresholds.size(); ++ti)
+    for (std::size_t si = 0; si < rma_sizes.size(); ++si) {
+      put_us[ti].push_back(benchutil::median(put_runs[ti][si]));
+      get_us[ti].push_back(benchutil::median(get_runs[ti][si]));
     }
-  }
 
   std::printf(
       "\nRMA AM protocol (UPCXX_RMA_WIRE=am), blocking op latency in us:\n");
@@ -282,7 +308,7 @@ int main() {
     cfg.heap_bytes = 256 << 20;
     const int iters = static_cast<int>(std::max(
         8.0, 16 * benchutil::work_scale()));
-    int fails = upcxx::run(cfg, [iters] {
+    int fails = upcxx::run(cfg, [iters, trials] {
       static upcxx::global_ptr<char> remote;
       if (upcxx::rank_me() == 1) remote = upcxx::allocate<char>(kBigBytes);
       upcxx::barrier();
@@ -292,7 +318,6 @@ int main() {
         // mercy of one descheduling blip, and the symmetry ratio divides
         // two of them. The envelope is the signal (same treatment as the
         // fig3 floods).
-        const int trials = benchutil::reps(5, 3);
         upcxx::rput(buf.data(), remote, kBigBytes).wait();  // warm
         s_put4_mbs = 0;
         for (int t = 0; t < trials; ++t) {

@@ -1,15 +1,25 @@
-// The arena is the "network": one shared mapping created before the ranks
-// start, containing everything ranks use to communicate.
+// The arena holds everything ranks use to communicate. It is created
+// before the ranks start.
 //
-// Layout (all offsets fixed at creation):
+// Shared arena (thread and process backends), offsets fixed at creation:
 //
-//   [ControlBlock][scratch: nranks slots][inbox rings: nranks]
+//   [ControlBlock][port slots][inbox rings: nranks]
 //   [global shared heap][per-rank shared segments: nranks]
 //
-// The mapping is MAP_SHARED|MAP_ANONYMOUS and is created by the launcher
-// before threads are spawned or processes forked, so every rank sees it at
-// the same virtual address. That is the property that lets global_ptr carry
-// raw addresses (the moral equivalent of GASNet's PSHM cross-mapping).
+// One MAP_SHARED|MAP_ANONYMOUS mapping, created before threads spawn or
+// processes fork, so every rank reaches every region — the moral
+// equivalent of GASNet's PSHM cross-mapping.
+//
+// Private arena (an isolated socket rank, which shares no memory with its
+// peers): [ControlBlock][port slots][global shared heap][own segment], in
+// a private mapping wherever the kernel places it. It maps no rings and no
+// peer segments.
+//
+// Either way the SegmentMap gives every region the same id on every rank —
+// the heap 1, rank r's segment r + 2, the rings nranks + 2 — and registers
+// the regions this process does not map as unmapped. global_ptr and the
+// wire name memory by (segment id, offset) (gex/segment.hpp), so no rank
+// depends on where another rank's mapping landed.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +37,6 @@ namespace gex {
 // launcher and by upcxx::barrier's fallback path.
 struct ControlBlock {
   std::uint32_t nranks = 0;
-  std::size_t segment_bytes = 0;
 
   // Sense-reversing centralized barrier over all world ranks.
   arch::Padded<std::atomic<std::uint32_t>> barrier_arrived;
@@ -36,10 +45,6 @@ struct ControlBlock {
   // Set non-zero by any rank that fails; the launcher reports it.
   arch::Padded<std::atomic<std::int32_t>> error_flag;
 };
-
-// Fixed-size per-rank scratch slot used by bootstrap collectives
-// (team split exchange, allgather of small values).
-inline constexpr std::size_t kScratchSlot = 256;
 
 // Job-wide control operations (world barrier, error propagation) for
 // deployments whose ranks share no memory: an isolated socket rank cannot
@@ -58,16 +63,13 @@ class ControlPlane {
 
 class Arena {
  public:
-  // Maps and initializes an arena for `cfg`. Aborts on OOM.
+  // Maps and initializes a shared arena for `cfg`. Aborts on OOM.
   static Arena* create(const Config& cfg);
-  // Maps a *private* per-process arena at the fixed address
-  // cfg.socket_arena_base (isolated socket ranks). Identical layout and
-  // base on every rank, so global_ptr raw addresses and segment-map ids
-  // agree across processes that share nothing; the bytes behind each
-  // rank's segment are authoritative only on that rank, which is exactly
-  // the PGAS model once every transfer rides the AM wire — the config is
-  // forced to socket/am/atomics-over-am accordingly.
-  static Arena* create_private(const Config& cfg);
+  // Maps a private arena for isolated socket rank `me`: its control block,
+  // the heap and its own segment only. Peers cannot read this mapping, so
+  // every byte must travel over the AM wire: the config is forced to
+  // socket/am/atomics-over-am whatever the caller's Config said.
+  static Arena* create_private(const Config& cfg, int me);
   // Unmaps. Only the launcher calls this, after all ranks are done.
   static void destroy(Arena* a);
 
@@ -77,32 +79,29 @@ class Arena {
   ControlBlock& control() { return *ctrl_; }
   arch::MpscByteRing& inbox(int rank) { return *rings_[rank]; }
   SharedHeap& heap() { return *heap_; }
+  // The allocator of a segment this process maps.
   SharedHeap& segment_heap(int rank) { return *seg_heaps_[rank]; }
-  std::byte* scratch(int rank) { return scratch_ + rank * kScratchSlot; }
 
   // Wire-address name space over this arena's regions (global heap, rank
   // segments, ring arena). Built at create, immutable afterwards; every
-  // address a wire record carries is encoded/decoded through it.
+  // global_ptr and every address a wire record carries is one of its
+  // wire addresses.
   const SegmentMap& segmap() const { return segmap_; }
 
+  // The segment id of rank `rank`'s shared segment, on every rank.
+  static constexpr std::uint16_t segment_id(int rank) {
+    return static_cast<std::uint16_t>(rank + 2);
+  }
+  // The rank whose shared segment `wa` names; -1 for any other id.
+  int segment_owner(WireAddr wa) const {
+    const int r = wire_segment_id(wa) - 2;
+    return r >= 0 && r < cfg_.ranks ? r : -1;
+  }
+  // Base of rank `rank`'s shared segment in this process; null when this
+  // process does not map it.
   std::byte* segment_base(int rank) const {
-    return seg_base_ + static_cast<std::size_t>(rank) * cfg_.segment_bytes;
-  }
-
-  // True if p points anywhere inside some rank's shared segment.
-  bool in_segments(const void* p) const {
-    auto u = reinterpret_cast<std::uintptr_t>(p);
-    auto b = reinterpret_cast<std::uintptr_t>(seg_base_);
-    return u >= b && u < b + static_cast<std::size_t>(cfg_.ranks) *
-                                 cfg_.segment_bytes;
-  }
-
-  // Owning rank of a shared-segment address; -1 if outside all segments.
-  int rank_of(const void* p) const {
-    if (!in_segments(p)) return -1;
-    auto u = reinterpret_cast<std::uintptr_t>(p);
-    auto b = reinterpret_cast<std::uintptr_t>(seg_base_);
-    return static_cast<int>((u - b) / cfg_.segment_bytes);
+    return static_cast<std::byte*>(segmap_.try_decode(
+        WireAddr{segment_id(rank)} << kWireAddrOffsetBits));
   }
 
   // Blocks until all world ranks arrive. Spins; used at startup/teardown and
@@ -129,7 +128,8 @@ class Arena {
 
  private:
   Arena() = default;
-  static Arena* create_at(const Config& cfg, std::uint64_t fixed_base);
+  // Maps every rank's segment (only < 0) or only rank `only`'s.
+  static Arena* map(const Config& cfg, int only);
 
   Config cfg_;
   void* map_base_ = nullptr;
@@ -137,11 +137,9 @@ class Arena {
   ControlBlock* ctrl_ = nullptr;
   ControlPlane* cp_ = nullptr;
   std::atomic<std::uint32_t>* ports_ = nullptr;
-  std::byte* scratch_ = nullptr;
-  arch::MpscByteRing** rings_ = nullptr;  // process-local pointer table
+  arch::MpscByteRing** rings_ = nullptr;  // process-local; null if unmapped
   SharedHeap* heap_ = nullptr;
-  SharedHeap** seg_heaps_ = nullptr;
-  std::byte* seg_base_ = nullptr;
+  SharedHeap** seg_heaps_ = nullptr;  // null entries: segments not mapped
   SegmentMap segmap_;
 };
 

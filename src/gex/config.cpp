@@ -165,14 +165,11 @@ void Config::normalize() {
   // am_window 0 means auto (resolve_am_window consults the environment),
   // so normalize leaves it alone.
   // Socket knobs: a record must at least hold a maximal eager payload plus
-  // headers; fault probabilities are percentages; the fixed arena base
-  // must be page-aligned for MAP_FIXED_NOREPLACE.
+  // headers; fault probabilities are percentages.
   if (socket_max_record < (std::size_t{64} << 10))
     socket_max_record = std::size_t{64} << 10;
   if (socket_fault_short_write_pct > 100) socket_fault_short_write_pct = 100;
   if (socket_fault_short_read_pct > 100) socket_fault_short_read_pct = 100;
-  socket_arena_base &= ~std::uint64_t{4095};
-  if (socket_arena_base == 0) socket_arena_base = d.socket_arena_base;
 }
 
 Config Config::from_env() {
@@ -240,20 +237,6 @@ Config Config::from_env() {
           "UPCXX_SOCKET_MAX_RECORD_KB",
           static_cast<long>(c.socket_max_record >> 10)))
       << 10;
-  if (const char* v = std::getenv("UPCXX_SOCKET_ARENA_BASE"); v && *v) {
-    // Hex (0x...) or decimal; strtoull base 0 accepts both.
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long b = std::strtoull(v, &end, 0);
-    if (end != v && *end == '\0' && errno != ERANGE && b != 0) {
-      c.socket_arena_base = b;
-    } else {
-      std::fprintf(stderr,
-                   "gex: ignoring UPCXX_SOCKET_ARENA_BASE=%s (not a "
-                   "non-zero address)\n",
-                   v);
-    }
-  }
   c.socket_isolated = env_long("UPCXX_SOCKET_ISOLATED", 0) != 0;
   c.socket_fault_seed = static_cast<std::uint64_t>(
       env_nonnegative("UPCXX_SOCKET_FAULT_SEED", 0));

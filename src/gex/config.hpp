@@ -101,12 +101,6 @@ struct Config {
   // Transport::max_record_payload (the stream itself accepts any size;
   // this caps what the inline-only AM paths will ship in one record).
   std::size_t socket_max_record = 8 << 20;  // UPCXX_SOCKET_MAX_RECORD_KB
-  // Fixed virtual address isolated-mode ranks map their *private* arenas
-  // at (MAP_FIXED_NOREPLACE), so global_ptr raw addresses and segment-map
-  // ids agree across processes that share nothing. 0x2000'0000'0000 sits
-  // between the heap and the mmap base on every Linux layout we target.
-  std::uint64_t socket_arena_base = 0x200000000000ull;
-  //                                         UPCXX_SOCKET_ARENA_BASE
   // With backend=process and the socket transport: fork ranks that each
   // create their own private arena and bootstrap over a control socket
   // (no shared memory at all) instead of sharing the pre-fork arena.

@@ -23,17 +23,18 @@ std::size_t inline_cutoff(AmEngine* am) {
 }
 
 // Wire record headers. Always memcpy'd to/from the ring (record payloads
-// are only 4-byte aligned). Cookies are initiator-local ids; `addr`/`buf`
-// fields are (segment id, offset) wire addresses (gex/segment.hpp) encoded
-// by the sender and resolved against the *receiver's own* mapping at
-// decode — no record byte depends on the peer's virtual-address layout.
+// are only 4-byte aligned). Cookies are initiator-local ids; addresses are
+// (segment id, offset) wire addresses (gex/segment.hpp) resolved against
+// the *receiver's own* mapping at decode — no record byte depends on the
+// peer's virtual-address layout.
 // Every header carries `nacks`: the count of piggybacked ack cookies (u64
 // each) laid out immediately after the header, ahead of any descriptors or
 // payload, so reverse-direction traffic retires the sender's completions
 // for free.
 //
-// A request names its remote runs with `nfrags` FragDescs in the record
-// itself; a contiguous put or get is simply nfrags == 1.
+// A request names its remote runs with `nfrags` descriptors in the record
+// itself — each an XferEngine::Frag, (wire address, bytes), copied as
+// is; a contiguous put or get is simply nfrags == 1.
 struct FragHdr {
   std::uint64_t cookie;
   std::uint32_t nfrags;
@@ -44,15 +45,12 @@ struct FragHdr {
 // the ring.
 struct FragStagedHdr {
   std::uint64_t cookie;
-  std::uint64_t buf;
+  WireAddr buf;
   std::uint64_t payload_bytes;
   std::uint32_t nfrags;
   std::uint32_t nacks;
 };
-struct FragDesc {
-  std::uint64_t addr;
-  std::uint64_t bytes;
-};
+using FragDesc = RmaAmProtocol::Frag;
 // Standalone multi-ack record: every ack owed to one target, batched into
 // one ring transaction.
 struct AckHdr {
@@ -80,11 +78,11 @@ std::byte* write_acks(std::byte* q, const std::vector<std::uint64_t>& acks) {
   return q + ack_bytes(acks.size());
 }
 
-void* local_ptr(std::uint64_t addr) {
-  return reinterpret_cast<void*>(static_cast<std::uintptr_t>(addr));
-}
-
-// Copies the initiator's source runs back to back into `q`.
+// Copies local runs back to back into `q`: the initiator's put sources,
+// or a target's get sources (which the get handler resolved at decode).
+// A get's gather runs at reply time, so it reads the data as it exists
+// when the target serves it, exactly like a direct-wire rget reads memory
+// at copy time.
 std::byte* gather_local(std::byte* q, const RmaAmProtocol::LocalFrag* srcs,
                         std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -94,17 +92,10 @@ std::byte* gather_local(std::byte* q, const RmaAmProtocol::LocalFrag* srcs,
   return q;
 }
 
-// Copies this rank's source runs (local addresses — the get handler
-// resolved them at decode) back to back into `q`. Runs at reply time, so
-// the get reads the data as it exists when the target serves it, exactly
-// like a direct-wire rget reads memory at copy time.
-void gather_runs(std::byte* q,
-                 const std::vector<RmaAmProtocol::Frag>& runs) {
-  for (const auto& f : runs) {
-    if (f.bytes)
-      std::memcpy(q, local_ptr(f.addr), static_cast<std::size_t>(f.bytes));
-    q += f.bytes;
-  }
+// Writes `n` remote runs as a record's descriptors; returns the end.
+std::byte* write_descs(std::byte* q, const FragDesc* runs, std::size_t n) {
+  if (n) std::memcpy(q, runs, n * sizeof(FragDesc));
+  return q + n * sizeof(FragDesc);
 }
 
 // Copies `payload` back to back into the initiator's landing runs; returns
@@ -180,7 +171,7 @@ struct RmaAmHandlers {
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto d = read_hdr<FragDesc>(descs + i * sizeof(FragDesc));
       if (d.bytes)
-        std::memcpy(local_ptr(p.wire_dec(d.addr)), payload + off,
+        std::memcpy(p.am_->arena().segmap().decode(d.addr), payload + off,
                     static_cast<std::size_t>(d.bytes));
       off += static_cast<std::size_t>(d.bytes);
     }
@@ -213,7 +204,8 @@ struct RmaAmHandlers {
     const auto* descs = open(p, cx, h);
     const std::size_t off =
         scatter(p, descs, h.nfrags,
-                static_cast<const std::byte*>(local_ptr(p.wire_dec(h.buf))));
+                static_cast<const std::byte*>(
+                    p.am_->arena().segmap().decode(h.buf)));
     assert(off == static_cast<std::size_t>(h.payload_bytes));
     (void)off;
     p.peer(cx.src).acks_owed.push_back(h.cookie);
@@ -222,16 +214,18 @@ struct RmaAmHandlers {
 
   // Queues a get's gather for poll_requests (the reply or ack is a send,
   // which a handler must not make). The runs are resolved here: the gather
-  // list holds this rank's own raw addresses from now on. `stage` is the
+  // list holds this rank's own addresses from now on. `stage` is the
   // initiator's bounce buffer for a staged get, null for an inline one.
   static void queue_get(RmaAmProtocol& p, int src, std::uint64_t cookie,
                         const std::byte* descs, std::uint32_t n,
                         void* stage) {
-    std::vector<RmaAmProtocol::Frag> gather;
+    const SegmentMap& map = p.am_->arena().segmap();
+    std::vector<RmaAmProtocol::LocalFrag> gather;
     gather.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto d = read_hdr<FragDesc>(descs + i * sizeof(FragDesc));
-      gather.push_back({p.wire_dec(d.addr), d.bytes});
+      gather.push_back(
+          {map.decode(d.addr), static_cast<std::size_t>(d.bytes)});
     }
     p.replies_.push_back({src, cookie, std::move(gather), stage});
     ++p.stats_.gets_handled;
@@ -251,7 +245,7 @@ struct RmaAmHandlers {
     FragStagedHdr h{};
     const auto* descs = open(p, cx, h);
     queue_get(p, cx.src, h.cookie, descs, h.nfrags,
-              local_ptr(p.wire_dec(h.buf)));
+              p.am_->arena().segmap().decode(h.buf));
   }
 
   static void on_ack(AmContext& cx) {
@@ -280,16 +274,6 @@ struct RmaAmHandlers {
     p.completed_.push_back(h.cookie);
   }
 };
-
-WireAddr RmaAmProtocol::wire_enc(std::uint64_t addr) const {
-  return am_->arena().segmap().encode(
-      reinterpret_cast<const void*>(static_cast<std::uintptr_t>(addr)));
-}
-
-std::uint64_t RmaAmProtocol::wire_dec(WireAddr wa) const {
-  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(
-      am_->arena().segmap().decode(wa)));
-}
 
 RmaAmProtocol::RmaAmProtocol(AmEngine* am, std::uint32_t window)
     : am_(am), window_(window ? window : 1), owner_(self()) {
@@ -433,16 +417,6 @@ void RmaAmProtocol::send_acks(Peer& p) {
   stats_.ack_cookies_sent += rec.nacks;
 }
 
-std::byte* RmaAmProtocol::write_descs(std::byte* q, const Frag* runs,
-                                      std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const FragDesc fd{wire_enc(runs[i].addr), runs[i].bytes};
-    std::memcpy(q, &fd, sizeof fd);
-    q += sizeof fd;
-  }
-  return q;
-}
-
 void RmaAmProtocol::start_put(int target, const Frag* dsts,
                               std::size_t ndsts, const LocalFrag* srcs,
                               std::size_t nsrcs, Done done) {
@@ -560,7 +534,8 @@ int RmaAmProtocol::poll_requests() {
         // initiator's scatter of this chunk overlaps our gather of the
         // next. Leaving the ack to a piggyback or flush_acks measured
         // slower on rma_bulk_am (DESIGN.md, "Staged gets").
-        gather_runs(static_cast<std::byte*>(r.stage), r.gather);
+        gather_local(static_cast<std::byte*>(r.stage), r.gather.data(),
+                     r.gather.size());
         Peer& p = peer(r.target);
         p.acks_owed.push_back(r.cookie);
         send_acks(p);
@@ -570,7 +545,7 @@ int RmaAmProtocol::poll_requests() {
         Record rec =
             open_record(r.target, am_handler<&RmaAmHandlers::on_get_reply>(),
                         RepHdr{r.cookie, 0, 0}, total);
-        gather_runs(rec.body, r.gather);
+        gather_local(rec.body, r.gather.data(), r.gather.size());
         send_record(rec);
         ++stats_.replies_sent;
       }

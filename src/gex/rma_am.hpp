@@ -113,9 +113,9 @@ class RmaAmProtocol {
  public:
   using Done = arch::UniqueFunction<void()>;
 
-  // A remote run holds the initiator's view of the address (cross-mapped
-  // today); on the wire it always travels as a (segment id, offset) pair
-  // resolved at the owning rank — see wire_enc/wire_dec below.
+  // A remote run's address is a wire address (gex/segment.hpp): it rides
+  // the record as is and is resolved against the owning rank's own
+  // mapping when the record is handled.
   using Frag = XferEngine::Frag;
   using LocalFrag = XferEngine::LocalFrag;
 
@@ -258,7 +258,7 @@ class RmaAmProtocol {
   struct QueuedReply {
     int target;
     std::uint64_t cookie;
-    std::vector<Frag> gather;  // local (this rank's) source runs
+    std::vector<LocalFrag> gather;  // this rank's source runs, decoded
     void* stage;  // GET_STAGED: the initiator's bounce buffer; else null
   };
   // Per-target sender and receiver state: the acks this rank owes that
@@ -271,14 +271,6 @@ class RmaAmProtocol {
     std::vector<std::uint64_t> acks_owed;
     std::vector<StageBuf> stage_pool;  // free bounce buffers, ready to reuse
   };
-
-  // Wire-address translation (gex/segment.hpp): every remote/staged
-  // address leaving this rank is packed to (segment id, offset) at record
-  // encode, and every address arriving is resolved against this rank's own
-  // mapping at decode — no wire byte depends on the peer's virtual-address
-  // layout. Both abort on addresses outside the registered segments.
-  WireAddr wire_enc(std::uint64_t addr) const;
-  std::uint64_t wire_dec(WireAddr wa) const;
 
   Peer& peer(int target) {
     assert(target >= 0 &&
@@ -322,9 +314,6 @@ class RmaAmProtocol {
   Record open_record(int target, HandlerIdx h, H hdr, std::size_t body);
   // Commits a request or reply record, counting its piggybacked acks.
   void send_record(Record& r);
-  // Writes `n` remote runs as wire descriptors; returns the end.
-  std::byte* write_descs(std::byte* q, const Frag* runs,
-                         std::size_t n) const;
 
   AmEngine* am_;
   const std::uint32_t window_;  // per-target credit window

@@ -50,7 +50,8 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
           ? RmaAmProtocol::chunk_bytes(engine, am_window,
                                        arena->config().xfer_chunk_bytes)
           : arena->config().xfer_chunk_bytes;
-  XferEngine xfer_engine(chunk_bytes, arena->config().sim_bw_gbps);
+  XferEngine xfer_engine(arena->segmap(), chunk_bytes,
+                         arena->config().sim_bw_gbps);
   rank.xfer = &xfer_engine;
   RmaAmProtocol rma_am_proto(&engine, am_window);
   rank.rma_am = &rma_am_proto;
@@ -114,14 +115,14 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
 // One isolated socket rank: this process IS rank `me` of an nranks-wide
 // job whose peers live in other processes (spawned by upcxx-run or by
 // launch_socket_isolated below). Bootstraps through the launcher, builds a
-// private arena at the agreed fixed base, and installs the SocketRuntime
-// as the arena's control plane so barriers and error propagation travel
-// over the bootstrap connection.
+// private arena holding only its own memory, and installs the
+// SocketRuntime as the arena's control plane so barriers and error
+// propagation travel over the bootstrap connection.
 int launch_socket_worker(const Config& cfg, const std::function<void()>& fn,
                          int me, int boot_port) {
   SocketRuntime* rt = SocketRuntime::create(me, cfg.ranks, boot_port);
   set_active_socket_runtime(rt);
-  Arena* arena = Arena::create_private(cfg);
+  Arena* arena = Arena::create_private(cfg, me);
   arena->set_control_plane(rt);
   const int rc = run_rank(arena, me, fn) == 0 ? 0 : 1;
   // Tell the launcher we finished (either way) before closing anything —

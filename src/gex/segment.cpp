@@ -14,7 +14,8 @@ std::uint16_t SegmentMap::add(const void* base, std::size_t bytes,
                  name, bytes);
     std::abort();
   }
-  segs_.push_back(Seg{static_cast<const std::byte*>(base), bytes, name});
+  segs_.push_back(Seg{static_cast<const std::byte*>(base),
+                      base ? bytes : 0, name});
   return static_cast<std::uint16_t>(segs_.size());
 }
 
@@ -22,23 +23,13 @@ WireAddr SegmentMap::try_encode(const void* p) const {
   auto* b = static_cast<const std::byte*>(p);
   for (std::size_t i = 0; i < segs_.size(); ++i) {
     const Seg& s = segs_[i];
-    if (b >= s.base && b < s.base + s.bytes) {
+    if (s.base && b >= s.base && b < s.base + s.bytes) {
       const auto off = static_cast<std::uint64_t>(b - s.base);
       return (static_cast<std::uint64_t>(i + 1) << kWireAddrOffsetBits) |
              off;
     }
   }
   return 0;
-}
-
-void* SegmentMap::try_decode(WireAddr wa) const {
-  const std::uint64_t id = wa >> kWireAddrOffsetBits;
-  if (id == 0 || id > segs_.size()) return nullptr;
-  const Seg& s = segs_[id - 1];
-  const std::uint64_t off = wa & kWireAddrOffsetMask;
-  if (off >= s.bytes) return nullptr;
-  decodes_.fetch_add(1, std::memory_order_relaxed);
-  return const_cast<std::byte*>(s.base) + off;
 }
 
 WireAddr SegmentMap::encode(const void* p) const {
@@ -66,6 +57,7 @@ void* SegmentMap::decode(WireAddr wa) const {
                  static_cast<unsigned long long>(wa & kWireAddrOffsetMask));
     std::abort();
   }
+  decodes_.fetch_add(1, std::memory_order_relaxed);
   return p;
 }
 

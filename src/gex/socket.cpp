@@ -941,9 +941,14 @@ int BootstrapServer::serve(const std::vector<pid_t>& kids) {
     return n;
   };
 
+  // A connected rank is judged only once its connection closed: it may
+  // send BYE and exit before this loop reads the BYE, and the connection
+  // delivers everything the rank wrote ahead of its EOF.
   auto reap = [&] {
     for (int r = 0; r < nranks_; ++r) {
-      if (reaped[static_cast<std::size_t>(r)]) continue;
+      if (reaped[static_cast<std::size_t>(r)] ||
+          fds_[static_cast<std::size_t>(r)] >= 0)
+        continue;
       int status = 0;
       const pid_t w = ::waitpid(kids[static_cast<std::size_t>(r)], &status,
                                 WNOHANG);

@@ -157,10 +157,12 @@ class BootstrapServer {
   int port() const { return port_; }
 
   // Runs the whole protocol against the given child pids (one per rank,
-  // same indexing). Watches the children: a rank that exits — or whose
-  // connection drops — before BYE marks the job failed and every
-  // surviving rank is told via kCtlError. Returns the number of ranks
-  // that failed (non-zero BYE, crash, or never completed).
+  // same indexing). Watches the children: a rank whose connection drops
+  // before BYE, or that exits without ever connecting, marks the job
+  // failed and every surviving rank is told via kCtlError. A connected
+  // rank's exit is judged after its connection closed, so a BYE it sent
+  // just before exiting always counts. Returns the number of ranks that
+  // failed (non-zero BYE, crash, or never completed).
   int serve(const std::vector<pid_t>& kids);
 
  private:

@@ -34,8 +34,10 @@ void copy_runs(const std::vector<XferEngine::LocalFrag>& from,
 
 }  // namespace
 
-XferEngine::XferEngine(std::size_t chunk_bytes, double bw_gbps)
-    : chunk_bytes_(chunk_bytes ? chunk_bytes : std::size_t{256} << 10),
+XferEngine::XferEngine(const SegmentMap& map, std::size_t chunk_bytes,
+                       double bw_gbps)
+    : map_(map),
+      chunk_bytes_(chunk_bytes ? chunk_bytes : std::size_t{256} << 10),
       bw_gbps_(bw_gbps > 0 ? bw_gbps : 0),
       // 1 GB/s == 1e9 bytes/s == 1 byte/ns, so ns-per-byte is 1/gbps.
       ns_per_byte_(bw_gbps > 0 ? 1.0 / bw_gbps : 0),
@@ -73,14 +75,15 @@ XferEngine::Xfer& XferEngine::enqueue(int target) {
   return *x;
 }
 
-void XferEngine::submit(int target, void* dst, const void* src,
+void XferEngine::submit(int target, WireAddr remote, void* local,
                         std::size_t bytes, Callback on_source,
                         Callback on_landed, bool is_get,
                         std::uint64_t extra_landing_ns) {
-  assert((bytes == 0 || (dst && src)) && "null endpoint on a live transfer");
+  assert((bytes == 0 || (remote && local)) &&
+         "null endpoint on a live transfer");
   Xfer& x = enqueue(target);
-  x.dst = static_cast<std::byte*>(dst);
-  x.src = static_cast<const std::byte*>(src);
+  x.addr = remote;
+  x.buf = static_cast<std::byte*>(local);
   x.bytes = bytes;
   x.is_get = is_get;
   x.on_source = std::move(on_source);
@@ -154,19 +157,21 @@ void XferEngine::issue_one_chunk(Channel& ch) {
       x.runs ? x.bytes : std::min(chunk_bytes_, x.bytes - x.off);
   if (x.runs || take) {
     if (x.runs && ch.own) {
-      // Own rank: the remote runs are this rank's own addresses.
+      // Own rank: the remote runs are in this rank's own segment.
       std::vector<LocalFrag> mine;
       mine.reserve(x.remote.size());
       for (const Frag& f : x.remote)
-        mine.push_back(
-            {reinterpret_cast<void*>(static_cast<std::uintptr_t>(f.addr)),
-             static_cast<std::size_t>(f.bytes)});
+        mine.push_back({mapped(f.addr), static_cast<std::size_t>(f.bytes)});
       if (x.is_get)
         copy_runs(mine, x.local);
       else
         copy_runs(x.local, mine);
     } else if (!wire_ || ch.own) {
-      std::memcpy(x.dst + x.off, x.src + x.off, take);
+      std::byte* theirs = mapped(x.addr + x.off);
+      if (x.is_get)
+        std::memcpy(x.buf + x.off, theirs, take);
+      else
+        std::memcpy(theirs, x.buf + x.off, take);
     } else {
       // Each wire piece carries a pending-ack token; the transfer retires
       // only once every token has been returned. The wire may complete
@@ -183,19 +188,13 @@ void XferEngine::issue_one_chunk(Channel& ch) {
           wire_->put(ch.target, x.remote.data(), x.remote.size(),
                      x.local.data(), x.local.size(), std::move(done));
       } else {
-        // One run each side: the remote run is the side the transfer does
-        // not land locally.
-        std::byte* mine = x.is_get ? x.dst + x.off
-                                   : const_cast<std::byte*>(x.src + x.off);
-        const std::byte* theirs = x.is_get ? x.src + x.off : x.dst + x.off;
-        const Frag r{reinterpret_cast<std::uintptr_t>(theirs), take};
-        if (x.is_get) {
-          wire_->get(ch.target, &r, 1, {LocalFrag{mine, take}},
-                     std::move(done));
-        } else {
-          const LocalFrag l{mine, take};
+        // One run each side.
+        const Frag r{x.addr + x.off, take};
+        const LocalFrag l{x.buf + x.off, take};
+        if (x.is_get)
+          wire_->get(ch.target, &r, 1, {l}, std::move(done));
+        else
           wire_->put(ch.target, &r, 1, &l, 1, std::move(done));
-        }
       }
     }
     x.off += take;
@@ -219,6 +218,12 @@ void XferEngine::issue_one_chunk(Channel& ch) {
     --active_count_;
     if (Callback cb = std::move(x.on_source)) cb();
   }
+}
+
+std::byte* XferEngine::mapped(WireAddr wa) const {
+  void* p = map_.try_decode(wa);
+  assert(p && "direct-wire or own-rank transfer to memory not mapped here");
+  return static_cast<std::byte*>(p);
 }
 
 int XferEngine::retire_landed(Channel& ch) {

@@ -18,21 +18,24 @@
 // head-of-line-blocks traffic to another. Each channel owns its own
 // virtual wire clock at the engine-wide Config::sim_bw_gbps.
 //
+// Addresses: the remote side of every entry is a wire address (gex/
+// segment.hpp) — the (segment id, offset) name global_ptr carries — and
+// the local side is a pointer in this process.
+//
 // Wires: the engine decides *when* each chunk moves; a pluggable wire
-// decides *how* (WireOps below). The built-in direct wire is an
-// initiator-side memcpy into the cross-mapped arena — synchronous,
-// zero-allocation, remotely visible on return. The AM wire
-// (gex/rma_am.hpp, selected by UPCXX_RMA_WIRE=am) ships each chunk as an
-// active-message put/get request and completes it when the target's ack
-// arrives; the engine's completion pipeline is identical either way. On
-// the AM wire the channels are the *only* sender-side queue: every op,
-// small contiguous ones and non-contiguous fragment lists included, waits
-// here until the protocol has a credit for its target. The channel to the
-// engine's own rank never uses the wire: its entries move by memcpy, with
-// no credit gate, whatever wire is installed — an own-rank endpoint may be
-// process-private memory no wire request can address (a device-toll
-// copy() to a host buffer), and landing still waits out the wire clock
-// and the extra toll.
+// decides *how* (WireOps below). The built-in direct wire decodes the
+// remote address through the segment map and memcpys into the
+// cross-mapped arena — synchronous, zero-allocation, remotely visible on
+// return. The AM wire (gex/rma_am.hpp, selected by UPCXX_RMA_WIRE=am)
+// ships each chunk as an active-message put/get request and completes it
+// when the target's ack arrives; the engine's completion pipeline is
+// identical either way. On the AM wire the channels are the *only*
+// sender-side queue: every op, small contiguous ones and non-contiguous
+// fragment lists included, waits here until the protocol has a credit for
+// its target. The channel to the engine's own rank never uses the wire:
+// its entries move by memcpy, with no credit gate, whatever wire is
+// installed (this rank's own segment is always mapped here), and landing
+// still waits out the wire clock and the extra toll.
 //
 // Entries: a contiguous transfer is chunked; a run list (submit_runs — a
 // scatter-put or gather-get over lists of runs) is cut into consecutive
@@ -82,6 +85,7 @@
 #include <vector>
 
 #include "arch/small_fn.hpp"
+#include "gex/segment.hpp"
 
 namespace gex {
 
@@ -96,10 +100,9 @@ class XferEngine {
   // piece is one chunk of a contiguous transfer or one whole run entry.
   static constexpr int kDefaultChunkBudget = 4;
 
-  // A contiguous run in the *remote* rank's address space (the address as
-  // this rank sees it; the AM wire encodes it as a segment offset).
+  // A contiguous run in the *remote* rank's memory, by wire address.
   struct Frag {
-    std::uint64_t addr;
+    WireAddr addr;
     std::uint64_t bytes;
   };
   // A contiguous run in this rank's address space.
@@ -136,23 +139,25 @@ class XferEngine {
     arch::UniqueFunction<std::uint32_t(int target)> credits;
   };
 
-  // chunk_bytes: pipelining granularity (Config::xfer_chunk_bytes).
-  // bw_gbps: simulated bandwidth of each channel's wire in GB/s; 0
-  // disables the model.
-  XferEngine(std::size_t chunk_bytes, double bw_gbps);
+  // map: resolves remote wire addresses for the direct wire and the
+  // own-rank channel (the arena's segment map); it must outlive the
+  // engine. chunk_bytes: pipelining granularity (Config::
+  // xfer_chunk_bytes). bw_gbps: simulated bandwidth of each channel's wire
+  // in GB/s; 0 disables the model.
+  XferEngine(const SegmentMap& map, std::size_t chunk_bytes, double bw_gbps);
 
   // Installs a wire (replacing the built-in direct memcpy). Must happen
   // before any submit().
   void set_wire(WireOps ops) { wire_.emplace(std::move(ops)); }
 
-  // Queues an asynchronous move of `bytes` between this rank and `target`
-  // (is_get: dst is local, src remote; otherwise src is local, dst
+  // Queues an asynchronous move of `bytes` between `local` and `target`'s
+  // memory at `remote` (is_get: remote -> local; otherwise local ->
   // remote). No data moves inside this call. Both buffers must stay valid
-  // until on_source (src) / on_landed (dst) fire. Either callback may be
-  // empty. extra_landing_ns adds a fixed toll to the transfer's landing
-  // time on top of the wire clock — the simulated-PCIe cost of a
-  // device-kind copy() composes with the wire model through it.
-  void submit(int target, void* dst, const void* src, std::size_t bytes,
+  // until on_source (source side) / on_landed (destination) fire. Either
+  // callback may be empty. extra_landing_ns adds a fixed toll to the
+  // transfer's landing time on top of the wire clock — the simulated-PCIe
+  // cost of a device-kind copy() composes with the wire model through it.
+  void submit(int target, WireAddr remote, void* local, std::size_t bytes,
               Callback on_source, Callback on_landed, bool is_get = false,
               std::uint64_t extra_landing_ns = 0);
 
@@ -160,8 +165,8 @@ class XferEngine {
   // the `remote` runs) or gather-get (the `remote` runs land in `local`)
   // as consecutive run entries, each one wire request (a memcpy of the
   // runs when `target` is the engine's own rank) whose payload plus
-  // sizeof(Frag) per remote run — an AM-wire descriptor is an address
-  // and a length too — fits chunk_bytes(), so it fits one AM record and
+  // sizeof(Frag) per remote run — the AM wire carries each Frag as its
+  // descriptor — fits chunk_bytes(), so it fits one AM record and
   // one staging block. Runs are split where they straddle an
   // entry boundary. on_source and on_landed ride the last entry: the
   // channel issues and retires in FIFO order. Needs an installed wire.
@@ -225,8 +230,8 @@ class XferEngine {
   // One queued transfer: a pooled node in its channel's FIFO.
   struct Xfer {
     Xfer* next = nullptr;
-    std::byte* dst = nullptr;
-    const std::byte* src = nullptr;
+    WireAddr addr = 0;        // contiguous: the remote side
+    std::byte* buf = nullptr;  // contiguous: the local side
     std::size_t bytes = 0;
     std::size_t off = 0;  // bytes issued so far
     bool is_get = false;
@@ -271,7 +276,11 @@ class XferEngine {
   // Fires every due on_landed of the channel, in FIFO order. Returns
   // callbacks fired.
   int retire_landed(Channel& ch);
+  // This process's address of remote memory the direct wire or the
+  // own-rank channel moves: mapped here by construction.
+  std::byte* mapped(WireAddr wa) const;
 
+  const SegmentMap& map_;
   std::size_t chunk_bytes_;
   double bw_gbps_;
   double ns_per_byte_;  // 0 when the bandwidth model is off

@@ -9,13 +9,12 @@
 // environment, so the "device" is a distinct region of the shared arena that
 // the type system treats as non-host-addressable (global_ptr<T, sim_device>
 // provides no local()). Transfers optionally charge a simulated PCIe-style
-// cost (fixed latency + per-byte time), configurable programmatically or via
-// UPCXX_SIM_DEV_LATENCY_NS / UPCXX_SIM_DEV_GBPS, so benches can expose the
+// cost (fixed latency + per-byte time), set in code with
+// experimental::set_sim_device_params, so benches can expose the
 // host-staging vs direct-copy tradeoffs the real feature is about.
 #pragma once
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 #include "gex/runtime.hpp"
@@ -34,24 +33,15 @@ struct sim_device {
 
 namespace detail {
 
-// Simulated device-transfer parameters. Defaults come from the environment;
-// tests and benches may override programmatically per SPMD region.
+// Simulated device-transfer parameters: free by default; tests and
+// benches set them per SPMD region (experimental::set_sim_device_params).
 struct SimDeviceParams {
   std::uint64_t latency_ns = 0;  // fixed per-transfer cost
   double ns_per_byte = 0.0;      // 1 / bandwidth
 };
 
 inline SimDeviceParams& sim_device_params() {
-  thread_local SimDeviceParams params = [] {
-    SimDeviceParams q;
-    if (const char* e = std::getenv("UPCXX_SIM_DEV_LATENCY_NS"))
-      q.latency_ns = std::strtoull(e, nullptr, 10);
-    if (const char* e = std::getenv("UPCXX_SIM_DEV_GBPS")) {
-      const double gbps = std::strtod(e, nullptr);
-      q.ns_per_byte = gbps > 0.0 ? 1.0 / gbps : 0.0;  // 1 GB/s == 1 byte/ns
-    }
-    return q;
-  }();
+  thread_local SimDeviceParams params;
   return params;
 }
 
@@ -138,7 +128,7 @@ class device_allocator {
     if (g.is_null()) return;
     assert(g.where() == gex::rank_me() &&
            "deallocate must run on the owning rank");
-    heap_->deallocate(g.raw_address());
+    heap_->deallocate(gex::job_segmap().try_decode(g.wire_addr()));
   }
 
   std::size_t segment_bytes() const { return bytes_; }

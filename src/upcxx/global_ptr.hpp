@@ -6,10 +6,18 @@
 //    explicit through rput/rget/RPC/atomics;
 //  * it supports pointer arithmetic and passing by value (trivially
 //    copyable, hence trivially serializable as an RPC argument);
-//  * it converts to/from a raw pointer for the *owning* rank via local() and
-//    to_global_ptr(); is_local() reports whether a direct conversion is
-//    possible (always true on our single-node arena, the analog of GASNet
-//    PSHM cross-mapping).
+//  * it converts to/from a raw pointer via local() and to_global_ptr();
+//    is_local() reports whether this process can reach the memory with a
+//    raw pointer at all.
+//
+// Representation: (owning rank, wire address). The wire address is the
+// segment map's (segment id, offset) name (gex/segment.hpp) — the same
+// value the AM wire carries, so no layer translates between two names for
+// remote memory. is_local() is true exactly when this process maps the
+// segment: every rank's on a shared arena (the analog of GASNet PSHM
+// cross-mapping), only its own on an isolated socket rank. Null is wire
+// address 0, the reserved id; like UPC++, a null pointer is local and
+// local() maps it to nullptr.
 #pragma once
 
 #include <cassert>
@@ -43,82 +51,93 @@ class global_ptr {
   constexpr global_ptr() = default;  // null
   constexpr global_ptr(std::nullptr_t) {}  // NOLINT
 
+  // The global pointer for `p`, which must lie in a segment this process
+  // maps (null when it does not).
   static global_ptr from_raw(intrank_t rank, T* p) {
+    return from_wire(rank, gex::job_segmap().try_encode(p));
+  }
+  static global_ptr from_wire(intrank_t rank, gex::WireAddr wa) {
     global_ptr g;
     g.rank_ = rank;
-    g.raw_ = p;
+    g.wa_ = wa;
     return g;
   }
 
-  bool is_null() const { return raw_ == nullptr; }
-  explicit operator bool() const { return raw_ != nullptr; }
+  bool is_null() const { return wa_ == 0; }
+  explicit operator bool() const { return wa_ != 0; }
 
   intrank_t where() const { return rank_; }
 
-  // True when the memory can be reached with a raw pointer from this rank.
-  // On the shared-memory arena every segment is cross-mapped, so any valid
-  // global_ptr is local — same semantics as UPC++ on a PSHM node.
-  bool is_local() const { return true; }
+  // The (segment id, offset) name of the memory: what the wire carries.
+  gex::WireAddr wire_addr() const { return wa_; }
 
-  // Raw pointer usable on this rank. UPC++ permits this only when
-  // is_local(); calling it on a null pointer is an error. Device-kind
+  // True when this process can reach the memory with a raw pointer: it
+  // maps the segment (or the pointer is null).
+  bool is_local() const {
+    return wa_ == 0 || gex::job_segmap().try_decode(wa_) != nullptr;
+  }
+
+  // Raw pointer usable in this process; requires is_local(). Device-kind
   // pointers are not host-dereferenceable: use upcxx::copy (or the owning
   // device_allocator's backing accessor) instead.
   T* local() const {
     static_assert(K == memory_kind::host,
                   "local() is only available on host-kind global_ptr; "
                   "device memory moves via upcxx::copy");
-    assert(raw_ != nullptr);
-    return raw_;
+    assert(is_local() && "local() on memory this process does not map");
+    return static_cast<T*>(gex::job_segmap().try_decode(wa_));
   }
 
-  // The raw address in the owner's address space, without the host-kind
-  // restriction. Needed by the runtime (copy, hashing); not part of the
-  // user-facing dereference surface.
-  T* raw_address() const { return raw_; }
-
-  // Pointer arithmetic (element granularity), as in the paper.
+  // Pointer arithmetic (element granularity), as in the paper. Offsets
+  // stay inside the segment, so the wire address moves like a raw one.
   global_ptr operator+(std::ptrdiff_t d) const {
-    return from_raw(rank_, raw_ + d);
+    return from_wire(rank_, wa_ + bytes(d));
   }
   global_ptr operator-(std::ptrdiff_t d) const {
-    return from_raw(rank_, raw_ - d);
+    return from_wire(rank_, wa_ - bytes(d));
   }
   std::ptrdiff_t operator-(const global_ptr& o) const {
     assert(rank_ == o.rank_);
-    return raw_ - o.raw_;
+    return static_cast<std::ptrdiff_t>(wa_ - o.wa_) /
+           static_cast<std::ptrdiff_t>(sizeof(T));
   }
   global_ptr& operator+=(std::ptrdiff_t d) {
-    raw_ += d;
+    wa_ += bytes(d);
     return *this;
   }
   global_ptr& operator-=(std::ptrdiff_t d) {
-    raw_ -= d;
+    wa_ -= bytes(d);
     return *this;
   }
-  global_ptr& operator++() { ++raw_; return *this; }
-  global_ptr& operator--() { --raw_; return *this; }
+  global_ptr& operator++() { return *this += 1; }
+  global_ptr& operator--() { return *this -= 1; }
 
   friend bool operator==(const global_ptr& a, const global_ptr& b) {
-    return a.raw_ == b.raw_ && (a.raw_ == nullptr || a.rank_ == b.rank_);
+    return a.wa_ == b.wa_ && (a.wa_ == 0 || a.rank_ == b.rank_);
   }
   friend bool operator!=(const global_ptr& a, const global_ptr& b) {
     return !(a == b);
   }
+  // Segment ids run in rank order, so this orders pointers by (owning
+  // rank, offset), with null first.
   friend bool operator<(const global_ptr& a, const global_ptr& b) {
-    return a.raw_ < b.raw_;
+    return a.wa_ < b.wa_;
   }
 
   // Reinterpretation (element-type cast), mirroring
   // upcxx::reinterpret_pointer_cast. Preserves the memory kind.
   template <typename U>
   global_ptr<U, K> reinterpret() const {
-    return global_ptr<U, K>::from_raw(rank_, reinterpret_cast<U*>(raw_));
+    return global_ptr<U, K>::from_wire(rank_, wa_);
   }
 
  private:
+  static gex::WireAddr bytes(std::ptrdiff_t d) {
+    return static_cast<gex::WireAddr>(d) * sizeof(T);
+  }
+
   intrank_t rank_ = 0;
-  T* raw_ = nullptr;
+  gex::WireAddr wa_ = 0;
 };
 
 static_assert(std::is_trivially_copyable_v<global_ptr<int>>,
@@ -181,25 +200,26 @@ void delete_array(global_ptr<T> g, std::size_t n) {
   deallocate(g);
 }
 
-// Converts a raw pointer into the calling rank's segment to a global_ptr.
-template <typename T>
-global_ptr<T> to_global_ptr(T* p) {
-  auto* r = gex::self();
-  assert(r);
-  int owner = r->arena->rank_of(p);
-  assert(owner == r->me && "pointer is not into my shared segment");
-  return global_ptr<T>::from_raw(owner, p);
-}
-
-// Non-asserting variant: null if p is not in any shared segment; otherwise a
-// pointer owned by whichever rank's segment contains it.
+// Non-asserting variant of to_global_ptr: null if p is not in a shared
+// segment this process maps; otherwise a pointer owned by whichever rank's
+// segment contains it.
 template <typename T>
 global_ptr<T> try_global_ptr(T* p) {
   auto* r = gex::self();
   assert(r);
-  int owner = r->arena->rank_of(p);
+  const gex::WireAddr wa = r->arena->segmap().try_encode(p);
+  const int owner = r->arena->segment_owner(wa);
   if (owner < 0) return {};
-  return global_ptr<T>::from_raw(owner, p);
+  return global_ptr<T>::from_wire(owner, wa);
+}
+
+// Converts a raw pointer into the calling rank's segment to a global_ptr.
+template <typename T>
+global_ptr<T> to_global_ptr(T* p) {
+  global_ptr<T> g = try_global_ptr(p);
+  assert(!g.is_null() && g.where() == gex::rank_me() &&
+         "pointer is not into my shared segment");
+  return g;
 }
 
 }  // namespace upcxx
@@ -208,7 +228,7 @@ namespace std {
 template <typename T, upcxx::memory_kind K>
 struct hash<upcxx::global_ptr<T, K>> {
   size_t operator()(const upcxx::global_ptr<T, K>& g) const {
-    return hash<T*>()(g.raw_address());
+    return hash<::gex::WireAddr>()(g.wire_addr());
   }
 };
 }  // namespace std

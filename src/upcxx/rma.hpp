@@ -121,14 +121,14 @@ inline bool use_xfer(std::size_t bytes, bool remote = true) {
 // completion fires at once, and the engine's on_source keeps the copy
 // alive until the request has read it out.
 template <typename Cxs>
-auto issue_xfer_ns(Cxs cxs, intrank_t target, void* dst, const void* src,
-                   std::size_t bytes, std::uint64_t delay, bool is_get,
-                   std::uint64_t extra_landing_ns = 0,
+auto issue_xfer_ns(Cxs cxs, intrank_t target, gex::WireAddr remote,
+                   void* local, std::size_t bytes, std::uint64_t delay,
+                   bool is_get, std::uint64_t extra_landing_ns = 0,
                    std::shared_ptr<const void> hold = nullptr) {
   auto st = std::make_shared<cx_state<Cxs>>(std::move(cxs), target);
   st->prepare_deferred();
   const op_context cx = op_context::current();
-  cx.run_at_rank([cx, st, target, dst, src, bytes, delay, is_get,
+  cx.run_at_rank([cx, st, target, remote, local, bytes, delay, is_get,
                   extra_landing_ns, hold = std::move(hold)]() mutable {
     gex::XferEngine::Callback on_source;
     if (hold) {
@@ -141,7 +141,7 @@ auto issue_xfer_ns(Cxs cxs, intrank_t target, void* dst, const void* src,
       on_source = [cx, st] { cx.complete_now([st] { st->source_now(); }); };
     }
     persona().rank->xfer->submit(
-        target, dst, src, bytes, std::move(on_source),
+        target, remote, local, bytes, std::move(on_source),
         [cx, st, delay] {
           // Data is visible at the target: notify it (1 more hop carried
           // by the rpc itself), then complete the operation after the
@@ -238,9 +238,10 @@ auto rput(const T* src, global_ptr<T> dest, std::size_t n,
   arch::relaxed_inc(detail::op_state().stats.rputs);
   const std::size_t bytes = n * sizeof(T);
   if (detail::use_xfer(bytes)) {
-    return detail::issue_xfer_ns(std::move(cxs), dest.where(), dest.local(),
-                                 src, bytes,
-                                 2 * detail::op_state().sim_latency_ns,
+    // Read-only use of src: the engine's local side serves both directions.
+    return detail::issue_xfer_ns(std::move(cxs), dest.where(),
+                                 dest.wire_addr(), const_cast<T*>(src),
+                                 bytes, 2 * detail::op_state().sim_latency_ns,
                                  /*is_get=*/false);
   }
   // Direct-wire injection path: runs unchanged on injector threads — the
@@ -266,9 +267,9 @@ auto rput(T value, global_ptr<T> dest, Cxs cxs = Cxs{}) {
     // holder the engine's on_source keeps alive until the request has
     // copied it out.
     auto holder = std::make_shared<T>(value);
-    const void* src = holder.get();
+    void* src = holder.get();
     return detail::issue_xfer_ns(
-        std::move(cxs), dest.where(), dest.local(), src, sizeof(T),
+        std::move(cxs), dest.where(), dest.wire_addr(), src, sizeof(T),
         2 * detail::op_state().sim_latency_ns, /*is_get=*/false,
         /*extra_landing_ns=*/0, std::move(holder));
   }
@@ -288,8 +289,8 @@ auto rget(global_ptr<T> src, T* dest, std::size_t n, Cxs cxs = Cxs{}) {
   arch::relaxed_inc(detail::op_state().stats.rgets);
   const std::size_t bytes = n * sizeof(T);
   if (detail::use_xfer(bytes)) {
-    return detail::issue_xfer_ns(std::move(cxs), src.where(), dest,
-                                 src.local(), bytes,
+    return detail::issue_xfer_ns(std::move(cxs), src.where(),
+                                 src.wire_addr(), dest, bytes,
                                  2 * detail::op_state().sim_latency_ns,
                                  /*is_get=*/true);
   }
@@ -317,7 +318,7 @@ future<T> rget(global_ptr<T> src) {
     const detail::op_context cx = detail::op_context::current();
     cx.run_at_rank([cx, buf, pr, src, delay]() mutable {
       detail::persona().rank->xfer->submit(
-          src.where(), buf.get(), src.local(), sizeof(T), {},
+          src.where(), src.wire_addr(), buf.get(), sizeof(T), {},
           [cx, buf, pr, delay]() mutable {
             cx.complete_after_ns(delay, [buf, pr]() mutable {
               pr.fulfill_result(*buf);
@@ -454,8 +455,7 @@ auto rput_irregular(const std::vector<src_fragment<T>>& srcs,
     detail::pair_fragment_runs<T, const T*>(
         srcs, dsts, [&](const T* lp, global_ptr<T> rp, std::size_t n) {
           auto& g = detail::am_frag_group(groups, rp.where());
-          g.remote.push_back({reinterpret_cast<std::uintptr_t>(rp.local()),
-                              n * sizeof(T)});
+          g.remote.push_back({rp.wire_addr(), n * sizeof(T)});
           g.local.push_back(
               {const_cast<T*>(lp), n * sizeof(T)});  // read-only use
         });
@@ -490,8 +490,7 @@ auto rget_irregular(const std::vector<dst_fragment<T>>& srcs,
     detail::pair_fragment_runs<T, T*>(
         dsts, srcs, [&](T* lp, global_ptr<T> rp, std::size_t n) {
           auto& g = detail::am_frag_group(groups, rp.where());
-          g.remote.push_back({reinterpret_cast<std::uintptr_t>(rp.local()),
-                              n * sizeof(T)});
+          g.remote.push_back({rp.wire_addr(), n * sizeof(T)});
           g.local.push_back({lp, n * sizeof(T)});
         });
     return detail::issue_am_fragments(std::move(cxs), std::move(groups),
@@ -514,12 +513,13 @@ namespace detail {
 // Walks the common Dim-dimensional iteration space and invokes
 // fn(a_run, b_run, run_bytes) for each maximal contiguous run: whole
 // innermost rows when both sides are element-contiguous there, single
-// elements otherwise. Both the direct wire (fn = memcpy) and the am wire
-// (fn = collect fragment descriptors) drive their data motion off the same
-// enumeration.
-template <typename T, int Dim, typename Fn>
-void strided_for_each_run(const std::byte* a, const std::ptrdiff_t* as,
-                          std::byte* b, const std::ptrdiff_t* bs,
+// elements otherwise. Either side is a byte pointer or a wire address
+// (both step by byte offsets). Both the direct wire (fn = memcpy) and the
+// am wire (fn = collect fragment descriptors) drive their data motion off
+// the same enumeration.
+template <typename T, int Dim, typename A, typename B, typename Fn>
+void strided_for_each_run(A a, const std::ptrdiff_t* as, B b,
+                          const std::ptrdiff_t* bs,
                           const std::size_t* extent, int dim, Fn&& fn) {
   if (dim == Dim - 1) {
     const auto elem = static_cast<std::ptrdiff_t>(sizeof(T));
@@ -539,27 +539,33 @@ void strided_for_each_run(const std::byte* a, const std::ptrdiff_t* as,
         fn);
 }
 
-// Builds the am-wire fragment group of a strided transfer: `remote_is_b`
-// puts b-side runs on the wire as remote descriptors and a-side runs as
-// the local list (a put); inverted for gets.
+// Builds the am-wire fragment group of a strided transfer between local
+// memory and `target`'s memory at `remote`: matched runs, in order.
 template <typename T, int Dim>
 std::vector<AmFragGroup> strided_am_group(
-    const std::byte* a, const std::ptrdiff_t* as, std::byte* b,
-    const std::ptrdiff_t* bs, const std::size_t* extent, intrank_t target,
-    bool remote_is_b) {
+    std::byte* local, const std::ptrdiff_t* ls, gex::WireAddr remote,
+    const std::ptrdiff_t* rs, const std::size_t* extent, intrank_t target) {
   std::vector<AmFragGroup> groups;
   auto& g = am_frag_group(groups, target);
   strided_for_each_run<T, Dim>(
-      a, as, b, bs, extent, 0,
-      [&](const std::byte* ra, std::byte* rb, std::size_t bytes) {
-        const std::byte* remote = remote_is_b ? rb : ra;
-        const std::byte* local = remote_is_b ? ra : rb;
-        g.remote.push_back(
-            {reinterpret_cast<std::uintptr_t>(remote), bytes});
-        g.local.push_back(
-            {const_cast<std::byte*>(local), bytes});
+      local, ls, remote, rs, extent, 0,
+      [&](std::byte* l, gex::WireAddr r, std::size_t bytes) {
+        g.remote.push_back({r, bytes});
+        g.local.push_back({l, bytes});
       });
   return groups;
+}
+
+// Copies the runs of a strided transfer between two mapped regions.
+template <typename T, int Dim>
+void strided_copy(const std::byte* src, const std::ptrdiff_t* ss,
+                  std::byte* dst, const std::ptrdiff_t* ds,
+                  const std::size_t* extent) {
+  strided_for_each_run<T, Dim>(
+      src, ss, dst, ds, extent, 0,
+      [](const std::byte* from, std::byte* to, std::size_t bytes) {
+        std::memcpy(to, from, bytes);
+      });
 }
 
 }  // namespace detail
@@ -574,21 +580,19 @@ auto rput_strided(const T* src_base,
   static_assert(std::is_trivially_copyable_v<T>);
   arch::relaxed_inc(detail::op_state().stats.rputs);
   auto* a = reinterpret_cast<const std::byte*>(src_base);
-  auto* b = reinterpret_cast<std::byte*>(dst_base.local());
   if (detail::wire_am()) {
     auto groups = detail::strided_am_group<T, Dim>(
-        a, src_strides.data(), b, dst_strides.data(), extents.data(),
-        dst_base.where(), /*remote_is_b=*/true);
+        const_cast<std::byte*>(a), src_strides.data(),  // read-only use
+        dst_base.wire_addr(), dst_strides.data(), extents.data(),
+        dst_base.where());
     if (!groups.front().remote.empty())
       return detail::issue_am_fragments(std::move(cxs), std::move(groups),
                                         /*is_get=*/false);
     return detail::finish_rma(std::move(cxs), dst_base.where(), 2);
   }
-  detail::strided_for_each_run<T, Dim>(
-      a, src_strides.data(), b, dst_strides.data(), extents.data(), 0,
-      [](const std::byte* ra, std::byte* rb, std::size_t bytes) {
-        std::memcpy(rb, ra, bytes);
-      });
+  detail::strided_copy<T, Dim>(
+      a, src_strides.data(), reinterpret_cast<std::byte*>(dst_base.local()),
+      dst_strides.data(), extents.data());
   return detail::finish_rma(std::move(cxs), dst_base.where(), 2);
 }
 
@@ -601,22 +605,19 @@ auto rget_strided(global_ptr<T> src_base,
                   Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   arch::relaxed_inc(detail::op_state().stats.rgets);
-  auto* a = reinterpret_cast<const std::byte*>(src_base.local());
   auto* b = reinterpret_cast<std::byte*>(dst_base);
   if (detail::wire_am()) {
     auto groups = detail::strided_am_group<T, Dim>(
-        a, src_strides.data(), b, dst_strides.data(), extents.data(),
-        src_base.where(), /*remote_is_b=*/false);
+        b, dst_strides.data(), src_base.wire_addr(), src_strides.data(),
+        extents.data(), src_base.where());
     if (!groups.front().remote.empty())
       return detail::issue_am_fragments(std::move(cxs), std::move(groups),
                                         /*is_get=*/true);
     return detail::finish_rma(std::move(cxs), src_base.where(), 2);
   }
-  detail::strided_for_each_run<T, Dim>(
-      a, src_strides.data(), b, dst_strides.data(), extents.data(), 0,
-      [](const std::byte* ra, std::byte* rb, std::size_t bytes) {
-        std::memcpy(rb, ra, bytes);
-      });
+  detail::strided_copy<T, Dim>(
+      reinterpret_cast<const std::byte*>(src_base.local()),
+      src_strides.data(), b, dst_strides.data(), extents.data());
   return detail::finish_rma(std::move(cxs), src_base.where(), 2);
 }
 

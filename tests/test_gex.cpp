@@ -129,15 +129,18 @@ TEST(Arena, LayoutAndOwnership) {
   auto cfg = small_cfg(4);
   gex::Arena* a = gex::Arena::create(cfg);
   EXPECT_EQ(a->nranks(), 4);
+  const gex::SegmentMap& sm = a->segmap();
   for (int r = 0; r < 4; ++r) {
     std::byte* base = a->segment_base(r);
-    EXPECT_TRUE(a->in_segments(base));
-    EXPECT_EQ(a->rank_of(base), r);
-    EXPECT_EQ(a->rank_of(base + cfg.segment_bytes - 1), r);
+    ASSERT_NE(base, nullptr);
+    EXPECT_EQ(a->segment_owner(sm.try_encode(base)), r);
+    EXPECT_EQ(a->segment_owner(sm.try_encode(base + cfg.segment_bytes - 1)),
+              r);
   }
   int x = 0;
-  EXPECT_FALSE(a->in_segments(&x));
-  EXPECT_EQ(a->rank_of(&x), -1);
+  EXPECT_EQ(sm.try_encode(&x), 0u);
+  EXPECT_EQ(a->segment_owner(0), -1);
+  EXPECT_EQ(a->segment_owner(sm.encode(a->heap().allocate(64))), -1);
   gex::Arena::destroy(a);
 }
 
@@ -148,8 +151,30 @@ TEST(Arena, SegmentHeapsIndependent) {
   void* p1 = a->segment_heap(1).allocate(128);
   ASSERT_NE(p0, nullptr);
   ASSERT_NE(p1, nullptr);
-  EXPECT_EQ(a->rank_of(p0), 0);
-  EXPECT_EQ(a->rank_of(p1), 1);
+  EXPECT_EQ(a->segment_owner(a->segmap().encode(p0)), 0);
+  EXPECT_EQ(a->segment_owner(a->segmap().encode(p1)), 1);
+  gex::Arena::destroy(a);
+}
+
+// An isolated rank's private arena maps only its own segment (and the
+// heap), yet registers every id, so wire addresses agree with the shared
+// layout: a peer's segment id resolves to null here.
+TEST(Arena, PrivateArenaMapsOnlyItsOwnSegment) {
+  auto cfg = small_cfg(3);
+  gex::Arena* a = gex::Arena::create_private(cfg, 1);
+  const gex::SegmentMap& sm = a->segmap();
+  EXPECT_EQ(sm.segment_count(), 5u);  // heap, 3 segments, rings
+  EXPECT_EQ(a->segment_base(0), nullptr);
+  EXPECT_EQ(a->segment_base(2), nullptr);
+  ASSERT_NE(a->segment_base(1), nullptr);
+  void* mine = a->segment_heap(1).allocate(64);
+  const gex::WireAddr wa = sm.encode(mine);
+  EXPECT_EQ(gex::wire_segment_id(wa), gex::Arena::segment_id(1));
+  EXPECT_EQ(sm.try_decode(wa), mine);
+  const gex::WireAddr peer = gex::WireAddr{gex::Arena::segment_id(2)}
+                             << gex::kWireAddrOffsetBits;
+  EXPECT_EQ(sm.try_decode(peer + 64), nullptr);
+  EXPECT_NE(sm.try_decode(sm.encode(a->heap().allocate(64))), nullptr);
   gex::Arena::destroy(a);
 }
 

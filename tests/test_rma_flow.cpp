@@ -36,9 +36,9 @@ void pump() {
 
 // One contiguous protocol put straight onto the wire. The caller holds a
 // credit: every use below stays inside the window.
-void put_now(int target, void* dst, const void* src, std::size_t n,
+void put_now(int target, gex::WireAddr dst, const void* src, std::size_t n,
              gex::RmaAmProtocol::Done done) {
-  const gex::XferEngine::Frag d{reinterpret_cast<std::uintptr_t>(dst), n};
+  const gex::XferEngine::Frag d{dst, n};
   const gex::XferEngine::LocalFrag l{const_cast<void*>(src), n};
   gex::rma_am().start_put(target, &d, 1, &l, 1, std::move(done));
 }
@@ -64,7 +64,7 @@ TEST(AmFlowControl, WindowCapsOutstandingPerTarget) {
       EXPECT_EQ(proto.credits(1), 4u);
       std::vector<char> src(kBytes, 'w');
       for (int i = 0; i < kPuts; ++i)
-        xfer.submit(1, remote.local(), src.data(), kBytes, {},
+        xfer.submit(1, remote.wire_addr(), src.data(), kBytes, {},
                     [] { g_done.fetch_add(1); });
       // Nothing moves at submit: the whole flood waits in the channel.
       EXPECT_EQ(xfer.pending_chunks(1), static_cast<std::size_t>(kPuts));
@@ -111,8 +111,8 @@ TEST(AmFlowControl, WindowOneSerializesAndCompletes) {
       // Each queued put points at its own source until it is issued.
       std::vector<long> vals(kPuts);
       std::iota(vals.begin(), vals.end(), 0L);
-      for (const long& v : vals)
-        gex::xfer().submit(1, remote.local(), &v, sizeof v, {},
+      for (long& v : vals)
+        gex::xfer().submit(1, remote.wire_addr(), &v, sizeof v, {},
                            [] { g_done.fetch_add(1); });
       while (g_done.load() < kPuts) pump();
       EXPECT_EQ(gex::rma_am().stats().max_outstanding, 1u);
@@ -297,7 +297,7 @@ TEST(AmAckAggregation, OneAckRecordPerTargetPerPoll) {
         std::this_thread::yield();
       // Burst of eager puts; the window (64) admits all of them at once.
       for (long i = 0; i < kPuts; ++i)
-        put_now(1, remote.local(), &i, sizeof i,
+        put_now(1, remote.wire_addr(), &i, sizeof i,
                 [] { g_done.fetch_add(1); });
       EXPECT_EQ(gex::rma_am().credits(1), 64u - kPuts);
       g_phase.store(1, std::memory_order_release);
@@ -355,7 +355,7 @@ TEST(AmAckAggregation, AcksRideReverseTraffic) {
       while (s_parked.load(std::memory_order_acquire) < 1)
         std::this_thread::yield();
       for (long i = 0; i < kPuts; ++i)
-        put_now(1, remote1.local(), &i, sizeof i,
+        put_now(1, remote1.wire_addr(), &i, sizeof i,
                 [] { g_done.fetch_add(1); });
       g_phase.store(1, std::memory_order_release);
       // Serve rank 1's reverse put and collect our piggybacked acks; our
@@ -370,7 +370,7 @@ TEST(AmAckAggregation, AcksRideReverseTraffic) {
       const auto before = gex::rma_am().stats();
       // Reverse-direction request: the owed acks ride along.
       long v = 4242;
-      put_now(0, remote0.local(), &v, sizeof v,
+      put_now(0, remote0.wire_addr(), &v, sizeof v,
               [] { s_reverse_done.fetch_add(1); });
       const auto after = gex::rma_am().stats();
       EXPECT_EQ(after.acks_piggybacked - before.acks_piggybacked,
@@ -418,7 +418,7 @@ TEST_P(AmStagingPool, PoolBuffersRecycleAcrossAStream) {
     if (upcxx::rank_me() == 0) {
       std::vector<char> src(kBytes, 's');
       const std::size_t heap_free = gex::arena().heap().bytes_free();
-      const auto dst = reinterpret_cast<std::uintptr_t>(remote.local());
+      const gex::WireAddr dst = remote.wire_addr();
       for (int i = 0; i < kPuts; ++i) {
         auto done = [] { g_done.fetch_add(1); };
         if (fragments)
@@ -427,8 +427,7 @@ TEST_P(AmStagingPool, PoolBuffersRecycleAcrossAStream) {
               {{src.data(), kHalf}, {src.data() + kHalf, kHalf}}, {}, done,
               /*is_get=*/false);
         else
-          gex::xfer().submit(1, remote.local(), src.data(), kBytes, {},
-                             done);
+          gex::xfer().submit(1, dst, src.data(), kBytes, {}, done);
       }
       while (g_done.load() < kPuts) pump();
       const auto& st = gex::rma_am().stats();
@@ -494,7 +493,7 @@ TEST_P(AmReplyStaging, ReplyPoolRecyclesAcrossAStream) {
     if (upcxx::rank_me() == 0) {
       std::vector<std::vector<char>> sinks(kGets,
                                            std::vector<char>(kBytes, 'x'));
-      const auto src = reinterpret_cast<std::uintptr_t>(remote.local());
+      const gex::WireAddr src = remote.wire_addr();
       for (int i = 0; i < kGets; ++i) {
         auto done = [] { g_done.fetch_add(1); };
         char* sink = sinks[i].data();
@@ -503,7 +502,7 @@ TEST_P(AmReplyStaging, ReplyPoolRecyclesAcrossAStream) {
                                   {{sink, kHalf}, {sink + kHalf, kHalf}}, {},
                                   done, /*is_get=*/true);
         else
-          gex::xfer().submit(1, sink, remote.local(), kBytes, {}, done,
+          gex::xfer().submit(1, src, sink, kBytes, {}, done,
                              /*is_get=*/true);
       }
       while (g_done.load() < kGets) pump();
@@ -586,8 +585,7 @@ TEST(AmStagedGets, FailAllPeersKeepsStagedGetBlocks) {
       auto& heap = gex::arena().heap();
       std::vector<std::vector<char>> sinks(kGets,
                                            std::vector<char>(kBytes, 'x'));
-      const gex::XferEngine::Frag from{
-          reinterpret_cast<std::uintptr_t>(remote.local()), kBytes};
+      const gex::XferEngine::Frag from{remote.wire_addr(), kBytes};
       const std::size_t before = heap.bytes_free();
       for (int i = 0; i < kGets; ++i)
         proto.start_get(1, &from, 1, {{sinks[i].data(), kBytes}},

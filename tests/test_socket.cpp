@@ -9,6 +9,12 @@
 //     allgather, team split (the keyed exchange — no scratch slots), and
 //     the staged bounce/reply counters stay zero because those paths
 //     assume shared memory.
+//   * The launcher counts a BYE that it reads only after it saw the
+//     rank's process exit.
+//   * Isolated ranks map only their own segment: a peer's global_ptr is
+//     not local, yet rput/rget/AM atomics through it reach the peer's
+//     memory; on a shared arena the same pointer operations (arithmetic,
+//     ordering, hashing, null) behave as on raw addresses.
 //   * Deterministic fault injection: a short-read/short-write soak
 //     (seed printed for replay) shadow-verified against local state, and
 //     a peer that _exit()s mid-stream in isolated mode, which must raise
@@ -25,6 +31,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -173,8 +180,8 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, TransportContract,
 
 TEST(SocketConfig, EnvKnobsParseNormalizeAndResolve) {
   EnvGuard guard({"UPCXX_AM_TRANSPORT", "UPCXX_RMA_WIRE",
-                  "UPCXX_SOCKET_MAX_RECORD_KB", "UPCXX_SOCKET_ARENA_BASE",
-                  "UPCXX_SOCKET_ISOLATED", "UPCXX_SOCKET_FAULT_SEED",
+                  "UPCXX_SOCKET_MAX_RECORD_KB", "UPCXX_SOCKET_ISOLATED",
+                  "UPCXX_SOCKET_FAULT_SEED",
                   "UPCXX_SOCKET_FAULT_SHORT_WRITE_PCT",
                   "UPCXX_SOCKET_FAULT_SHORT_READ_PCT",
                   "UPCXX_SOCKET_FAULT_DIE_RANK",
@@ -188,7 +195,6 @@ TEST(SocketConfig, EnvKnobsParseNormalizeAndResolve) {
 
   ::setenv("UPCXX_AM_TRANSPORT", "socket", 1);
   ::setenv("UPCXX_SOCKET_MAX_RECORD_KB", "1024", 1);
-  ::setenv("UPCXX_SOCKET_ARENA_BASE", "0x300000000000", 1);
   ::setenv("UPCXX_SOCKET_ISOLATED", "1", 1);
   ::setenv("UPCXX_SOCKET_FAULT_SEED", "77", 1);
   ::setenv("UPCXX_SOCKET_FAULT_SHORT_WRITE_PCT", "30", 1);
@@ -198,7 +204,6 @@ TEST(SocketConfig, EnvKnobsParseNormalizeAndResolve) {
   gex::Config c = gex::Config::from_env();
   EXPECT_EQ(c.am_transport, gex::AmTransport::kSocket);
   EXPECT_EQ(c.socket_max_record, std::size_t{1} << 20);
-  EXPECT_EQ(c.socket_arena_base, 0x300000000000ull);
   EXPECT_TRUE(c.socket_isolated);
   EXPECT_EQ(c.socket_fault_seed, 77u);
   EXPECT_EQ(c.socket_fault_short_write_pct, 30u);
@@ -216,15 +221,13 @@ TEST(SocketConfig, EnvKnobsParseNormalizeAndResolve) {
   EXPECT_EQ(gex::resolve_rma_wire(s), gex::RmaWire::kDirect);
 
   // normalize() clamps: a record must hold a maximal eager payload, fault
-  // probabilities are percentages, the fixed base is page-aligned.
+  // probabilities are percentages.
   gex::Config n;
   n.socket_max_record = 1;
   n.socket_fault_short_write_pct = 250;
-  n.socket_arena_base = 0x300000000123ull;
   n.normalize();
   EXPECT_EQ(n.socket_max_record, std::size_t{64} << 10);
   EXPECT_EQ(n.socket_fault_short_write_pct, 100u);
-  EXPECT_EQ(n.socket_arena_base & 4095u, 0u);
 }
 
 // ------------------------------------------------------------- SPMD smoke
@@ -406,6 +409,127 @@ TEST(SocketFault, KilledPeerRaisesRankFailed) {
   EXPECT_EQ(::access(marker.c_str(), F_OK), 0)
       << "rank 0 never caught upcxx::rank_failed";
   ::unlink(marker.c_str());
+}
+
+// ---------------------------------------------------------------- launcher
+
+// The launcher judges a connected rank by everything its bootstrap
+// connection delivered before closing, not by when it sees the process
+// exit: a BYE still in flight when the exit is reaped is no failure. Here
+// the rank's process exits first, and a child that shares its connection
+// sends the BYE 200 ms later.
+TEST(SocketLauncher, ByeReadAfterTheExitStillCounts) {
+  gex::BootstrapServer boot(1);
+  const pid_t rank = ::fork();
+  ASSERT_GE(rank, 0);
+  if (rank == 0) {
+    gex::SocketRuntime* rt = gex::SocketRuntime::create(0, 1, boot.port());
+    if (::fork() == 0) {
+      ::usleep(200 * 1000);
+      rt->bye(0);
+    }
+    ::_exit(0);
+  }
+  EXPECT_EQ(boot.serve({rank}), 0);
+}
+
+// ------------------------------------------------ isolated-rank pointers
+
+// Ranks that share no memory: each maps only its own segment, so a peer's
+// global_ptr is not local — its wire address names memory this process
+// does not have — yet RMA and AM atomics through it reach the peer's
+// memory. Forked ranks report through a marker file, as above.
+TEST(SocketIsolated, PeerPointersAreNotLocal) {
+  const std::string marker =
+      "/tmp/upcxx-isolocal-" + std::to_string(::getpid());
+  ::unlink(marker.c_str());
+  gex::Config cfg = testutil::test_cfg(2);
+  cfg.backend = gex::Backend::kProcess;
+  cfg.am_transport = gex::AmTransport::kSocket;
+  cfg.socket_isolated = true;
+  const int fails = upcxx::run(cfg, [] {
+    const int me = upcxx::rank_me(), peer = 1 - me;
+    constexpr long kN = 64;
+    auto mine = upcxx::new_array<long>(kN);
+    auto ptrs = upcxx::allgather(mine).wait();
+    require(ptrs[me] == mine, "allgather returns my own pointer");
+    require(mine.is_local(), "own pointer is local");
+    require(!ptrs[peer].is_local(), "peer pointer is not local");
+    upcxx::barrier();
+    std::vector<long> pat(kN), back(kN, 0);
+    for (long i = 0; i < kN; ++i) pat[i] = me * 1000 + i;
+    upcxx::rput(pat.data(), ptrs[peer], kN).wait();
+    upcxx::barrier();
+    for (long i = 0; i < kN; ++i)
+      require(mine.local()[i] == peer * 1000 + i,
+              "peer's put landed in my segment");
+    upcxx::rget(ptrs[peer], back.data(), kN).wait();
+    require(back == pat, "rget reads what this rank put");
+    upcxx::atomic_domain<long> ad(
+        {upcxx::atomic_op::fetch_add, upcxx::atomic_op::load});
+    require(!ad.uses_direct_backend(), "isolated ranks use AM atomics");
+    require(ad.fetch_add(ptrs[peer] + 1, 5).wait() == me * 1000 + 1,
+            "fetch_add returns the value put");
+    upcxx::barrier();
+    require(ad.load(ptrs[peer] + 1).wait() == me * 1000 + 6,
+            "fetch_add updated the peer's memory");
+    require(mine.local()[1] == peer * 1000 + 6, "peer's fetch_add landed");
+    upcxx::barrier();
+    upcxx::delete_array(mine, kN);
+    if (me == 0) {
+      const std::string mark =
+          "/tmp/upcxx-isolocal-" + std::to_string(::getppid());
+      if (FILE* f = std::fopen(mark.c_str(), "w")) std::fclose(f);
+    }
+  });
+  EXPECT_EQ(fails, 0);
+  EXPECT_EQ(::access(marker.c_str(), F_OK), 0) << "rank 0 never finished";
+  ::unlink(marker.c_str());
+}
+
+// The same pointer operations on a shared arena, where every segment is
+// mapped: arithmetic in elements, ordering by rank, equality, hashing,
+// null, and the raw-pointer conversions, on pointers of two ranks.
+TEST(SharedArena, GlobalPtrOpsAcrossRanks) {
+  const int fails = upcxx::run(testutil::test_cfg(2), [] {
+    const int me = upcxx::rank_me();
+    auto mine = upcxx::new_array<long>(16);
+    auto ptrs = upcxx::allgather(mine).wait();
+    const upcxx::global_ptr<long> a = ptrs[0], b = ptrs[1];
+    require(a.is_local() && b.is_local(), "a shared arena maps every rank");
+    require(a.where() == 0 && b.where() == 1, "owners");
+    require(a < b && !(b < a) && a < a + 1, "ordered by rank, then offset");
+    require((a + 5) - a == 5 && ((a + 5) - 2) - a == 3, "element arithmetic");
+    upcxx::global_ptr<long> c = a;
+    c += 7;
+    --c;
+    ++c;
+    c -= 7;
+    require(c == a && a != b && a + 1 != a, "equality");
+    require((b + 3).local() == b.local() + 3, "arithmetic tracks local()");
+    require(a.reinterpret<char>() + 8 == (a + 1).reinterpret<char>(),
+            "reinterpret keeps the address");
+    const std::hash<upcxx::global_ptr<long>> h;
+    require(h(a + 2) == h(ptrs[0] + 2), "equal pointers hash equal");
+    std::unordered_set<upcxx::global_ptr<long>> set{a, b, a + 1, a};
+    require(set.size() == 3, "hash set dedups equal pointers");
+    const upcxx::global_ptr<long> null;
+    require(null.is_null() && !null && null == nullptr && a != nullptr,
+            "null");
+    require(null < a && null.is_local() && null.local() == nullptr,
+            "null is local and first");
+    require(upcxx::to_global_ptr(mine.local() + 2) == mine + 2,
+            "to_global_ptr inverts local()");
+    long on_stack = 0;
+    require(upcxx::try_global_ptr(&on_stack).is_null(),
+            "private memory has no global_ptr");
+    require(upcxx::try_global_ptr(ptrs[1 - me].local() + 1) ==
+                ptrs[1 - me] + 1,
+            "try_global_ptr finds a peer's segment");
+    upcxx::barrier();
+    upcxx::delete_array(mine, 16);
+  });
+  EXPECT_EQ(fails, 0);
 }
 
 }  // namespace

@@ -24,39 +24,53 @@ namespace {
 // ------------------------------------------------- engine-level unit tests
 // XferEngine is a plain object: these run without an SPMD region.
 
+// Stands in for the arena's segment registry: every buffer a test names as
+// remote memory is registered as a segment of its own, and seg(buf) is
+// its wire address.
+struct Segs {
+  gex::SegmentMap map;
+  gex::WireAddr operator()(std::vector<std::byte>& buf) {
+    if (!map.contains(buf.data())) map.add(buf.data(), buf.size(), "test");
+    return map.encode(buf.data());
+  }
+};
+
 // A synthetic wire from one contiguous-chunk mover, mover(target, dst, src,
 // bytes, done): the engine hands a wire one run per side for every chunk
 // of a contiguous transfer.
 template <typename Mover>
-gex::XferEngine::WireOps chunk_wire(Mover mover) {
+gex::XferEngine::WireOps chunk_wire(const gex::SegmentMap& map,
+                                    Mover mover) {
   using gex::XferEngine;
   XferEngine::WireOps ops;
-  ops.put = [mover](int t, const XferEngine::Frag* remote, std::size_t nr,
-                    const XferEngine::LocalFrag* local, std::size_t nl,
-                    XferEngine::Callback done) mutable {
+  ops.put = [&map, mover](int t, const XferEngine::Frag* remote,
+                          std::size_t nr, const XferEngine::LocalFrag* local,
+                          std::size_t nl, XferEngine::Callback done) mutable {
     EXPECT_EQ(nr, 1u);
     EXPECT_EQ(nl, 1u);
-    mover(t, reinterpret_cast<void*>(remote->addr), local->ptr, local->bytes,
+    mover(t, map.try_decode(remote->addr), local->ptr, local->bytes,
           std::move(done));
   };
-  ops.get = [mover](int t, const XferEngine::Frag* remote, std::size_t nr,
-                    std::vector<XferEngine::LocalFrag> local,
-                    XferEngine::Callback done) mutable {
+  ops.get = [&map, mover](int t, const XferEngine::Frag* remote,
+                          std::size_t nr,
+                          std::vector<XferEngine::LocalFrag> local,
+                          XferEngine::Callback done) mutable {
     EXPECT_EQ(nr, 1u);
     EXPECT_EQ(local.size(), 1u);
-    mover(t, local[0].ptr, reinterpret_cast<const void*>(remote->addr),
-          local[0].bytes, std::move(done));
+    mover(t, local[0].ptr, map.try_decode(remote->addr), local[0].bytes,
+          std::move(done));
   };
   return ops;
 }
 
 TEST(XferEngine, ChunkedCopySignalsSourceThenLanded) {
-  gex::XferEngine eng(/*chunk_bytes=*/1024, /*bw_gbps=*/0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, /*chunk_bytes=*/1024, /*bw_gbps=*/0);
   std::vector<std::byte> src(10 * 1024), dst(10 * 1024);
   for (std::size_t i = 0; i < src.size(); ++i)
     src[i] = static_cast<std::byte>(i * 7);
   int order = 0, source_at = 0, landed_at = 0;
-  eng.submit(1, dst.data(), src.data(), src.size(),
+  eng.submit(1, seg(dst), src.data(), src.size(),
              [&] { source_at = ++order; }, [&] { landed_at = ++order; });
   EXPECT_FALSE(eng.idle());
   // Nothing moved at submit time.
@@ -69,10 +83,11 @@ TEST(XferEngine, ChunkedCopySignalsSourceThenLanded) {
 }
 
 TEST(XferEngine, PollBoundsWorkPerCall) {
-  gex::XferEngine eng(1024, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 1024, 0);
   std::vector<std::byte> src(8 * 1024), dst(8 * 1024);
   bool source_fired = false;
-  eng.submit(1, dst.data(), src.data(), src.size(),
+  eng.submit(1, seg(dst), src.data(), src.size(),
              [&] { source_fired = true; }, {});
   eng.poll(/*chunk_budget=*/1);
   EXPECT_EQ(eng.stats().chunks_copied, 1u);
@@ -84,12 +99,13 @@ TEST(XferEngine, PollBoundsWorkPerCall) {
 }
 
 TEST(XferEngine, FifoWithinOneTarget) {
-  gex::XferEngine eng(512, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 512, 0);
   std::vector<std::byte> s1(2048), d1(2048), s2(2048), d2(2048);
   std::vector<int> landed;
-  eng.submit(1, d1.data(), s1.data(), s1.size(), {},
+  eng.submit(1, seg(d1), s1.data(), s1.size(), {},
              [&] { landed.push_back(1); });
-  eng.submit(1, d2.data(), s2.data(), s2.size(), {},
+  eng.submit(1, seg(d2), s2.data(), s2.size(), {},
              [&] { landed.push_back(2); });
   EXPECT_EQ(eng.inflight(), 2u);
   EXPECT_EQ(eng.channel_count(), 1u);
@@ -105,15 +121,17 @@ TEST(XferEngine, SubmitFromInsideAWireCallKeepsTargetFifo) {
   // channel set mid-issue). The recursive submit queues behind the
   // transfer being issued, so every chunk of the first goes out before
   // any chunk of the second, and they land in submit order.
-  gex::XferEngine eng(512, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 512, 0);
   std::vector<std::byte> s1(2048, std::byte{1}), d1(2048);
   std::vector<std::byte> s2(2048, std::byte{2}), d2(2048);
   std::vector<std::byte> s3(512, std::byte{3}), d3(512);
   std::vector<int> issued;  // transfer id per chunk to target 1
   std::vector<int> landed;
   bool nested = false;
-  auto ops = chunk_wire([&](int target, void* dst, const void* src,
-                            std::size_t n, gex::XferEngine::Callback done) {
+  auto ops = chunk_wire(seg.map, [&](int target, void* dst, const void* src,
+                                     std::size_t n,
+                                     gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);
     if (target == 1)
       issued.push_back(static_cast<const std::byte*>(src)[0] == std::byte{1}
@@ -121,15 +139,15 @@ TEST(XferEngine, SubmitFromInsideAWireCallKeepsTargetFifo) {
                            : 2);
     if (!nested) {
       nested = true;
-      eng.submit(1, d2.data(), s2.data(), s2.size(), {},
+      eng.submit(1, seg(d2), s2.data(), s2.size(), {},
                  [&] { landed.push_back(2); });
-      eng.submit(2, d3.data(), s3.data(), s3.size(), {},
+      eng.submit(2, seg(d3), s3.data(), s3.size(), {},
                  [&] { landed.push_back(3); });
     }
     done();
   });
   eng.set_wire(std::move(ops));
-  eng.submit(1, d1.data(), s1.data(), s1.size(), {},
+  eng.submit(1, seg(d1), s1.data(), s1.size(), {},
              [&] { landed.push_back(1); });
   while (!eng.idle()) eng.poll(1);
   EXPECT_EQ(issued, (std::vector<int>{1, 1, 1, 1, 2, 2, 2, 2}));
@@ -148,11 +166,12 @@ TEST(XferEngine, IndependentTargetsInterleave) {
   // target's transfer finishes long before a serialized FIFO would allow
   // (8 chunks each: interleaved, both complete by chunk 16; serialized,
   // target 2 would only start at chunk 9).
-  gex::XferEngine eng(512, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 512, 0);
   std::vector<std::byte> s1(4096), d1(4096), s2(4096), d2(4096);
   bool landed1 = false, landed2 = false;
-  eng.submit(1, d1.data(), s1.data(), s1.size(), {}, [&] { landed1 = true; });
-  eng.submit(2, d2.data(), s2.data(), s2.size(), {}, [&] { landed2 = true; });
+  eng.submit(1, seg(d1), s1.data(), s1.size(), {}, [&] { landed1 = true; });
+  eng.submit(2, seg(d2), s2.data(), s2.size(), {}, [&] { landed2 = true; });
   EXPECT_EQ(eng.channel_count(), 2u);
   // One poll with budget 2 must advance BOTH channels by one chunk.
   eng.poll(2);
@@ -173,10 +192,12 @@ TEST(XferEngine, SlowLinkDoesNotBlockFastTarget) {
   // The head-of-line regression the per-target split exists for: a link
   // whose acks never come back (target 1 holds its one credit) must not
   // delay landings on target 2's link.
-  gex::XferEngine eng(64 << 10, /*bw_gbps=*/0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 64 << 10, /*bw_gbps=*/0);
   std::vector<gex::XferEngine::Callback> withheld;
-  auto ops = chunk_wire([&](int t, void* dst, const void* src, std::size_t n,
-                            gex::XferEngine::Callback done) {
+  auto ops = chunk_wire(seg.map, [&](int t, void* dst, const void* src,
+                                     std::size_t n,
+                                     gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);
     if (t == 1)
       withheld.push_back(std::move(done));
@@ -189,9 +210,9 @@ TEST(XferEngine, SlowLinkDoesNotBlockFastTarget) {
   eng.set_wire(std::move(ops));
   std::vector<std::byte> s1(1 << 20), d1(1 << 20), s2(1 << 20), d2(1 << 20);
   bool landed_slow = false, landed_fast = false;
-  eng.submit(1, d1.data(), s1.data(), s1.size(), {},
+  eng.submit(1, seg(d1), s1.data(), s1.size(), {},
              [&] { landed_slow = true; });
-  eng.submit(2, d2.data(), s2.data(), s2.size(), {},
+  eng.submit(2, seg(d2), s2.data(), s2.size(), {},
              [&] { landed_fast = true; });
   for (int i = 0; i < 64 && !landed_fast; ++i) eng.poll();
   EXPECT_TRUE(landed_fast) << "fast target queued behind the slow link";
@@ -213,16 +234,18 @@ TEST(XferEngine, WireAcksGateLanding) {
   // source side completes when all chunks are issued, but it must not land
   // until every done callback has fired — the contract the AM wire's acks
   // rely on.
-  gex::XferEngine eng(1024, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 1024, 0);
   std::vector<gex::XferEngine::Callback> pending_dones;
-  eng.set_wire(chunk_wire([&](int, void* dst, const void* src, std::size_t n,
-                              gex::XferEngine::Callback done) {
+  eng.set_wire(chunk_wire(seg.map, [&](int, void* dst, const void* src,
+                                       std::size_t n,
+                                       gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);  // a real wire moves the bytes
     pending_dones.push_back(std::move(done));
   }));
   std::vector<std::byte> src(4 * 1024, std::byte{5}), dst(4 * 1024);
   bool source_fired = false, landed = false;
-  eng.submit(1, dst.data(), src.data(), src.size(),
+  eng.submit(1, seg(dst), src.data(), src.size(),
              [&] { source_fired = true; }, [&] { landed = true; });
   while (eng.copies_pending()) eng.poll();
   EXPECT_TRUE(source_fired);
@@ -238,10 +261,11 @@ TEST(XferEngine, WireAcksGateLanding) {
 TEST(XferEngine, EqualLinksStillSplitEvenly) {
   // One poll's budget is dealt round-robin: two links with work get equal
   // shares.
-  gex::XferEngine eng(512, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 512, 0);
   std::vector<std::byte> s1(4 * 512), d1(4 * 512), s2(4 * 512), d2(4 * 512);
-  eng.submit(1, d1.data(), s1.data(), s1.size(), {}, {});
-  eng.submit(2, d2.data(), s2.data(), s2.size(), {}, {});
+  eng.submit(1, seg(d1), s1.data(), s1.size(), {}, {});
+  eng.submit(2, seg(d2), s2.data(), s2.size(), {}, {});
   eng.poll(4);
   EXPECT_EQ(eng.pending_chunks(1), 2u);
   EXPECT_EQ(eng.pending_chunks(2), 2u);
@@ -252,11 +276,13 @@ TEST(XferEngine, NoCreditsHoldChunksInEngine) {
   // The AM wire's back-pressure contract: while credits(target) is 0 the
   // engine must not push chunks into the wire — they wait in the channel
   // (costing nothing) until credits free. drain_copies honors it too.
-  gex::XferEngine eng(1024, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 1024, 0);
   bool open = false;
   int moved = 0;
-  auto ops = chunk_wire([&](int, void* dst, const void* src, std::size_t n,
-                            gex::XferEngine::Callback done) {
+  auto ops = chunk_wire(seg.map, [&](int, void* dst, const void* src,
+                                     std::size_t n,
+                                     gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);
     ++moved;
     done();
@@ -265,7 +291,7 @@ TEST(XferEngine, NoCreditsHoldChunksInEngine) {
   eng.set_wire(std::move(ops));
   std::vector<std::byte> src(4 * 1024, std::byte{9}), dst(4 * 1024);
   bool landed = false;
-  eng.submit(1, dst.data(), src.data(), src.size(), {},
+  eng.submit(1, seg(dst), src.data(), src.size(), {},
              [&] { landed = true; });
   eng.poll(64);
   eng.drain_copies();
@@ -288,11 +314,13 @@ TEST(XferEngine, CreditsMeterBudgetAcrossChannels) {
   // credit until its done fires: a budget-8 poll must hand target 1
   // exactly its single credit and spend the other 7 chunks on target 2
   // rather than burning quota on the throttled channel.
-  gex::XferEngine eng(512, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 512, 0);
   int moved1 = 0, moved2 = 0;
   std::vector<gex::XferEngine::Callback> held[3];
-  auto ops = chunk_wire([&](int t, void* dst, const void* src, std::size_t n,
-                            gex::XferEngine::Callback done) {
+  auto ops = chunk_wire(seg.map, [&](int t, void* dst, const void* src,
+                                     std::size_t n,
+                                     gex::XferEngine::Callback done) {
     std::memcpy(dst, src, n);
     (t == 1 ? moved1 : moved2)++;
     held[t].push_back(std::move(done));
@@ -302,8 +330,8 @@ TEST(XferEngine, CreditsMeterBudgetAcrossChannels) {
   };
   eng.set_wire(std::move(ops));
   std::vector<std::byte> s1(8 * 512), d1(8 * 512), s2(8 * 512), d2(8 * 512);
-  eng.submit(1, d1.data(), s1.data(), s1.size(), {}, {});
-  eng.submit(2, d2.data(), s2.data(), s2.size(), {}, {});
+  eng.submit(1, seg(d1), s1.data(), s1.size(), {}, {});
+  eng.submit(2, seg(d2), s2.data(), s2.size(), {}, {});
   eng.poll(/*chunk_budget=*/8);
   EXPECT_EQ(moved1, 1) << "throttled channel exceeded its credit window";
   EXPECT_EQ(moved2, 7) << "unused quota did not flow to the open channel";
@@ -329,11 +357,12 @@ TEST(XferEngine, BandwidthModelGatesLanding) {
   // wire clock has passed.
   constexpr std::size_t kBytes = 4 << 20;
   constexpr double kGbps = 0.25;
-  gex::XferEngine eng(256 << 10, kGbps);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 256 << 10, kGbps);
   std::vector<std::byte> src(kBytes), dst(kBytes);
   std::uint64_t source_ns = 0, landed_ns = 0;
   const std::uint64_t t0 = arch::now_ns();
-  eng.submit(1, dst.data(), src.data(), kBytes,
+  eng.submit(1, seg(dst), src.data(), kBytes,
              [&] { source_ns = arch::now_ns(); },
              [&] { landed_ns = arch::now_ns(); });
   eng.drain_copies();
@@ -352,9 +381,10 @@ TEST(XferEngine, BandwidthModelGatesLanding) {
 }
 
 TEST(XferEngine, ZeroByteTransferCompletes) {
-  gex::XferEngine eng(1024, 0);
+  Segs seg;
+  gex::XferEngine eng(seg.map, 1024, 0);
   bool source_fired = false, landed = false;
-  eng.submit(1, nullptr, nullptr, 0, [&] { source_fired = true; },
+  eng.submit(1, 0, nullptr, 0, [&] { source_fired = true; },
              [&] { landed = true; });
   while (!eng.idle()) eng.poll();
   EXPECT_TRUE(source_fired);
@@ -367,7 +397,8 @@ TEST(XferEngine, RunListsCutToOneChunkPerEntry) {
   // at the same byte offsets (their run boundaries differ here), and the
   // list's completions fire once, after its last entry.
   using gex::XferEngine;
-  XferEngine eng(/*chunk_bytes=*/256, /*bw_gbps=*/0);
+  Segs seg;
+  XferEngine eng(seg.map, /*chunk_bytes=*/256, /*bw_gbps=*/0);
   std::vector<std::size_t> entry_bytes;
   XferEngine::WireOps ops;
   ops.put = [&](int, const XferEngine::Frag* remote, std::size_t nr,
@@ -376,7 +407,7 @@ TEST(XferEngine, RunListsCutToOneChunkPerEntry) {
     std::vector<XferEngine::LocalFrag> to;
     std::size_t bytes = 0;
     for (std::size_t i = 0; i < nr; ++i) {
-      to.push_back({reinterpret_cast<void*>(remote[i].addr),
+      to.push_back({seg.map.try_decode(remote[i].addr),
                     static_cast<std::size_t>(remote[i].bytes)});
       bytes += to.back().bytes;
     }
@@ -399,9 +430,7 @@ TEST(XferEngine, RunListsCutToOneChunkPerEntry) {
   std::vector<std::byte> src(600), dst(600);
   for (std::size_t i = 0; i < src.size(); ++i)
     src[i] = static_cast<std::byte>(i * 13);
-  const auto at = [&](std::size_t off) {
-    return reinterpret_cast<std::uintptr_t>(dst.data() + off);
-  };
+  const auto at = [&](std::size_t off) { return seg(dst) + off; };
   int order = 0, source_at = 0, landed_at = 0;
   eng.submit_runs(1, {{at(0), 200}, {at(200), 200}, {at(400), 200}},
                   {{src.data(), 300}, {src.data() + 300, 300}},
