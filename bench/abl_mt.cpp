@@ -10,8 +10,8 @@
 // at T=4 vs T=1, on hosts with >= 4 hardware threads.
 //
 // Series 2 — rpc_ff pipeline: T injector threads enqueue fire-and-forget
-// rpcs (serialized caller-side into the MPSC wire shards), the master
-// drains the shards onto the wire, the peer executes. End-to-end
+// rpcs (serialized caller-side into the rank's MPSC injection queue), the
+// master drains the queue onto the wire, the peer executes. End-to-end
 // throughput is master-bound by design, so this series is reported, not
 // enforced — it documents that the hand-off does not collapse under
 // producers.
@@ -102,7 +102,7 @@ void rpcff_series(int ops_per_thread) {
             upcxx::rpc_ff(1, [] { g_ff_executed.fetch_add(1); });
           alive.fetch_sub(1, std::memory_order_release);
         });
-      // Master: flush the wire shards and wait until the peer ran it all
+      // Master: drain the injection queue and wait until the peer ran it all
       // (thread backend: the counter is process-shared).
       while (alive.load(std::memory_order_acquire) != 0 ||
              g_ff_executed.load() < total)
@@ -188,7 +188,7 @@ int main() {
   std::printf("  scaling at T=4: %.2fx\n\n", scale4);
   json.metric("inject_rput_scaling_t4", scale4);
 
-  std::printf("rpc_ff pipeline (MPSC shards -> master -> peer):\n");
+  std::printf("rpc_ff pipeline (MPSC queue -> master -> peer):\n");
   for (int si = 0; si < 3; ++si) {
     std::printf("  T=%d  %12.0f ops/s\n", kSeries[si],
                 g_r.rpcff_ops_per_s[si]);

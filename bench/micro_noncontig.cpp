@@ -40,7 +40,12 @@ int main() {
   benchutil::ShapeChecks checks;
   const int reps = benchutil::reps(2000, 50);
 
-  upcxx::run(2, [&] {
+  // The shape checks below state direct-wire claims (no staging copy, no
+  // target CPU), so the wire is pinned whatever UPCXX_RMA_WIRE says.
+  gex::Config cfg = gex::Config::from_env();
+  cfg.ranks = 2;
+  cfg.rma_wire = gex::RmaWire::kDirect;
+  upcxx::run(cfg, [&] {
     const int me = upcxx::rank_me();
     static upcxx::global_ptr<double> remote_mat;
     auto mine = upcxx::new_array<double>(kRows * kCols);

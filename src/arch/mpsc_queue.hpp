@@ -1,9 +1,9 @@
 // Block-based multi-producer single-consumer queue of variable-size records.
 //
-// Every cross-thread hand-off of the op layer rides one of these: the
-// injection submit shards (closures run by the master persona), the wire
-// shards (serialized upcxx messages) and each persona's lpc_ff inbox. The
-// queue allocates nothing in steady state:
+// Every cross-thread hand-off of the op layer rides one of these: a rank's
+// injection queue (op closures and serialized upcxx messages, in
+// reservation order, consumed by the master persona's holder) and each
+// persona's lpc_ff inbox. The queue allocates nothing in steady state:
 //
 //   * Records live inside fixed-size blocks (kBlockBytes). A producer takes
 //     the producer spinlock only to bump the tail block's cursor (or, when
@@ -24,8 +24,8 @@
 //     oversized blocks are freed, never kept as the spare.
 //
 // Consumer rules: one consumer at a time — the owning thread, or threads
-// serialized by an external lock with acquire/release hand-over (the wire
-// shards' drain lock, a persona's ownership hand-off). A record is
+// serialized by an acquire/release hand-over (a persona's ownership
+// migrating between threads). A record is
 // unlinked before it runs, so a closure may re-enter the consumer (an LPC
 // that calls upcxx::progress()); blocks left behind during such nested
 // drains are recycled once the outermost record returns.
@@ -43,7 +43,6 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
-#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -137,20 +136,6 @@ class MpscQueue {
   template <typename Visit>
   int drain(int budget, Visit&& visit) {
     return consume(budget, visit, /*run=*/true);
-  }
-
-  // Drains every record reserved before the call, waiting (yielding) for
-  // producers still writing theirs. Returns the number consumed.
-  template <typename Visit>
-  int drain_all(Visit&& visit) {
-    const std::uint64_t goal = pushed_.load(std::memory_order_acquire);
-    int n = 0;
-    while (popped_.load(std::memory_order_relaxed) < goal) {
-      const int k = drain(INT_MAX, visit);
-      n += k;
-      if (k == 0) std::this_thread::yield();
-    }
-    return n;
   }
 
   // True when nothing is queued. Callable from any thread; may read

@@ -26,18 +26,15 @@ void* Aggregator::put(int target, HandlerIdx h, std::size_t n) {
   Buf& b = bufs_[target];
   const std::size_t need =
       sizeof(FrameMsgHeader) + arch::align_up(n, kFrameAlign);
-  if (b.used + need > max_bytes_ || b.msgs >= max_msgs_) {
+  if (b.msgs != 0 && b.handler != h) {
+    flush_buf(target, b);  // a frame names one handler
+  } else if (b.used + need > max_bytes_ || b.msgs >= max_msgs_) {
     if (flush_buf(target, b)) ++stats_.flushes_capacity;
   }
   if (!b.bytes) b.bytes = std::make_unique<std::byte[]>(max_bytes_);
-  if (b.msgs == 0)
-    b.handler = h;
-  else if (b.handler != h)
-    b.uniform = false;
+  b.handler = h;
   auto* mh = reinterpret_cast<FrameMsgHeader*>(b.bytes.get() + b.used);
-  mh->handler = h;
-  mh->flags = 0;
-  mh->size = static_cast<std::uint32_t>(n);
+  mh->size = n;
   b.used += need;
   ++b.msgs;
   ++stats_.msgs;
@@ -46,12 +43,11 @@ void* Aggregator::put(int target, HandlerIdx h, std::size_t n) {
 
 bool Aggregator::flush_buf(int target, Buf& b) {
   if (b.used == 0) return false;
-  auto sb = eng_->prepare_frame(target, b.used, b.handler, b.uniform);
+  auto sb = eng_->prepare_frame(target, b.handler, b.used);
   std::memcpy(sb.data, b.bytes.get(), b.used);
   eng_->commit(sb);
   b.used = 0;
   b.msgs = 0;
-  b.uniform = true;
   ++stats_.frames;
   return true;
 }

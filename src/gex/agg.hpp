@@ -4,11 +4,14 @@
 // bounded by per-message ring-transaction overhead, not bandwidth. The
 // aggregator amortizes that overhead: messages are staged in rank-private
 // memory — a bump-pointer write, no locks, no shared-memory traffic — and
-// reach the target's ring as one frame record carrying many messages.
+// reach the target's ring as one frame record carrying many messages, all
+// for the one handler the frame's wire header names (the handler walks the
+// packed [FrameMsgHeader][payload] region itself).
 //
 // Flush triggers:
 //   * staged bytes would exceed agg_max_bytes (Config / UPCXX_AGG_MAX_BYTES)
 //   * staged message count reaches agg_max_msgs (UPCXX_AGG_MAX_MSGS)
+//   * a message for another handler than the staged frame's
 //   * explicit flush: upcxx user-level progress, barrier entry, teardown.
 //
 // The explicit flushes preserve the paper's attentiveness model: a message
@@ -47,11 +50,13 @@ class Aggregator {
   // per-message overhead — is already the bound.
   std::size_t small_msg_cutoff() const { return max_bytes_ / 8; }
 
-  // Stages one message to `target` with handler `h`; returns the slot to
-  // write `n` payload bytes into. The write must complete before the next
-  // aggregator or progress call (a later put may flush the buffer). May
-  // flush `target` first to make room — which can spin on a full ring and
-  // poll the caller's inbox (same backpressure contract as AmEngine::send).
+  // Stages one message to `target` in a frame for handler `h`; returns the
+  // slot to write `n` payload bytes into. The write must complete before
+  // the next aggregator or progress call (a later put may flush the
+  // buffer). May flush `target` first — to make room, or because its
+  // staged frame names another handler — which can spin on a full ring
+  // and poll the caller's inbox (same backpressure contract as
+  // AmEngine::send).
   void* put(int target, HandlerIdx h, std::size_t n);
 
   // Sends `target`'s staged messages as one frame; false if nothing staged.
@@ -76,10 +81,7 @@ class Aggregator {
     std::unique_ptr<std::byte[]> bytes;  // allocated on first use
     std::size_t used = 0;
     std::uint32_t msgs = 0;
-    // Uniform-handler tracking: frames whose sub-messages all target one
-    // handler are eligible for whole-frame sink delivery at the receiver.
-    HandlerIdx handler = 0;
-    bool uniform = true;
+    HandlerIdx handler = 0;  // the staged frame's handler
   };
 
   bool flush_buf(int target, Buf& b);

@@ -1,42 +1,14 @@
 #include "gex/am.hpp"
 
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <thread>
 
-#include "arch/atomics.hpp"
 #include "arch/timer.hpp"
 #include "gex/agg.hpp"
 #include "gex/runtime.hpp"
 
 namespace gex {
-
-namespace {
-
-// Refcounted frame buffer: poll() copies a frame out of the ring into one of
-// these; every sub-message handler that adopt_frame()s holds a reference.
-// The count is atomic because the master persona (and with it the right to
-// run the deferred dispatches) may migrate to another thread before the
-// last release.
-struct FrameBuf {
-  std::atomic<std::uint32_t> refs;
-  std::uint32_t pad;  // keeps payload() 8-aligned (malloc is 16-aligned):
-                      // sub-message bodies hold 8-byte-aligned serialized
-                      // data and are read in place, never re-staged
-  std::byte* payload() { return reinterpret_cast<std::byte*>(this + 1); }
-};
-static_assert(sizeof(FrameBuf) % 8 == 0);
-
-}  // namespace
-
-void* AmContext::adopt_frame() {
-  assert(in_frame && frame && "adopt_frame on a non-frame message");
-  static_cast<FrameBuf*>(frame)->refs.fetch_add(1, std::memory_order_relaxed);
-  return frame;
-}
 
 AmEngine::AmEngine(Arena* arena, int my_rank)
     : arena_(arena),
@@ -47,14 +19,6 @@ AmEngine::AmEngine(Arena* arena, int my_rank)
       stamp_send_ns_(arena->config().sim_latency_ns > 0) {}
 
 AmEngine::~AmEngine() = default;
-
-void release_frame(void* handle) {
-  auto* fb = static_cast<FrameBuf*>(handle);
-  if (fb->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    fb->~FrameBuf();
-    std::free(fb);
-  }
-}
 
 AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h,
                                     std::size_t n) {
@@ -74,20 +38,8 @@ AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h,
                transport_->max_record_payload() &&
            "payload exceeds one wire record on a non-shared-memory "
            "transport");
-    for (;;) {
-      auto t = transport_->try_reserve(target, sizeof(WireHeader) + n);
-      if (t.payload) {
-        sb.ticket = t;
-        sb.data = static_cast<std::byte*>(t.payload) + sizeof(WireHeader);
-        return sb;
-      }
-      // Target ring full: drain our own inbox so a cyclic backlog cannot
-      // deadlock, then retry. Yield when the drain found nothing — on an
-      // oversubscribed host the consumer needs the core to make room.
-      arch::relaxed_inc(stats_.send_stalls);
-      if (poll() == 0) std::this_thread::yield();
-      arch::cpu_relax();
-    }
+    reserve_record(sb);
+    return sb;
   }
   // Rendezvous: payload goes to the shared heap; the ring only carries a
   // descriptor.
@@ -98,34 +50,44 @@ AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h,
       sb.data = buf;
       return sb;
     }
-    arch::relaxed_inc(stats_.send_stalls);
-    if (poll() == 0) std::this_thread::yield();
-    arch::cpu_relax();
+    stall();
   }
 }
 
-AmEngine::SendBuf AmEngine::prepare_frame(int target, std::size_t n,
-                                          HandlerIdx uniform_handler,
-                                          bool uniform) {
+AmEngine::SendBuf AmEngine::prepare_frame(int target, HandlerIdx h,
+                                          std::size_t n) {
+  assert(self() == owner_ && "AmEngine used off its rank's thread");
   assert(target >= 0 && target < arena_->nranks());
   assert(n <= max_frame_payload() && "frame exceeds one ring record");
   SendBuf sb;
   sb.size = n;
   sb.target = target;
+  sb.handler = h;
   sb.frame = true;
-  sb.uniform = uniform;
-  sb.handler = uniform_handler;
+  reserve_record(sb);
+  return sb;
+}
+
+void AmEngine::reserve_record(SendBuf& sb) {
   for (;;) {
-    auto t = transport_->try_reserve(target, sizeof(WireHeader) + n);
+    auto t = transport_->try_reserve(sb.target, sizeof(WireHeader) + sb.size);
     if (t.payload) {
       sb.ticket = t;
       sb.data = static_cast<std::byte*>(t.payload) + sizeof(WireHeader);
-      return sb;
+      return;
     }
-    arch::relaxed_inc(stats_.send_stalls);
-    if (poll() == 0) std::this_thread::yield();
-    arch::cpu_relax();
+    stall();
   }
+}
+
+void AmEngine::stall() {
+  // Target ring (or the shared heap) full: drain our own inbox so a cyclic
+  // backlog cannot deadlock, then retry. Yield when the drain found
+  // nothing — on an oversubscribed host the consumer needs the core to
+  // make room.
+  ++stats_.send_stalls;
+  if (poll() == 0) std::this_thread::yield();
+  arch::cpu_relax();
 }
 
 void AmEngine::commit(SendBuf& sb) {
@@ -133,15 +95,11 @@ void AmEngine::commit(SendBuf& sb) {
     auto* wh = reinterpret_cast<WireHeader*>(
         static_cast<std::byte*>(sb.data) - sizeof(WireHeader));
     wh->handler = sb.handler;
-    wh->flags = sb.frame ? (kWireFrame | (sb.uniform ? kWireUniform : 0))
-                         : std::uint16_t{0};
+    wh->flags = sb.frame ? kWireFrame : std::uint16_t{0};
     wh->src = me_;
     wh->send_ns = stamp_send_ns_ ? arch::now_ns() : 0;
     transport_->commit(sb.ticket);
-    if (sb.frame)
-      arch::relaxed_inc(stats_.sent_frames);
-    else
-      arch::relaxed_inc(stats_.sent_eager);
+    ++(sb.frame ? stats_.sent_frames : stats_.sent_eager);
     return;
   }
   for (;;) {
@@ -157,12 +115,10 @@ void AmEngine::commit(SendBuf& sb) {
       d->buf = arena_->segmap().encode(sb.data);
       d->size = sb.size;
       transport_->commit(t);
-      arch::relaxed_inc(stats_.sent_rendezvous);
+      ++stats_.sent_rendezvous;
       return;
     }
-    arch::relaxed_inc(stats_.send_stalls);
-    if (poll() == 0) std::this_thread::yield();
-    arch::cpu_relax();
+    stall();
   }
 }
 
@@ -247,64 +203,9 @@ int AmEngine::poll(int max_msgs) {
   assert(self() == owner_ && "AmEngine polled off its rank's thread");
   int handled = 0;
   while (handled < max_msgs) {
-    int delivered = 0;
+    int delivered = 1;
     auto visit = [&](void* rec, std::size_t rec_size) {
       auto* wh = static_cast<WireHeader*>(rec);
-      if (wh->flags & kWireFrame) {
-        // Copy the whole frame out of the ring once; sub-messages share the
-        // refcounted buffer (handlers adopt_frame() instead of copying).
-        const std::size_t fsize = rec_size - sizeof(WireHeader);
-        auto* fb = static_cast<FrameBuf*>(
-            std::malloc(sizeof(FrameBuf) + fsize));
-        assert(fb && "frame staging allocation failed");
-        ::new (&fb->refs) std::atomic<std::uint32_t>(1);
-        std::memcpy(fb->payload(), wh + 1, fsize);
-        if ((wh->flags & kWireUniform) && sink_ &&
-            wh->handler == sink_handler_) {
-          // Whole-frame sink delivery: one call covers every sub-message.
-          // Count them first (headers only, cache-hot) so stats stay in
-          // message units.
-          for (std::size_t off = 0; off + sizeof(FrameMsgHeader) <= fsize;) {
-            auto* mh =
-                reinterpret_cast<FrameMsgHeader*>(fb->payload() + off);
-            ++delivered;
-            off += sizeof(FrameMsgHeader) +
-                   arch::align_up(mh->size, kFrameAlign);
-          }
-          AmContext cx;
-          cx.engine = this;
-          cx.src = wh->src;
-          cx.send_ns = wh->send_ns;
-          cx.data = fb->payload();
-          cx.size = fsize;
-          cx.in_frame = true;
-          cx.frame = fb;
-          sink_(cx);
-          release_frame(fb);
-          arch::relaxed_inc(stats_.received_frames);
-          return;
-        }
-        std::size_t off = 0;
-        while (off + sizeof(FrameMsgHeader) <= fsize) {
-          auto* mh =
-              reinterpret_cast<FrameMsgHeader*>(fb->payload() + off);
-          AmContext cx;
-          cx.engine = this;
-          cx.src = wh->src;
-          cx.send_ns = wh->send_ns;
-          cx.data = mh + 1;
-          cx.size = mh->size;
-          cx.in_frame = true;
-          cx.frame = fb;
-          am_handler_at(mh->handler)(cx);
-          ++delivered;
-          off += sizeof(FrameMsgHeader) +
-                 arch::align_up(mh->size, kFrameAlign);
-        }
-        release_frame(fb);  // drop poll's own reference
-        arch::relaxed_inc(stats_.received_frames);
-        return;
-      }
       AmContext cx;
       cx.engine = this;
       cx.src = wh->src;
@@ -320,12 +221,23 @@ int AmEngine::poll(int max_msgs) {
         cx.is_rendezvous = true;
         am_handler_at(wh->handler)(cx);
         if (!cx.adopted) arena_->heap().deallocate(buf);
-      } else {
-        cx.data = wh + 1;
-        cx.size = rec_size - sizeof(WireHeader);
-        am_handler_at(wh->handler)(cx);
+        return;
       }
-      delivered = 1;
+      cx.data = wh + 1;
+      cx.size = rec_size - sizeof(WireHeader);
+      if (wh->flags & kWireFrame) {
+        // Stats stay in message units: count the sub-messages (headers
+        // only, cache-hot) before the handler consumes the frame.
+        auto* frame = static_cast<const std::byte*>(cx.data);
+        delivered = 0;
+        for (std::size_t off = 0; off + sizeof(FrameMsgHeader) <= cx.size;
+             ++delivered) {
+          const auto* mh = reinterpret_cast<const FrameMsgHeader*>(frame + off);
+          off += sizeof(FrameMsgHeader) + arch::align_up(mh->size, kFrameAlign);
+        }
+        ++stats_.received_frames;
+      }
+      am_handler_at(wh->handler)(cx);
     };
     bool got = transport_->try_consume(
         [](void* rec, std::size_t n, void* cxp) {
@@ -334,7 +246,7 @@ int AmEngine::poll(int max_msgs) {
         &visit);
     if (!got) break;
     handled += delivered;
-    arch::relaxed_add(stats_.received, static_cast<std::uint64_t>(delivered));
+    stats_.received += static_cast<std::uint64_t>(delivered);
   }
   return handled;
 }

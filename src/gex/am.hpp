@@ -8,18 +8,18 @@
 //   rendezvous  payload staged in the global shared heap; the ring carries
 //               only a descriptor (same two-protocol split real conduits
 //               use; the subject of the abl_am_protocol bench).
-//   frame       one ring transaction carrying N packed sub-messages, each
-//               with its own handler index (agg.hpp builds these). The
-//               receive side copies the frame out of the ring once and all
-//               sub-messages share that one buffer.
+//   frame       one ring record carrying N packed sub-messages
+//               ([FrameMsgHeader][payload], built by gex::Aggregator) for
+//               the one handler its header names. The engine delivers it
+//               like an eager record — the handler gets the packed region
+//               in ring memory and walks it — and only counts the
+//               sub-messages (Stats::received is in message units).
 //
 // Handler rules (same as GASNet): handlers run inside poll() on the target
 // rank, must not block and must not initiate communication. For eager
-// messages the payload lives in ring memory and must be consumed before the
-// handler returns; rendezvous handlers may adopt() the heap buffer and free
-// it later with release_rendezvous(); frame sub-message handlers may
-// adopt_frame() to keep the shared frame buffer alive past the handler
-// (release with release_frame()).
+// messages and frames the payload lives in ring memory and must be consumed
+// before the handler returns; rendezvous handlers may adopt() the heap
+// buffer and free it later with release_rendezvous().
 //
 // Threading: one thread per rank sends and polls — the holder of the
 // rank's context (prepare and poll assert it). A send stalled on a full
@@ -47,14 +47,11 @@ struct Rank;
 // Record flags.
 inline constexpr std::uint16_t kWireRendezvous = 1;
 inline constexpr std::uint16_t kWireFrame = 2;
-// Every sub-message of the frame targets the same handler (stored in the
-// wire header); eligible for whole-frame sink delivery.
-inline constexpr std::uint16_t kWireUniform = 4;
 
 // Public (rather than an AmEngine private) so tests can statically verify
 // that nothing pointer-shaped rides the ring.
 struct WireHeader {
-  HandlerIdx handler;   // registry index; ignored for frame records
+  HandlerIdx handler;   // registry index (a frame's one handler)
   std::uint16_t flags;  // kWireRendezvous | kWireFrame
   std::int32_t src;     // sender world rank
   // Send timestamp; only the simulated-latency delivery path reads it, so
@@ -66,9 +63,7 @@ static_assert(sizeof(WireHeader) == 16, "keep the per-message header small");
 // Sub-message header inside a frame; payload follows, padded to
 // kFrameAlign so the next header is naturally aligned.
 struct FrameMsgHeader {
-  HandlerIdx handler;
-  std::uint16_t flags;  // reserved (frame sub-messages are always eager)
-  std::uint32_t size;   // payload bytes, unpadded
+  std::uint64_t size;  // payload bytes, unpadded
 };
 static_assert(sizeof(FrameMsgHeader) == 8);
 
@@ -82,9 +77,6 @@ struct RdzvDesc {
   std::uint64_t size;
 };
 
-// Frees a frame buffer reference taken with AmContext::adopt_frame().
-void release_frame(void* handle);
-
 // --------------------------------------------------------------- AmContext
 
 struct AmContext {
@@ -94,23 +86,15 @@ struct AmContext {
   std::size_t size = 0;     // payload byte count
   std::uint64_t send_ns = 0;  // send timestamp (drives simulated latency)
   bool is_rendezvous = false;
-  bool in_frame = false;    // sub-message of a multi-message frame
 
   // Takes ownership of a rendezvous buffer; the engine will not free it.
-  // Invalid for eager or frame messages (their storage is not individually
-  // owned).
+  // Invalid for eager records and frames (they live in ring memory).
   void* adopt() {
     adopted = true;
     return data;
   }
 
-  // Takes a shared reference on the frame buffer holding this sub-message:
-  // `data` stays valid until the returned handle is passed to
-  // release_frame(). Only valid when in_frame.
-  void* adopt_frame();
-
   bool adopted = false;
-  void* frame = nullptr;  // engine-internal frame buffer handle
 };
 
 // ---------------------------------------------------------------- AmEngine
@@ -156,30 +140,14 @@ class AmEngine {
     HandlerIdx handler = 0;
     bool rendezvous = false;
     bool frame = false;
-    bool uniform = false;
   };
   SendBuf prepare(int target, HandlerIdx h, std::size_t n);
   void commit(SendBuf& sb);
 
   // Reserves a frame record of `n` payload bytes (packed sub-messages, laid
-  // out by gex::Aggregator). Always travels inline through the ring; n must
-  // be <= max_frame_payload(). When every staged sub-message targets one
-  // handler, pass it as uniform_handler (with uniform = true) so the
-  // receiver can hand the whole frame to a sink in one call.
-  SendBuf prepare_frame(int target, std::size_t n,
-                        HandlerIdx uniform_handler, bool uniform);
-
-  // Registers a whole-frame delivery sink for uniform frames addressed to
-  // handler `h`: instead of one handler call per sub-message, poll() makes
-  // one sink call per frame (cx.data/cx.size cover the packed sub-message
-  // region, cx.in_frame is set, and the frame buffer is adoptable). The
-  // upcxx layer uses this to stage an entire frame with one allocation and
-  // one deferred-dispatch entry. One sink per engine.
-  using FrameSink = void (*)(AmContext&);
-  void set_frame_sink(HandlerIdx h, FrameSink sink) {
-    sink_handler_ = h;
-    sink_ = sink;
-  }
+  // out by gex::Aggregator) for handler `h`. Always travels inline through
+  // the ring, whatever eager_max says; n must be <= max_frame_payload().
+  SendBuf prepare_frame(int target, HandlerIdx h, std::size_t n);
 
   // Convenience single-shot send.
   void send(int target, HandlerIdx h, const void* data, std::size_t n);
@@ -198,18 +166,16 @@ class AmEngine {
   void exchange(std::uint64_t key, const int* group, std::size_t n,
                 const void* mine, std::size_t bytes, void* out);
 
-  // Drains up to max_msgs ring records from this rank's inbox, invoking
-  // handlers (a frame record counts as one but may deliver many messages).
+  // Drains ring records from this rank's inbox, invoking handlers, until
+  // max_msgs messages were handled (a frame counts its sub-messages).
   // Returns the number of messages handled.
   int poll(int max_msgs = 64);
 
   // Frees a rendezvous buffer previously adopt()ed by a handler.
   void release_rendezvous(void* buf) { arena_->heap().deallocate(buf); }
 
-  // Counters (per rank, for tests and the micro_am bench). Fields stay
-  // plain u64 (printf-able), bumped through arch::relaxed_inc so benches
-  // may sample them from another thread with arch::relaxed_load mid-run.
-  // Read exactly after a quiesce.
+  // Counters (per rank, for tests and benches). Written only by the
+  // owning thread; read them on that thread, or after a quiesce.
   struct Stats {
     std::uint64_t sent_eager = 0;
     std::uint64_t sent_rendezvous = 0;
@@ -222,6 +188,12 @@ class AmEngine {
 
  private:
   static void on_exchange(AmContext& cx);
+  // Reserves sb.size payload bytes of one inline record to sb.target,
+  // stalling until the transport has room.
+  void reserve_record(SendBuf& sb);
+  // One retry step of a send that found no room: counts the stall and
+  // polls this rank's inbox (yielding when it was empty).
+  void stall();
 
   Arena* arena_;
   int me_;
@@ -231,8 +203,6 @@ class AmEngine {
   std::unique_ptr<Transport> transport_;
   std::size_t eager_max_;
   bool stamp_send_ns_;  // WireHeader::send_ns has a reader (sim latency)
-  HandlerIdx sink_handler_ = 0;
-  FrameSink sink_ = nullptr;
   Stats stats_;
   // In-flight exchange() contributions, keyed by collective key then
   // sender rank. Touched only from poll handlers and exchange() itself

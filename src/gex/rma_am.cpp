@@ -5,7 +5,6 @@
 #include <cstring>
 #include <thread>
 
-#include "arch/atomics.hpp"
 #include "gex/handlers.hpp"
 #include "gex/runtime.hpp"
 
@@ -311,7 +310,8 @@ std::uint64_t RmaAmProtocol::new_pending(int target, Done done,
 void RmaAmProtocol::claim_credit(Peer& p) {
   assert(p.outstanding < window_ && "request sent without a credit");
   ++p.outstanding;
-  arch::relaxed_max(stats_.max_outstanding, p.outstanding);
+  stats_.max_outstanding =
+      std::max<std::uint64_t>(stats_.max_outstanding, p.outstanding);
 }
 
 std::uint32_t RmaAmProtocol::credits(int target) const {
@@ -334,7 +334,7 @@ RmaAmProtocol::StageBuf RmaAmProtocol::acquire_stage(Peer& p,
   // caller cancels) once the error flag is up: the blocks we are waiting
   // for may be bounce buffers pinned by a dead peer's never-coming acks.
   const std::size_t cap = size_class(bytes);
-  arch::relaxed_inc(get ? stats_.reply_stage_allocs : stats_.stage_allocs);
+  ++(get ? stats_.reply_stage_allocs : stats_.stage_allocs);
   auto& heap = am_->arena().heap();
   for (;;) {
     if (void* buf = heap.allocate(cap)) return StageBuf{buf, cap};
@@ -376,7 +376,7 @@ RmaAmProtocol::StageBuf RmaAmProtocol::stage_for(Peer& p,
 // return the credit the caller just consumed.
 void RmaAmProtocol::cancel_sent(Peer& p, std::uint64_t cookie) {
   pending_.erase(cookie);
-  arch::relaxed_inc(stats_.cancelled);
+  ++stats_.cancelled;
   assert(p.outstanding > 0);
   --p.outstanding;
 }
@@ -406,7 +406,7 @@ RmaAmProtocol::Record RmaAmProtocol::open_record(int target, HandlerIdx h,
 
 void RmaAmProtocol::send_record(Record& r) {
   am_->commit(r.sb);
-  arch::relaxed_add(stats_.acks_piggybacked, r.nacks);
+  stats_.acks_piggybacked += r.nacks;
 }
 
 void RmaAmProtocol::send_acks(Peer& p) {
@@ -450,9 +450,9 @@ void RmaAmProtocol::start_put(int target, const Frag* dsts,
         desc_bytes);
     write_descs(r.body, dsts, ndsts);
     send_record(r);
-    arch::relaxed_inc(stats_.puts_staged);
+    ++stats_.puts_staged;
   }
-  arch::relaxed_inc(ndsts == 1 ? stats_.puts_sent : stats_.frag_puts_sent);
+  ++(ndsts == 1 ? stats_.puts_sent : stats_.frag_puts_sent);
 }
 
 void RmaAmProtocol::start_get(int target, const Frag* srcs, std::size_t n,
@@ -483,9 +483,9 @@ void RmaAmProtocol::start_get(int target, const Frag* srcs, std::size_t n,
         desc_bytes);
     write_descs(r.body, srcs, n);
     send_record(r);
-    arch::relaxed_inc(stats_.gets_staged);
+    ++stats_.gets_staged;
   }
-  arch::relaxed_inc(n == 1 ? stats_.gets_sent : stats_.frag_gets_sent);
+  ++(n == 1 ? stats_.gets_sent : stats_.frag_gets_sent);
 }
 
 int RmaAmProtocol::poll_requests() {

@@ -15,7 +15,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
@@ -24,6 +23,7 @@
 #include <thread>
 #include <utility>
 
+#include "arch/spinlock.hpp"
 #include "arch/timer.hpp"
 
 namespace gex {
@@ -206,7 +206,6 @@ class SocketTransport final : public Transport {
       std::abort();
     }
     if (target != me_) {
-      arch::SpinGuard g(mu_);
       PeerTx& p = tx_[static_cast<std::size_t>(target)];
       if (!p.dead && p.queued >= kTxBackpressure) {
         pump();
@@ -228,20 +227,17 @@ class SocketTransport final : public Transport {
     FrameHdr h;
     std::memcpy(&h, base, sizeof h);
     const std::uint32_t total = static_cast<std::uint32_t>(sizeof h) + h.len;
-    mu_.lock();
     if (die_here_ && die_at_ != 0 && ++committed_ == die_at_) die_torn(t, base, total);
     if (t.target == me_) {
       // Self sends bypass the wire entirely (the ring transports loop
       // through the own-inbox ring; here the "inbox" is the ready queue).
       ready_.push_back(RxRec{base, base + sizeof h, h.len});
-      mu_.unlock();
       return;
     }
     PeerTx& p = tx_[static_cast<std::size_t>(t.target)];
     if (p.dead) {
       // Black hole: the peer is gone and the error flag already says so;
       // dropping the record keeps every reserve/commit caller loop-free.
-      mu_.unlock();
       std::free(base);
       return;
     }
@@ -259,33 +255,22 @@ class SocketTransport final : public Transport {
     // pumping also reads inbound bytes into ready_ (no handlers run), so
     // two ranks blocked here flooding each other still free each other's
     // kernel buffers; a vanished peer trips peer_lost(), which empties the
-    // queue and marks it dead. The lock drops between iterations so the
-    // consumer and concurrent injectors keep making progress while this
-    // thread waits out a slow connect or a full kernel buffer (p is a
-    // reference into tx_, which never resizes after construction).
+    // queue and marks it dead (p is a reference into tx_, which never
+    // resizes after construction).
     while (!p.dead && !p.q.empty()) {
       pump();
       if (!p.connecting && !p.q.empty()) flush(t.target, p);
       if (p.dead || p.q.empty()) break;
-      mu_.unlock();
       arch::cpu_relax();
-      mu_.lock();
     }
-    mu_.unlock();
   }
 
   bool try_consume(RecordVisitor visit, void* cx) override {
-    mu_.lock();
     if (ready_.empty()) pump();
-    if (ready_.empty()) {
-      mu_.unlock();
-      return false;
-    }
+    if (ready_.empty()) return false;
+    // Pop before the visit: a handler may re-enter the engine's poll.
     RxRec r = ready_.front();
     ready_.pop_front();
-    // Handlers run without the transport lock: they may re-enter the
-    // engine (a handler-triggered poll or an injector thread's reserve).
-    mu_.unlock();
     visit(r.rec, r.len, cx);
     std::free(r.base);
     return true;
@@ -294,7 +279,6 @@ class SocketTransport final : public Transport {
   std::size_t max_record_payload() const override { return max_rec_; }
 
   bool rx_empty() override {
-    arch::SpinGuard g(mu_);
     pump();
     if (!ready_.empty()) return false;
     for (const RxConn* c : rx_)
@@ -305,7 +289,6 @@ class SocketTransport final : public Transport {
   bool shared_memory() const override { return false; }
 
   bool tx_quiesced() override {
-    arch::SpinGuard g(mu_);
     pump();
     for (const PeerTx& p : tx_)
       if (!p.dead && !p.q.empty()) return false;
@@ -315,16 +298,13 @@ class SocketTransport final : public Transport {
   const char* name() const override { return "socket"; }
 
   std::uint64_t tx_writev_batches() const override {
-    return tx_writev_batches_.load(std::memory_order_relaxed);
+    return tx_writev_batches_;
   }
 
   // I/O progress without record delivery — the control-plane barrier
   // pumps this so launcher releases (and peer traffic) keep flowing while
   // the rank waits.
-  void poll_io() {
-    arch::SpinGuard g(mu_);
-    pump();
-  }
+  void poll_io() { pump(); }
 
  private:
   enum : std::uint32_t { kEpListen = 0, kEpBoot = 1, kEpRx = 2, kEpTx = 3 };
@@ -488,7 +468,7 @@ class SocketTransport final : public Transport {
         mh.msg_iovlen = niov;
         w = ::sendmsg(p.fd, &mh, MSG_NOSIGNAL);
         if (w > 0 && niov >= 2)
-          tx_writev_batches_.fetch_add(1, std::memory_order_relaxed);
+          ++tx_writev_batches_;
       }
       if (w < 0) {
         if (errno == EINTR) continue;
@@ -652,7 +632,7 @@ class SocketTransport final : public Transport {
     flush(static_cast<int>(target), p);
   }
 
-  // One bounded pass over ready socket events. Called with mu_ held.
+  // One bounded pass over ready socket events.
   void pump() {
     epoll_event evs[64];
     const int n = ::epoll_wait(ep_, evs, 64, 0);
@@ -679,7 +659,7 @@ class SocketTransport final : public Transport {
 
   // Fault-injected mid-stream death: drain the queued backlog so the torn
   // frame is the *last* thing on the wire, write roughly half of it, and
-  // vanish without a BYE. Called with mu_ held; never returns.
+  // vanish without a BYE. Never returns.
   [[noreturn]] void die_torn(const Ticket& t, std::byte* base,
                              std::uint32_t total) {
     if (t.target != me_) {
@@ -733,11 +713,10 @@ class SocketTransport final : public Transport {
   int ep_ = -1;
   int listen_fd_ = -1;
   bool owns_listen_ = true;
-  arch::Spinlock mu_;
   std::vector<PeerTx> tx_;
   std::vector<RxConn*> rx_;
   std::deque<RxRec> ready_;
-  std::atomic<std::uint64_t> tx_writev_batches_{0};
+  std::uint64_t tx_writev_batches_ = 0;
   // Fault injection.
   bool fault_on_ = false;
   std::uint64_t rng_ = 1;

@@ -13,10 +13,10 @@
 //
 // Event loop: one epoll instance per rank, pumped from try_consume — i.e.
 // from AmEngine::poll, so progress keeps the paper's no-hidden-threads
-// property: the rank that owns the persona pumps its own wire. A
-// spinlock guards transport state because injection-shard drains call
-// try_reserve/commit concurrently with the consumer; the lock is never
-// held across the record-visit callback.
+// property: the rank that owns the persona pumps its own wire. Every
+// call — reserve, commit, consume, the control-plane barrier's I/O pump —
+// comes from that one thread (the AmEngine asserts it owns the rank), so
+// the transport state takes no lock.
 //
 // try_reserve returns a private malloc'd staging buffer (never a pointer
 // into shared state); commit frames it onto the peer's send queue and
@@ -47,13 +47,11 @@
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
-#include "arch/spinlock.hpp"
 #include "gex/arena.hpp"
 #include "gex/transport.hpp"
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "arch/atomics.hpp"
 #include "arch/timer.hpp"
 #include "gex/runtime.hpp"
 
@@ -66,8 +65,9 @@ XferEngine::Xfer& XferEngine::enqueue(int target) {
   }
   ++active_count_;
   ++inflight_count_;
-  arch::relaxed_inc(stats_.submitted);
-  arch::relaxed_max(stats_.max_inflight, inflight_count_);
+  ++stats_.submitted;
+  stats_.max_inflight =
+      std::max<std::uint64_t>(stats_.max_inflight, inflight_count_);
   Channel& ch = channel(target);
   (ch.tail ? ch.tail->next : ch.head) = x;
   ch.tail = x;
@@ -198,9 +198,9 @@ void XferEngine::issue_one_chunk(Channel& ch) {
       }
     }
     x.off += take;
-    arch::relaxed_add(stats_.bytes_copied, take);
+    stats_.bytes_copied += take;
   }
-  arch::relaxed_inc(stats_.chunks_copied);
+  ++stats_.chunks_copied;
   if (ns_per_byte_ > 0) {
     // Virtual wire clock (per link): the wire starts this chunk when it
     // frees up (or now, if it has been idle) and holds it for bytes/bw.
@@ -242,7 +242,7 @@ int XferEngine::retire_landed(Channel& ch) {
     head = Xfer{};
     free_.push_back(&head);
     --inflight_count_;
-    arch::relaxed_inc(stats_.landed);
+    ++stats_.landed;
     if (cb) cb();
     ++fired;
   }

@@ -243,7 +243,7 @@ class atomic_domain {
   // atomic plus a completion timer (push_completion_after routes itself home
   // through op_context when the caller is an injector thread), and the AM
   // path is rpc_impl, which serializes caller-side and hands the descriptor
-  // over the wire shards. No master-persona assert anywhere — an
+  // over the rank's injection queue. No master-persona assert anywhere — an
   // atomic_domain op from inside an injection_scope just works.
   future<T> fetch_op(atomic_op op, global_ptr<T> p, T a, T b) {
     check(op);

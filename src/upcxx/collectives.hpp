@@ -61,24 +61,15 @@ inline future<> barrier_async(const team& tm = world()) {
   // pending XferEngine chunk onto the wire: everything sent before the
   // barrier is on the wire — and every RMA issued before the barrier is
   // visible at its target — before any rank can observe the barrier
-  // complete (tests/test_aggregation.cpp relies on this ordering).
-  if (!detail::has_persona()) {
-    // Injected barrier: the drains below are rank state, so ship them
-    // ahead of the collective entry through the caller's submit shard —
-    // shard FIFO guarantees they run (master-side) before the entry that
-    // coll_enter submits next. The wire shards first, each drained to
-    // empty: this thread's earlier injected rpc/rpc_ff sends ride those
-    // queues, however many there are, and the barrier ordering contract
-    // covers them too.
-    detail::op_context::current().run_at_rank([] {
-      detail::drain_wire_shards(detail::persona(), /*to_empty=*/true);
-      detail::flush_aggregation();
-      detail::drain_xfer_copies();
-    });
-  } else {
+  // complete (tests/test_aggregation.cpp relies on this ordering). From an
+  // injector thread the drains are rank state, so they ship through the
+  // rank's injection queue, behind this thread's earlier sends and RMA
+  // (which the master has therefore staged or dispatched by the time they
+  // run) and ahead of the collective entry that coll_enter queues next.
+  detail::op_context::current().run_at_rank([] {
     detail::flush_aggregation();
     detail::drain_xfer_copies();
-  }
+  });
   promise<> pr;
   detail::CollOps ops;
   ops.up = true;

@@ -19,13 +19,13 @@
 //     direct-backend atomics (a CPU atomic is a CPU atomic).
 //   * Everything else is prepared caller-side (serialization, completion
 //     state, collective fold/deliver closures) and handed to the rank
-//     through block MPSC queues (arch::MpscQueue: records built in place,
-//     no allocation in steady state) — the thread-hash-sharded submit
-//     queue (PersonaState::submit_shards, kSubmitShards of them) for
-//     engine dispatches, the wire shards for serialized sends — all
-//     drained by the one thread holding the rank context, inside its
-//     progress calls (the wire drain packs small messages into
-//     Aggregator frames).
+//     through its one injection queue (PersonaState::injectq, an
+//     arch::MpscQueue: records built in place, no allocation in steady
+//     state), which carries engine-dispatch closures and serialized sends
+//     alike. The thread holding the rank context consumes it in
+//     reservation order inside its progress calls, running the closures
+//     and packing small messages into Aggregator frames, so one thread's
+//     ops reach the master in the order it issued them.
 //   * Completions ship back to the initiating thread's own persona inbox,
 //     so the returned futures/promises stay persona-affine: they become
 //     ready during *this thread's* upcxx::progress() / future::wait()
@@ -35,8 +35,8 @@
 // and destruction (collective setup, like upcxx::init itself). Collectives
 // injected from several threads concurrently must be issued symmetrically
 // across ranks, the same rule real UPC++ imposes on unordered collectives
-// over one team; one thread's collectives stay FIFO through its submit
-// shard, so per-thread sequences agree rank-to-rank.
+// over one team; one thread's collectives stay FIFO through the injection
+// queue, so per-thread sequences agree rank-to-rank.
 //
 // Lifetime: the injector must not outlive the SPMD region that created
 // it, and every injection_scope must be destroyed (thread joined or scope

@@ -119,70 +119,18 @@ void push_completion_after_ns(std::uint64_t delay_ns, Lpc fn) {
 
 // ------------------------------------------------- MPSC injection hand-off
 
-std::uint32_t submit_shard_of_caller() {
-  // Shard by initiating thread, not round-robin: one thread's submissions
-  // must stay FIFO (a thread that enters barrier() then reduce() relies on
-  // its collective sequence numbers being allocated in that order), and a
-  // stable thread->shard map gives that while spreading unrelated
-  // injectors across queue tails.
-  const auto h = std::hash<const void*>{}(thread_marker());
-  return static_cast<std::uint32_t>(h % PersonaState::kSubmitShards);
-}
-
-int drain_submitq(PersonaState& st, int budget) {
-  assert(tls_persona == &st && "submitq closures need the rank context");
-  // The shards are MPSC queues with the master persona as the single
-  // consumer; a fixed drain order keeps each thread's submissions FIFO
-  // (within its shard) without any cross-shard coordination.
-  int work = 0;
-  for (auto& q : st.submit_shards) {
-    if (budget - work <= 0) break;
-    if (q.empty_hint()) continue;
-    work += q.run(budget - work);
-  }
-  return work;
-}
-
-int drain_wire_shards(PersonaState& st, bool to_empty) {
-  assert(tls_persona == &st && "the wire's consumer drains with the rank "
-                               "context");
-  auto& eng = *st.rank->am;
-  gex::Aggregator* agg = st.rank->agg;
-  // Small messages join the Aggregator's frames; a larger one first
-  // flushes its target (per-target FIFO) and goes out as its own record.
-  auto move = [&](const arch::MpscQueue::Record& r) {
-    const int target = static_cast<int>(r.tag);
-    if (agg && rides_frame(*agg, r.size)) {
-      std::memcpy(agg->put(target, am_delivery_index(), r.size), r.data,
-                  r.size);
-      return;
-    }
-    if (agg && agg->enabled()) agg->flush(target);
-    auto sb = eng.prepare(target, am_delivery_index(), r.size);
-    std::memcpy(sb.data, r.data, r.size);
-    eng.commit(sb);
-  };
-  int work = 0;
-  for (std::uint32_t s = 0; s < PersonaState::kWireShards; ++s) {
-    auto& q = st.wire_shards[s];
-    if (q.empty_hint()) continue;
-    const int n = to_empty ? q.drain_all(move) : q.drain(64, move);
-    // Everything this drain staged leaves now, ahead of any later send.
-    if (n && agg && agg->enabled())
-      for (int t = static_cast<int>(s); t < st.rank->arena->nranks();
-           t += static_cast<int>(PersonaState::kWireShards))
-        agg->flush(t);
-    work += n;
-  }
-  return work;
-}
-
-bool inject_queues_empty(PersonaState& st) {
-  for (auto& q : st.submit_shards)
-    if (!q.empty_hint()) return false;
-  for (auto& q : st.wire_shards)
-    if (!q.empty_hint()) return false;
-  return true;
+int drain_injectq(PersonaState& st) {
+  assert(tls_persona == &st && "the injection queue's consumer needs the "
+                               "rank context");
+  bool sent = false;
+  const int n = st.injectq.drain(64, [&](const arch::MpscQueue::Record& r) {
+    send_wire(static_cast<int>(r.tag), r.size, wire_mode::aggregated,
+              [&](std::byte* p) { std::memcpy(p, r.data, r.size); });
+    sent = true;
+  });
+  // Everything this drain staged leaves now, ahead of any later send.
+  if (sent) st.rank->agg->flush_all();
+  return n;
 }
 
 // ----------------------------------------------------- dispatch registry
@@ -240,90 +188,74 @@ void drain_xfer_copies() {
   }
 }
 
-// Receives one upcxx wire message: stages the payload locally and schedules
-// its dispatch for user-level progress (the paper's "insert into the
-// target's compQ", Fig 2). Eager payloads must be copied out of the ring
-// before the handler returns; rendezvous payloads are adopted in place;
-// frame sub-messages take a shared reference on the frame buffer, so an
-// N-message frame costs one allocation and one copy total.
+// Schedules a delivery for user-level progress (the paper's "insert into
+// the target's compQ", Fig 2): now, or no earlier than send time + one
+// wire hop under simulated latency.
+template <typename Run>
+void deliver_at_user_progress(PersonaState& p, std::uint64_t send_ns,
+                              Run&& run) {
+  if (p.sim_latency_ns == 0)
+    p.compq.push_back(std::forward<Run>(run));
+  else
+    p.timed.push(TimedEntry{send_ns + p.sim_latency_ns, p.timed_seq++,
+                            std::forward<Run>(run)});
+}
+
+// Receives one upcxx message sent as its own record. Eager payloads must
+// be copied out of the ring before the handler returns; rendezvous
+// payloads are adopted in place.
 void am_delivery(gex::AmContext& cx) {
-  auto& p = persona();
   const int src = cx.src;
   const std::size_t n = cx.size;
-  enum class Own : std::uint8_t { kMalloc, kRendezvous, kFrame };
+  const bool rdzv = cx.is_rendezvous;
   std::byte* buf;
-  void* frame = nullptr;
-  Own own;
-  if (cx.in_frame) {
-    frame = cx.adopt_frame();
-    buf = static_cast<std::byte*>(cx.data);
-    own = Own::kFrame;
-  } else if (cx.is_rendezvous) {
+  if (rdzv) {
     buf = static_cast<std::byte*>(cx.adopt());
-    own = Own::kRendezvous;
   } else {
     buf = static_cast<std::byte*>(std::malloc(n));
     std::memcpy(buf, cx.data, n);
-    own = Own::kMalloc;
   }
   gex::AmEngine* eng = cx.engine;
-  auto run = [src, n, buf, own, frame, eng] {
+  deliver_at_user_progress(persona(), cx.send_ns, [src, n, buf, rdzv, eng] {
     std::uint64_t prefix;
     std::memcpy(&prefix, buf, kMsgPrefix);
-    DispatchFn dispatch = dispatch_at(static_cast<DispatchIdx>(prefix));
     Reader r(buf + kMsgPrefix, n - kMsgPrefix);
-    dispatch(src, r);
-    switch (own) {
-      case Own::kFrame:
-        gex::release_frame(frame);
-        break;
-      case Own::kRendezvous:
-        eng->release_rendezvous(buf);
-        break;
-      case Own::kMalloc:
-        std::free(buf);
-        break;
-    }
-  };
-  if (p.sim_latency_ns == 0) {
-    p.compq.push_back(std::move(run));
-  } else {
-    // Deliver no earlier than send time + one wire hop.
-    p.timed.push(TimedEntry{cx.send_ns + p.sim_latency_ns, p.timed_seq++,
-                            std::move(run)});
-  }
+    dispatch_at(static_cast<DispatchIdx>(prefix))(src, r);
+    if (rdzv)
+      eng->release_rendezvous(buf);
+    else
+      std::free(buf);
+  });
 }
 
-// Whole-frame delivery: one adopt, one compQ entry, N dispatches. The entry
-// tracks its own resume offset so a dist_object_unready requeue (progress()
-// below) retries the *failing* message without re-running its predecessors.
+// Receives an Aggregator frame of upcxx messages: one malloc+memcpy out of
+// the ring, one compQ entry, N dispatches. The entry tracks its own resume
+// offset so a dist_object_unready requeue (progress() below) retries the
+// *failing* message without re-running its predecessors.
 void am_frame_delivery(gex::AmContext& cx) {
-  auto& p = persona();
   const int src = cx.src;
   const std::size_t fsize = cx.size;
-  void* frame = cx.adopt_frame();
-  auto* buf = static_cast<std::byte*>(cx.data);
-  auto run = [src, fsize, buf, frame, off = std::size_t{0}]() mutable {
-    while (off + sizeof(gex::FrameMsgHeader) <= fsize) {
-      auto* mh = reinterpret_cast<gex::FrameMsgHeader*>(buf + off);
-      auto* body = reinterpret_cast<std::byte*>(mh + 1);
-      std::uint64_t prefix;
-      std::memcpy(&prefix, body, kMsgPrefix);
-      Reader r(body + kMsgPrefix, mh->size - kMsgPrefix);
-      // A throw leaves `off` on this message, so the requeued entry
-      // resumes exactly here.
-      dispatch_at(static_cast<DispatchIdx>(prefix))(src, r);
-      off += sizeof(gex::FrameMsgHeader) +
-             arch::align_up(mh->size, gex::kFrameAlign);
-    }
-    gex::release_frame(frame);
-  };
-  if (p.sim_latency_ns == 0) {
-    p.compq.push_back(std::move(run));
-  } else {
-    p.timed.push(TimedEntry{cx.send_ns + p.sim_latency_ns, p.timed_seq++,
-                            std::move(run)});
-  }
+  // malloc is 16-aligned and sub-messages sit at 8-byte offsets, so the
+  // bodies' serialized data is read in place.
+  auto* buf = static_cast<std::byte*>(std::malloc(fsize));
+  std::memcpy(buf, cx.data, fsize);
+  deliver_at_user_progress(
+      persona(), cx.send_ns,
+      [src, fsize, buf, off = std::size_t{0}]() mutable {
+        while (off + sizeof(gex::FrameMsgHeader) <= fsize) {
+          auto* mh = reinterpret_cast<gex::FrameMsgHeader*>(buf + off);
+          auto* body = reinterpret_cast<std::byte*>(mh + 1);
+          std::uint64_t prefix;
+          std::memcpy(&prefix, body, kMsgPrefix);
+          Reader r(body + kMsgPrefix, mh->size - kMsgPrefix);
+          // A throw leaves `off` on this message, so the requeued entry
+          // resumes exactly here.
+          dispatch_at(static_cast<DispatchIdx>(prefix))(src, r);
+          off += sizeof(gex::FrameMsgHeader) +
+                 arch::align_up(mh->size, gex::kFrameAlign);
+        }
+        std::free(buf);
+      });
 }
 
 }  // namespace detail
@@ -351,14 +283,13 @@ void progress(progress_level lvl) {
   // engine: chunk requests issued in between are reverse traffic that
   // carries the acks piggybacked, so the flush only spends a ring record
   // on whatever found no ride.
-  // Off-persona injection first: submitted op closures dispatch into the
-  // engines (so this poll round already moves their chunks), and staged
-  // wire sends reach the target rings ahead of our poll of the replies
-  // they will generate. This thread IS the wire consumer: injected small
+  // Off-persona injection first: queued op closures dispatch into the
+  // engines (so this poll round already moves their chunks), and queued
+  // messages reach the target rings ahead of our poll of the replies they
+  // will generate. This thread IS the wire consumer: injected small
   // messages join the Aggregator's frames (flushed before the drain
   // returns) and a full-ring stall may self-poll.
-  int work = lpcs + detail::drain_submitq(p, 64);
-  work += detail::drain_wire_shards(p);
+  int work = lpcs + detail::drain_injectq(p);
   work += p.rank->am->poll();
   if (p.rank->rma_am) work += p.rank->rma_am->poll_requests();
   if (p.rank->xfer) work += p.rank->xfer->poll();
@@ -404,9 +335,6 @@ void init_persona() {
   st->sim_latency_ns = r->arena->config().sim_latency_ns;
   st->rma_async_min = r->arena->config().rma_async_min;
   st->rma_wire_am = r->rma_wire_am;
-  // Aggregated upcxx frames take the whole-frame delivery path.
-  r->am->set_frame_sink(detail::am_delivery_index(),
-                        &detail::am_frame_delivery);
   r->upcxx_state = st;
   detail::tls_persona = st;
   // The primordial thread holds the master persona from init (spec: the
@@ -430,7 +358,7 @@ void fini_persona() {
   // idleness needs the peer's acks, and a dead peer never sends them.
   auto* pst = static_cast<detail::PersonaState*>(r->upcxx_state);
   auto& err = gex::arena().control().error_flag.value;
-  while ((!detail::inject_queues_empty(*pst) || (r->xfer && !r->xfer->idle()) ||
+  while ((!pst->injectq.empty_hint() || (r->xfer && !r->xfer->idle()) ||
           (r->rma_am && !r->rma_am->idle())) &&
          err.load(std::memory_order_acquire) == 0) {
     progress();

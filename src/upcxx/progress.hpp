@@ -22,7 +22,6 @@
 // describes, which tests/test_progress.cpp verifies.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -134,44 +133,34 @@ struct PersonaState {
   // ---- thread-safe injection (off-persona op initiation) ----
   //
   // App threads that hold neither the master persona nor a rank context
-  // initiate operations by handing prepared work to the rank through two
-  // kinds of arch::MpscQueue (block queues: records are built in place,
-  // nothing is allocated in steady state, producers never wait on the
-  // consumer):
+  // initiate operations by handing prepared work to the rank through one
+  // arch::MpscQueue (a block queue: records are built in place, nothing is
+  // allocated in steady state, producers never wait on the consumer). It
+  // carries two kinds of record, consumed in reservation order by the
+  // master persona's holder (drain_injectq):
   //
-  //   submit_shards  op closures (serialization and cx_state setup already
-  //                done caller-side) that need the rank context to
-  //                dispatch into the XferEngine / AM RMA protocol, each
-  //                constructed in place in its record whatever its capture
-  //                size. Sharded by *initiating thread* (kSubmitShards;
-  //                shard = hash(thread marker) mod count) so concurrent
-  //                injectors don't contend on one producer cursor while
-  //                each thread's own submissions stay FIFO within its
-  //                shard — the property collective sequence-number
-  //                agreement and per-thread RMA ordering rely on. All
-  //                shards are drained by the master persona's internal
-  //                progress in fixed order.
-  //   wire_shards  upcxx messages ([idx prefix][body]) serialized by the
-  //                caller straight into a byte record tagged with the
-  //                target; shard index = target % kWireShards, so
-  //                injectors sending to unrelated targets never contend
-  //                on one producer cursor. The master (the wire's one
-  //                consumer) moves small messages into the rank's
-  //                Aggregator, so injected traffic leaves as frames, and
-  //                flushes the shard's targets at the end of each drain,
-  //                so one thread's sends to one target stay FIFO end to
-  //                end; ordering against master-side sends to the same
-  //                target is unspecified.
+  //   closures   op closures (serialization and cx_state setup already
+  //              done caller-side) that need the rank context to dispatch
+  //              into the XferEngine / AM RMA protocol, each constructed
+  //              in place whatever its capture size.
+  //   messages   upcxx messages ([idx prefix][body]) serialized by the
+  //              caller straight into a byte record tagged with the
+  //              target. The drain sends them the way the master sends
+  //              its own (small ones join the Aggregator's frames) and
+  //              flushes the Aggregator before it returns.
+  //
+  // Reservation order keeps each injecting thread's ops in issue order up
+  // to the master: a thread's collective sequence numbers are allocated in
+  // the order it entered the collectives, and its sends to one target stay
+  // FIFO end to end. Ordering against master-side sends to the same target
+  // is unspecified.
   //
   // Completions route the other way: deferred cx_state transitions are
   // shipped to the *initiating* thread's persona inbox (lpc_ff, the same
   // block queue), so futures and promises still fire persona-affine with
   // no global lock — the per-thread inboxes are the sharded completion
   // queues.
-  static constexpr std::uint32_t kSubmitShards = 4;
-  static constexpr std::uint32_t kWireShards = 4;
-  std::array<arch::MpscQueue, kSubmitShards> submit_shards;
-  std::array<arch::MpscQueue, kWireShards> wire_shards;  // tag = target
+  arch::MpscQueue injectq;
 
   // Monotone count of actions performed by progress calls on this rank
   // (messages handled, chunks moved, acks pumped, LPCs run). Spin loops
@@ -195,7 +184,7 @@ bool has_persona();
 // it to initiate rpc/rput/rget/copy off-persona. op_state() is the union
 // accessor — the rank state via either binding; it grants access to the
 // *thread-safe* subset only (config fields, stats via relaxed_inc, the
-// MPSC hand-off entry points below). Engine access (state.rank->am etc.)
+// producer side of injectq). Engine access (state.rank->am etc.)
 // remains the master persona holder's exclusive right; op-layer code that
 // touches engines still goes through persona().
 PersonaState& op_state();
@@ -203,37 +192,11 @@ bool has_op_state();
 void bind_inject_context(PersonaState* st);
 PersonaState* inject_context();
 
-// MPSC hand-off (thread-safe; producers take only the queue's cursor
-// lock): enqueues a prepared op closure, constructed in place, to run with
-// rank context at the master persona's next internal progress.
-std::uint32_t submit_shard_of_caller();
-template <typename Fn>
-void submit_to_master(PersonaState& st, Fn&& fn) {
-  st.submit_shards[submit_shard_of_caller()].push(std::forward<Fn>(fn));
-}
-// Serializes a `bytes`-byte upcxx message for `target` in place into its
-// wire shard (write(std::byte*) fills the bytes) for the next drain.
-template <typename Write>
-void submit_wire_send(PersonaState& st, int target, std::size_t bytes,
-                      Write&& write) {
-  st.wire_shards[static_cast<std::uint32_t>(target) %
-                 PersonaState::kWireShards]
-      .push_bytes(bytes, static_cast<std::uint64_t>(target),
-                    std::forward<Write>(write));
-}
-// Drain side; both require the rank context (the master persona's
-// holder is the one consumer of every shard). drain_submitq runs the
-// submitted closures, which dispatch into the engines. drain_wire_shards
-// moves queued messages onto the wire: small ones ride the Aggregator,
-// and each drained shard's targets are flushed before the next shard;
-// with to_empty it moves everything queued at the call (barrier entry),
-// otherwise at most 64 messages per shard. Both return items processed.
-int drain_submitq(PersonaState& st, int budget);
-int drain_wire_shards(PersonaState& st, bool to_empty = false);
-// True when every injection queue (submitq + all wire shards) looks empty
-// (teardown/idle checks; may be transiently false, never falsely empty at
-// a quiesced rank).
-bool inject_queues_empty(PersonaState& st);
+// Runs or sends up to 64 injection records (closures run, messages move
+// onto the wire) and, if any message moved, flushes the Aggregator.
+// Requires the rank context: the master persona's holder is the queue's
+// one consumer. Returns records consumed.
+int drain_injectq(PersonaState& st);
 
 // PersonaState::work_events of the calling thread's rank, or 0 without a
 // rank context (a persona-less waiter always yields, which is right — some
@@ -265,7 +228,7 @@ void push_completion_after_ns(std::uint64_t delay_ns, Lpc fn);
 //
 //   run_at_rank(fn)   the engine-touching half. Inline when the caller
 //                     already holds the rank context; otherwise fn ships
-//                     through the caller's submit shard and runs at the
+//                     through the rank's injection queue and runs at the
 //                     master persona's next internal progress. fn must
 //                     capture everything it needs by value (caller-side
 //                     serialization, cx_state construction) — it hands a
@@ -276,7 +239,7 @@ void push_completion_after_ns(std::uint64_t delay_ns, Lpc fn);
 //                     the final hook home: run in place for a master-persona
 //                     initiator (cx_state defers user-visible delivery to
 //                     compQ itself), through the initiating persona's lpc_ff
-//                     shard for an injector thread — so futures/promises
+//                     inbox for an injector thread — so futures/promises
 //                     always fire persona-affine, with no global lock.
 //
 // This is the dispatch invariant the threading model reduces to: *state
@@ -295,7 +258,7 @@ struct op_context {
     if (on_persona)
       fn();
     else
-      submit_to_master(*st, std::forward<Fn>(fn));
+      st->injectq.push(std::forward<Fn>(fn));
   }
 
   // Callable only with the rank context held (master side).
@@ -369,16 +332,10 @@ const DispatchIdx DispatchReg<Fn>::idx = register_dispatch(Fn);
 // serialization's kWireAlign expectations.
 inline constexpr std::size_t kMsgPrefix = 8;
 
-// The gex AM handler that receives all upcxx-level traffic (defined in
-// progress.cpp), and its registry index.
+// The gex AM handlers that receive upcxx-level traffic (defined in
+// progress.cpp): am_delivery takes a message sent as its own record,
+// am_frame_delivery an Aggregator frame of them.
 void am_delivery(gex::AmContext& cx);
-inline gex::HandlerIdx am_delivery_index() {
-  return gex::am_handler<&am_delivery>();
-}
-
-// Whole-frame sink (gex::AmEngine::set_frame_sink): receives an aggregated
-// frame of upcxx messages in one call and schedules a single
-// deferred-dispatch entry that walks the sub-messages.
 void am_frame_delivery(gex::AmContext& cx);
 
 // Flushes this rank's aggregation buffers (no-op without a rank context).
@@ -391,58 +348,49 @@ void flush_aggregation();
 // the ordering the synchronous memcpy wire used to give for free.
 void drain_xfer_copies();
 
-// True when a `total`-byte upcxx message should be staged in `agg` rather
-// than sent as its own ring record: aggregation is on and the message is
-// small (under the Aggregator's small-message cutoff, and eager-sized).
-inline bool rides_frame(const gex::Aggregator& agg, std::size_t total) {
-  return agg.enabled() && total <= agg.small_msg_cutoff() &&
-         total <= agg.max_msg_bytes() && total <= gex::am().eager_max();
+// Puts a `total`-byte upcxx message for `target` on the wire (rank context
+// required); write(std::byte*) fills its bytes in place. An aggregated
+// message that is small (under the Aggregator's small-message cutoff, and
+// eager-sized) joins the target's frame; anything else first flushes that
+// frame — upcxx delivery is per-target FIFO, and tests assert it — and
+// goes out as its own record.
+template <typename Write>
+void send_wire(int target, std::size_t total, wire_mode mode, Write&& write) {
+  gex::Aggregator& agg = *gex::self()->agg;
+  if (mode == wire_mode::aggregated && agg.enabled() &&
+      total <= agg.small_msg_cutoff() && total <= agg.max_msg_bytes() &&
+      total <= gex::am().eager_max()) {
+    write(static_cast<std::byte*>(
+        agg.put(target, gex::am_handler<&am_frame_delivery>(), total)));
+    return;
+  }
+  if (agg.enabled()) agg.flush(target);
+  auto& eng = gex::am();
+  auto sb = eng.prepare(target, gex::am_handler<&am_delivery>(), total);
+  write(static_cast<std::byte*>(sb.data));
+  eng.commit(sb);
 }
 
 // Sends [idx][body] to target. `body_size` must equal what
-// `write_body(WriteArchive&)` produces.
+// `write_body(WriteArchive&)` produces. Off-persona (an injector thread)
+// the message is serialized caller-side into the rank's injection queue,
+// and the drain sends it as aggregated whatever `mode` says.
 template <typename WriteBody>
 void send_msg_idx(int target, DispatchIdx idx, std::size_t body_size,
                   WriteBody&& write_body, wire_mode mode) {
   const std::size_t total = kMsgPrefix + body_size;
-  const std::uint64_t prefix = idx;
-  if (!has_persona()) {
-    // Off-persona injection: serialize caller-side straight into the
-    // target's wire shard. Both wire modes behave alike here: the drain
-    // on the wire's consumer thread stages small messages in the
-    // Aggregator and flushes them in the same progress call.
-    // Per-(thread,target) FIFO is preserved by the shard; ordering
-    // against other personas is unspecified.
-    submit_wire_send(op_state(), target, total, [&](std::byte* p) {
-      std::memcpy(p, &prefix, kMsgPrefix);
-      WriteArchive wa(p + kMsgPrefix);
-      write_body(wa);
-      assert(wa.written() == body_size);
-    });
-    return;
-  }
-  gex::Aggregator& agg = *gex::self()->agg;
-  if (mode == wire_mode::aggregated && rides_frame(agg, total)) {
-    auto* p = static_cast<std::byte*>(
-        agg.put(target, am_delivery_index(), total));
+  auto write = [&](std::byte* p) {
+    const std::uint64_t prefix = idx;
     std::memcpy(p, &prefix, kMsgPrefix);
     WriteArchive wa(p + kMsgPrefix);
     write_body(wa);
     assert(wa.written() == body_size);
-    return;
-  }
-  // Direct injection must not overtake messages already staged for this
-  // target: upcxx delivery is per-target FIFO (and tests assert it), so
-  // drain the staging buffer before bypassing it.
-  if (agg.enabled()) agg.flush(target);
-  auto& eng = gex::am();
-  auto sb = eng.prepare(target, am_delivery_index(), total);
-  auto* p = static_cast<std::byte*>(sb.data);
-  std::memcpy(p, &prefix, kMsgPrefix);
-  WriteArchive wa(p + kMsgPrefix);
-  write_body(wa);
-  assert(wa.written() == body_size);
-  eng.commit(sb);
+  };
+  if (has_persona())
+    send_wire(target, total, mode, write);
+  else
+    op_state().injectq.push_bytes(total, static_cast<std::uint64_t>(target),
+                                  write);
 }
 
 // Statically-registered form: the dispatch function is a template argument

@@ -191,10 +191,10 @@ void coll_enter(const team& tm, intrank_t root, std::vector<std::byte> contrib,
   if (!has_persona()) {
     // Injected collective: the engine state (instance map, sequence
     // counters, tree sends) is master-persona-owned, so the whole entry
-    // ships over the caller's submit shard as a descriptor — contribution
+    // ships over the rank's injection queue as a descriptor — contribution
     // bytes and fold/deliver closures were built caller-side. The sequence
-    // number is allocated master-side, in shard-drain order; one injector
-    // thread's collectives stay FIFO through its shard, which is what key
+    // number is allocated master-side, in queue order; one injector
+    // thread's collectives stay FIFO through the queue, which is what key
     // agreement across ranks requires (concurrent collectives from
     // *different* threads must be symmetric, the same rule real UPC++
     // imposes on unordered collectives over one team).

@@ -10,9 +10,11 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/dht/dht.hpp"
+#include "arch/cacheline.hpp"
 #include "gex/agg.hpp"
 #include "gex/am.hpp"
 #include "gex/arena.hpp"
@@ -56,20 +58,22 @@ TEST(HandlerRegistry, StableIdempotentIndices) {
 // ----------------------------------------------------------- wire format
 
 // The acceptance property of the v2 wire: handler identity is a 16-bit
-// registry index, and no header field is pointer-typed.
+// registry index in the record header — a frame's one handler included —
+// and no header field is pointer-typed. A frame's sub-message header is
+// only its size.
 TEST(WireFormat, HeadersCarryIndicesNotPointers) {
   static_assert(sizeof(gex::WireHeader) == 16);
   static_assert(sizeof(gex::FrameMsgHeader) == 8);
   static_assert(
       std::is_same_v<decltype(gex::WireHeader::handler), gex::HandlerIdx>);
-  static_assert(std::is_same_v<decltype(gex::FrameMsgHeader::handler),
-                               gex::HandlerIdx>);
   static_assert(sizeof(gex::HandlerIdx) == 2,
                 "handler identity must be a small index, not a pointer");
   static_assert(!std::is_pointer_v<decltype(gex::WireHeader::handler)>);
   static_assert(!std::is_pointer_v<decltype(gex::WireHeader::flags)>);
   static_assert(!std::is_pointer_v<decltype(gex::WireHeader::src)>);
   static_assert(!std::is_pointer_v<decltype(gex::WireHeader::send_ns)>);
+  static_assert(
+      std::is_same_v<decltype(gex::FrameMsgHeader::size), std::uint64_t>);
 }
 
 void scan_target_handler(gex::AmContext&) {}
@@ -117,19 +121,38 @@ TEST(WireFormat, NoHandlerAddressOnTheWire) {
 
 // ----------------------------------------------------- frames, raw gex
 
-std::atomic<int> g_frame_count{0};
-std::atomic<long> g_frame_sum{0};
+// Calls fn(payload, size) for each sub-message of the frame a frame
+// handler was handed, in packing order.
+template <typename Fn>
+void for_each_frame_msg(const gex::AmContext& cx, Fn&& fn) {
+  const auto* p = static_cast<const std::byte*>(cx.data);
+  for (std::size_t off = 0; off < cx.size;) {
+    gex::FrameMsgHeader mh;
+    std::memcpy(&mh, p + off, sizeof mh);
+    fn(p + off + sizeof mh, static_cast<std::size_t>(mh.size));
+    off += sizeof mh + arch::align_up(mh.size, gex::kFrameAlign);
+  }
+}
+
+// Written only by the receiving rank's thread; read after launch joins it.
+int g_frame_count = 0;
+long g_frame_last = 0;
+int g_frame_order_errors = 0;
 void frame_sum_handler(gex::AmContext& cx) {
-  EXPECT_TRUE(cx.in_frame);
-  long v = 0;
-  std::memcpy(&v, cx.data, sizeof v);
-  g_frame_sum.fetch_add(v);
-  g_frame_count.fetch_add(1);
+  for_each_frame_msg(cx, [](const std::byte* data, std::size_t n) {
+    long v = 0;
+    EXPECT_EQ(n, sizeof v);
+    std::memcpy(&v, data, sizeof v);
+    if (v != g_frame_last + 1) ++g_frame_order_errors;
+    g_frame_last = v;
+    ++g_frame_count;
+  });
 }
 
 TEST(Frames, PackedMessagesDeliverInOrderWithCounts) {
   g_frame_count = 0;
-  g_frame_sum = 0;
+  g_frame_last = 0;
+  g_frame_order_errors = 0;
   auto cfg = small_cfg(2);
   constexpr int kMsgs = 1000;
   int fails = gex::launch(cfg, [] {
@@ -140,52 +163,69 @@ TEST(Frames, PackedMessagesDeliverInOrderWithCounts) {
             agg.put(1, gex::am_handler<&frame_sum_handler>(), sizeof i), &i,
             sizeof i);
       agg.flush_all();
-      EXPECT_GT(agg.stats().frames, 0u);
+      EXPECT_GT(agg.stats().frames, 1u);
       EXPECT_LT(agg.stats().frames, agg.stats().msgs);
       EXPECT_EQ(agg.stats().msgs, static_cast<std::uint64_t>(kMsgs));
+      EXPECT_EQ(gex::am().stats().sent_frames, agg.stats().frames);
     } else {
-      while (g_frame_count.load() < kMsgs) gex::am().poll();
-      EXPECT_GT(gex::am().stats().received_frames, 0u);
+      const auto s0 = gex::am().stats();
+      while (g_frame_count < kMsgs) gex::am().poll();
+      // The engine counts a frame's sub-messages, not its records.
+      const auto& s = gex::am().stats();
+      EXPECT_EQ(s.received - s0.received, static_cast<std::uint64_t>(kMsgs));
+      EXPECT_GT(s.received_frames - s0.received_frames, 1u);
+      EXPECT_LT(s.received_frames - s0.received_frames,
+                static_cast<std::uint64_t>(kMsgs));
     }
   });
   EXPECT_EQ(fails, 0);
-  EXPECT_EQ(g_frame_sum.load(), static_cast<long>(kMsgs) * (kMsgs + 1) / 2);
+  EXPECT_EQ(g_frame_count, kMsgs);
+  EXPECT_EQ(g_frame_order_errors, 0) << "frames reordered sub-messages";
 }
 
-std::atomic<int> g_adopted_frames{0};
-void frame_adopt_handler(gex::AmContext& cx) {
-  // Hold the frame past the handler, verify the payload later, release.
-  static thread_local std::vector<std::pair<void*, void*>> held;
-  void* h = cx.adopt_frame();
-  held.emplace_back(h, cx.data);
-  if (held.size() == 3) {
-    for (auto& [handle, data] : held) {
-      long v = 0;
-      std::memcpy(&v, data, sizeof v);
-      EXPECT_GT(v, 0);
-      gex::release_frame(handle);
-      g_adopted_frames.fetch_add(1);
-    }
-    held.clear();
-  }
+// (handler, value) per delivered sub-message, in delivery order.
+std::vector<std::pair<int, long>> g_frame_log;
+template <int Id>
+void frame_log_handler(gex::AmContext& cx) {
+  for_each_frame_msg(cx, [](const std::byte* data, std::size_t) {
+    long v = 0;
+    std::memcpy(&v, data, sizeof v);
+    g_frame_log.emplace_back(Id, v);
+  });
 }
 
-TEST(Frames, AdoptFrameKeepsBufferAlive) {
-  g_adopted_frames = 0;
+// A frame names one handler, so staging a message for another handler
+// first sends the frame staged so far: put(h1), put(h2), put(h1) to one
+// target leave as three frames, delivered in put order.
+TEST(Frames, HandlerChangeFlushesStagedFrame) {
+  g_frame_log.clear();
   int fails = gex::launch(small_cfg(2), [] {
+    const gex::HandlerIdx h1 = gex::am_handler<&frame_log_handler<1>>();
+    const gex::HandlerIdx h2 = gex::am_handler<&frame_log_handler<2>>();
     if (gex::rank_me() == 0) {
       auto& agg = gex::agg();
-      for (long i = 1; i <= 3; ++i)
-        std::memcpy(
-            agg.put(1, gex::am_handler<&frame_adopt_handler>(), sizeof i),
-            &i, sizeof i);
+      const auto a0 = agg.stats();
+      long v = 1;
+      for (gex::HandlerIdx h : {h1, h2, h1}) {
+        std::memcpy(agg.put(1, h, sizeof v), &v, sizeof v);
+        ++v;
+      }
+      EXPECT_EQ(agg.pending_msgs(1), 1u);  // only the last put is staged
       agg.flush(1);
+      EXPECT_EQ(agg.stats().msgs - a0.msgs, 3u);
+      EXPECT_EQ(agg.stats().frames - a0.frames, 3u);
+      EXPECT_EQ(agg.stats().flushes_capacity, a0.flushes_capacity);
     } else {
-      while (g_adopted_frames.load() < 3) gex::am().poll();
+      const auto s0 = gex::am().stats();
+      while (g_frame_log.size() < 3) gex::am().poll();
+      const auto& s = gex::am().stats();
+      EXPECT_EQ(s.received - s0.received, 3u);
+      EXPECT_EQ(s.received_frames - s0.received_frames, 3u);
     }
   });
   EXPECT_EQ(fails, 0);
-  EXPECT_EQ(g_adopted_frames.load(), 3);
+  const std::vector<std::pair<int, long>> want{{1, 1}, {2, 2}, {1, 3}};
+  EXPECT_EQ(g_frame_log, want);
 }
 
 // ------------------------------------------- aggregated rpc_ff ordering

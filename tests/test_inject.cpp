@@ -2,7 +2,8 @@
 // injection_scope initiate rput/rget/rpc/copy directly, with completions
 // routed back to the initiating thread's persona. Covers the caller-side
 // sync fast path (direct wire, small), the MPSC hand-off paths (XferEngine
-// and the AM wire via the submit queue, rpc via the wire shards), and the
+// and AM-wire closures and serialized rpcs, all through the rank's one
+// injection queue), and the
 // relaxed stats counters. The randomized cross-path soak lives in
 // test_mt_soak.cpp.
 #include <gtest/gtest.h>
@@ -106,7 +107,7 @@ TEST(Inject, RpcRoundTripFromThreads) {
 
 TEST(Inject, XferEnginePathFromThread) {
   // rma_async_min=1 forces every bulk RMA through the XferEngine: the
-  // injector thread's ops ride the submit queue, the engine runs on the
+  // injector thread's ops ride the injection queue, the engine runs on the
   // master, and completions ship back to the injector's persona.
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_async_min = 1;
@@ -353,8 +354,8 @@ TEST(Inject, CompletionLpcRunsOnInjectingThread) {
 
 TEST(Inject, ProgressThreadDrainsInjection) {
   // A progress_thread replaces the master thread's explicit progress loop:
-  // it holds the migrated master persona and drains the submit and wire
-  // shards. The primordial thread just joins the injectors.
+  // it holds the migrated master persona and drains the injection queue.
+  // The primordial thread just joins the injectors.
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;  // every op goes through the hand-off
   const int fails = upcxx::run(cfg, [] {
@@ -411,7 +412,7 @@ void count_ff_hit(int rank) { g_ff_hits[rank].fetch_add(1); }
 // barrier contract (collectives.hpp) says every send issued before it has
 // run at its target once the barrier completes — however many there are,
 // and whichever thread drives the rank (`on_thread` runs the master on a
-// progress_thread, whose loop drains the wire shards while the injector
+// progress_thread, whose loop drains the injection queue while the injector
 // is still sending).
 void barrier_orders_sends_body(int n, bool on_thread) {
   const int me = upcxx::rank_me();
@@ -454,7 +455,7 @@ TEST(Inject, BarrierOrdersEarlierInjectedSends) {
 }
 
 TEST(Inject, InjectedSendsRideFrames) {
-  // The master's wire-shard drain stages injected small messages in the
+  // The master's injection-queue drain stages injected small messages in the
   // rank's Aggregator (barriers' control messages never are), so they
   // leave as frames.
   spmd(2, [] {
