@@ -199,9 +199,9 @@ int main() {
   // makes the knee visible next to the eager/rendezvous crossover above.
   // W=1 is fully serialized (each put waits out its predecessor's ack);
   // widening the window pipelines request/ack rounds until the in-flight
-  // staging outgrows the cache and the curve flattens or dips.
+  // rendezvous blocks outgrow the cache and the curve flattens or dips.
   const std::vector<std::uint32_t> windows{1, 4, 16, 64};
-  constexpr std::size_t kSweepBytes = 32 << 10;  // staged-pool puts
+  constexpr std::size_t kSweepBytes = 32 << 10;  // rendezvous puts
   static std::vector<double> win_mbs;
   win_mbs.clear();
   for (std::uint32_t w : windows) {
@@ -240,10 +240,10 @@ int main() {
     win_mbs.push_back(s_mbs);
   }
   // Get-direction knee: same flood, but the payload moves target-to-
-  // initiator (the initiator stages a pooled shared-heap block, the target
-  // gathers into it and acks, the ack recycles the block). The knee should
-  // mirror the put sweep's — if it doesn't, get staging is the bottleneck,
-  // not the request window.
+  // initiator (the target gathers into a rendezvous reply, the initiator
+  // scatters out of it and the engine frees the block). The knee should
+  // mirror the put sweep's — if it doesn't, the reply path is the
+  // bottleneck, not the request window.
   static std::vector<double> get_win_mbs;
   get_win_mbs.clear();
   for (std::uint32_t w : windows) {
@@ -290,15 +290,14 @@ int main() {
 
   // ---- put/get symmetry at 4MB, default window -----------------------------
   // Large transfers with every knob at its default (credit window,
-  // chunking). Before pooled get staging, every rendezvous reply was a
-  // fresh shared-heap allocation plus a descriptor round-trip, and gets
-  // trailed puts badly at this size; with staged gets recycling the
-  // initiator's bounce pool, as puts do, the two directions should be
-  // near-symmetric. The protocol counters from both ranks are surfaced in
-  // BENCH_JSON so a regression here is attributable (pool hits vs misses).
+  // chunking). Every large chunk rides the AmEngine's rendezvous path in
+  // both directions — a put's request and a get's reply alike are one
+  // shared-heap block plus a descriptor — so the two directions should be
+  // near-symmetric. Both ranks' rendezvous counts are surfaced in
+  // BENCH_JSON so a regression here is attributable.
   constexpr std::size_t kBigBytes = 4 << 20;
   static double s_put4_mbs, s_get4_mbs;
-  static gex::RmaAmProtocol::Stats s_stats[2];
+  static gex::AmEngine::Stats s_stats[2];
   {
     gex::Config cfg = gex::Config::from_env();
     cfg.ranks = 2;
@@ -346,7 +345,7 @@ int main() {
         }
       }
       upcxx::barrier();  // rank 1 serves requests inside this barrier
-      s_stats[upcxx::rank_me()] = gex::rma_am().stats();
+      s_stats[upcxx::rank_me()] = gex::am().stats();
       upcxx::barrier();
       if (upcxx::rank_me() == 1) upcxx::deallocate(remote);
       upcxx::barrier();
@@ -358,19 +357,12 @@ int main() {
       "\n4MB put/get symmetry (default window): put %.1f MB/s, get %.1f MB/s "
       "(get/put = %.2f)\n",
       s_put4_mbs, s_get4_mbs, get_vs_put);
-  const auto stat_sum = [](auto f) {
-    return static_cast<double>(f(s_stats[0]) + f(s_stats[1]));
-  };
-  const double st_gets_staged =
-      stat_sum([](const auto& s) { return s.gets_staged; });
-  const double st_reply_pool_hits =
-      stat_sum([](const auto& s) { return s.reply_pool_hits; });
-  const double st_reply_stage_allocs =
-      stat_sum([](const auto& s) { return s.reply_stage_allocs; });
+  // Rank 0 sends the puts' requests, rank 1 only the gets' replies.
+  const auto put_rdzv = static_cast<double>(s_stats[0].sent_rendezvous);
+  const auto reply_rdzv = static_cast<double>(s_stats[1].sent_rendezvous);
   std::printf(
-      "  protocol counters (both ranks): gets_staged=%.0f "
-      "reply_pool_hits=%.0f reply_stage_allocs=%.0f\n",
-      st_gets_staged, st_reply_pool_hits, st_reply_stage_allocs);
+      "  rendezvous records: rank 0 (puts) %.0f, rank 1 (get replies) %.0f\n",
+      put_rdzv, reply_rdzv);
 
   benchutil::ShapeChecks checks;
   // The knee: any pipelining at all must beat full serialization. Compare
@@ -389,11 +381,11 @@ int main() {
       *std::max_element(get_win_mbs.begin() + 1, get_win_mbs.end());
   checks.expect(best_get_windowed >= get_win_mbs[0] * 0.7,
                 "widened windows do not collapse get-direction bandwidth");
-  // The headline symmetry claim: pooled get staging makes the get
-  // direction keep pace with puts at large sizes (within 10%).
+  // The headline symmetry claim: the get direction keeps pace with puts
+  // at large sizes (within 10%).
   checks.expect(get_vs_put >= 0.9,
                 "4MB gets within 10% of puts at the default window");
-  checks.expect(st_gets_staged > 0, "4MB gets exercised the staged-get path");
+  checks.expect(reply_rdzv > 0, "4MB gets exercised the rendezvous path");
   if (crossover)
     checks.note("rma-am put eager->rendezvous crossover at " +
                 benchutil::human_size(crossover));
@@ -428,9 +420,8 @@ int main() {
   json.metric("put_4mb_mbs", s_put4_mbs);
   json.metric("get_4mb_mbs", s_get4_mbs);
   json.metric("get_vs_put_4mb", get_vs_put);
-  json.metric("gets_staged", st_gets_staged);
-  json.metric("reply_pool_hits", st_reply_pool_hits);
-  json.metric("reply_stage_allocs", st_reply_stage_allocs);
+  json.metric("put_rendezvous_records", put_rdzv);
+  json.metric("reply_rendezvous_records", reply_rdzv);
   if (crossover)
     json.metric("put_crossover_bytes", static_cast<double>(crossover));
   json.write();

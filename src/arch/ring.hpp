@@ -139,11 +139,6 @@ class MpscByteRing {
            head_.load(std::memory_order_acquire);
   }
 
-  std::size_t bytes_in_flight() const {
-    return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
-                                    tail_.load(std::memory_order_acquire));
-  }
-
  private:
   MpscByteRing() = default;
 

@@ -23,7 +23,6 @@ class Stopwatch {
   void stop() { acc_ += now_ns() - t0_; }
   void reset() { acc_ = 0; }
   std::uint64_t elapsed_ns() const { return acc_; }
-  double elapsed_s() const { return static_cast<double>(acc_) * 1e-9; }
 
  private:
   std::uint64_t t0_ = 0;

@@ -9,8 +9,8 @@ Aggregator::Aggregator(AmEngine* eng)
   const Config& cfg = eng->arena().config();
   max_bytes_ = cfg.agg_max_bytes;
   // A frame must fit one ring record whatever the ring size is.
-  if (max_bytes_ > eng->max_frame_payload())
-    max_bytes_ = eng->max_frame_payload();
+  if (max_bytes_ > eng->inline_max())
+    max_bytes_ = eng->inline_max();
   // Round down to the frame alignment so a maximal message's aligned
   // footprint (header + padded payload) never exceeds the staging buffer.
   max_bytes_ &= ~(kFrameAlign - 1);

@@ -65,7 +65,6 @@ class Aggregator {
   // Flushes every target with staged traffic; returns frames sent.
   int flush_all();
 
-  std::size_t pending_bytes(int target) const { return bufs_[target].used; }
   std::uint32_t pending_msgs(int target) const { return bufs_[target].msgs; }
 
   struct Stats {

@@ -34,23 +34,24 @@ AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h,
   // eager_max says. Callers above this layer cap themselves at
   // inline_max(); the assert catches the ones that forget.
   if (n <= eager_max_ || !transport_->shared_memory()) {
-    assert(sizeof(WireHeader) + n <=
-               transport_->max_record_payload() &&
+    assert(n <= inline_max() &&
            "payload exceeds one wire record on a non-shared-memory "
            "transport");
     reserve_record(sb);
     return sb;
   }
   // Rendezvous: payload goes to the shared heap; the ring only carries a
-  // descriptor.
+  // descriptor. A failed peer may pin the blocks this waits for.
   sb.rendezvous = true;
   for (;;) {
-    void* buf = arena_->heap().allocate(n);
-    if (buf) {
+    if (void* buf = arena_->heap().allocate(n)) {
       sb.data = buf;
       return sb;
     }
-    stall();
+    if (!stall()) {
+      black_hole(sb);
+      return sb;
+    }
   }
 }
 
@@ -58,7 +59,7 @@ AmEngine::SendBuf AmEngine::prepare_frame(int target, HandlerIdx h,
                                           std::size_t n) {
   assert(self() == owner_ && "AmEngine used off its rank's thread");
   assert(target >= 0 && target < arena_->nranks());
-  assert(n <= max_frame_payload() && "frame exceeds one ring record");
+  assert(n <= inline_max() && "frame exceeds one ring record");
   SendBuf sb;
   sb.size = n;
   sb.target = target;
@@ -76,21 +77,36 @@ void AmEngine::reserve_record(SendBuf& sb) {
       sb.data = static_cast<std::byte*>(t.payload) + sizeof(WireHeader);
       return;
     }
-    stall();
+    if (!stall()) {
+      black_hole(sb);
+      return;
+    }
   }
 }
 
-void AmEngine::stall() {
+bool AmEngine::stall() {
   // Target ring (or the shared heap) full: drain our own inbox so a cyclic
   // backlog cannot deadlock, then retry. Yield when the drain found
   // nothing — on an oversubscribed host the consumer needs the core to
-  // make room.
+  // make room. A failed job gets no retry: the rank that would make room
+  // may be the dead one.
+  if (arena_->control().error_flag.value.load(std::memory_order_acquire))
+    return false;
   ++stats_.send_stalls;
   if (poll() == 0) std::this_thread::yield();
   arch::cpu_relax();
+  return true;
+}
+
+void AmEngine::black_hole(SendBuf& sb) {
+  // At least one byte, so .data is never null.
+  if (discard_.size() <= sb.size) discard_.resize(sb.size + 1);
+  sb.data = discard_.data();
+  sb.discard = true;
 }
 
 void AmEngine::commit(SendBuf& sb) {
+  if (sb.discard) return;
   if (!sb.rendezvous) {
     auto* wh = reinterpret_cast<WireHeader*>(
         static_cast<std::byte*>(sb.data) - sizeof(WireHeader));
@@ -118,7 +134,10 @@ void AmEngine::commit(SendBuf& sb) {
       ++stats_.sent_rendezvous;
       return;
     }
-    stall();
+    if (!stall()) {
+      arena_->heap().deallocate(sb.data);
+      return;
+    }
   }
 }
 

@@ -111,24 +111,24 @@ class AmEngine {
   Transport& transport() { return *transport_; }
   std::size_t eager_max() const { return eager_max_; }
 
-  // Largest payload a single frame record may carry through the ring.
-  std::size_t max_frame_payload() const {
-    return transport_->max_record_payload() - sizeof(WireHeader);
-  }
-
-  // Largest payload prepare() can ship without the shared-heap rendezvous
-  // path — i.e. inside one wire record. On transports whose peers cannot
-  // read this rank's memory (socket), every payload must fit under this;
-  // the RMA protocol caps its eager/staged decisions with it.
+  // Largest payload one wire record carries: the bound on a frame, and on
+  // every payload prepare() ships on a transport whose peers cannot read
+  // this rank's memory (socket), where nothing takes the rendezvous path.
   std::size_t inline_max() const {
     return transport_->max_record_payload() - sizeof(WireHeader);
   }
 
   // Two-phase zero-copy send: reserve space for `n` payload bytes addressed
   // to `target`, serialize into .data, then commit(). Never fails; if the
-  // target ring is full the call polls its own inbox while spinning, which
-  // guarantees progress (every rank stuck sending still drains its inbox, so
-  // some ring in the cycle eventually empties).
+  // target ring (or the shared heap) is full the call polls its own inbox
+  // while spinning, which guarantees progress (every rank stuck sending
+  // still drains its inbox, so some ring in the cycle eventually empties).
+  // Once the job's error flag is up a send that would wait is black-holed
+  // instead: .data is scratch memory and commit() drops the record, the
+  // way the socket transport drops records to a dead peer — a failed rank
+  // never drains what it was sent, and the flag is the failure signal.
+  // Sends never nest (handlers must not send), so one scratch buffer
+  // serves every black-holed send.
   struct SendBuf {
     void* data = nullptr;
     std::size_t size = 0;
@@ -140,13 +140,14 @@ class AmEngine {
     HandlerIdx handler = 0;
     bool rendezvous = false;
     bool frame = false;
+    bool discard = false;  // black-holed: commit() drops it
   };
   SendBuf prepare(int target, HandlerIdx h, std::size_t n);
   void commit(SendBuf& sb);
 
   // Reserves a frame record of `n` payload bytes (packed sub-messages, laid
   // out by gex::Aggregator) for handler `h`. Always travels inline through
-  // the ring, whatever eager_max says; n must be <= max_frame_payload().
+  // the ring, whatever eager_max says; n must be <= inline_max().
   SendBuf prepare_frame(int target, HandlerIdx h, std::size_t n);
 
   // Convenience single-shot send.
@@ -192,8 +193,11 @@ class AmEngine {
   // stalling until the transport has room.
   void reserve_record(SendBuf& sb);
   // One retry step of a send that found no room: counts the stall and
-  // polls this rank's inbox (yielding when it was empty).
-  void stall();
+  // polls this rank's inbox (yielding when it was empty). False, without
+  // polling, once the job's error flag is up: the caller black-holes.
+  bool stall();
+  // Points sb at the scratch buffer and marks it dropped (see prepare).
+  void black_hole(SendBuf& sb);
 
   Arena* arena_;
   int me_;
@@ -204,6 +208,7 @@ class AmEngine {
   std::size_t eager_max_;
   bool stamp_send_ns_;  // WireHeader::send_ns has a reader (sim latency)
   Stats stats_;
+  std::vector<std::byte> discard_;  // black-holed sends' scratch payload
   // In-flight exchange() contributions, keyed by collective key then
   // sender rank. Touched only from poll handlers and exchange() itself
   // (consumer thread), so no lock.

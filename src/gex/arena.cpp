@@ -84,7 +84,7 @@ Arena* Arena::map(const Config& cfg_in, int only) {
 
   // Wire-address name space (gex/segment.hpp): ids are assigned in the
   // same order on every rank, mapped or not, so they agree across the wire
-  // by construction. The heap covers rendezvous and bounce-pool buffers;
+  // by construction. The heap covers rendezvous buffers;
   // the rank segments cover every global_ptr (device segments are carved
   // from them); the ring arena is registered so no region a record could
   // name is left out.

@@ -115,7 +115,6 @@ class Arena {
   void signal_error();
 
   void set_control_plane(ControlPlane* cp) { cp_ = cp; }
-  ControlPlane* control_plane() const { return cp_; }
 
   // Per-rank endpoint slot (socket transport, shared-arena mode): each
   // rank publishes its AM listen port here at transport construction;

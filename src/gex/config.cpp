@@ -102,11 +102,15 @@ std::uint32_t resolve_am_window(const Config& cfg) {
   if (cfg.am_window != 0) return cfg.am_window;
   if (const char* v = std::getenv("UPCXX_AM_WINDOW");
       v && *v && std::strcmp(v, "auto") != 0) {
-    // A positive integer pins the window (the CI am-window-1 job).
-    // Garbage already warned in from_env; degrade to the default.
+    // A positive integer pins the window (the CI am-window-1 job); garbage
+    // warns and degrades to the default.
     long n = 0;
-    if (parse_long("UPCXX_AM_WINDOW", v, n) && n > 0)
-      return static_cast<std::uint32_t>(n);
+    if (parse_long("UPCXX_AM_WINDOW", v, n)) {
+      if (n > 0) return static_cast<std::uint32_t>(n);
+      std::fprintf(stderr,
+                   "gex: ignoring UPCXX_AM_WINDOW=%ld (must be positive)\n",
+                   n);
+    }
   }
   return kDefaultAmWindow;
 }
@@ -211,27 +215,10 @@ Config Config::from_env() {
   // 0 is meaningful here (disable the async path), so no env_positive.
   c.rma_async_min = static_cast<std::size_t>(env_nonnegative(
       "UPCXX_RMA_ASYNC_MIN", static_cast<long>(c.rma_async_min)));
-  if (const char* v = std::getenv("UPCXX_RMA_WIRE"); v && *v) {
-    c.rma_wire = parse_rma_wire(v);
-  }
-  if (const char* v = std::getenv("UPCXX_AM_TRANSPORT"); v && *v) {
-    c.am_transport = parse_am_transport(v);
-  }
-  // 0 (auto → kDefaultAmWindow) stays 0 unless the environment names a
-  // window; `auto` is the spelled-out default. resolve_am_window turns it
-  // into the window at launch.
-  if (const char* v = std::getenv("UPCXX_AM_WINDOW");
-      v && *v && std::strcmp(v, "auto") != 0) {
-    if (long n = env_long("UPCXX_AM_WINDOW", 0); n != 0) {
-      if (n > 0) {
-        c.am_window = static_cast<std::uint32_t>(n);
-      } else {
-        std::fprintf(stderr,
-                     "gex: ignoring UPCXX_AM_WINDOW=%ld (must be positive)\n",
-                     n);
-      }
-    }
-  }
+  // UPCXX_RMA_WIRE, UPCXX_AM_TRANSPORT and UPCXX_AM_WINDOW have one reader
+  // each, their resolver (resolve_rma_wire and friends), which a field
+  // left at auto consults at launch — so hand-built Configs follow the
+  // environment exactly like this one.
   c.socket_max_record =
       static_cast<std::size_t>(env_positive(
           "UPCXX_SOCKET_MAX_RECORD_KB",

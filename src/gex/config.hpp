@@ -30,9 +30,9 @@ enum class RmaWire {
 // rings the AmEngine pushes records through (gex/transport.hpp). `mmap` is
 // the shared-arena ring (the fast path). `socket` frames each record onto
 // a non-blocking loopback TCP stream (gex/socket.hpp) — a transport that
-// needs no shared memory at all, so rendezvous/staged payloads ship inline
-// and UPCXX_RMA_WIRE resolves to `am` under it. `auto` consults the
-// environment, then falls back to mmap.
+// needs no shared memory at all, so payloads that would take the
+// rendezvous path ship inline and UPCXX_RMA_WIRE resolves to `am` under
+// it. `auto` consults the environment, then falls back to mmap.
 enum class AmTransport {
   kAuto,
   kMmap,
@@ -42,9 +42,9 @@ enum class AmTransport {
 // Chunk granularity on the am wire: the XferEngine uses at most
 // min(Config::xfer_chunk_bytes, kAmXferChunkBytes) there
 // (RmaAmProtocol::chunk_bytes), so explicit small test chunkings still
-// apply while default transfers keep their in-flight staging footprint
-// (window × chunk) inside L2 — the bounce pool only pays off while the
-// target consumes a chunk before it cools.
+// apply while a default transfer keeps at most window × chunk (1 MiB) of
+// rendezvous blocks in flight to one target, and each chunk is one
+// request the target handles while the next is in flight.
 inline constexpr std::size_t kAmXferChunkBytes = 64 << 10;
 
 struct Config {
@@ -81,11 +81,10 @@ struct Config {
   // wait in the target's XferEngine channel and go out as acks retire
   // credits.
   // Small windows serialize (W=1 is the worst-case CI job); large windows
-  // let a flood fill the target's ring and staging heap — and blow the
-  // in-flight staging (window × chunk) out of cache, which is what caps
-  // am-wire bandwidth (see kAmXferChunkBytes). 0 = auto: consult
-  // UPCXX_AM_WINDOW (so hand-built test Configs honor the CI matrix, like
-  // rma_wire's kAuto); `auto` or an unset environment selects
+  // let a flood fill the target's ring and the shared heap with its
+  // rendezvous blocks (window × chunk; see kAmXferChunkBytes). 0 = auto:
+  // consult UPCXX_AM_WINDOW (so hand-built test Configs honor the CI
+  // matrix, like rma_wire's kAuto); `auto` or an unset environment selects
   // kDefaultAmWindow, an explicit positive integer pins another window
   // for tests/CI. kAmWindowForceAuto selects the default even when the
   // environment pins a window. An explicit value wins over the
@@ -131,7 +130,8 @@ struct Config {
   double am_rtt_envelope = 0;
 
   // Loads defaults overridden by environment variables; the result is
-  // normalized.
+  // normalized. rma_wire, am_transport and am_window stay at auto: their
+  // resolvers below read the environment at launch.
   static Config from_env();
 
   // Enforces the invariants the substrate assumes: positive sizes (zero
@@ -152,8 +152,8 @@ struct Config {
 // ranks still share one arena — thread or plain process backends).
 RmaWire resolve_rma_wire(const Config& cfg);
 
-// Default AM-wire credit window: the 1 MiB in-flight staging budget over
-// the am-wire chunk, so window × chunk stays cache-sized.
+// Default AM-wire credit window: 1 MiB in flight per target over the
+// am-wire chunk.
 inline constexpr std::uint32_t kDefaultAmWindow =
     (std::size_t{1} << 20) / kAmXferChunkBytes;
 // Config::am_window sentinel: kDefaultAmWindow regardless of the

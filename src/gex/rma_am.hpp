@@ -5,30 +5,26 @@
 // that property must move RMA through active messages instead; this file is
 // that protocol, shaped like the real GASNet-EX AM-based rput/rget path:
 //
-//   PUT         [FragHdr][acks][n descs][payload]
-//                                        -> target scatters, owes an ACK
-//   PUT_STAGED  [FragStagedHdr][acks][n descs]
-//               (payload in the initiator's pooled bounce buffer)
-//                                        -> target scatters, owes an ACK
-//   GET         [FragHdr][acks][n descs]
-//                                        -> target gathers, REPLY
-//   GET_STAGED  [FragStagedHdr][acks][n descs]
-//               (landing room in the initiator's pooled bounce buffer)
-//                                        -> target gathers into it, ACK
-//   REPLY       [RepHdr][acks][payload]  -> initiator scatters, completes
-//   ACK         [AckHdr][acks]           -> initiator completions (a
-//                                           staged get scatters out of
-//                                           its buffer first)
+//   PUT    [FragHdr][acks][n descs][payload] -> target scatters, owes an ACK
+//   GET    [FragHdr][acks][n descs]          -> target gathers, REPLY
+//   REPLY  [RepHdr][acks][payload]           -> initiator scatters, completes
+//   ACK    [AckHdr][acks]                    -> initiator completions
 //
 // One record shape per direction: a request names its remote runs with
 // `n` (address, bytes) descriptors in the record itself, and a contiguous
-// put or get is simply the n == 1 case. Payloads small enough to fit a
-// record travel inline through the inbox ring (the eager put of small
-// transfers); larger ones go through the pooled staging below with only
-// the header and descriptors in the ring — the crossover
-// bench/abl_am_protocol.cpp reports. Handlers are registered in the gex
-// handler registry (gex/handlers.hpp) at static init, so forked ranks agree
-// on indices; no code pointer ever rides the wire, and completion cookies
+// put or get is simply the n == 1 case. Every record is an ordinary
+// AmEngine record, so the engine alone decides how its bytes travel — as
+// GASNet-EX's AM Medium/Long split does below its RMA: up to eager_max
+// inline through the inbox ring, above it through the engine's shared-heap
+// rendezvous (the ring carries only a descriptor, the target's handler
+// reads the payload in the heap, and the engine frees the block when the
+// handler returns), and on a transport without shared memory (socket)
+// always inline, where chunk_bytes() sizes the XferEngine's pieces so
+// every record fits. Large payloads therefore never fill a ring: a target
+// that stops polling parks a window of heap blocks, not the ring every
+// other sender to it shares. Handlers are registered in the gex handler
+// registry (gex/handlers.hpp) at static init, so forked ranks agree on
+// indices; no code pointer ever rides the wire, and completion cookies
 // are opaque initiator-local ids, not addresses.
 //
 // Flow control (UPCXX_AM_WINDOW): at most `window` unacknowledged requests
@@ -38,40 +34,19 @@
 // before each issue and leaves the op in its channel — pointing at the
 // caller's buffer, no payload copy — while the answer is 0, so a flood of
 // puts waits locally instead of spin-polling against the target's full
-// ring and staging heap, and goes out as acks retire credits. Replies and
+// ring and shared heap, and goes out as acks retire credits. Replies and
 // acks never consume credits (a credit-gated ack would deadlock the very
 // window it retires).
 //
 // Ack aggregation: a put's ack is batched — all acks owed to one target
 // per poll() collapse into a single multi-ack record, and any request or
 // reply headed toward a peer carries the acks owed to that peer
-// piggybacked after its header. A staged get's ack is the exception: it
-// leaves in an ACK record right after its gather (draining every other
-// ack owed to that peer with it), so the target's gather of the next
-// chunk overlaps the initiator's scatter of this one.
-//
-// Pooled staging: a payload too large to ride inline goes through the
-// initiator's per-peer pool of recycled shared-heap bounce buffers instead
-// of the AmEngine's allocate-per-message rendezvous path — in both
-// directions. A put gathers into a pool buffer (payload only — the
-// descriptors ride in the record, so a 64 KiB chunk takes a 64 KiB block)
-// and ships a small PUT_STAGED record; a get takes a block as landing room
-// and ships GET_STAGED, the target gathers straight into it. Either way the
-// buffer comes back when the target's ack arrives (the ack that already
-// drives completion — no extra traffic). The pool is bounded by the credit
-// window (at most `window` buffers can be in flight), so a steady chunked
-// stream cycles through the same few cache-hot buffers with no allocator
-// traffic — which is what lets the am wire track the direct wire's
-// bandwidth instead of paying a cold DRAM round trip per chunk. Staging
-// needs a cross-mapped heap: on a transport without one (socket) every
-// request and reply rides inline, and chunk_bytes() sizes the engine's
-// pieces so that always fits one record.
+// piggybacked after its header.
 //
 // Fixed window: every target gets the same credit window, kDefaultAmWindow
 // (16) unless UPCXX_AM_WINDOW=<n> or Config::am_window pins another. 16 is
-// the 1 MiB staging budget over the 64 KiB am-wire chunk, so the in-flight
-// staging working set (window × chunk) stays cache-sized; a window
-// adapted from ack RTTs measured no better (DESIGN.md).
+// 1 MiB in flight over the 64 KiB am-wire chunk; a window adapted from ack
+// RTTs measured no better (DESIGN.md).
 //
 // Execution model (the part that differs from the direct wire): data lands
 // when the *target* runs the request handler inside its AmEngine::poll —
@@ -142,17 +117,15 @@ class RmaAmProtocol {
   // caller that checks.
   //
   // Scatter-put: the local runs are gathered, in order, straight into the
-  // request record (or a pooled staging buffer) before this returns, so
-  // the initiator may reuse them; the target scatters into `dsts` in
-  // order. Total source and destination bytes must match. `done` fires
-  // from a later poll() once the target has copied the payload and its ack
-  // arrived.
+  // request record before this returns, so the initiator may reuse them;
+  // the target scatters into `dsts` in order. Total source and destination
+  // bytes must match. `done` fires from a later poll() once the target has
+  // copied the payload and its ack arrived.
   void start_put(int target, const Frag* dsts, std::size_t ndsts,
                  const LocalFrag* srcs, std::size_t nsrcs, Done done);
-  // Gather-get: the target gathers `srcs` into one reply (or, for a payload
-  // too large to ride inline, straight into a pooled bounce buffer of this
-  // rank's); the initiator scatters the payload into `dsts` in order (each
-  // must stay valid until `done` fires).
+  // Gather-get: the target gathers `srcs` into one reply; the initiator
+  // scatters the payload into `dsts` in order (each must stay valid until
+  // `done` fires).
   void start_get(int target, const Frag* srcs, std::size_t n,
                  std::vector<LocalFrag> dsts, Done done);
 
@@ -175,7 +148,7 @@ class RmaAmProtocol {
   int poll() { return poll_requests() + flush_acks(); }
 
   // Completions and deferred replies — everything except standalone ack
-  // records for puts (a staged get's ACK leaves right after its gather).
+  // records.
   int poll_requests();
 
   // One multi-ack record per target still owed acks after the piggyback
@@ -187,17 +160,14 @@ class RmaAmProtocol {
   // Requests sent and not yet completed, summed over targets.
   std::size_t outstanding() const { return pending_.size(); }
   // The per-target credit window: the bound on requests in flight to one
-  // target and on its staging pool.
+  // target.
   std::uint32_t window() const { return window_; }
 
   // Teardown giving-up path: a peer (or the whole job) failed, its acks and
   // replies will never arrive. Releases every credit, cancels in-flight
   // requests (their `done` callbacks are destroyed, not fired — the arena
   // error flag is the failure signal), and drops owed acks so no later
-  // poll tries to send into a dead rank's possibly-full ring. Pooled
-  // buffers and staged puts' buffers go back to the heap; an in-flight
-  // staged get's buffer does not — a live target may still gather into
-  // it — and stays allocated until the arena is torn down. Ops still in
+  // poll tries to send into a dead rank's possibly-full ring. Ops still in
   // the XferEngine's channels stay there: credits() reads 0 while the
   // error flag is up, so the engine never issues them.
   void fail_all_peers();
@@ -217,20 +187,19 @@ class RmaAmProtocol {
     std::uint64_t acks_sent = 0;       // standalone multi-ack records
     std::uint64_t ack_cookies_sent = 0;  // cookies in standalone records
     std::uint64_t acks_piggybacked = 0;  // cookies on reverse traffic
-    std::uint64_t replies_sent = 0;       // inline replies
+    std::uint64_t replies_sent = 0;
     std::uint64_t max_outstanding = 0;   // peak in-flight to any one target
     std::uint64_t cancelled = 0;         // dropped by fail_all_peers
     std::uint64_t stale_completions = 0;  // acks/replies after a cancel
-    // Initiator-side staging, one shared bounce pool per peer.
-    std::uint64_t puts_staged = 0;       // puts through the bounce pool
-    std::uint64_t stage_allocs = 0;      // put pool misses (fresh blocks)
-    std::uint64_t gets_staged = 0;       // gets landing in the bounce pool
-    std::uint64_t reply_pool_hits = 0;   // get pool hits
-    std::uint64_t reply_stage_allocs = 0;  // get pool misses (fresh blocks)
     // Always 0, kept only because upcxx_bench reads them (delete each with
     // that read at the next benchmark change): the protocol holds no queue
-    // (credit-blocked ops wait in the XferEngine channel), a get too large
-    // to ride inline is always staged, and the window is fixed.
+    // (credit-blocked ops wait in the XferEngine channel), stages nothing
+    // of its own (large payloads ride the AmEngine's rendezvous) and has a
+    // fixed window.
+    std::uint64_t puts_staged = 0;
+    std::uint64_t stage_allocs = 0;
+    std::uint64_t reply_pool_hits = 0;
+    std::uint64_t reply_stage_allocs = 0;
     std::uint64_t requests_queued = 0;
     std::uint64_t send_stalls = 0;
     std::uint64_t reply_fallbacks = 0;
@@ -241,35 +210,24 @@ class RmaAmProtocol {
  private:
   friend struct RmaAmHandlers;  // the registered AM handlers (rma_am.cpp)
 
-  // A pool bounce buffer (shared-heap block, identical mapping in every
-  // rank — the same addressing contract as rendezvous buffers).
-  struct StageBuf {
-    void* p = nullptr;
-    std::size_t cap = 0;
-  };
   struct Pending {
     int target;
     Done done;
     std::vector<LocalFrag> scatter;  // gets: local landing runs, wire order
-    // Staged puts and gets: the bounce buffer, recycled into the pool on
-    // ack (a staged get scatters out of it first).
-    StageBuf stage{};
   };
   struct QueuedReply {
     int target;
     std::uint64_t cookie;
     std::vector<LocalFrag> gather;  // this rank's source runs, decoded
-    void* stage;  // GET_STAGED: the initiator's bounce buffer; else null
   };
   // Per-target sender and receiver state: the acks this rank owes that
-  // target and its staging pool (as initiator). `outstanding` is the
-  // credit counter, claimed against the window.
+  // target. `outstanding` is the credit counter, claimed against the
+  // window.
   struct Peer {
     explicit Peer(int t) : target(t) {}
     const int target;
     std::uint32_t outstanding = 0;  // on the wire, not retired
     std::vector<std::uint64_t> acks_owed;
-    std::vector<StageBuf> stage_pool;  // free bounce buffers, ready to reuse
   };
 
   Peer& peer(int target) {
@@ -280,24 +238,12 @@ class RmaAmProtocol {
   }
   // The job's error flag is up (a peer failed).
   bool job_failing() const;
-  // A bounce buffer of at least `bytes` for a staged put (`get` false) or
-  // get, counted as a pool hit or miss of that direction. Null .p when the
-  // job is failing and the heap is exhausted (the blocks may be pinned by
-  // a dead peer's unacked requests) — the caller cancels.
-  StageBuf acquire_stage(Peer& p, std::size_t bytes, bool get);
-  void recycle_stage(Peer& p, StageBuf buf);
-  // acquire_stage for the pending request `cookie`, attached to it so the
-  // ack recycles it. Null .p when none could be had: the request is then
-  // cancelled (cancel_sent).
-  StageBuf stage_for(Peer& p, std::uint64_t cookie, std::size_t bytes,
-                     bool get);
-  void cancel_sent(Peer& p, std::uint64_t cookie);
   std::uint64_t new_pending(int target, Done done,
                             std::vector<LocalFrag> scatter);
   // One multi-ack record carrying every ack owed to `p`.
   void send_acks(Peer& p);
   // Claims the credit the caller checked for (the one claim: the caller
-  // then sends, or releases it via cancel_sent).
+  // then sends).
   void claim_credit(Peer& p);
 
   // A record under construction: the engine send buffer, the cursor past

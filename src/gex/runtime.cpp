@@ -40,9 +40,9 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
   // Wire selection: on the am wire the engine's chunk movers are the AM
   // protocol; on the direct wire the engine keeps its built-in memcpy.
   // AM-wire chunks are additionally clamped so window × chunk (the
-  // in-flight bounce staging) stays cache-sized and, on a transport
-  // without shared memory, so every piece fits one record — explicit
-  // smaller test chunkings still win (RmaAmProtocol::chunk_bytes).
+  // rendezvous blocks in flight to one target) stays at 1 MiB and, on a
+  // transport without shared memory, so every piece fits one record —
+  // explicit smaller test chunkings still win (RmaAmProtocol::chunk_bytes).
   rank.rma_wire_am = resolve_rma_wire(arena->config()) == RmaWire::kAm;
   const std::uint32_t am_window = resolve_am_window(arena->config());
   const std::size_t chunk_bytes =

@@ -3,7 +3,7 @@
 // Remote memory is named the way GASNet-EX names it: by *segment* and
 // *offset*, resolved against the owning rank's own mapping. Every region a
 // wire record or a global_ptr may point into — the global shared heap
-// (rendezvous and bounce-pool buffers), each rank's shared segment
+// (rendezvous buffers), each rank's shared segment
 // (upcxx::allocate, device segments), and the inbox-ring arena — gets a
 // small id, and an address is an (id, offset) pair packed into one u64.
 // upcxx::global_ptr carries exactly this value, and the wire carries it

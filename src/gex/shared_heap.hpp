@@ -35,7 +35,6 @@ class SharedHeap {
 
   // Diagnostics.
   std::size_t bytes_free() const;
-  std::size_t bytes_total() const { return total_; }
   std::size_t largest_free_block() const;
   bool contains(const void* p) const {
     auto u = reinterpret_cast<std::uintptr_t>(p);

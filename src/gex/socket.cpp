@@ -278,14 +278,6 @@ class SocketTransport final : public Transport {
 
   std::size_t max_record_payload() const override { return max_rec_; }
 
-  bool rx_empty() override {
-    pump();
-    if (!ready_.empty()) return false;
-    for (const RxConn* c : rx_)
-      if (c && (c->rec_have || c->hdr_have)) return false;  // mid-frame
-    return true;
-  }
-
   bool shared_memory() const override { return false; }
 
   bool tx_quiesced() override {

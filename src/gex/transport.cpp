@@ -37,7 +37,6 @@ class MmapTransport final : public Transport {
   std::size_t max_record_payload() const override {
     return arena_->inbox(me_).max_record_payload();
   }
-  bool rx_empty() override { return arena_->inbox(me_).empty(); }
   const char* name() const override { return "mmap"; }
 
  private:

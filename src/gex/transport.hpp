@@ -77,16 +77,10 @@ class Transport {
   // Largest payload a single record may carry.
   virtual std::size_t max_record_payload() const = 0;
 
-  // Nothing queued for this rank (teardown/idle checks; may be
-  // conservative but never falsely empty). Non-const: a transport whose
-  // inbox storage appears lazily may have to open it to answer.
-  virtual bool rx_empty() = 0;
-
   // True when the peer can dereference this rank's shared mappings (heap
   // and segments). The AM layers consult this before shipping a payload
-  // by reference: rendezvous descriptors and staged bounce/reply buffers
-  // are only sound on a shared-memory transport; otherwise every byte
-  // must travel inline in the record.
+  // by reference: rendezvous descriptors are only sound on a shared-memory
+  // transport; otherwise every byte must travel inline in the record.
   virtual bool shared_memory() const { return true; }
 
   // Every committed record has been handed to the wire (ring transports:

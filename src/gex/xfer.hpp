@@ -46,8 +46,8 @@
 //   on_source — every byte has been read out of the source buffer (the
 //               initiator may reuse it: UPC++ source completion). On the
 //               direct wire this means the memcpys happened; on the AM
-//               wire it means every chunk's payload was copied into the
-//               wire (ring or staging heap).
+//               wire it means every chunk's payload was copied into its
+//               AM record (ring memory or a rendezvous block).
 //   on_landed — every byte is visible at the destination (direct: copied;
 //               am: acked by the target) AND the simulated wire has
 //               delivered it (see the bandwidth model below). The upcxx
@@ -166,8 +166,8 @@ class XferEngine {
   // as consecutive run entries, each one wire request (a memcpy of the
   // runs when `target` is the engine's own rank) whose payload plus
   // sizeof(Frag) per remote run — the AM wire carries each Frag as its
-  // descriptor — fits chunk_bytes(), so it fits one AM record and
-  // one staging block. Runs are split where they straddle an
+  // descriptor — fits chunk_bytes(), so on a transport without shared
+  // memory it fits one AM record. Runs are split where they straddle an
   // entry boundary. on_source and on_landed ride the last entry: the
   // channel issues and retires in FIFO order. Needs an installed wire.
   // Buffer lifetimes as for submit().

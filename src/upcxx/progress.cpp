@@ -203,8 +203,12 @@ void deliver_at_user_progress(PersonaState& p, std::uint64_t send_ns,
 
 // Receives one upcxx message sent as its own record. Eager payloads must
 // be copied out of the ring before the handler returns; rendezvous
-// payloads are adopted in place.
+// payloads are adopted in place. Both delivery handlers drop what arrives
+// after fini_persona: a failed job skips the final barrier, so a peer's
+// late traffic can reach the teardown polls of a rank whose upcxx layer is
+// gone (an unadopted rendezvous block is freed by the engine).
 void am_delivery(gex::AmContext& cx) {
+  if (!has_persona()) return;
   const int src = cx.src;
   const std::size_t n = cx.size;
   const bool rdzv = cx.is_rendezvous;
@@ -233,6 +237,7 @@ void am_delivery(gex::AmContext& cx) {
 // offset so a dist_object_unready requeue (progress() below) retries the
 // *failing* message without re-running its predecessors.
 void am_frame_delivery(gex::AmContext& cx) {
+  if (!has_persona()) return;
   const int src = cx.src;
   const std::size_t fsize = cx.size;
   // malloc is 16-aligned and sub-messages sit at 8-byte offsets, so the

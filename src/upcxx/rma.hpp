@@ -13,8 +13,9 @@
 //     immediately and a progress-thread persona overlaps the copy with
 //     computation.
 //   am wire, every op — the XferEngine again, with its wire bound to
-//     gex::RmaAmProtocol: each chunk is one AM put/get request (eager
-//     payloads inline in the ring, larger ones staged), each ack or reply a
+//     gex::RmaAmProtocol: each chunk is one AM put/get request (the
+//     AmEngine's eager/rendezvous split decides how its payload travels,
+//     as AM Medium/Long does in GASNet-EX), each ack or reply a
 //     chunk completion, under the same per-channel budget and bandwidth
 //     clock as the direct wire. A small op is a one-chunk transfer; a
 //     non-contiguous shape is one scatter-put / gather-get entry per

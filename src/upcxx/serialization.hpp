@@ -624,14 +624,6 @@ void serialize_args(Ar& ar, const First& f, const Rest&... rest) {
   serialize_args(ar, rest...);
 }
 
-// Measured size of a pack.
-template <typename... Args>
-std::size_t serialized_size(const Args&... args) {
-  SizeArchive sa;
-  serialize_args(sa, args...);
-  return sa.size();
-}
-
 // Deserialize a tuple of Args (by decayed type) from a reader.
 template <typename... Args>
 std::tuple<deserialized_type_t<Args>...> deserialize_tuple(Reader& r) {

@@ -455,7 +455,8 @@ TEST(Config, NumericKnobsRejectGarbage) {
   for (const auto& c : cases) {
     setenv(c.name, c.value, 1);
     gex::Config got = gex::Config::from_env();
-    EXPECT_EQ(got.am_window, d.am_window) << c.name << "=" << c.value;
+    EXPECT_EQ(gex::resolve_am_window(got), gex::kDefaultAmWindow)
+        << c.name << "=" << c.value;
     EXPECT_EQ(got.sim_latency_ns, 0u) << c.name << "=" << c.value;
     EXPECT_EQ(got.sim_bw_gbps, 0.0) << c.name << "=" << c.value;
     EXPECT_EQ(got.eager_max, d.eager_max) << c.name << "=" << c.value;
@@ -468,10 +469,10 @@ TEST(Config, NumericKnobsRejectGarbage) {
     unsetenv(c.name);
   }
   // Valid values still parse (the strictness did not break the knobs).
-  setenv("UPCXX_AM_WINDOW", "16", 1);
+  setenv("UPCXX_AM_WINDOW", "12", 1);
   setenv("UPCXX_SIM_LATENCY_NS", "250", 1);
   const gex::Config ok = gex::Config::from_env();
-  EXPECT_EQ(ok.am_window, 16u);
+  EXPECT_EQ(gex::resolve_am_window(ok), 12u);
   EXPECT_EQ(ok.sim_latency_ns, 250u);
   unsetenv("UPCXX_AM_WINDOW");
   unsetenv("UPCXX_SIM_LATENCY_NS");
@@ -522,18 +523,22 @@ TEST(Config, RmaWireParsingAndResolution) {
   EXPECT_EQ(gex::resolve_rma_wire(c), gex::RmaWire::kDirect);
 
   setenv("UPCXX_RMA_WIRE", "am", 1);
-  EXPECT_EQ(gex::Config::from_env().rma_wire, gex::RmaWire::kAm);
-  // Hand-built Configs left at kAuto still honor the env override...
+  // from_env leaves the field at auto: the resolver is its one reader...
+  EXPECT_EQ(gex::Config::from_env().rma_wire, gex::RmaWire::kAuto);
+  EXPECT_EQ(gex::resolve_rma_wire(gex::Config::from_env()),
+            gex::RmaWire::kAm);
+  // ...so hand-built Configs left at kAuto honor the env override too...
   EXPECT_EQ(gex::resolve_rma_wire(c), gex::RmaWire::kAm);
   // ...but an explicit wire beats the environment.
   c.rma_wire = gex::RmaWire::kDirect;
   EXPECT_EQ(gex::resolve_rma_wire(c), gex::RmaWire::kDirect);
 
+  c.rma_wire = gex::RmaWire::kAuto;
   setenv("UPCXX_RMA_WIRE", "direct", 1);
-  EXPECT_EQ(gex::Config::from_env().rma_wire, gex::RmaWire::kDirect);
-  // Typos degrade to auto (with a warning), never abort.
+  EXPECT_EQ(gex::resolve_rma_wire(c), gex::RmaWire::kDirect);
+  // Typos degrade to auto, i.e. direct here (with a warning), never abort.
   setenv("UPCXX_RMA_WIRE", "smp", 1);
-  EXPECT_EQ(gex::Config::from_env().rma_wire, gex::RmaWire::kAuto);
+  EXPECT_EQ(gex::resolve_rma_wire(c), gex::RmaWire::kDirect);
 
   if (saved)
     setenv("UPCXX_RMA_WIRE", saved_val.c_str(), 1);

@@ -8,9 +8,11 @@
 // zero).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/dht/dht.hpp"
@@ -296,6 +298,63 @@ TEST(ProcessBackend, WaitThrowsRankFailedWhenPeerDies) {
       }
     }
     for (int i = 0; i < 100; ++i) upcxx::progress();
+  });
+  EXPECT_EQ(fails, 1);
+}
+
+// Floods a rank that died right after a barrier with 2,000 rpc_ff of
+// `bytes` payload each. Nothing drains the dead rank's inbox, so the
+// sender's AmEngine runs out of room: ring records (small payloads, packed
+// into aggregated frames) or shared-heap rendezvous blocks (payloads past
+// eager_max). Once the error flag is up, each send that would wait for
+// room is dropped instead — the survivors finish and exactly the injected
+// fault is reported; a sender spinning on the dead rank hangs here.
+int flood_failed_peer(std::size_t bytes) {
+  gex::Config cfg = testutil::test_cfg(3);
+  cfg.backend = gex::Backend::kProcess;
+  cfg.ring_bytes = 256 << 10;
+  cfg.heap_bytes = 8 << 20;
+  return upcxx::run(cfg, [bytes] {
+    upcxx::barrier();
+    if (upcxx::rank_me() == 2) throw std::runtime_error("injected fault");
+    if (upcxx::rank_me() == 0) {
+      const std::vector<char> payload(bytes, 'f');
+      for (int i = 0; i < 2000; ++i)
+        upcxx::rpc_ff(2, [](const std::vector<char>&) {}, payload);
+    }
+    for (int i = 0; i < 100; ++i) upcxx::progress();
+  });
+}
+
+TEST(ProcessBackend, SmallRpcFloodToFailedPeerTerminates) {
+  EXPECT_EQ(flood_failed_peer(1 << 10), 1);
+}
+
+TEST(ProcessBackend, LargeRpcFloodToFailedPeerTerminates) {
+  EXPECT_EQ(flood_failed_peer(64 << 10), 1);
+}
+
+TEST(ProcessBackend, LateTrafficAfterTeardownIsDropped) {
+  // A failed job skips the final barrier, so a survivor's rpcs can reach a
+  // peer's inbox after that peer's upcxx layer is torn down: the gex-level
+  // teardown polls then deliver them to a rank with no persona. Rank 1
+  // stops polling while rank 0 floods it, so most of the flood is left
+  // for those polls; it must be dropped, not dispatched into freed state
+  // (which crashed rank 1 with a null persona).
+  gex::Config cfg = testutil::test_cfg(3);
+  cfg.backend = gex::Backend::kProcess;
+  const int fails = upcxx::run(cfg, [] {
+    upcxx::barrier();
+    const int me = upcxx::rank_me();
+    if (me == 2) throw std::runtime_error("injected fault");
+    const auto& err = gex::arena().control().error_flag.value;
+    while (err.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+    if (me == 0) {
+      for (int i = 0; i < 3000; ++i) upcxx::rpc_ff(1, [] {});
+      upcxx::progress();
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    }
   });
   EXPECT_EQ(fails, 1);
 }

@@ -391,146 +391,77 @@ TEST(AmAckAggregation, AcksRideReverseTraffic) {
   EXPECT_EQ(fails, 0);
 }
 
-// The staged-put bounce pool recycles: a long stream of large puts to one
-// target allocates at most `window` staging buffers total — whether each
-// put is one contiguous run or a two-run scatter (the same staged record;
-// only the descriptor count differs). The descriptors ride in the ring
-// record, so each buffer is the payload's size class, not the next one up.
-class AmStagingPool : public ::testing::TestWithParam<bool> {};
+// Large AM-wire payloads ride the AmEngine's rendezvous path, whose
+// blocks the engine frees once the handler that reads them returns. A
+// long stream of large puts and gets to one target — each one contiguous
+// run or a two-run scatter/gather (the same records; only the descriptor
+// count differs) — lands every byte, sends every payload beyond eager_max
+// as a rendezvous record, and leaves the shared heap exactly as free as
+// it found it: no block outlives its record.
+class AmRendezvous : public ::testing::TestWithParam<bool> {};
 
-TEST_P(AmStagingPool, PoolBuffersRecycleAcrossAStream) {
+TEST_P(AmRendezvous, LargePutsAndGetsFreeEveryBlock) {
   static bool fragments;
   fragments = GetParam();
   g_done = 0;
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;
   cfg.am_window = 4;
-  // The bounce pool under test only engages on shared-memory transports
-  // (socket ships puts inline), so pin mmap against the CI matrix.
+  // Rendezvous needs shared memory (socket ships everything inline), so
+  // pin mmap against the CI matrix.
   cfg.am_transport = gex::AmTransport::kMmap;
   const int fails = upcxx::run(cfg, [] {
-    constexpr int kPuts = 64;
-    constexpr std::size_t kBytes = 32 << 10;  // far beyond eager_max
-    constexpr std::size_t kHalf = kBytes / 2;
-    static upcxx::global_ptr<char> remote;
-    if (upcxx::rank_me() == 1) remote = upcxx::allocate<char>(kBytes);
-    upcxx::barrier();
-    if (upcxx::rank_me() == 0) {
-      std::vector<char> src(kBytes, 's');
-      const std::size_t heap_free = gex::arena().heap().bytes_free();
-      const gex::WireAddr dst = remote.wire_addr();
-      for (int i = 0; i < kPuts; ++i) {
-        auto done = [] { g_done.fetch_add(1); };
-        if (fragments)
-          gex::xfer().submit_runs(
-              1, {{dst, kHalf}, {dst + kHalf, kHalf}},
-              {{src.data(), kHalf}, {src.data() + kHalf, kHalf}}, {}, done,
-              /*is_get=*/false);
-        else
-          gex::xfer().submit(1, dst, src.data(), kBytes, {}, done);
-      }
-      while (g_done.load() < kPuts) pump();
-      const auto& st = gex::rma_am().stats();
-      EXPECT_EQ(st.puts_staged, static_cast<std::uint64_t>(kPuts));
-      EXPECT_EQ(fragments ? st.frag_puts_sent : st.puts_sent,
-                static_cast<std::uint64_t>(kPuts));
-      // Every put beyond the first window reused a recycled buffer.
-      EXPECT_LE(st.stage_allocs, gex::rma_am().window());
-      // The pooled buffers still held are kBytes blocks (plus a block
-      // header each).
-      EXPECT_LE(heap_free - gex::arena().heap().bytes_free(),
-                st.stage_allocs * (kBytes + 256));
-    } else {
-      while (gex::rma_am().stats().puts_handled <
-             static_cast<std::uint64_t>(kPuts))
-        pump();
-    }
-    upcxx::barrier();
-    if (upcxx::rank_me() == 1) upcxx::deallocate(remote);
-    upcxx::barrier();
-  });
-  EXPECT_EQ(fails, 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(ContiguousAndFragments, AmStagingPool,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "TwoFragmentPuts"
-                                             : "ContiguousPuts";
-                         });
-
-// Staged gets share the put bounce pool: a long stream of large gets from
-// one target lands every payload in the initiator's pool and allocates at
-// most `window` blocks — whether each get is one contiguous run or a
-// two-run gather (GET_STAGED either way; only the descriptor count
-// differs). The target gathers straight into the block and acks it, and
-// every ack it owed left through exactly one channel.
-class AmReplyStaging : public ::testing::TestWithParam<bool> {};
-
-TEST_P(AmReplyStaging, ReplyPoolRecyclesAcrossAStream) {
-  static bool fragments;
-  fragments = GetParam();
-  g_done = 0;
-  g_phase = 0;
-  gex::Config cfg = testutil::test_cfg(2);
-  cfg.rma_wire = gex::RmaWire::kAm;
-  cfg.am_window = 4;
-  // Staging requires shared memory; pin mmap against the CI matrix.
-  cfg.am_transport = gex::AmTransport::kMmap;
-  const int fails = upcxx::run(cfg, [] {
-    constexpr int kGets = 64;
+    constexpr int kOps = 64;
     constexpr std::size_t kBytes = 32 << 10;  // far beyond eager_max
     constexpr std::size_t kHalf = kBytes / 2;
     static upcxx::global_ptr<char> remote;
     std::vector<char> want(kBytes);
     for (std::size_t i = 0; i < kBytes; ++i)
       want[i] = static_cast<char>('a' + i % 23);
-    if (upcxx::rank_me() == 1) {
-      remote = upcxx::allocate<char>(kBytes);
-      std::copy(want.begin(), want.end(), remote.local());
-    }
+    if (upcxx::rank_me() == 1) remote = upcxx::allocate<char>(kBytes);
+    upcxx::barrier();
+    const std::size_t heap_free = gex::arena().heap().bytes_free();
     upcxx::barrier();
     if (upcxx::rank_me() == 0) {
-      std::vector<std::vector<char>> sinks(kGets,
-                                           std::vector<char>(kBytes, 'x'));
-      const gex::WireAddr src = remote.wire_addr();
-      for (int i = 0; i < kGets; ++i) {
-        auto done = [] { g_done.fetch_add(1); };
-        char* sink = sinks[i].data();
+      const auto am_before = gex::am().stats();
+      const gex::WireAddr at = remote.wire_addr();
+      auto done = [] { g_done.fetch_add(1); };
+      auto submit = [&](char* local, bool get) {
         if (fragments)
-          gex::xfer().submit_runs(1, {{src, kHalf}, {src + kHalf, kHalf}},
-                                  {{sink, kHalf}, {sink + kHalf, kHalf}}, {},
-                                  done, /*is_get=*/true);
+          gex::xfer().submit_runs(1, {{at, kHalf}, {at + kHalf, kHalf}},
+                                  {{local, kHalf}, {local + kHalf, kHalf}},
+                                  {}, done, get);
         else
-          gex::xfer().submit(1, src, sink, kBytes, {}, done,
-                             /*is_get=*/true);
-      }
-      while (g_done.load() < kGets) pump();
+          gex::xfer().submit(1, at, local, kBytes, {}, done, get);
+      };
+      for (int i = 0; i < kOps; ++i) submit(want.data(), /*get=*/false);
+      while (g_done.load() < kOps) pump();
+      std::vector<std::vector<char>> sinks(kOps,
+                                           std::vector<char>(kBytes, 'x'));
+      for (int i = 0; i < kOps; ++i) submit(sinks[i].data(), /*get=*/true);
+      while (g_done.load() < 2 * kOps) pump();
       for (const auto& s : sinks) ASSERT_EQ(s, want);
       const auto& st = gex::rma_am().stats();
-      EXPECT_EQ(st.gets_staged, static_cast<std::uint64_t>(kGets));
+      EXPECT_EQ(fragments ? st.frag_puts_sent : st.puts_sent,
+                static_cast<std::uint64_t>(kOps));
       EXPECT_EQ(fragments ? st.frag_gets_sent : st.gets_sent,
-                static_cast<std::uint64_t>(kGets));
-      // Every get beyond the first window reused a recycled block.
-      EXPECT_LE(st.reply_stage_allocs, gex::rma_am().window());
-      EXPECT_GT(st.reply_pool_hits, 0u);
-      EXPECT_EQ(st.reply_pool_hits + st.reply_stage_allocs,
-                static_cast<std::uint64_t>(kGets));
-      // The put-side counters stay put-only.
-      EXPECT_EQ(st.puts_staged, 0u);
-      EXPECT_EQ(st.stage_allocs, 0u);
-      g_phase.store(1, std::memory_order_release);
+                static_cast<std::uint64_t>(kOps));
+      // Every put went out as a rendezvous record.
+      EXPECT_GE(gex::am().stats().sent_rendezvous - am_before.sent_rendezvous,
+                static_cast<std::uint64_t>(kOps));
     } else {
-      while (g_phase.load(std::memory_order_acquire) < 1) pump();
-      while (!gex::rma_am().idle()) pump();
-      const auto& st = gex::rma_am().stats();
-      EXPECT_EQ(st.gets_handled, static_cast<std::uint64_t>(kGets));
-      EXPECT_EQ(st.replies_sent, 0u) << "a staged get answered inline";
-      EXPECT_EQ(st.reply_fallbacks, 0u);
-      // Ack conservation on the target: one cookie per staged get.
-      EXPECT_EQ(st.ack_cookies_sent + st.acks_piggybacked,
-                static_cast<std::uint64_t>(kGets));
+      const auto am_before = gex::am().stats();
+      while (gex::rma_am().stats().gets_handled <
+             static_cast<std::uint64_t>(kOps))
+        pump();
+      // And every reply went back as one.
+      while (gex::am().stats().sent_rendezvous - am_before.sent_rendezvous <
+             static_cast<std::uint64_t>(kOps))
+        pump();
     }
+    upcxx::barrier();
+    EXPECT_EQ(gex::arena().heap().bytes_free(), heap_free)
+        << "a rendezvous block outlived its record";
     upcxx::barrier();
     if (upcxx::rank_me() == 1) upcxx::deallocate(remote);
     upcxx::barrier();
@@ -538,93 +469,18 @@ TEST_P(AmReplyStaging, ReplyPoolRecyclesAcrossAStream) {
   EXPECT_EQ(fails, 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(ContiguousAndFragments, AmReplyStaging,
+INSTANTIATE_TEST_SUITE_P(ContiguousAndFragments, AmRendezvous,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "TwoFragmentGets"
-                                             : "ContiguousGets";
+                           return info.param ? "TwoFragmentRuns"
+                                             : "ContiguousRuns";
                          });
 
-// fail_all_peers() with staged gets in flight must not hand their blocks
-// back to the shared heap: the target is alive and may still gather into
-// them. The target runs a private protocol instance and stays parked while
-// the initiator issues the gets and gives up on them; once it wakes it
-// serves the gets into the still-allocated blocks, and its acks retire
-// nothing but stale completions.
-TEST(AmStagedGets, FailAllPeersKeepsStagedGetBlocks) {
-  g_done = 0;
-  g_phase = 0;
-  gex::Config cfg = testutil::test_cfg(2);
-  cfg.rma_wire = gex::RmaWire::kAm;
-  cfg.am_window = 8;
-  // Staging requires shared memory; pin mmap against the CI matrix.
-  cfg.am_transport = gex::AmTransport::kMmap;
-  const int fails = upcxx::run(cfg, [] {
-    constexpr int kGets = 4;
-    constexpr std::size_t kBytes = 32 << 10;
-    const int me = upcxx::rank_me();
-    static upcxx::global_ptr<char> remote;
-    static std::atomic<int> s_parked{0};
-    if (me == 1) {
-      remote = upcxx::allocate<char>(kBytes);
-      std::fill_n(remote.local(), kBytes, 'g');
-      s_parked = 0;
-    }
-    upcxx::barrier();
-    // The handlers route through gex::self()->rma_am, so both sides see
-    // their own instance.
-    gex::RmaAmProtocol proto(gex::self()->am, 8);
-    auto* saved = gex::self()->rma_am;
-    gex::self()->rma_am = &proto;
-    if (me == 1) s_parked.store(1, std::memory_order_release);
-    if (me == 0) {
-      // Rank 1 may still be polling inside the barrier: wait until its
-      // private instance is installed.
-      while (s_parked.load(std::memory_order_acquire) < 1)
-        std::this_thread::yield();
-      auto& heap = gex::arena().heap();
-      std::vector<std::vector<char>> sinks(kGets,
-                                           std::vector<char>(kBytes, 'x'));
-      const gex::XferEngine::Frag from{remote.wire_addr(), kBytes};
-      const std::size_t before = heap.bytes_free();
-      for (int i = 0; i < kGets; ++i)
-        proto.start_get(1, &from, 1, {{sinks[i].data(), kBytes}},
-                        [] { g_done.fetch_add(1); });
-      const std::size_t staged = heap.bytes_free();
-      EXPECT_GE(before - staged, kGets * kBytes);
-      EXPECT_EQ(proto.stats().gets_staged, static_cast<std::uint64_t>(kGets));
-      proto.fail_all_peers();
-      EXPECT_EQ(heap.bytes_free(), staged)
-          << "a staged get's block went back while its target may write it";
-      EXPECT_EQ(proto.stats().cancelled, static_cast<std::uint64_t>(kGets));
-      g_phase.store(1, std::memory_order_release);
-      while (proto.stats().stale_completions <
-             static_cast<std::uint64_t>(kGets))
-        pump();
-      EXPECT_EQ(g_done.load(), 0) << "a cancelled get completed";
-      for (const auto& s : sinks) EXPECT_EQ(s[0], 'x');
-      EXPECT_TRUE(proto.idle());
-      g_phase.store(2, std::memory_order_release);
-    } else {
-      while (g_phase.load(std::memory_order_acquire) < 1)
-        std::this_thread::yield();
-      while (g_phase.load(std::memory_order_acquire) < 2) pump();
-      EXPECT_EQ(proto.stats().gets_handled, static_cast<std::uint64_t>(kGets));
-    }
-    upcxx::barrier();
-    gex::self()->rma_am = saved;
-    upcxx::barrier();
-    if (me == 1) upcxx::deallocate(remote);
-    upcxx::barrier();
-  });
-  EXPECT_EQ(fails, 0);
-}
-
-// AM-wire requests that would not fit one record or one staging block:
+// AM-wire requests that would not fit one record:
 // the engine cuts every piece to fit — contiguous chunks to the record
 // limit, run lists into entries of at most one chunk — on both transports
-// and in both directions. Nothing is ever staged on the socket transport,
-// whose peers cannot read this rank's heap.
+// and in both directions. Nothing ever takes the rendezvous path on the
+// socket transport, whose peers cannot read this rank's heap.
 using FitParam = std::tuple<gex::AmTransport, bool>;  // transport, is_get
 class AmRecordFit : public ::testing::TestWithParam<FitParam> {
  protected:
@@ -673,10 +529,8 @@ class AmRecordFit : public ::testing::TestWithParam<FitParam> {
           upcxx::rput_irregular(from, theirs).wait();
         }
         if (get) EXPECT_TRUE(mine == want) << "get landed wrong bytes";
-        if (!gex::am().transport().shared_memory()) {
-          EXPECT_EQ(gex::rma_am().stats().puts_staged, 0u);
-          EXPECT_EQ(gex::rma_am().stats().gets_staged, 0u);
-        }
+        if (!gex::am().transport().shared_memory())
+          EXPECT_EQ(gex::am().stats().sent_rendezvous, 0u);
       }
       upcxx::barrier();
       if (upcxx::rank_me() == 1) {
@@ -706,7 +560,7 @@ TEST_P(AmRecordFit, IrregularRunsAtTheRecordFloor) {
   move_and_check(c, 4, 64 << 10);
 }
 
-// A run list larger than the whole shared heap stages chunk by chunk.
+// A run list larger than the whole shared heap moves chunk by chunk.
 TEST_P(AmRecordFit, IrregularRunsBeyondTheHeap) {
   gex::Config c = cfg();
   c.heap_bytes = 8 << 20;

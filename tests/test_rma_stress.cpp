@@ -206,9 +206,9 @@ void soak_body(std::uint64_t seed, bool am_wire) {
   }
   // The credit window held: never more in flight to one target.
   EXPECT_LE(st.max_outstanding, gex::rma_am().window());
-  // Ack conservation: every put and every staged get this rank handled
-  // (the gets not answered by an inline reply) was acknowledged through
-  // exactly one channel (a standalone multi-ack record or a piggyback).
+  // Ack conservation: every put this rank handled was acknowledged
+  // through exactly one channel (a standalone multi-ack record or a
+  // piggyback), and every get it handled was answered by a reply.
   EXPECT_EQ(st.ack_cookies_sent + st.acks_piggybacked,
             st.puts_handled + (st.gets_handled - st.replies_sent));
   EXPECT_EQ(st.cancelled, 0u);
@@ -245,8 +245,8 @@ TEST(RmaStress, RandomizedSoakDirectWire) {
 
 // The default-window soak: same traffic at kDefaultAmWindow
 // (kAmWindowForceAuto beats any CI window pin), and chunks sized so GET
-// payloads exceed eager_max and exercise staged puts and gets under racing
-// multi-rank traffic. The conservation asserts inside soak_body (ack
+// payloads exceed eager_max and exercise rendezvous puts and replies under
+// racing multi-rank traffic. The conservation asserts inside soak_body (ack
 // channels, window bound) are the point.
 gex::Config default_window_cfg() {
   gex::Config cfg = testutil::test_cfg(3);

@@ -2,13 +2,13 @@
 //   * Transport-contract conformance shared by both transports
 //     (mmap / socket): reserve/commit/consume FIFO per pair,
 //     8-aligned payloads even after odd-sized records, self-sends,
-//     rx_empty / tx_quiesced at quiescence.
+//     tx_quiesced and an empty inbox at quiescence.
 //   * UPCXX_SOCKET_* config knobs parse, normalize clamps them, and
 //     rma-wire auto resolution pins `am` under the socket transport.
 //   * SPMD smoke at 4 and 8 ranks over loopback TCP: rput/rget/rpc,
 //     allgather, team split (the keyed exchange — no scratch slots), and
-//     the staged bounce/reply counters stay zero because those paths
-//     assume shared memory.
+//     no record takes the AmEngine's rendezvous path, which assumes
+//     shared memory.
 //   * The launcher counts a BYE that it reads only after it saw the
 //     rank's process exit.
 //   * Isolated ranks map only their own segment: a peer's global_ptr is
@@ -153,7 +153,6 @@ TEST_P(TransportContract, FifoOrderAlignmentAndSelfSend) {
     // Quiescent: everything sent reached the wire, nothing left to read.
     while (!t0->tx_quiesced()) {
     }
-    EXPECT_TRUE(t1->rx_empty());
     EXPECT_FALSE(t1->try_consume(record_visitor, &got));
   }
   gex::Arena::destroy(a);
@@ -202,7 +201,7 @@ TEST(SocketConfig, EnvKnobsParseNormalizeAndResolve) {
   ::setenv("UPCXX_SOCKET_FAULT_DIE_RANK", "2", 1);
   ::setenv("UPCXX_SOCKET_FAULT_DIE_AT", "40", 1);
   gex::Config c = gex::Config::from_env();
-  EXPECT_EQ(c.am_transport, gex::AmTransport::kSocket);
+  EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kSocket);
   EXPECT_EQ(c.socket_max_record, std::size_t{1} << 20);
   EXPECT_TRUE(c.socket_isolated);
   EXPECT_EQ(c.socket_fault_seed, 77u);
@@ -234,9 +233,9 @@ TEST(SocketConfig, EnvKnobsParseNormalizeAndResolve) {
 
 // Full message-plane traffic over loopback TCP, thread backend (shared
 // arena, but every record rides the stream): RMA beyond eager_max, RPC,
-// allgather, and a team split through the keyed exchange. The staged
-// bounce/reply counters must stay zero — those paths hand a peer a
-// pointer into "shared" memory, which the socket transport forbids.
+// allgather, and a team split through the keyed exchange. No record may
+// take the rendezvous path — it hands a peer a pointer into "shared"
+// memory, which the socket transport forbids.
 void socket_spmd_body() {
   const int me = upcxx::rank_me(), P = upcxx::rank_n();
   require(std::strcmp(gex::am().transport().name(), "socket") == 0,
@@ -268,10 +267,8 @@ void socket_spmd_body() {
   // replaced assumed a cross-mapped arena.
   upcxx::team half = upcxx::world().split(me % 2, me);
   require(half.rank_n() == P / 2, "split team size");
-  require(gex::rma_am().stats().puts_staged == 0,
-          "no staged puts on a non-shared-memory transport");
-  require(gex::rma_am().stats().gets_staged == 0,
-          "no staged gets on a non-shared-memory transport");
+  require(gex::am().stats().sent_rendezvous == 0,
+          "no rendezvous records on a non-shared-memory transport");
   upcxx::barrier();
   upcxx::delete_array(mine, kN);
   upcxx::barrier();

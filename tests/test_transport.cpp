@@ -1,9 +1,9 @@
 // Tentpole coverage for segment-offset wire addressing (gex/segment.hpp)
 // and the pluggable AM transport (gex/transport.hpp):
-//   * SegmentMap round trips for heap, bounce-pool (heap-carved), ring,
+//   * SegmentMap round trips for heap (two rendezvous-sized blocks), ring,
 //     and rank-segment addresses; raw virtual addresses are rejected in
 //     both directions.
-//   * Live am-wire traffic in all six record shapes resolves every
+//   * Live am-wire traffic in all four records resolves every
 //     decoded address through the registry (decode_count) — the "no raw
 //     virtual address on the wire" acceptance hook.
 //   * UPCXX_AM_TRANSPORT parsing and resolution.
@@ -30,8 +30,7 @@ TEST(SegmentMap, RoundTripsHeapPoolRingAndSegments) {
   // heap + 3 segments + ring arena.
   EXPECT_EQ(sm.segment_count(), 5u);
 
-  // Heap addresses (rendezvous buffers and the bounce pools both carve
-  // from here).
+  // Heap addresses (rendezvous buffers carve from here).
   void* rdzv = a->heap().allocate(4096);
   void* pool = a->heap().allocate(64 << 10);
   ASSERT_NE(rdzv, nullptr);
@@ -95,32 +94,35 @@ TEST(SegmentMap, RejectsRawVirtualAddresses) {
 
 // The "no raw virtual address on the wire" hook: every decoded record
 // resolves through the segment registry, so a burst of am-wire RMA that
-// sends each of the protocol's six records (PUT, PUT_STAGED, GET,
-// GET_STAGED, REPLY, ACK) must grow decode_count by every descriptor and
-// staging buffer it names — and land the right bytes, proving the decoded
-// addresses were correct.
+// sends each of the protocol's four records (PUT, GET, REPLY, ACK), the
+// large ones as rendezvous descriptors, must grow decode_count by every
+// descriptor and rendezvous block it names — and land the right bytes,
+// proving the decoded addresses were correct.
 TEST(WireAddressing, EveryAmRecordResolvesThroughRegistry) {
   gex::Config cfg = testutil::test_cfg(2);
   cfg.rma_wire = gex::RmaWire::kAm;
-  // Staging needs shared memory; pin mmap against the CI matrix.
+  // Rendezvous needs shared memory; pin mmap against the CI matrix.
   cfg.am_transport = gex::AmTransport::kMmap;
   cfg.rma_async_min = 4 << 10;
-  cfg.xfer_chunk_bytes = 16 << 10;  // chunks past eager_max: staged
+  cfg.xfer_chunk_bytes = 16 << 10;  // chunks past eager_max: rendezvous
   const int fails = upcxx::run(cfg, [] {
     const int me = upcxx::rank_me();
-    constexpr std::size_t kN = 8192;  // 64 KiB of longs: 4 staged chunks
+    constexpr std::size_t kN = 8192;  // 64 KiB of longs: 4 chunks
     static upcxx::global_ptr<long> remote;
     if (me == 1) remote = upcxx::new_array<long>(kN);
     upcxx::barrier();
     if (me == 0) {
       const std::uint64_t before = gex::arena().segmap().decode_count();
+      const std::uint64_t rdzv_before = gex::am().stats().sent_rendezvous;
       std::vector<long> src(kN), sink(kN, 0), small(64, 0);
       for (std::size_t i = 0; i < src.size(); ++i)
         src[i] = static_cast<long>(i);
       upcxx::rput(src.data(), remote, 64).wait();     // PUT: 1 desc
-      upcxx::rput(src.data(), remote, kN).wait();     // PUT_STAGED: 4 × 2
-      upcxx::rget(remote, sink.data(), kN).wait();    // GET_STAGED + ACK:
-                                                      //   4 × (1 + 1)
+      upcxx::rput(src.data(), remote, kN).wait();     // 4 rendezvous PUTs:
+                                                      //   4 × (block + desc)
+      upcxx::rget(remote, sink.data(), kN).wait();    // 4 GETs + 4
+                                                      //   rendezvous REPLYs:
+                                                      //   4 × (desc + block)
       upcxx::rget(remote, small.data(), 64).wait();   // GET + REPLY: 1
       std::vector<upcxx::src_fragment<long>> s{{src.data(), 32}};
       std::vector<upcxx::dst_fragment<long>> d{{remote, 16}, {remote + 16, 16}};
@@ -129,20 +131,22 @@ TEST(WireAddressing, EveryAmRecordResolvesThroughRegistry) {
       EXPECT_TRUE(std::equal(small.begin(), small.end(), src.begin()));
       EXPECT_GE(gex::arena().segmap().decode_count() - before, 20u);
       const auto& st = gex::rma_am().stats();
-      EXPECT_EQ(st.puts_staged, 4u);
+      EXPECT_EQ(st.puts_sent, 5u);
+      EXPECT_EQ(st.gets_sent, 5u);
       EXPECT_GE(st.frag_puts_sent, 1u);
-      EXPECT_EQ(st.gets_staged, 4u);
+      // The four large puts went out as rendezvous records.
+      EXPECT_EQ(gex::am().stats().sent_rendezvous - rdzv_before, 4u);
     }
     upcxx::barrier();
     if (me == 1) {
-      // The target answered the inline get with a reply and acked every
-      // put and staged get, standalone or piggybacked.
+      // The target answered every get with a reply — the four large ones
+      // as rendezvous records — and acked every put, standalone or
+      // piggybacked.
       const auto& st = gex::rma_am().stats();
       EXPECT_EQ(st.gets_handled, 5u);
-      EXPECT_EQ(st.replies_sent, 1u);
-      EXPECT_GT(st.acks_sent, 0u);
-      EXPECT_EQ(st.ack_cookies_sent + st.acks_piggybacked,
-                st.puts_handled + 4u);
+      EXPECT_EQ(st.replies_sent, 5u);
+      EXPECT_EQ(gex::am().stats().sent_rendezvous, 4u);
+      EXPECT_EQ(st.ack_cookies_sent + st.acks_piggybacked, st.puts_handled);
       upcxx::delete_array(remote, kN);
     }
     upcxx::barrier();
@@ -162,17 +166,19 @@ TEST(Transport, ConfigParsingAndResolution) {
   EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kMmap);
 
   setenv("UPCXX_AM_TRANSPORT", "socket", 1);
-  EXPECT_EQ(gex::Config::from_env().am_transport, gex::AmTransport::kSocket);
-  // Hand-built Configs left at kAuto honor the env override (the CI
-  // matrix contract)...
+  // from_env leaves the field at auto: the resolver is its one reader...
+  EXPECT_EQ(gex::Config::from_env().am_transport, gex::AmTransport::kAuto);
+  // ...so hand-built Configs left at kAuto honor the env override the same
+  // way (the CI matrix contract)...
   EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kSocket);
   // ...but an explicit transport beats the environment.
   c.am_transport = gex::AmTransport::kMmap;
   EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kMmap);
 
-  // Typos degrade to auto (with a warning), never abort.
+  // Typos degrade to the default (with a warning), never abort.
+  c.am_transport = gex::AmTransport::kAuto;
   setenv("UPCXX_AM_TRANSPORT", "infiniband", 1);
-  EXPECT_EQ(gex::Config::from_env().am_transport, gex::AmTransport::kAuto);
+  EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kMmap);
 
   if (saved)
     setenv("UPCXX_AM_TRANSPORT", saved_val.c_str(), 1);
