@@ -6,7 +6,7 @@
 // the end-to-end fine-grained messaging rate (injection + wire + dispatch).
 // With aggregation on, back-to-back sends pack into multi-message frames:
 // one ring transaction and one receive-side staging allocation per
-// ~UPCXX_AGG_MAX_MSGS messages instead of one each. The paper's DHT and
+// ~Aggregator::kMaxFrameMsgs messages instead of one each. The paper's DHT and
 // eadd workloads (§IV) are exactly this traffic shape, which is why the
 // aggregated path is the default.
 //
@@ -58,8 +58,8 @@ double flood_rate_mmsgs(bool agg_on, std::size_t sz, int iters) {
                         upcxx::make_view(payload.data(),
                                          payload.data() + payload.size()));
         }
-        // Sparse progress keeps batches large; the buffer caps
-        // (UPCXX_AGG_MAX_MSGS) bound the flush size either way.
+        // Sparse progress keeps batches large; the frame caps
+        // (Aggregator::kMaxFrameMsgs) bound the flush size either way.
         if (!(i % 256)) upcxx::progress();
       }
       // Final flush + drain until rank 1 confirms via the barrier below.

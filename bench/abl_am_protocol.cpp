@@ -202,30 +202,37 @@ int main() {
   // rendezvous blocks outgrow the cache and the curve flattens or dips.
   const std::vector<std::uint32_t> windows{1, 4, 16, 64};
   constexpr std::size_t kSweepBytes = 32 << 10;  // rendezvous puts
-  static std::vector<double> win_mbs;
-  win_mbs.clear();
-  for (std::uint32_t w : windows) {
+  // One flood of kSweepBytes ops at window w: puts, or gets (the payload
+  // moves target-to-initiator: the target gathers into a rendezvous reply,
+  // the initiator scatters out of it and the engine frees the block). The
+  // get knee should mirror the put knee — if it doesn't, the reply path is
+  // the bottleneck, not the request window. Returns MB/s, or -1 on failure.
+  const auto window_run = [](std::uint32_t w, bool get) -> double {
     gex::Config cfg = gex::Config::from_env();
     cfg.ranks = 2;
     cfg.rma_wire = gex::RmaWire::kAm;
-    cfg.rma_async_min = 0;  // one protocol request per rput
+    cfg.rma_async_min = 0;  // one protocol request per op
     cfg.am_window = w;
     cfg.ring_bytes = 1 << 20;
     cfg.heap_bytes = 128 << 20;
     const int iters = static_cast<int>(256 * benchutil::work_scale());
     static double s_mbs;
-    int fails = upcxx::run(cfg, [iters] {
+    int fails = upcxx::run(cfg, [iters, get] {
       static upcxx::global_ptr<char> remote;
       if (upcxx::rank_me() == 1) remote = upcxx::allocate<char>(kSweepBytes);
       upcxx::barrier();
       if (upcxx::rank_me() == 0) {
         std::vector<char> buf(kSweepBytes, 'w');
-        upcxx::rput(buf.data(), remote, kSweepBytes).wait();  // warm
+        const auto op = [&](auto cx) {
+          if (get)
+            return upcxx::rget(remote, buf.data(), kSweepBytes, cx);
+          return upcxx::rput(buf.data(), remote, kSweepBytes, cx);
+        };
+        op(upcxx::operation_cx::as_future()).wait();  // warm
         upcxx::promise<> p;
         const double t0 = arch::now_s();
         for (int i = 0; i < iters; ++i) {
-          upcxx::rput(buf.data(), remote, kSweepBytes,
-                      upcxx::operation_cx::as_promise(p));
+          op(upcxx::operation_cx::as_promise(p));
           if (!(i % 8)) upcxx::progress();
         }
         p.finalize().wait();
@@ -236,50 +243,24 @@ int main() {
       if (upcxx::rank_me() == 1) upcxx::deallocate(remote);
       upcxx::barrier();
     });
-    if (fails) return 2;
-    win_mbs.push_back(s_mbs);
-  }
-  // Get-direction knee: same flood, but the payload moves target-to-
-  // initiator (the target gathers into a rendezvous reply, the initiator
-  // scatters out of it and the engine frees the block). The knee should
-  // mirror the put sweep's — if it doesn't, the reply path is the
-  // bottleneck, not the request window.
-  static std::vector<double> get_win_mbs;
-  get_win_mbs.clear();
-  for (std::uint32_t w : windows) {
-    gex::Config cfg = gex::Config::from_env();
-    cfg.ranks = 2;
-    cfg.rma_wire = gex::RmaWire::kAm;
-    cfg.rma_async_min = 0;  // one protocol request per rget
-    cfg.am_window = w;
-    cfg.ring_bytes = 1 << 20;
-    cfg.heap_bytes = 128 << 20;
-    const int iters = static_cast<int>(256 * benchutil::work_scale());
-    static double s_mbs;
-    int fails = upcxx::run(cfg, [iters] {
-      static upcxx::global_ptr<char> remote;
-      if (upcxx::rank_me() == 1) remote = upcxx::allocate<char>(kSweepBytes);
-      upcxx::barrier();
-      if (upcxx::rank_me() == 0) {
-        std::vector<char> buf(kSweepBytes);
-        upcxx::rget(remote, buf.data(), kSweepBytes).wait();  // warm
-        upcxx::promise<> p;
-        const double t0 = arch::now_s();
-        for (int i = 0; i < iters; ++i) {
-          upcxx::rget(remote, buf.data(), kSweepBytes,
-                      upcxx::operation_cx::as_promise(p));
-          if (!(i % 8)) upcxx::progress();
-        }
-        p.finalize().wait();
-        s_mbs = static_cast<double>(kSweepBytes) * iters /
-                (arch::now_s() - t0) / 1e6;
-      }
-      upcxx::barrier();
-      if (upcxx::rank_me() == 1) upcxx::deallocate(remote);
-      upcxx::barrier();
-    });
-    if (fails) return 2;
-    get_win_mbs.push_back(s_mbs);
+    return fails ? -1 : s_mbs;
+  };
+  // Each point is the median of `trials` runs; the runs of every window
+  // and direction interleave, like the RPC sweep's.
+  std::vector<std::vector<double>> put_win_runs(windows.size()),
+      get_win_runs(windows.size());
+  for (int t = 0; t < trials; ++t)
+    for (std::size_t wi = 0; wi < windows.size(); ++wi) {
+      const double put = window_run(windows[wi], false);
+      const double get = window_run(windows[wi], true);
+      if (put < 0 || get < 0) return 2;
+      put_win_runs[wi].push_back(put);
+      get_win_runs[wi].push_back(get);
+    }
+  std::vector<double> win_mbs, get_win_mbs;
+  for (std::size_t wi = 0; wi < windows.size(); ++wi) {
+    win_mbs.push_back(benchutil::median(put_win_runs[wi]));
+    get_win_mbs.push_back(benchutil::median(get_win_runs[wi]));
   }
   std::printf(
       "\nFlow-control window sweep (32KB flood, wire=am), both directions:\n");
@@ -313,36 +294,33 @@ int main() {
       upcxx::barrier();
       if (upcxx::rank_me() == 0) {
         std::vector<char> buf(kBigBytes, 's');
-        // Best of several trials per direction: a single flood is at the
-        // mercy of one descheduling blip, and the symmetry ratio divides
-        // two of them. The envelope is the signal (same treatment as the
-        // fig3 floods).
+        // Each direction's rate is the median of `trials` floods, and put
+        // and get floods alternate, so a slow phase of the host lands on
+        // both directions alike instead of deciding the ratio.
+        const auto flood = [&](bool get) {
+          upcxx::promise<> p;
+          const double t0 = arch::now_s();
+          for (int i = 0; i < iters; ++i) {
+            if (get)
+              upcxx::rget(remote, buf.data(), kBigBytes,
+                          upcxx::operation_cx::as_promise(p));
+            else
+              upcxx::rput(buf.data(), remote, kBigBytes,
+                          upcxx::operation_cx::as_promise(p));
+          }
+          p.finalize().wait();
+          return static_cast<double>(kBigBytes) * iters /
+                 (arch::now_s() - t0) / 1e6;
+        };
         upcxx::rput(buf.data(), remote, kBigBytes).wait();  // warm
-        s_put4_mbs = 0;
+        upcxx::rget(remote, buf.data(), kBigBytes).wait();
+        std::vector<double> put_runs, get_runs;
         for (int t = 0; t < trials; ++t) {
-          upcxx::promise<> pp;
-          const double t0 = arch::now_s();
-          for (int i = 0; i < iters; ++i)
-            upcxx::rput(buf.data(), remote, kBigBytes,
-                        upcxx::operation_cx::as_promise(pp));
-          pp.finalize().wait();
-          s_put4_mbs = std::max(s_put4_mbs,
-                                static_cast<double>(kBigBytes) * iters /
-                                    (arch::now_s() - t0) / 1e6);
+          put_runs.push_back(flood(false));
+          get_runs.push_back(flood(true));
         }
-        upcxx::rget(remote, buf.data(), kBigBytes).wait();  // warm
-        s_get4_mbs = 0;
-        for (int t = 0; t < trials; ++t) {
-          upcxx::promise<> gp;
-          const double t0 = arch::now_s();
-          for (int i = 0; i < iters; ++i)
-            upcxx::rget(remote, buf.data(), kBigBytes,
-                        upcxx::operation_cx::as_promise(gp));
-          gp.finalize().wait();
-          s_get4_mbs = std::max(s_get4_mbs,
-                                static_cast<double>(kBigBytes) * iters /
-                                    (arch::now_s() - t0) / 1e6);
-        }
+        s_put4_mbs = benchutil::median(put_runs);
+        s_get4_mbs = benchutil::median(get_runs);
       }
       upcxx::barrier();  // rank 1 serves requests inside this barrier
       s_stats[upcxx::rank_me()] = gex::am().stats();
@@ -366,8 +344,7 @@ int main() {
 
   benchutil::ShapeChecks checks;
   // The knee: any pipelining at all must beat full serialization. Compare
-  // the best windowed rate against W=1 (individual points are noisy on
-  // oversubscribed hosts; the envelope is the signal).
+  // the best windowed median against W=1's.
   const double best_windowed =
       *std::max_element(win_mbs.begin() + 1, win_mbs.end());
   checks.expect(best_windowed > win_mbs[0],

@@ -107,7 +107,8 @@ class RpcOnlyMap {
   // Bulk insert riding the aggregated message path (message layer v2): the
   // RPCs are issued back-to-back with no intervening progress, so the
   // per-target aggregation buffer packs them into multi-message frames —
-  // one ring transaction per ~agg_max_msgs elements instead of one each.
+  // one ring transaction per ~Aggregator::kMaxFrameMsgs elements instead of
+  // one each.
   // The returned future completes when every element is acknowledged.
   upcxx::future<> insert_batch(
       const std::vector<std::pair<std::string, std::string>>& kvs) {

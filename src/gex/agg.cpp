@@ -1,24 +1,21 @@
 #include "gex/agg.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace gex {
 
 Aggregator::Aggregator(AmEngine* eng)
     : eng_(eng), bufs_(eng->arena().nranks()) {
-  const Config& cfg = eng->arena().config();
-  max_bytes_ = cfg.agg_max_bytes;
   // A frame must fit one ring record whatever the ring size is.
-  if (max_bytes_ > eng->inline_max())
-    max_bytes_ = eng->inline_max();
+  max_bytes_ = std::min(kMaxFrameBytes, eng->inline_max());
   // Round down to the frame alignment so a maximal message's aligned
   // footprint (header + padded payload) never exceeds the staging buffer.
   max_bytes_ &= ~(kFrameAlign - 1);
-  max_msgs_ = cfg.agg_max_msgs ? cfg.agg_max_msgs : 1;
   max_msg_bytes_ =
       max_bytes_ > sizeof(FrameMsgHeader) ? max_bytes_ - sizeof(FrameMsgHeader)
                                           : 0;
-  enabled_ = cfg.agg_enabled && max_msg_bytes_ > 0;
+  enabled_ = eng->arena().config().agg_enabled && max_msg_bytes_ > 0;
 }
 
 void* Aggregator::put(int target, HandlerIdx h, std::size_t n) {
@@ -28,7 +25,7 @@ void* Aggregator::put(int target, HandlerIdx h, std::size_t n) {
       sizeof(FrameMsgHeader) + arch::align_up(n, kFrameAlign);
   if (b.msgs != 0 && b.handler != h) {
     flush_buf(target, b);  // a frame names one handler
-  } else if (b.used + need > max_bytes_ || b.msgs >= max_msgs_) {
+  } else if (b.used + need > max_bytes_ || b.msgs >= kMaxFrameMsgs) {
     if (flush_buf(target, b)) ++stats_.flushes_capacity;
   }
   if (!b.bytes) b.bytes = std::make_unique<std::byte[]>(max_bytes_);

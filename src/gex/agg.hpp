@@ -9,8 +9,8 @@
 // packed [FrameMsgHeader][payload] region itself).
 //
 // Flush triggers:
-//   * staged bytes would exceed agg_max_bytes (Config / UPCXX_AGG_MAX_BYTES)
-//   * staged message count reaches agg_max_msgs (UPCXX_AGG_MAX_MSGS)
+//   * staged bytes would exceed kMaxFrameBytes (clamped to one ring record)
+//   * staged message count reaches kMaxFrameMsgs
 //   * a message for another handler than the staged frame's
 //   * explicit flush: upcxx user-level progress, barrier entry, teardown.
 //
@@ -34,8 +34,12 @@ namespace gex {
 
 class Aggregator {
  public:
-  // Knobs come from the engine's arena config (agg_enabled, agg_max_bytes,
-  // agg_max_msgs).
+  // Frame caps: at most this many staged bytes (clamped to the engine's
+  // inline_max, so a frame is one ring record) and messages per frame.
+  static constexpr std::size_t kMaxFrameBytes = 16 << 10;
+  static constexpr std::uint32_t kMaxFrameMsgs = 64;
+
+  // Enabled unless the engine's arena config clears agg_enabled.
   explicit Aggregator(AmEngine* eng);
 
   bool enabled() const { return enabled_; }
@@ -88,7 +92,6 @@ class Aggregator {
   AmEngine* eng_;
   std::vector<Buf> bufs_;  // one per target rank
   std::size_t max_bytes_;
-  std::uint32_t max_msgs_;
   std::size_t max_msg_bytes_;
   bool enabled_;
   Stats stats_;

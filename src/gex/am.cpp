@@ -194,7 +194,7 @@ void AmEngine::exchange(std::uint64_t key, const int* group, std::size_t n,
     if (Rank* r = self(); r != nullptr) {
       if (r->progress_hook)
         r->progress_hook();
-      else if (r->agg != nullptr)
+      else
         r->agg->flush_all();
     }
     if (poll() == 0) std::this_thread::yield();

@@ -35,14 +35,6 @@ bool parse_long(const char* name, const char* v, long& out) {
   return true;
 }
 
-long env_long(const char* name, long dflt) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return dflt;
-  long r = dflt;
-  parse_long(name, v, r);
-  return r;
-}
-
 // Positive-valued knob: 0 or negative values are rejected (with a warning)
 // rather than silently shifted into a zero-byte mapping.
 long env_positive(const char* name, long dflt) {
@@ -153,14 +145,11 @@ void Config::normalize() {
   std::size_t p2 = 1;
   while (p2 < ring_bytes) p2 <<= 1;
   ring_bytes = p2;
-  // A single record (eager message or aggregation frame) must fit safely
-  // inside a quarter ring alongside its wire header (see
-  // MpscByteRing::max_record_payload); 64 bytes covers header + alignment.
+  // An eager record must fit safely inside a quarter ring alongside its
+  // wire header (see MpscByteRing::max_record_payload); 64 bytes covers
+  // header + alignment.
   const std::size_t record_cap = ring_bytes / 4 - 64;
   if (eager_max > record_cap) eager_max = record_cap;
-  if (agg_max_bytes > record_cap) agg_max_bytes = record_cap;
-  if (agg_max_bytes < 256) agg_max_bytes = 256;
-  if (agg_max_msgs == 0) agg_max_msgs = 1;
   // Data-motion engine: a negative or non-finite bandwidth means "no
   // model"; chunks below 256 bytes would make per-chunk bookkeeping
   // dominate the copies.
@@ -168,12 +157,10 @@ void Config::normalize() {
   if (xfer_chunk_bytes < 256) xfer_chunk_bytes = 256;
   // am_window 0 means auto (resolve_am_window consults the environment),
   // so normalize leaves it alone.
-  // Socket knobs: a record must at least hold a maximal eager payload plus
-  // headers; fault probabilities are percentages.
+  // A socket record must at least hold a maximal eager payload plus
+  // headers.
   if (socket_max_record < (std::size_t{64} << 10))
     socket_max_record = std::size_t{64} << 10;
-  if (socket_fault_short_write_pct > 100) socket_fault_short_write_pct = 100;
-  if (socket_fault_short_read_pct > 100) socket_fault_short_read_pct = 100;
 }
 
 Config Config::from_env() {
@@ -197,9 +184,6 @@ Config Config::from_env() {
                  << 20;
   c.sim_latency_ns = static_cast<std::uint64_t>(
       env_nonnegative("UPCXX_SIM_LATENCY_NS", 0));
-  if (const char* a = std::getenv("UPCXX_ATOMICS")) {
-    c.atomics_use_am = (std::strcmp(a, "am") == 0);
-  }
   if (const char* v = std::getenv("UPCXX_SIM_BW_GBPS"); v && *v) {
     char* end = nullptr;
     const double bw = std::strtod(v, &end);
@@ -219,27 +203,6 @@ Config Config::from_env() {
   // each, their resolver (resolve_rma_wire and friends), which a field
   // left at auto consults at launch — so hand-built Configs follow the
   // environment exactly like this one.
-  c.socket_max_record =
-      static_cast<std::size_t>(env_positive(
-          "UPCXX_SOCKET_MAX_RECORD_KB",
-          static_cast<long>(c.socket_max_record >> 10)))
-      << 10;
-  c.socket_isolated = env_long("UPCXX_SOCKET_ISOLATED", 0) != 0;
-  c.socket_fault_seed = static_cast<std::uint64_t>(
-      env_nonnegative("UPCXX_SOCKET_FAULT_SEED", 0));
-  c.socket_fault_short_write_pct = static_cast<std::uint32_t>(
-      env_nonnegative("UPCXX_SOCKET_FAULT_SHORT_WRITE_PCT", 0));
-  c.socket_fault_short_read_pct = static_cast<std::uint32_t>(
-      env_nonnegative("UPCXX_SOCKET_FAULT_SHORT_READ_PCT", 0));
-  c.socket_fault_die_rank = static_cast<int>(
-      env_nonnegative("UPCXX_SOCKET_FAULT_DIE_RANK", -1));
-  c.socket_fault_die_at = static_cast<std::uint64_t>(
-      env_nonnegative("UPCXX_SOCKET_FAULT_DIE_AT", 0));
-  c.agg_enabled = env_long("UPCXX_AGG", 1) != 0;
-  c.agg_max_bytes = static_cast<std::size_t>(env_positive(
-      "UPCXX_AGG_MAX_BYTES", static_cast<long>(c.agg_max_bytes)));
-  c.agg_max_msgs = static_cast<std::uint32_t>(env_positive(
-      "UPCXX_AGG_MAX_MSGS", static_cast<long>(c.agg_max_msgs)));
   c.normalize();
   return c;
 }

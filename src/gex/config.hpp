@@ -9,8 +9,11 @@
 namespace gex {
 
 enum class Backend {
-  kThread,   // ranks are threads of one process (default; used by tests)
-  kProcess,  // ranks are forked processes sharing the arena (smp-conduit-like)
+  kThread,    // ranks are threads of one process (default; used by tests)
+  kProcess,   // ranks are forked processes sharing the arena (smp-conduit-like)
+  kIsolated,  // forked processes that share no memory: each maps a private
+              // arena and bootstraps over a control socket, as under
+              // upcxx-run (socket transport, AM wire and AM atomics forced)
 };
 
 // RMA data-motion wire (UPCXX_RMA_WIRE=auto|direct|am). The `direct` wire
@@ -55,12 +58,10 @@ struct Config {
   std::size_t eager_max = 8 << 10;        // UPCXX_EAGER_MAX (bytes)
   std::size_t heap_bytes = 64 << 20;      // UPCXX_HEAP_MB (shared heap)
   std::uint64_t sim_latency_ns = 0;       // UPCXX_SIM_LATENCY_NS
-  bool atomics_use_am = false;            // UPCXX_ATOMICS=am|direct
+  bool atomics_use_am = false;            // software (AM) atomics
 
-  // Message-layer v2 aggregation knobs (gex/agg.hpp).
-  bool agg_enabled = true;                // UPCXX_AGG (0 disables)
-  std::size_t agg_max_bytes = 16 << 10;   // UPCXX_AGG_MAX_BYTES (per frame)
-  std::uint32_t agg_max_msgs = 64;        // UPCXX_AGG_MAX_MSGS (per frame)
+  // Message-layer v2 aggregation (gex/agg.hpp; frame caps are constants).
+  bool agg_enabled = true;
 
   // Data-motion engine knobs (gex/xfer.hpp).
   // Simulated wire bandwidth in GB/s; 0 = unlimited (no model).
@@ -99,31 +100,19 @@ struct Config {
   // Largest record the socket transport advertises via
   // Transport::max_record_payload (the stream itself accepts any size;
   // this caps what the inline-only AM paths will ship in one record).
-  std::size_t socket_max_record = 8 << 20;  // UPCXX_SOCKET_MAX_RECORD_KB
-  // With backend=process and the socket transport: fork ranks that each
-  // create their own private arena and bootstrap over a control socket
-  // (no shared memory at all) instead of sharing the pre-fork arena.
-  // This is what `upcxx-run` sets up across exec'd processes; the flag
-  // gives in-process tests the same topology.
-  bool socket_isolated = false;           // UPCXX_SOCKET_ISOLATED
-  // Deterministic fault injection inside the socket transport. Faults are
-  // active when any of the knobs below is set; the seed (xor'd with the
-  // rank) makes every schedule reproducible.
-  std::uint64_t socket_fault_seed = 0;    // UPCXX_SOCKET_FAULT_SEED
-  // Probability (percent) that one flush truncates its write to a random
-  // prefix — exercises partial-write continuation and framing recovery.
-  std::uint32_t socket_fault_short_write_pct = 0;
-  //                                  UPCXX_SOCKET_FAULT_SHORT_WRITE_PCT
-  // Probability (percent) that one ready fd is read in a short, delayed
-  // gulp (1..64 bytes) this pump — exercises header/body reassembly.
-  std::uint32_t socket_fault_short_read_pct = 0;
-  //                                  UPCXX_SOCKET_FAULT_SHORT_READ_PCT
+  std::size_t socket_max_record = 8 << 20;
+  // Deterministic fault injection inside the socket transport (set by
+  // tests, never by the environment). A nonzero seed (xor'd with the rank,
+  // so every schedule is reproducible) turns on short writes and short,
+  // delayed reads at a fixed rate — exercising partial-write continuation
+  // and header/body reassembly.
+  std::uint64_t socket_fault_seed = 0;
   // Rank that _exit()s mid-stream after committing its Nth record,
   // leaving a half-written frame on the wire (die_rank < 0 disables).
   // Only meaningful when ranks are processes — in thread mode an _exit
   // would take the whole job down.
-  int socket_fault_die_rank = -1;         // UPCXX_SOCKET_FAULT_DIE_RANK
-  std::uint64_t socket_fault_die_at = 0;  // UPCXX_SOCKET_FAULT_DIE_AT
+  int socket_fault_die_rank = -1;
+  std::uint64_t socket_fault_die_at = 0;
 
   // Unused: nothing reads it. Kept only because upcxx_bench assigns it;
   // delete it together with that line at the next benchmark change.
@@ -136,9 +125,9 @@ struct Config {
 
   // Enforces the invariants the substrate assumes: positive sizes (zero
   // segment/heap/ring sizes fall back to defaults instead of silently
-  // mis-shifting), power-of-two ring, eager payloads and aggregation frames
-  // that fit a single ring record. Arena creation normalizes its copy, so
-  // hand-built Configs are covered too.
+  // mis-shifting), power-of-two ring, eager payloads that fit a single
+  // ring record. Arena creation normalizes its copy, so hand-built Configs
+  // are covered too.
   void normalize();
 };
 

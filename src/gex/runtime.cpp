@@ -114,7 +114,7 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
 
 // One isolated socket rank: this process IS rank `me` of an nranks-wide
 // job whose peers live in other processes (spawned by upcxx-run or by
-// launch_socket_isolated below). Bootstraps through the launcher, builds a
+// launch_isolated below). Bootstraps through the launcher, builds a
 // private arena holding only its own memory, and installs the
 // SocketRuntime as the arena's control plane so barriers and error
 // propagation travel over the bootstrap connection.
@@ -134,14 +134,12 @@ int launch_socket_worker(const Config& cfg, const std::function<void()>& fn,
   return rc;
 }
 
-// Isolated-mode in-process launcher (UPCXX_SOCKET_ISOLATED with the
-// process backend): forks one process per rank like the plain process
-// backend, but ranks share no arena — each builds its own private mapping
-// and all traffic rides the socket transport, which is exactly what
-// upcxx-run does across binaries. Used by tests to exercise the
-// no-shared-memory path without exec.
-int launch_socket_isolated(const Config& cfg,
-                           const std::function<void()>& fn) {
+// Isolated-mode in-process launcher (Backend::kIsolated): forks one
+// process per rank like the process backend, but ranks share no arena —
+// each builds its own private mapping and all traffic rides the socket
+// transport, which is exactly what upcxx-run does across binaries. Used by
+// tests to exercise the no-shared-memory path without exec.
+int launch_isolated(const Config& cfg, const std::function<void()>& fn) {
   BootstrapServer boot(cfg.ranks);
   std::vector<pid_t> kids;
   kids.reserve(cfg.ranks);
@@ -218,12 +216,11 @@ int launch(const Config& cfg, const std::function<void()>& fn) {
     c.normalize();
     return launch_socket_worker(c, fn, std::atoi(sr), std::atoi(bp));
   }
-  // Explicit isolated mode: fork ranks that share nothing.
-  if (cfg.socket_isolated && cfg.backend == Backend::kProcess &&
-      resolve_am_transport(cfg) == AmTransport::kSocket) {
+  // Isolated mode: fork ranks that share nothing.
+  if (cfg.backend == Backend::kIsolated) {
     Config c = cfg;
     c.normalize();
-    return launch_socket_isolated(c, fn);
+    return launch_isolated(c, fn);
   }
   Arena* arena = Arena::create(cfg);
   int failures = 0;

@@ -41,6 +41,9 @@ constexpr std::size_t kPreambleBytes = 8;
 constexpr std::size_t kTxBackpressure = 4u << 20;
 // Exit code of a fault-injected mid-stream death (tests assert on it).
 constexpr int kFaultDeathExit = 113;
+// With a nonzero Config::socket_fault_seed, the percent of flushes cut to
+// a random prefix and of ready fds read in a short, delayed gulp.
+constexpr std::uint64_t kShortFaultPct = 30;
 // Most frames a single sendmsg gathers. Queues deeper than this drain in
 // successive batches; 16 covers the bursts injection produces without an
 // oversized on-stack iovec array.
@@ -167,15 +170,10 @@ class SocketTransport final : public Transport {
     // SIGPIPE-free writes to dying peers (MSG_NOSIGNAL is send()-only, so
     // all data writes below go through ::send).
     const auto& cfg = arena_->config();
-    fault_on_ = cfg.socket_fault_seed != 0 ||
-                cfg.socket_fault_short_write_pct != 0 ||
-                cfg.socket_fault_short_read_pct != 0 ||
-                cfg.socket_fault_die_rank >= 0;
+    short_faults_ = cfg.socket_fault_seed != 0;
     rng_ = cfg.socket_fault_seed ^
            (0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(me + 1));
     if (rng_ == 0) rng_ = 1;
-    short_write_pct_ = cfg.socket_fault_short_write_pct;
-    short_read_pct_ = cfg.socket_fault_short_read_pct;
     die_here_ = cfg.socket_fault_die_rank == me;
     die_at_ = cfg.socket_fault_die_at;
   }
@@ -201,7 +199,7 @@ class SocketTransport final : public Transport {
     if (bytes > max_rec_) {
       std::fprintf(stderr,
                    "gex: socket record of %zu bytes exceeds "
-                   "UPCXX_SOCKET_MAX_RECORD_KB (%zu)\n",
+                   "Config::socket_max_record (%zu)\n",
                    bytes, max_rec_);
       std::abort();
     }
@@ -430,8 +428,7 @@ class SocketTransport final : public Transport {
     while (!p.q.empty()) {
       bool faulted = false;
       ssize_t w;
-      if (fault_on_ && short_write_pct_ &&
-          xorshift64(&rng_) % 100 < short_write_pct_ &&
+      if (short_faults_ && xorshift64(&rng_) % 100 < kShortFaultPct &&
           p.q.front().len - p.q.front().off > 1) {
         // Fault injection falls back to the single-buffer path: a short
         // write of the head frame, continuation delayed to a later pump so
@@ -543,8 +540,7 @@ class SocketTransport final : public Transport {
         want = c->rec_len - c->rec_have;
       }
       bool faulted = false;
-      if (fault_on_ && short_read_pct_ &&
-          xorshift64(&rng_) % 100 < short_read_pct_) {
+      if (short_faults_ && xorshift64(&rng_) % 100 < kShortFaultPct) {
         const std::size_t cap = 1 + static_cast<std::size_t>(
                                         xorshift64(&rng_) % 64);
         if (cap < want) want = cap;
@@ -710,10 +706,8 @@ class SocketTransport final : public Transport {
   std::deque<RxRec> ready_;
   std::uint64_t tx_writev_batches_ = 0;
   // Fault injection.
-  bool fault_on_ = false;
+  bool short_faults_ = false;
   std::uint64_t rng_ = 1;
-  std::uint32_t short_write_pct_ = 0;
-  std::uint32_t short_read_pct_ = 0;
   bool die_here_ = false;
   std::uint64_t die_at_ = 0;
   std::uint64_t committed_ = 0;

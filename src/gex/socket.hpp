@@ -31,18 +31,19 @@
 //
 // Endpoint exchange: in shared-arena mode (thread or plain process
 // backends) each rank publishes its listen port in the arena's port
-// slots. In isolated mode (upcxx-run, or UPCXX_SOCKET_ISOLATED with the
-// process backend) ranks share nothing: a SocketRuntime connects to the
-// launcher's bootstrap socket, sends HELLO{rank, port}, receives the full
-// port table, and from then on serves as the arena's ControlPlane —
-// world barriers and error propagation travel as CtlMsg records over the
-// bootstrap connection, pumped by the same epoll loop.
+// slots. In isolated mode (upcxx-run, or Backend::kIsolated) ranks share
+// nothing: a SocketRuntime connects to the launcher's bootstrap socket,
+// sends HELLO{rank, port}, receives the full port table, and from then on
+// serves as the arena's ControlPlane — world barriers and error
+// propagation travel as CtlMsg records over the bootstrap connection,
+// pumped by the same epoll loop.
 //
-// Fault injection (UPCXX_SOCKET_FAULT_*): a per-rank xorshift stream
-// seeded from UPCXX_SOCKET_FAULT_SEED ^ rank drives probabilistic short
-// writes (partial-write continuation), short delayed reads (frame
-// reassembly), and a deterministic peer-death-at-record-N that leaves a
-// torn frame on the wire — the harness the error-aware-wait tests drive.
+// Fault injection (Config::socket_fault_*): a per-rank xorshift stream
+// seeded from socket_fault_seed ^ rank drives probabilistic short writes
+// (partial-write continuation) and short delayed reads (frame
+// reassembly); socket_fault_die_rank/die_at add a deterministic
+// peer-death-at-record-N that leaves a torn frame on the wire — the
+// harness the error-aware-wait tests drive.
 #pragma once
 
 #include <sys/types.h>
@@ -143,7 +144,7 @@ void set_active_socket_runtime(SocketRuntime* rt);
 // -------------------------------------------------------- BootstrapServer
 //
 // The launcher half of the bootstrap protocol, used by `upcxx-run` and by
-// in-process isolated launches (UPCXX_SOCKET_ISOLATED): accepts one
+// in-process isolated launches (Backend::kIsolated): accepts one
 // connection per rank, collects HELLOs, broadcasts the port table, then
 // centralizes world barriers and failure propagation until every rank
 // said BYE or died. Single-threaded, poll-driven.

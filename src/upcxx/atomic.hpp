@@ -6,8 +6,8 @@
 // (no target-CPU involvement, no AM); the software fallback routes the
 // operation through an AM executed by the owner, like a conduit without
 // offload. The backend is selected per-domain (kDirect/kAm) or from
-// UPCXX_ATOMICS; bench/abl_atomics compares the two, reproducing the
-// offloaded-vs-software distinction.
+// Config::atomics_use_am; bench/abl_atomics compares the two, reproducing
+// the offloaded-vs-software distinction.
 //
 // As in UPC++, an atomic_domain is constructed collectively with the set of
 // operations it will support, and all accesses to a location should go

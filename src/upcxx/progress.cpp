@@ -160,14 +160,12 @@ std::size_t dispatch_count() { return dispatch_registry().count(); }
 
 void flush_aggregation() {
   if (!has_persona()) return;
-  auto* rank = persona().rank;
-  if (rank && rank->agg) rank->agg->flush_all();
+  persona().rank->agg->flush_all();
 }
 
 void drain_xfer_copies() {
   if (!has_persona()) return;
   auto* rank = persona().rank;
-  if (!rank || !rank->xfer) return;
   // Barrier-entry contract: every RMA issued before the barrier must be in
   // its target's inbox before our barrier message goes out. On the am wire
   // the engine's drain stops at the credit window, so keep pumping acks
@@ -181,7 +179,7 @@ void drain_xfer_copies() {
     if (!rank->xfer->copies_pending()) break;
     if (err.load(std::memory_order_acquire) != 0) break;
     int work = rank->am->poll();
-    if (rank->rma_am) work += rank->rma_am->poll();
+    work += rank->rma_am->poll();
     // The credits we are waiting on come from the peer; on a shared core
     // it needs the cycles more than a repeat poll of empty queues does.
     if (work == 0) std::this_thread::yield();
@@ -279,7 +277,7 @@ void progress(progress_level lvl) {
   // spin-on-progress wait drains its own staging as a side effect
   // (DESIGN.md, message layer v2). Internal progress leaves the buffers
   // alone to keep batches intact across back-to-back injection calls.
-  if (lvl == progress_level::user && p.rank->agg) p.rank->agg->flush_all();
+  if (lvl == progress_level::user) p.rank->agg->flush_all();
   // Internal progress: poll the wire (stages incoming messages), fire the
   // AM RMA protocol's due completions and deferred replies (its handlers
   // only record work — nothing is injected from inside a ring consume),
@@ -296,9 +294,9 @@ void progress(progress_level lvl) {
   // returns) and a full-ring stall may self-poll.
   int work = lpcs + detail::drain_injectq(p);
   work += p.rank->am->poll();
-  if (p.rank->rma_am) work += p.rank->rma_am->poll_requests();
-  if (p.rank->xfer) work += p.rank->xfer->poll();
-  if (p.rank->rma_am) work += p.rank->rma_am->flush_acks();
+  work += p.rank->rma_am->poll_requests();
+  work += p.rank->xfer->poll();
+  work += p.rank->rma_am->flush_acks();
   if (!p.timed.empty()) {
     const std::uint64_t now = arch::now_ns();
     while (!p.timed.empty() && p.timed.top().due_ns <= now) {
@@ -363,8 +361,8 @@ void fini_persona() {
   // idleness needs the peer's acks, and a dead peer never sends them.
   auto* pst = static_cast<detail::PersonaState*>(r->upcxx_state);
   auto& err = gex::arena().control().error_flag.value;
-  while ((!pst->injectq.empty_hint() || (r->xfer && !r->xfer->idle()) ||
-          (r->rma_am && !r->rma_am->idle())) &&
+  while ((!pst->injectq.empty_hint() || !r->xfer->idle() ||
+          !r->rma_am->idle()) &&
          err.load(std::memory_order_acquire) == 0) {
     progress();
   }
@@ -372,7 +370,7 @@ void fini_persona() {
   // protocol's in-flight requests so the final drain below does not try to
   // send into a dead rank's ring (ops still in the engine's channels stay
   // there: the protocol reports no credits while the error flag is up).
-  if (r->rma_am && err.load(std::memory_order_acquire) != 0)
+  if (err.load(std::memory_order_acquire) != 0)
     r->rma_am->fail_all_peers();
   // Final drain so peers' teardown traffic (e.g. late rpc_ff acks) does not
   // sit in malloc'd staging buffers.

@@ -89,9 +89,7 @@ class progress_thread {
   // Anything in flight that wants a hot progress loop rather than a yield?
   static bool busy() {
     auto* r = gex::self();
-    if (r->xfer && r->xfer->copies_pending()) return true;
-    if (r->rma_am && r->rma_am->outstanding() != 0) return true;
-    return false;
+    return r->xfer->copies_pending() || r->rma_am->outstanding() != 0;
   }
 
   persona* master_;

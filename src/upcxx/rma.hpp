@@ -101,9 +101,8 @@ inline bool wire_am() { return op_state().rma_wire_am; }
 // Off-persona-safe for the same reason as wire_am().
 inline bool use_xfer(std::size_t bytes, bool remote = true) {
   auto& p = op_state();
-  return p.rank->xfer != nullptr &&
-         ((p.rma_wire_am && remote) ||
-          (p.rma_async_min != 0 && bytes >= p.rma_async_min));
+  return (p.rma_wire_am && remote) ||
+         (p.rma_async_min != 0 && bytes >= p.rma_async_min);
 }
 
 // Hands a contiguous transfer to the XferEngine and wires its two

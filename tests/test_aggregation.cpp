@@ -163,8 +163,10 @@ TEST(Frames, PackedMessagesDeliverInOrderWithCounts) {
             agg.put(1, gex::am_handler<&frame_sum_handler>(), sizeof i), &i,
             sizeof i);
       agg.flush_all();
-      EXPECT_GT(agg.stats().frames, 1u);
-      EXPECT_LT(agg.stats().frames, agg.stats().msgs);
+      // Small messages of one handler flush only at the count cap.
+      constexpr int kCap = gex::Aggregator::kMaxFrameMsgs;
+      EXPECT_EQ(agg.stats().frames,
+                static_cast<std::uint64_t>((kMsgs + kCap - 1) / kCap));
       EXPECT_EQ(agg.stats().msgs, static_cast<std::uint64_t>(kMsgs));
       EXPECT_EQ(gex::am().stats().sent_frames, agg.stats().frames);
     } else {
@@ -239,7 +241,7 @@ TEST(Aggregation, RpcFfPerTargetFifoAcrossFlushes) {
   g_seq_errors = 0;
   g_seq_last = -1;
   g_seq_count = 0;
-  constexpr int kMsgs = 5000;  // crosses many agg_max_msgs boundaries
+  constexpr int kMsgs = 5000;  // crosses many frame-count-cap boundaries
   testutil::spmd(2, [] {
     if (upcxx::rank_me() == 0) {
       for (int i = 0; i < kMsgs; ++i) {
@@ -474,34 +476,18 @@ TEST(ConfigValidation, EagerMaxClampedToRingFrame) {
   EXPECT_LE(c.eager_max, c.ring_bytes / 4 - 64);
 }
 
-TEST(ConfigValidation, AggKnobsClampedAndNormalized) {
-  EnvGuard g1("UPCXX_AGG_MAX_BYTES"), g2("UPCXX_AGG_MAX_MSGS"),
-      g3("UPCXX_AGG");
-  ::setenv("UPCXX_AGG_MAX_BYTES", "99999999", 1);
-  ::setenv("UPCXX_AGG_MAX_MSGS", "0", 1);
-  auto c = gex::Config::from_env();
-  EXPECT_LE(c.agg_max_bytes, c.ring_bytes / 4 - 64);
-  EXPECT_GE(c.agg_max_msgs, 1u);
-  ::setenv("UPCXX_AGG", "0", 1);
-  EXPECT_FALSE(gex::Config::from_env().agg_enabled);
-}
-
 TEST(ConfigValidation, NormalizeCoversHandBuiltConfigs) {
   gex::Config c;
   c.segment_bytes = 0;
   c.heap_bytes = 0;
   c.ring_bytes = 100;          // not a power of two, far too small
   c.eager_max = 1 << 30;       // absurd
-  c.agg_max_bytes = 1 << 30;
-  c.agg_max_msgs = 0;
   c.normalize();
   const gex::Config d;
   EXPECT_EQ(c.segment_bytes, d.segment_bytes);
   EXPECT_EQ(c.heap_bytes, d.heap_bytes);
   EXPECT_TRUE(arch::is_pow2(c.ring_bytes));
   EXPECT_LE(c.eager_max, c.ring_bytes / 4 - 64);
-  EXPECT_LE(c.agg_max_bytes, c.ring_bytes / 4 - 64);
-  EXPECT_GE(c.agg_max_msgs, 1u);
 }
 
 // ----------------------------------------------- aggregation off still works

@@ -178,37 +178,16 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, TransportContract,
 // ------------------------------------------------------- config + resolve
 
 TEST(SocketConfig, EnvKnobsParseNormalizeAndResolve) {
-  EnvGuard guard({"UPCXX_AM_TRANSPORT", "UPCXX_RMA_WIRE",
-                  "UPCXX_SOCKET_MAX_RECORD_KB", "UPCXX_SOCKET_ISOLATED",
-                  "UPCXX_SOCKET_FAULT_SEED",
-                  "UPCXX_SOCKET_FAULT_SHORT_WRITE_PCT",
-                  "UPCXX_SOCKET_FAULT_SHORT_READ_PCT",
-                  "UPCXX_SOCKET_FAULT_DIE_RANK",
-                  "UPCXX_SOCKET_FAULT_DIE_AT"});
+  EnvGuard guard({"UPCXX_AM_TRANSPORT", "UPCXX_RMA_WIRE"});
 
   // Defaults.
   gex::Config d;
   EXPECT_EQ(d.socket_max_record, std::size_t{8} << 20);
   EXPECT_EQ(d.socket_fault_die_rank, -1);
-  EXPECT_FALSE(d.socket_isolated);
 
   ::setenv("UPCXX_AM_TRANSPORT", "socket", 1);
-  ::setenv("UPCXX_SOCKET_MAX_RECORD_KB", "1024", 1);
-  ::setenv("UPCXX_SOCKET_ISOLATED", "1", 1);
-  ::setenv("UPCXX_SOCKET_FAULT_SEED", "77", 1);
-  ::setenv("UPCXX_SOCKET_FAULT_SHORT_WRITE_PCT", "30", 1);
-  ::setenv("UPCXX_SOCKET_FAULT_SHORT_READ_PCT", "25", 1);
-  ::setenv("UPCXX_SOCKET_FAULT_DIE_RANK", "2", 1);
-  ::setenv("UPCXX_SOCKET_FAULT_DIE_AT", "40", 1);
   gex::Config c = gex::Config::from_env();
   EXPECT_EQ(gex::resolve_am_transport(c), gex::AmTransport::kSocket);
-  EXPECT_EQ(c.socket_max_record, std::size_t{1} << 20);
-  EXPECT_TRUE(c.socket_isolated);
-  EXPECT_EQ(c.socket_fault_seed, 77u);
-  EXPECT_EQ(c.socket_fault_short_write_pct, 30u);
-  EXPECT_EQ(c.socket_fault_short_read_pct, 25u);
-  EXPECT_EQ(c.socket_fault_die_rank, 2);
-  EXPECT_EQ(c.socket_fault_die_at, 40u);
 
   // Auto rma-wire resolution pins `am` under socket: peers must be
   // treated as not cross-mapped.
@@ -219,14 +198,11 @@ TEST(SocketConfig, EnvKnobsParseNormalizeAndResolve) {
   s.rma_wire = gex::RmaWire::kDirect;
   EXPECT_EQ(gex::resolve_rma_wire(s), gex::RmaWire::kDirect);
 
-  // normalize() clamps: a record must hold a maximal eager payload, fault
-  // probabilities are percentages.
+  // normalize() clamps: a record must hold a maximal eager payload.
   gex::Config n;
   n.socket_max_record = 1;
-  n.socket_fault_short_write_pct = 250;
   n.normalize();
   EXPECT_EQ(n.socket_max_record, std::size_t{64} << 10);
-  EXPECT_EQ(n.socket_fault_short_write_pct, 100u);
 }
 
 // ------------------------------------------------------------- SPMD smoke
@@ -288,10 +264,11 @@ TEST(SocketTransport, SpmdSmoke8Ranks) {
 
 // -------------------------------------------------------- fault injection
 
-// Short writes force partial-write continuation on every queue; short
-// reads force header/body reassembly from 1..64-byte gulps. The schedule
-// is a pure function of the seed, which is printed so a failure replays
-// bit-exactly (export UPCXX_SOCKET_FAULT_SEED and re-run).
+// A nonzero seed turns on short writes, forcing partial-write continuation
+// on every queue, and short reads, forcing header/body reassembly from
+// 1..64-byte gulps. The schedule is a pure function of the seed, which is
+// printed so a failure replays bit-exactly (export UPCXX_SOCKET_FAULT_SEED,
+// which this test reads, and re-run).
 TEST(SocketFault, ShortReadShortWriteSoakIsLossless) {
   std::uint64_t seed = 0;
   if (const char* v = ::getenv("UPCXX_SOCKET_FAULT_SEED"); v && *v)
@@ -305,8 +282,6 @@ TEST(SocketFault, ShortReadShortWriteSoakIsLossless) {
   gex::Config cfg = testutil::test_cfg(2);
   cfg.am_transport = gex::AmTransport::kSocket;
   cfg.socket_fault_seed = seed;
-  cfg.socket_fault_short_write_pct = 30;
-  cfg.socket_fault_short_read_pct = 30;
   const int fails = upcxx::run(cfg, [] {
     const int me = upcxx::rank_me();
     constexpr std::size_t kWords = 8 << 10;
@@ -352,9 +327,7 @@ TEST(SocketFault, KilledPeerRaisesRankFailed) {
       "/tmp/upcxx-sockdeath-" + std::to_string(::getpid());
   ::unlink(marker.c_str());
   gex::Config cfg = testutil::test_cfg(2);
-  cfg.backend = gex::Backend::kProcess;
-  cfg.am_transport = gex::AmTransport::kSocket;
-  cfg.socket_isolated = true;
+  cfg.backend = gex::Backend::kIsolated;
   cfg.socket_fault_die_rank = 1;
   cfg.socket_fault_die_at = 25;  // dies while acking rank 0's puts
   const int fails = upcxx::run(cfg, [] {
@@ -441,9 +414,7 @@ TEST(SocketIsolated, PeerPointersAreNotLocal) {
       "/tmp/upcxx-isolocal-" + std::to_string(::getpid());
   ::unlink(marker.c_str());
   gex::Config cfg = testutil::test_cfg(2);
-  cfg.backend = gex::Backend::kProcess;
-  cfg.am_transport = gex::AmTransport::kSocket;
-  cfg.socket_isolated = true;
+  cfg.backend = gex::Backend::kIsolated;
   const int fails = upcxx::run(cfg, [] {
     const int me = upcxx::rank_me(), peer = 1 - me;
     constexpr long kN = 64;
