@@ -204,9 +204,9 @@ std::size_t RmaAmProtocol::chunk_bytes(AmEngine& am, std::uint32_t window,
                                        std::size_t want) {
   std::size_t chunk = std::min(want, kAmXferChunkBytes);
   if (!am.transport().shared_memory()) {
-    // Every record rides inline there. The largest one a piece makes is a
-    // contiguous put: header, owed acks, one descriptor and the payload (a
-    // run entry counts its descriptors inside the piece; a reply's header
+    // Every record rides inline there. A piece's record is its header, the
+    // owed acks, the first descriptor and the piece (a run entry counts
+    // its descriptors after the first inside the piece; a reply's header
     // is no larger). Config's 256 B chunk floor still applies.
     const std::size_t overhead =
         sizeof(FragHdr) + ack_bytes(window) + sizeof(FragDesc);
@@ -294,11 +294,12 @@ void RmaAmProtocol::start_put(int target, const Frag* dsts,
 }
 
 void RmaAmProtocol::start_get(int target, const Frag* srcs, std::size_t n,
-                              std::vector<LocalFrag> dsts, Done done) {
+                              const LocalFrag* dsts, std::size_t ndsts,
+                              Done done) {
   assert(self() == owner_ && "RmaAmProtocol used off its rank's thread");
   claim_credit(peer(target));
   const std::uint64_t cookie =
-      new_pending(target, std::move(done), std::move(dsts));
+      new_pending(target, std::move(done), {dsts, dsts + ndsts});
   Record r = open_record(target, am_handler<&RmaAmHandlers::on_get_frag>(),
                          FragHdr{cookie, static_cast<std::uint32_t>(n), 0},
                          n * sizeof(FragDesc));
@@ -399,9 +400,10 @@ XferEngine::WireOps RmaAmProtocol::wire_ops() {
                    XferEngine::Callback done) {
     start_put(target, dsts, ndsts, srcs, nsrcs, std::move(done));
   };
-  ops.get = [this](int target, const Frag* srcs, std::size_t n,
-                   std::vector<LocalFrag> dsts, XferEngine::Callback done) {
-    start_get(target, srcs, n, std::move(dsts), std::move(done));
+  ops.get = [this](int target, const Frag* srcs, std::size_t nsrcs,
+                   const LocalFrag* dsts, std::size_t ndsts,
+                   XferEngine::Callback done) {
+    start_get(target, srcs, nsrcs, dsts, ndsts, std::move(done));
   };
   ops.credits = [this](int target) { return credits(target); };
   return ops;

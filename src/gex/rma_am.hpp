@@ -124,10 +124,10 @@ class RmaAmProtocol {
   void start_put(int target, const Frag* dsts, std::size_t ndsts,
                  const LocalFrag* srcs, std::size_t nsrcs, Done done);
   // Gather-get: the target gathers `srcs` into one reply; the initiator
-  // scatters the payload into `dsts` in order (each must stay valid until
-  // `done` fires).
+  // scatters the payload into the `ndsts` runs at `dsts` in order (the
+  // list is copied; each run must stay valid until `done` fires).
   void start_get(int target, const Frag* srcs, std::size_t n,
-                 std::vector<LocalFrag> dsts, Done done);
+                 const LocalFrag* dsts, std::size_t ndsts, Done done);
 
   // Requests the window admits toward `target` right now: the window
   // minus requests in flight, and 0 once the job's error flag is up (so

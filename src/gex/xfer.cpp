@@ -11,35 +11,68 @@ namespace gex {
 
 namespace {
 
-// Copies the runs `from`, in order, into the runs `to` (equal totals).
-void copy_runs(const std::vector<XferEngine::LocalFrag>& from,
-               const std::vector<XferEngine::LocalFrag>& to) {
-  std::size_t i = 0, off = 0;  // cursor in `from`
-  for (const auto& d : to) {
-    for (std::size_t done = 0; done < d.bytes;) {
-      const std::size_t n = std::min(d.bytes - done, from[i].bytes - off);
-      if (n)
-        std::memcpy(static_cast<std::byte*>(d.ptr) + done,
-                    static_cast<const std::byte*>(from[i].ptr) + off, n);
+using Frag = XferEngine::Frag;
+using LocalFrag = XferEngine::LocalFrag;
+
+// Moves bytes between the `remote` runs, decoded through `map` (mapped in
+// this process by construction), and the `local` runs, in order (equal
+// totals): local -> remote, or remote -> local for a get.
+void copy_runs(const SegmentMap& map, const Frag* remote, std::size_t nr,
+               const LocalFrag* local, bool is_get) {
+  std::size_t li = 0, loff = 0;  // cursor in `local`
+  for (std::size_t i = 0; i < nr; ++i) {
+    const auto bytes = static_cast<std::size_t>(remote[i].bytes);
+    if (!bytes) continue;
+    auto* theirs = static_cast<std::byte*>(map.try_decode(remote[i].addr));
+    assert(theirs && "built-in mover given memory not mapped here");
+    for (std::size_t done = 0; done < bytes;) {
+      auto* mine = static_cast<std::byte*>(local[li].ptr) + loff;
+      const std::size_t n = std::min(bytes - done, local[li].bytes - loff);
+      if (n) {
+        if (is_get)
+          std::memcpy(mine, theirs + done, n);
+        else
+          std::memcpy(theirs + done, mine, n);
+      }
       done += n;
-      off += n;
-      if (off == from[i].bytes) {
-        ++i;
-        off = 0;
+      loff += n;
+      if (loff == local[li].bytes) {
+        ++li;
+        loff = 0;
       }
     }
   }
+}
+
+// The built-in mover: a memcpy through the segment map, done before it
+// returns, no credit gate.
+XferEngine::WireOps direct_wire(const SegmentMap& map) {
+  XferEngine::WireOps ops;
+  ops.put = [m = &map](int, const Frag* r, std::size_t nr,
+                       const LocalFrag* l, std::size_t,
+                       XferEngine::Callback done) {
+    copy_runs(*m, r, nr, l, /*is_get=*/false);
+    done();
+  };
+  ops.get = [m = &map](int, const Frag* r, std::size_t nr,
+                       const LocalFrag* l, std::size_t,
+                       XferEngine::Callback done) {
+    copy_runs(*m, r, nr, l, /*is_get=*/true);
+    done();
+  };
+  return ops;
 }
 
 }  // namespace
 
 XferEngine::XferEngine(const SegmentMap& map, std::size_t chunk_bytes,
                        double bw_gbps)
-    : map_(map),
-      chunk_bytes_(chunk_bytes ? chunk_bytes : std::size_t{256} << 10),
+    : chunk_bytes_(chunk_bytes ? chunk_bytes : std::size_t{256} << 10),
       bw_gbps_(bw_gbps > 0 ? bw_gbps : 0),
       // 1 GB/s == 1e9 bytes/s == 1 byte/ns, so ns-per-byte is 1/gbps.
       ns_per_byte_(bw_gbps > 0 ? 1.0 / bw_gbps : 0),
+      direct_(direct_wire(map)),
+      wire_(direct_wire(map)),
       owner_(self()) {}
 
 XferEngine::Channel& XferEngine::channel(int target) {
@@ -53,8 +86,7 @@ XferEngine::Channel& XferEngine::channel(int target) {
 
 std::size_t XferEngine::channel_count() const { return channels_.size(); }
 
-XferEngine::Xfer& XferEngine::enqueue(int target) {
-  assert(self() == owner_ && "XferEngine used off its rank's thread");
+XferEngine::Xfer& XferEngine::enqueue(Channel& ch, bool is_get) {
   Xfer* x;
   if (free_.empty()) {
     nodes_.push_back(std::make_unique<Xfer>());
@@ -63,16 +95,22 @@ XferEngine::Xfer& XferEngine::enqueue(int target) {
     x = free_.back();
     free_.pop_back();
   }
-  ++active_count_;
-  ++inflight_count_;
-  ++stats_.submitted;
-  stats_.max_inflight =
-      std::max<std::uint64_t>(stats_.max_inflight, inflight_count_);
-  Channel& ch = channel(target);
+  x->is_get = is_get;
   (ch.tail ? ch.tail->next : ch.head) = x;
   ch.tail = x;
   if (!ch.issue) ch.issue = x;
   return *x;
+}
+
+void XferEngine::recycle(Xfer& x) {
+  std::vector<Frag> remote = std::move(x.remote);
+  std::vector<LocalFrag> local = std::move(x.local);
+  remote.clear();
+  local.clear();
+  x = Xfer{};
+  x.remote = std::move(remote);
+  x.local = std::move(local);
+  free_.push_back(&x);
 }
 
 void XferEngine::submit(int target, WireAddr remote, void* local,
@@ -81,149 +119,107 @@ void XferEngine::submit(int target, WireAddr remote, void* local,
                         std::uint64_t extra_landing_ns) {
   assert((bytes == 0 || (remote && local)) &&
          "null endpoint on a live transfer");
-  Xfer& x = enqueue(target);
-  x.addr = remote;
-  x.buf = static_cast<std::byte*>(local);
-  x.bytes = bytes;
-  x.is_get = is_get;
-  x.on_source = std::move(on_source);
-  x.on_landed = std::move(on_landed);
-  x.extra_landing_ns = extra_landing_ns;
+  const Frag r{remote, bytes};
+  const LocalFrag l{local, bytes};
+  cut(target, &r, 1, &l, 1, is_get, std::move(on_source),
+      std::move(on_landed), extra_landing_ns);
 }
 
-void XferEngine::submit_runs(int target, std::vector<Frag> remote,
-                             std::vector<LocalFrag> local, Callback on_source,
-                             Callback on_landed, bool is_get) {
-  assert(wire_ && "run entries need an installed wire");
-  std::size_t bytes = 0;
-  for (const Frag& f : remote) bytes += static_cast<std::size_t>(f.bytes);
+void XferEngine::submit_runs(int target, const std::vector<Frag>& remote,
+                             const std::vector<LocalFrag>& local,
+                             Callback on_source, Callback on_landed,
+                             bool is_get, std::uint64_t extra_landing_ns) {
+  cut(target, remote.data(), remote.size(), local.data(), local.size(),
+      is_get, std::move(on_source), std::move(on_landed), extra_landing_ns);
+}
+
+void XferEngine::cut(int target, const Frag* remote, std::size_t nremote,
+                     const LocalFrag* local, std::size_t nlocal, bool is_get,
+                     Callback on_source, Callback on_landed,
+                     std::uint64_t extra_landing_ns) {
+  assert(self() == owner_ && "XferEngine used off its rank's thread");
+  Channel& ch = channel(target);
+  ++active_count_;
+  ++inflight_count_;
+  ++stats_.submitted;
+  stats_.max_inflight =
+      std::max<std::uint64_t>(stats_.max_inflight, inflight_count_);
+  // Each entry takes remote runs until the chunk is spent — every run
+  // after its first costing its descriptor — splitting the run that
+  // straddles the boundary, then as many bytes of local runs. Every entry
+  // takes at least its first run's next byte (or a whole empty run), so
+  // the cut always advances.
   Xfer* x = nullptr;
-  const auto next_entry = [&] {
-    x = &enqueue(target);
-    x->is_get = is_get;
-    x->runs = true;
-  };
-  if (bytes + remote.size() * sizeof(Frag) <= chunk_bytes_) {
-    next_entry();
-    x->bytes = bytes;
-    x->remote = std::move(remote);
-    x->local = std::move(local);
-  } else {
-    // More than one piece: cut both lists at the same byte offsets. Each
-    // entry takes remote runs — each costing its descriptor — until the
-    // chunk is spent, splitting the run that straddles the boundary, then
-    // as many bytes of local runs. chunk_bytes_ >= 256 leaves every entry
-    // room for at least one descriptor and a byte.
-    std::size_t li = 0, loff = 0;  // cursor in `local`
-    for (std::size_t ri = 0, roff = 0; ri < remote.size();) {
-      next_entry();
-      for (std::size_t room = chunk_bytes_;
-           ri < remote.size() && room > sizeof(Frag);) {
+  std::size_t ri = 0, roff = 0;  // cursor in `remote`
+  std::size_t li = 0, loff = 0;  // cursor in `local`
+  do {
+    x = &enqueue(ch, is_get);
+    for (std::size_t room = chunk_bytes_; ri < nremote;) {
+      if (!x->remote.empty()) {
+        if (room <= sizeof(Frag)) break;
         room -= sizeof(Frag);
-        const std::size_t take = std::min(
-            static_cast<std::size_t>(remote[ri].bytes) - roff, room);
-        x->remote.push_back({remote[ri].addr + roff, take});
-        x->bytes += take;
-        room -= take;
-        roff += take;
-        if (roff == remote[ri].bytes) {
-          ++ri;
-          roff = 0;
-        }
       }
-      for (std::size_t need = x->bytes; need > 0;) {
-        const std::size_t take = std::min(local[li].bytes - loff, need);
-        if (take)
-          x->local.push_back(
-              {static_cast<std::byte*>(local[li].ptr) + loff, take});
-        need -= take;
-        loff += take;
-        if (loff == local[li].bytes) {
-          ++li;
-          loff = 0;
-        }
+      const std::size_t take = std::min(
+          static_cast<std::size_t>(remote[ri].bytes) - roff, room);
+      x->remote.push_back({remote[ri].addr + roff, take});
+      x->bytes += take;
+      room -= take;
+      roff += take;
+      if (roff == remote[ri].bytes) {
+        ++ri;
+        roff = 0;
       }
     }
-  }
-  // The last entry completes the list: it issues after, and retires no
+    for (std::size_t need = x->bytes; need > 0;) {
+      assert(li < nlocal && "local runs shorter than the remote runs");
+      const std::size_t take = std::min(local[li].bytes - loff, need);
+      if (take)
+        x->local.push_back(
+            {static_cast<std::byte*>(local[li].ptr) + loff, take});
+      need -= take;
+      loff += take;
+      if (loff == local[li].bytes) {
+        ++li;
+        loff = 0;
+      }
+    }
+  } while (ri < nremote);
+  (void)nlocal;
+  // The last entry completes the transfer: it issues after, and retires no
   // earlier than, every entry before it.
+  x->last = true;
   x->on_source = std::move(on_source);
   x->on_landed = std::move(on_landed);
+  x->extra_landing_ns = extra_landing_ns;
 }
 
 void XferEngine::issue_one_chunk(Channel& ch) {
   Xfer& x = *ch.issue;
-  const std::size_t take =
-      x.runs ? x.bytes : std::min(chunk_bytes_, x.bytes - x.off);
-  if (x.runs || take) {
-    if (x.runs && ch.own) {
-      // Own rank: the remote runs are in this rank's own segment.
-      std::vector<LocalFrag> mine;
-      mine.reserve(x.remote.size());
-      for (const Frag& f : x.remote)
-        mine.push_back({mapped(f.addr), static_cast<std::size_t>(f.bytes)});
-      if (x.is_get)
-        copy_runs(mine, x.local);
-      else
-        copy_runs(x.local, mine);
-    } else if (!wire_ || ch.own) {
-      std::byte* theirs = mapped(x.addr + x.off);
-      if (x.is_get)
-        std::memcpy(x.buf + x.off, theirs, take);
-      else
-        std::memcpy(theirs, x.buf + x.off, take);
-    } else {
-      // Each wire piece carries a pending-ack token; the transfer retires
-      // only once every token has been returned. The wire may complete
-      // synchronously (done before put returns), so the counter is bumped
-      // first. The node never moves while queued, and a submit reached
-      // from inside the wire call appends behind it.
-      ++x.unacked;
-      Callback done = [px = &x] { --px->unacked; };
-      if (x.runs) {
-        if (x.is_get)
-          wire_->get(ch.target, x.remote.data(), x.remote.size(),
-                     std::move(x.local), std::move(done));
-        else
-          wire_->put(ch.target, x.remote.data(), x.remote.size(),
-                     x.local.data(), x.local.size(), std::move(done));
-      } else {
-        // One run each side.
-        const Frag r{x.addr + x.off, take};
-        const LocalFrag l{x.buf + x.off, take};
-        if (x.is_get)
-          wire_->get(ch.target, &r, 1, {l}, std::move(done));
-        else
-          wire_->put(ch.target, &r, 1, &l, 1, std::move(done));
-      }
-    }
-    x.off += take;
-    stats_.bytes_copied += take;
-  }
+  // The mover may call done before it returns; the node never moves while
+  // queued, and a submit reached from inside the mover call appends
+  // behind it.
+  WireOps& w = wire_of(ch);
+  (x.is_get ? w.get : w.put)(ch.target, x.remote.data(), x.remote.size(),
+                             x.local.data(), x.local.size(),
+                             [px = &x] { px->acked = true; });
   ++stats_.chunks_copied;
+  stats_.bytes_copied += x.bytes;
   if (ns_per_byte_ > 0) {
-    // Virtual wire clock (per link): the wire starts this chunk when it
+    // Virtual wire clock (per link): the wire starts this piece when it
     // frees up (or now, if it has been idle) and holds it for bytes/bw.
     const std::uint64_t now = arch::now_ns();
     ch.wire_free_ns_ = std::max(ch.wire_free_ns_, now) +
-                       static_cast<std::uint64_t>(take * ns_per_byte_);
+                       static_cast<std::uint64_t>(x.bytes * ns_per_byte_);
   }
-  if (x.off == x.bytes) {
-    // Last byte read out of the source: the initiator may reuse it.
-    x.landed_due_ns = ns_per_byte_ > 0 ? ch.wire_free_ns_ : 0;
-    if (x.extra_landing_ns)
-      x.landed_due_ns = std::max(x.landed_due_ns, arch::now_ns()) +
-                        x.extra_landing_ns;
-    ch.issue = x.next;
-    --active_count_;
-    if (Callback cb = std::move(x.on_source)) cb();
-  }
-}
-
-std::byte* XferEngine::mapped(WireAddr wa) const {
-  void* p = map_.try_decode(wa);
-  assert(p && "direct-wire or own-rank transfer to memory not mapped here");
-  return static_cast<std::byte*>(p);
+  x.landed_due_ns = ns_per_byte_ > 0 ? ch.wire_free_ns_ : 0;
+  ch.issue = x.next;
+  if (!x.last) return;
+  // Last byte read out of the source: the initiator may reuse it.
+  if (x.extra_landing_ns)
+    x.landed_due_ns =
+        std::max(x.landed_due_ns, arch::now_ns()) + x.extra_landing_ns;
+  --active_count_;
+  if (Callback cb = std::move(x.on_source)) cb();
 }
 
 int XferEngine::retire_landed(Channel& ch) {
@@ -234,13 +230,14 @@ int XferEngine::retire_landed(Channel& ch) {
   int fired = 0;
   while (ch.head && ch.head != ch.issue) {
     Xfer& head = *ch.head;
-    if (head.unacked != 0) break;
+    if (!head.acked) break;
     if (head.landed_due_ns > arch::now_ns()) break;
+    const bool last = head.last;
     Callback cb = std::move(head.on_landed);
     ch.head = head.next;
     if (!ch.head) ch.tail = nullptr;
-    head = Xfer{};
-    free_.push_back(&head);
+    recycle(head);
+    if (!last) continue;
     --inflight_count_;
     ++stats_.landed;
     if (cb) cb();
@@ -304,8 +301,7 @@ std::size_t XferEngine::pending_chunks(int target) const {
   for (const auto& ch : channels_) {
     if (ch->target != target) continue;
     std::size_t n = 0;
-    for (const Xfer* x = ch->issue; x; x = x->next)
-      n += x->runs ? 1 : (x->bytes - x->off + chunk_bytes_ - 1) / chunk_bytes_;
+    for (const Xfer* x = ch->issue; x; x = x->next) ++n;
     return n;
   }
   return 0;

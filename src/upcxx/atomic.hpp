@@ -21,7 +21,6 @@
 #include <initializer_list>
 #include <vector>
 
-#include "arch/atomics.hpp"
 #include "upcxx/collectives.hpp"
 #include "upcxx/global_ptr.hpp"
 #include "upcxx/rpc.hpp"
@@ -248,7 +247,6 @@ class atomic_domain {
   future<T> fetch_op(atomic_op op, global_ptr<T> p, T a, T b) {
     check(op);
     assert(!p.is_null());
-    arch::relaxed_inc(detail::op_state().stats.amos_run);
     if (direct_) {
       // "Offloaded": perform the CPU atomic immediately; deliver the result
       // through the progress engine after the simulated round trip (or
@@ -277,7 +275,6 @@ class atomic_domain {
   future<> update_op(atomic_op op, global_ptr<T> p, T a, T b) {
     check(op);
     assert(!p.is_null());
-    arch::relaxed_inc(detail::op_state().stats.amos_run);
     if (direct_) {
       detail::apply_atomic(op, p.local(), a, b);
       if (detail::op_state().sim_latency_ns == 0)

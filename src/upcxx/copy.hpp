@@ -88,7 +88,6 @@ auto copy(global_ptr<T, KS> src, global_ptr<T, KD> dest, std::size_t n,
           Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!src.is_null() && !dest.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rputs);
   constexpr int dev_ends = (KS == memory_kind::sim_device ? 1 : 0) +
                            (KD == memory_kind::sim_device ? 1 : 0);
   if (dest.where() == detail::op_state().rank->me)
@@ -106,7 +105,6 @@ auto copy(const T* src, global_ptr<T, KD> dest, std::size_t n,
           Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!dest.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rputs);
   constexpr int dev_ends = KD == memory_kind::sim_device ? 1 : 0;
   return detail::copy_impl(std::move(cxs), dest.where(), dest.wire_addr(),
                            const_cast<T*>(src),  // read-only use
@@ -119,7 +117,6 @@ template <typename T, memory_kind KS, typename Cxs = default_cx_t>
 auto copy(global_ptr<T, KS> src, T* dest, std::size_t n, Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!src.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rgets);
   constexpr int dev_ends = KS == memory_kind::sim_device ? 1 : 0;
   return detail::copy_impl(std::move(cxs), src.where(), src.wire_addr(), dest,
                            /*is_get=*/true, n * sizeof(T), dev_ends,

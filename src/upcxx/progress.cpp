@@ -325,7 +325,7 @@ void progress(progress_level lvl) {
       p.compq.push_back(std::move(fn));
       continue;
     }
-    arch::relaxed_inc(p.stats.lpcs_run);
+    ++p.stats.lpcs_run;
     ++p.work_events;
   }
 }

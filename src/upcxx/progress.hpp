@@ -29,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "arch/atomics.hpp"
 #include "arch/mpsc_queue.hpp"
 #include "arch/slot_table.hpp"
 #include "arch/small_fn.hpp"
@@ -114,20 +113,12 @@ struct PersonaState {
   std::unordered_map<std::uint64_t, std::shared_ptr<CollInstance>> colls;
   std::unordered_map<std::uint64_t, std::uint64_t> coll_seq;  // per team
 
-  // Counters surfaced by tests and benches. Plain u64 fields (printf-able,
-  // source-compatible readers) bumped through arch::relaxed_inc — injector
-  // threads increment rputs/rgets/rpcs_sent concurrently with the master
-  // persona's thread, and plain ++ would tear counts the tests assert on.
-  // Read via experimental::stats() (relaxed loads) or directly after a
-  // quiesce.
+  // Counters surfaced by benches and tests, read via experimental::stats().
+  // Only the master persona's holder writes them (rpc dispatch and compQ
+  // drain run there), so they are plain fields bumped with ++.
   struct Stats {
     std::uint64_t rpcs_executed = 0;
-    std::uint64_t rpcs_sent = 0;
-    std::uint64_t rputs = 0;
-    std::uint64_t rgets = 0;
     std::uint64_t lpcs_run = 0;
-    std::uint64_t colls_run = 0;  // collectives entered (per rank, any thread)
-    std::uint64_t amos_run = 0;   // atomic_domain ops issued
   } stats;
 
   // ---- thread-safe injection (off-persona op initiation) ----
@@ -183,8 +174,8 @@ bool has_persona();
 // rank's PersonaState to an app thread that holds no rank context, allowing
 // it to initiate rpc/rput/rget/copy off-persona. op_state() is the union
 // accessor — the rank state via either binding; it grants access to the
-// *thread-safe* subset only (config fields, stats via relaxed_inc, the
-// producer side of injectq). Engine access (state.rank->am etc.)
+// *thread-safe* subset only (config fields and the producer side of
+// injectq). Engine access (state.rank->am etc.)
 // remains the master persona holder's exclusive right; op-layer code that
 // touches engines still goes through persona().
 PersonaState& op_state();
@@ -451,28 +442,17 @@ void barrier();
 namespace experimental {
 
 // Snapshot of the calling rank's operation counters — the paper-era
-// UPCXX_ENABLE_STATS facility reduced to the counters the benches and tests
-// use. Counters are monotonic within one SPMD region.
+// UPCXX_ENABLE_STATS facility reduced to the counters the benches use.
+// Counters are monotonic within one SPMD region. Call from the thread
+// holding the master persona, their one writer.
 struct op_stats {
-  std::uint64_t rputs = 0;
-  std::uint64_t rgets = 0;
-  std::uint64_t rpcs_sent = 0;
   std::uint64_t rpcs_executed = 0;
   std::uint64_t lpcs_run = 0;
-  std::uint64_t colls_run = 0;
-  std::uint64_t amos_run = 0;
 };
 
 inline op_stats stats() {
-  // op_state(): readable from injector threads too; relaxed loads pair
-  // with the relaxed_inc writers (mid-run values are monotone snapshots).
-  const auto& s = detail::op_state().stats;
-  return {arch::relaxed_load(s.rputs),          arch::relaxed_load(s.rgets),
-          arch::relaxed_load(s.rpcs_sent),
-          arch::relaxed_load(s.rpcs_executed),
-          arch::relaxed_load(s.lpcs_run),
-          arch::relaxed_load(s.colls_run),
-          arch::relaxed_load(s.amos_run)};
+  const auto& s = detail::persona().stats;
+  return {s.rpcs_executed, s.lpcs_run};
 }
 
 }  // namespace experimental

@@ -57,7 +57,6 @@
 #include <memory>
 #include <vector>
 
-#include "arch/atomics.hpp"
 #include "gex/xfer.hpp"
 #include "upcxx/completion.hpp"
 #include "upcxx/global_ptr.hpp"
@@ -235,7 +234,6 @@ auto rput(const T* src, global_ptr<T> dest, std::size_t n,
   static_assert(std::is_trivially_copyable_v<T>,
                 "RMA requires trivially copyable element types");
   assert(!dest.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rputs);
   const std::size_t bytes = n * sizeof(T);
   if (detail::use_xfer(bytes)) {
     // Read-only use of src: the engine's local side serves both directions.
@@ -261,7 +259,6 @@ auto rput(T value, global_ptr<T> dest, Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "RMA requires trivially copyable element types");
   assert(!dest.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rputs);
   if (detail::wire_am()) {
     // The put may wait in its channel for a credit: stage the value in a
     // holder the engine's on_source keeps alive until the request has
@@ -286,7 +283,6 @@ template <typename T, typename Cxs = default_cx_t>
 auto rget(global_ptr<T> src, T* dest, std::size_t n, Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!src.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rgets);
   const std::size_t bytes = n * sizeof(T);
   if (detail::use_xfer(bytes)) {
     return detail::issue_xfer_ns(std::move(cxs), src.where(),
@@ -305,7 +301,6 @@ template <typename T>
 future<T> rget(global_ptr<T> src) {
   static_assert(std::is_trivially_copyable_v<T>);
   assert(!src.is_null());
-  arch::relaxed_inc(detail::op_state().stats.rgets);
   if (detail::wire_am()) {
     // A one-chunk engine get whose reply scatters into a shared holder;
     // the value ships to the future through compQ (plus the modeled round
@@ -438,7 +433,6 @@ auto rput_irregular(const std::vector<src_fragment<T>>& srcs,
                     const std::vector<dst_fragment<T>>& dsts,
                     Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  arch::relaxed_inc(detail::op_state().stats.rputs);
   if (dsts.empty()) {
     // Empty transfer: complete locally (no remote rank is named, so no
     // remote_cx fires). Any local fragments must be zero-length too.
@@ -479,7 +473,6 @@ auto rget_irregular(const std::vector<dst_fragment<T>>& srcs,
                     const std::vector<local_fragment<T>>& dsts,
                     Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  arch::relaxed_inc(detail::op_state().stats.rgets);
   if (srcs.empty()) {
     return detail::finish_rma_fragments(
         std::move(cxs), 0, [](std::size_t) { return intrank_t{0}; });
@@ -578,7 +571,6 @@ auto rput_strided(const T* src_base,
                   const std::array<std::size_t, Dim>& extents,
                   Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  arch::relaxed_inc(detail::op_state().stats.rputs);
   auto* a = reinterpret_cast<const std::byte*>(src_base);
   if (detail::wire_am()) {
     auto groups = detail::strided_am_group<T, Dim>(
@@ -604,7 +596,6 @@ auto rget_strided(global_ptr<T> src_base,
                   const std::array<std::size_t, Dim>& extents,
                   Cxs cxs = Cxs{}) {
   static_assert(std::is_trivially_copyable_v<T>);
-  arch::relaxed_inc(detail::op_state().stats.rgets);
   auto* b = reinterpret_cast<std::byte*>(dst_base);
   if (detail::wire_am()) {
     auto groups = detail::strided_am_group<T, Dim>(

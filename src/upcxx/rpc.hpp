@@ -19,7 +19,6 @@
 #include <cstring>
 #include <type_traits>
 
-#include "arch/atomics.hpp"
 #include "upcxx/completion.hpp"
 #include "upcxx/future.hpp"
 #include "upcxx/progress.hpp"
@@ -111,7 +110,7 @@ void rpc_request_dispatch(int src, Reader& r) {
   const auto op_id = r.pod<std::uint64_t>();
   F fn = read_fn<F>(r);
   auto args = deserialize_tuple<Args...>(r);
-  arch::relaxed_inc(persona().stats.rpcs_executed);
+  ++persona().stats.rpcs_executed;
   invoke_and_reply(fn, args, [src, op_id](const auto&... results) {
     send_reply(src, op_id, results...);
   });
@@ -122,7 +121,7 @@ template <typename F, typename... Args>
 void rpc_ff_dispatch(int /*src*/, Reader& r) {
   F fn = read_fn<F>(r);
   auto args = deserialize_tuple<Args...>(r);
-  arch::relaxed_inc(persona().stats.rpcs_executed);
+  ++persona().stats.rpcs_executed;
   std::apply(fn, args);
 }
 
@@ -174,7 +173,6 @@ template <typename F, typename... Args>
 void rpc_ff_impl(intrank_t target, wire_mode mode, F fn, Args&&... args) {
   static_assert(std::is_trivially_copyable_v<F>,
                 "RPC callables must be trivially copyable");
-  arch::relaxed_inc(op_state().stats.rpcs_sent);
   SizeArchive sa;
   serialization_write_fn(sa, fn);
   serialize_args(sa, args...);
@@ -206,7 +204,6 @@ auto rpc_impl(intrank_t target, wire_mode mode, F fn, Args&&... args)
   static_assert(std::is_trivially_copyable_v<F>,
                 "RPC callables must be trivially copyable");
   using Fut = rpc_return_t<F, std::decay_t<Args>...>;
-  arch::relaxed_inc(op_state().stats.rpcs_sent);
   std::uint64_t op_id = 0;
   Fut fut = reply_fulfiller<Fut>::attach(&op_id);
   SizeArchive sa;

@@ -227,7 +227,6 @@ void coll_enter(const team& tm, intrank_t root, std::vector<std::byte> contrib,
     return;
   }
   auto& p = persona();
-  arch::relaxed_inc(p.stats.colls_run);
   const std::uint64_t seq = p.coll_seq[tm.id()]++;
   const std::uint64_t key = mix64(tm.id(), seq);
 

@@ -460,12 +460,18 @@ TEST(Stats, CountersTrackOperations) {
       long out;
       upcxx::rget(remote, &out, 1).wait();
       upcxx::rpc(1, [] {}).wait();
-      const auto after = upcxx::experimental::stats();
-      EXPECT_EQ(after.rputs - before.rputs, 2u);
-      EXPECT_EQ(after.rgets - before.rgets, 1u);
-      EXPECT_GE(after.rpcs_sent - before.rpcs_sent, 1u);
+      int ran = 0;
+      upcxx::detail::push_compq([&ran] { ++ran; });
+      while (ran == 0) upcxx::progress();
+      EXPECT_GE(upcxx::experimental::stats().lpcs_run - before.lpcs_run, 1u);
     }
     upcxx::barrier();
+    // Rank 1 executed rank 0's rpc before rank 0's wait returned, so before
+    // rank 1 left the barrier.
+    if (upcxx::rank_me() == 1)
+      EXPECT_EQ(upcxx::experimental::stats().rpcs_executed -
+                    before.rpcs_executed,
+                1u);
     if (upcxx::rank_me() == 1) upcxx::delete_array(remote, 8);
     upcxx::barrier();
   });

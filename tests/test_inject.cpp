@@ -232,7 +232,6 @@ TEST(Inject, CopyFromThread) {
 void collectives_from_injector_body() {
   const int me = upcxx::rank_me();
   const int P = upcxx::rank_n();
-  const auto before = upcxx::experimental::stats();
 
   with_injectors(1, [&](int) {
     upcxx::barrier();
@@ -247,8 +246,6 @@ void collectives_from_injector_body() {
     upcxx::barrier();
   });
 
-  const auto after = upcxx::experimental::stats();
-  EXPECT_GE(after.colls_run - before.colls_run, std::uint64_t{6});
   upcxx::barrier();
 }
 
@@ -278,7 +275,6 @@ void atomics_from_injector_body() {
   std::fill_n(slots.local(), kThreads, 0);
   upcxx::dist_object<upcxx::global_ptr<std::int64_t>> dir(slots);
   auto peer = dir.fetch(1 - me).wait();
-  const auto before = upcxx::experimental::stats();
   upcxx::barrier();
 
   with_injectors(kThreads, [&](int t) {
@@ -292,9 +288,6 @@ void atomics_from_injector_body() {
   upcxx::barrier();
   for (int t = 0; t < kThreads; ++t)
     ASSERT_EQ(slots.local()[t], kOps);
-  const auto after = upcxx::experimental::stats();
-  EXPECT_GE(after.amos_run - before.amos_run,
-            static_cast<std::uint64_t>(kThreads) * (kOps + 1));
   upcxx::barrier();
   upcxx::deallocate(slots);
 }
@@ -307,27 +300,6 @@ TEST(Inject, AtomicsFromInjectorSocket) {
   gex::Config cfg = testutil::test_cfg(2);
   cfg.am_transport = gex::AmTransport::kSocket;
   EXPECT_EQ(upcxx::run(cfg, atomics_from_injector_body), 0);
-}
-
-TEST(Inject, StatsCountThreadedOps) {
-  // Satellite: the op counters are relaxed atomics — concurrent injector
-  // increments must not tear or drop.
-  spmd(1, [] {
-    constexpr int kThreads = 4;
-    constexpr int kOps = 500;
-    auto buf = upcxx::allocate<std::uint64_t>(kThreads);
-    const auto before = upcxx::experimental::stats();
-
-    with_injectors(kThreads, [&](int t) {
-      for (int i = 0; i < kOps; ++i)
-        upcxx::rput(static_cast<std::uint64_t>(i), buf + t).wait();
-    });
-
-    const auto after = upcxx::experimental::stats();
-    EXPECT_EQ(after.rputs - before.rputs,
-              static_cast<std::uint64_t>(kThreads) * kOps);
-    upcxx::deallocate(buf);
-  });
 }
 
 TEST(Inject, CompletionLpcRunsOnInjectingThread) {

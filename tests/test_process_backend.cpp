@@ -25,6 +25,26 @@ void require(bool ok, const char* what) {
   if (!ok) throw std::runtime_error(std::string("check failed: ") + what);
 }
 
+// Survivors that have left fail_after_barrier's barrier, counted at the
+// victim (each forked rank has its own copy).
+int g_left_barrier = 0;
+
+// The pre-fault barrier of every fault test: all ranks enter it, then
+// `victim` throws — but only once every survivor has told it by rpc_ff
+// that it left the barrier. A victim that threw as soon as it left would
+// raise the job's error flag while a survivor's barrier wait might not
+// yet have read the release, and that survivor's wait would then throw
+// rank_failed too: a second failed rank.
+void fail_after_barrier(int victim) {
+  upcxx::barrier();
+  if (upcxx::rank_me() == victim) {
+    while (g_left_barrier < upcxx::rank_n() - 1) upcxx::progress();
+    throw std::runtime_error("injected fault");
+  }
+  upcxx::rpc_ff(victim, [] { ++g_left_barrier; });
+  upcxx::progress();  // flush the note: some survivors stop polling
+}
+
 int run_forked(int ranks, const std::function<void()>& fn) {
   gex::Config cfg = testutil::test_cfg(ranks);
   cfg.backend = gex::Backend::kProcess;
@@ -234,8 +254,7 @@ TEST(ProcessBackend, FailedPeerReleasesAmWireCredits) {
     static upcxx::global_ptr<long> victim;
     if (me == 3) victim = upcxx::new_array<long>(64);
     auto ptrs = upcxx::allgather(victim).wait();
-    upcxx::barrier();
-    if (me == 3) throw std::runtime_error("injected fault");
+    fail_after_barrier(3);
     if (me == 0) {
       // Flood the failing rank: one request takes the only credit, the
       // rest wait behind it in the channel. Do NOT wait on completion —
@@ -273,8 +292,7 @@ TEST(ProcessBackend, WaitThrowsRankFailedWhenPeerDies) {
     static upcxx::global_ptr<long> victim;
     if (me == 2) victim = upcxx::new_array<long>(8);
     auto ptrs = upcxx::allgather(victim).wait();
-    upcxx::barrier();
-    if (me == 2) throw std::runtime_error("injected fault");
+    fail_after_barrier(2);
     if (me == 0) {
       // A future nothing will ever fulfill stands in for any completion
       // that depended on the dead rank: deterministic, because readiness
@@ -315,8 +333,7 @@ int flood_failed_peer(std::size_t bytes) {
   cfg.ring_bytes = 256 << 10;
   cfg.heap_bytes = 8 << 20;
   return upcxx::run(cfg, [bytes] {
-    upcxx::barrier();
-    if (upcxx::rank_me() == 2) throw std::runtime_error("injected fault");
+    fail_after_barrier(2);
     if (upcxx::rank_me() == 0) {
       const std::vector<char> payload(bytes, 'f');
       for (int i = 0; i < 2000; ++i)
@@ -344,9 +361,8 @@ TEST(ProcessBackend, LateTrafficAfterTeardownIsDropped) {
   gex::Config cfg = testutil::test_cfg(3);
   cfg.backend = gex::Backend::kProcess;
   const int fails = upcxx::run(cfg, [] {
-    upcxx::barrier();
+    fail_after_barrier(2);
     const int me = upcxx::rank_me();
-    if (me == 2) throw std::runtime_error("injected fault");
     const auto& err = gex::arena().control().error_flag.value;
     while (err.load(std::memory_order_acquire) == 0) std::this_thread::yield();
     if (me == 0) {
@@ -363,8 +379,7 @@ TEST(ProcessBackend, FailingRankIsReported) {
   // Failure injection: one rank throws; the parent must see exactly one
   // failed rank and the others must shut down cleanly (no hang).
   const int fails = run_forked(4, [] {
-    upcxx::barrier();
-    if (upcxx::rank_me() == 3) throw std::runtime_error("injected fault");
+    fail_after_barrier(3);
     // Peers do bounded work; no barrier after the throw (rank 3 never
     // arrives).
     for (int i = 0; i < 100; ++i) upcxx::progress();

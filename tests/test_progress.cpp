@@ -95,13 +95,18 @@ TEST(Progress, WaitDrivesNestedCompletion) {
 TEST(Progress, StatsCountRpcsAndRma) {
   spmd(2, [] {
     auto& st = upcxx::detail::persona().stats;
-    const auto rpcs0 = st.rpcs_sent;
-    const auto rputs0 = st.rputs;
+    const auto rpcs0 = st.rpcs_executed;
+    const auto lpcs0 = st.lpcs_run;
     auto g = upcxx::allocate<int>(1);
     upcxx::rput(1, g).wait();
     upcxx::rpc((upcxx::rank_me() + 1) % 2, [] {}).wait();
-    EXPECT_EQ(st.rputs, rputs0 + 1);
-    EXPECT_GE(st.rpcs_sent, rpcs0 + 1);
+    int ran = 0;
+    upcxx::detail::push_compq([&ran] { ++ran; });
+    while (ran == 0) upcxx::progress();
+    // Both ranks' rpcs have executed once each has left the barrier.
+    upcxx::barrier();
+    EXPECT_GE(st.rpcs_executed, rpcs0 + 1);
+    EXPECT_GE(st.lpcs_run, lpcs0 + 1);
     upcxx::barrier();
     upcxx::deallocate(g);
   });

@@ -52,12 +52,11 @@ gex::XferEngine::WireOps chunk_wire(const gex::SegmentMap& map,
           std::move(done));
   };
   ops.get = [&map, mover](int t, const XferEngine::Frag* remote,
-                          std::size_t nr,
-                          std::vector<XferEngine::LocalFrag> local,
-                          XferEngine::Callback done) mutable {
+                          std::size_t nr, const XferEngine::LocalFrag* local,
+                          std::size_t nl, XferEngine::Callback done) mutable {
     EXPECT_EQ(nr, 1u);
-    EXPECT_EQ(local.size(), 1u);
-    mover(t, local[0].ptr, map.try_decode(remote->addr), local[0].bytes,
+    EXPECT_EQ(nl, 1u);
+    mover(t, local->ptr, map.try_decode(remote->addr), local->bytes,
           std::move(done));
   };
   return ops;
@@ -391,13 +390,14 @@ TEST(XferEngine, ZeroByteTransferCompletes) {
   EXPECT_TRUE(landed);
 }
 
-TEST(XferEngine, RunListsCutToOneChunkPerEntry) {
-  // A run list larger than one chunk becomes consecutive entries whose
-  // payload plus 16 B per remote run fits the chunk, with both sides cut
-  // at the same byte offsets (their run boundaries differ here), and the
-  // list's completions fire once, after its last entry.
+// A run list larger than one chunk becomes consecutive entries, each
+// carrying at most 256 B of payload plus 16 B for every remote run after
+// its first, with both sides cut at the same byte offsets (their run
+// boundaries differ here), and the list's completions fire once, after
+// its last entry. Returns the payload of each piece a wire recorded.
+std::vector<std::size_t> cut_run_list(Segs& seg, bool install_wire,
+                                      int target) {
   using gex::XferEngine;
-  Segs seg;
   XferEngine eng(seg.map, /*chunk_bytes=*/256, /*bw_gbps=*/0);
   std::vector<std::size_t> entry_bytes;
   XferEngine::WireOps ops;
@@ -411,7 +411,7 @@ TEST(XferEngine, RunListsCutToOneChunkPerEntry) {
                     static_cast<std::size_t>(remote[i].bytes)});
       bytes += to.back().bytes;
     }
-    EXPECT_LE(bytes + nr * sizeof(XferEngine::Frag), 256u);
+    EXPECT_LE(bytes + (nr - 1) * sizeof(XferEngine::Frag), 256u);
     std::size_t off = 0;  // gather the local runs, scatter into `to`
     std::vector<std::byte> staged;
     for (std::size_t i = 0; i < nl; ++i) {
@@ -426,21 +426,66 @@ TEST(XferEngine, RunListsCutToOneChunkPerEntry) {
     entry_bytes.push_back(bytes);
     done();
   };
-  eng.set_wire(std::move(ops));
+  if (install_wire) eng.set_wire(std::move(ops));
   std::vector<std::byte> src(600), dst(600);
   for (std::size_t i = 0; i < src.size(); ++i)
     src[i] = static_cast<std::byte>(i * 13);
   const auto at = [&](std::size_t off) { return seg(dst) + off; };
   int order = 0, source_at = 0, landed_at = 0;
-  eng.submit_runs(1, {{at(0), 200}, {at(200), 200}, {at(400), 200}},
+  eng.submit_runs(target, {{at(0), 200}, {at(200), 200}, {at(400), 200}},
                   {{src.data(), 300}, {src.data() + 300, 300}},
                   [&] { source_at = ++order; },
                   [&] { landed_at = ++order; }, /*is_get=*/false);
-  EXPECT_EQ(eng.pending_chunks(1), 3u);
+  EXPECT_EQ(eng.pending_chunks(target), 3u);
   while (!eng.idle()) eng.poll(1);
-  EXPECT_EQ(entry_bytes, (std::vector<std::size_t>{224, 224, 152}));
+  EXPECT_EQ(eng.stats().chunks_copied, 3u);
+  EXPECT_EQ(eng.stats().bytes_copied, 600u);
   EXPECT_EQ(source_at, 1);
   EXPECT_EQ(landed_at, 2);
+  EXPECT_EQ(src, dst);
+  return entry_bytes;
+}
+
+TEST(XferEngine, RunListsCutToOneChunkPerEntry) {
+  Segs seg;
+  EXPECT_EQ(cut_run_list(seg, /*install_wire=*/true, 1),
+            (std::vector<std::size_t>{240, 240, 120}));
+}
+
+TEST(XferEngine, RunListsCutToOneChunkPerEntryOnTheBuiltInMover) {
+  Segs seg;
+  EXPECT_TRUE(cut_run_list(seg, /*install_wire=*/false, 1).empty());
+}
+
+TEST(XferEngine, RunListsCutToOneChunkPerEntryOnTheOwnRankChannel) {
+  // Inside a one-rank job the engine's own rank is 0; its channel moves by
+  // the built-in mover even with a wire installed.
+  Segs seg;
+  testutil::spmd(1, [&] {
+    EXPECT_TRUE(cut_run_list(seg, /*install_wire=*/true, 0).empty());
+  });
+}
+
+TEST(XferEngine, ContiguousMiBCutsIntoWholeChunks) {
+  // The one-run case of the same cutter: 1 MiB at 64 KiB is 16 pieces of
+  // exactly 65,536 B, as a contiguous transfer always was.
+  Segs seg;
+  gex::XferEngine eng(seg.map, 64 << 10, 0);
+  std::vector<std::size_t> pieces;
+  eng.set_wire(chunk_wire(seg.map, [&](int, void* dst, const void* src,
+                                       std::size_t n,
+                                       gex::XferEngine::Callback done) {
+    std::memcpy(dst, src, n);
+    pieces.push_back(n);
+    done();
+  }));
+  std::vector<std::byte> src(1 << 20, std::byte{7}), dst(1 << 20);
+  eng.submit(1, seg(dst), src.data(), src.size(), {}, {});
+  EXPECT_EQ(eng.pending_chunks(1), 16u);
+  EXPECT_EQ(eng.inflight(), 1u);
+  eng.drain_all();
+  EXPECT_EQ(pieces, std::vector<std::size_t>(16, 64 << 10));
+  EXPECT_EQ(eng.stats().max_inflight, 1u);
   EXPECT_EQ(src, dst);
 }
 
