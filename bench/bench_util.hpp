@@ -19,6 +19,15 @@ namespace benchutil {
 
 using ubench::median;
 
+// The median of a sample and its range, printed with `fmt` (three double
+// conversions: median, min, max) — a compared point beside its spread.
+inline std::string spread(const std::vector<double>& v, const char* fmt) {
+  char buf[96];
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  std::snprintf(buf, sizeof buf, fmt, median(v), *lo, *hi);
+  return buf;
+}
+
 inline std::string human_size(std::size_t bytes) {
   char buf[32];
   if (bytes >= (1u << 20))

@@ -8,6 +8,7 @@
 // result: comparable at small and large sizes, UPC++ up to 33% ahead in the
 // 1KB-256KB midrange (most pronounced at 8KB) where per-op software
 // overhead, not wire bandwidth, is the limiter.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -39,6 +40,48 @@ double mpi_flood(minimpi::Win& win, const char* src, std::size_t size,
   win.flush(1);
   const double dt = arch::now_s() - t0;
   return static_cast<double>(size) * iters / dt;
+}
+
+// Rounds behind each of the two median checks below.
+constexpr int kRounds = 5;
+
+// One 2-rank job (wire and transport as `cfg` says) in which rank 0 floods
+// rank 1 at each size after a warm 4MB put: MB/s per size, the best of
+// `trials` floods. Empty if a rank failed.
+std::vector<double> flood_job(gex::Config cfg, std::vector<std::size_t> sizes,
+                              int trials) {
+  cfg.ranks = 2;
+  static std::vector<double> mbs;
+  mbs.clear();
+  const int fails = upcxx::run(cfg, [sizes, trials] {
+    const int me = upcxx::rank_me();
+    constexpr std::size_t kMax = 4 << 20;
+    auto seg = upcxx::allocate<char>(kMax);
+    upcxx::dist_object<upcxx::global_ptr<char>> dir(seg);
+    auto peer = dir.fetch(1 - me).wait();
+    static std::vector<char> src;
+    if (me == 0) src.assign(kMax, 'a');
+    upcxx::barrier();
+    if (me == 0) upcxx::rput(src.data(), peer, kMax).wait();
+    upcxx::barrier();
+    for (std::size_t size : sizes) {
+      const auto volume =
+          static_cast<std::size_t>((64u << 20) * benchutil::work_scale());
+      const int iters =
+          static_cast<int>(std::max<std::size_t>(8, volume / size));
+      double best = 0;
+      for (int t = 0; t < trials; ++t) {
+        if (me == 0)
+          best = std::max(best, upcxx_flood(peer, src.data(), size, iters));
+        upcxx::barrier();
+      }
+      if (me == 0) mbs.push_back(best / 1e6);
+    }
+    upcxx::barrier();
+    upcxx::deallocate(seg);
+  });
+  if (fails) mbs.clear();
+  return mbs;
 }
 
 }  // namespace
@@ -152,9 +195,10 @@ int main() {
   simcfg.rma_wire = gex::RmaWire::kDirect;
   simcfg.sim_bw_gbps = cap_gbps;
   simcfg.rma_async_min = 64 << 10;
+  // Per-size GB/s of each trial; the check reads the median.
   struct SimRow {
     std::size_t size;
-    double gbps;
+    std::vector<double> gbps;
   };
   static std::vector<SimRow> sim_rows;
   static double s_cap;
@@ -167,33 +211,35 @@ int main() {
     auto peer = dir.fetch(1 - me).wait();
     static std::vector<char> src;
     if (me == 0) src.assign(kMax, 's');
-    const int trials = benchutil::reps(5, 2);
     for (std::size_t size : {std::size_t{256} << 10, std::size_t{1} << 20,
                              kMax}) {
       // ~32 MB per trial: a few tens of ms of virtual wire time.
       const int iters = static_cast<int>(std::max<std::size_t>(
           4, static_cast<std::size_t>((32u << 20) * benchutil::work_scale())
                  / size));
-      double best = 0;
-      for (int t = 0; t < trials; ++t) {
+      SimRow row{size, {}};
+      for (int t = 0; t < kRounds; ++t) {
         if (me == 0)
-          best = std::max(best,
-                          upcxx_flood(peer, src.data(), size, iters));
+          row.gbps.push_back(upcxx_flood(peer, src.data(), size, iters) /
+                             1e9);
         upcxx::barrier();
       }
-      if (me == 0) sim_rows.push_back({size, best / 1e9});
+      if (me == 0) sim_rows.push_back(std::move(row));
     }
     upcxx::barrier();
     upcxx::deallocate(seg);
   });
   if (fails) return 2;
 
-  std::printf("%10s %16s %12s\n", "size", "reported (GB/s)", "of cap");
+  std::printf("%10s %28s %12s\n", "size", "reported (GB/s) [range]",
+              "of cap");
   for (const auto& r : sim_rows)
-    std::printf("%10s %16.3f %11.0f%%\n",
-                benchutil::human_size(r.size).c_str(), r.gbps,
-                100 * r.gbps / s_cap);
-  const double big_frac = sim_rows.back().gbps / s_cap;
+    std::printf("%10s %28s %11.0f%%\n",
+                benchutil::human_size(r.size).c_str(),
+                benchutil::spread(r.gbps, "%.3f [%.3f-%.3f]").c_str(),
+                100 * benchutil::median(r.gbps) / s_cap);
+  const double simbw_4mb_gbps = benchutil::median(sim_rows.back().gbps);
+  const double big_frac = simbw_4mb_gbps / s_cap;
   checks.expect(big_frac >= 0.8 && big_frac <= 1.2,
                 "reported bandwidth within 20% of the configured cap at "
                 "4MB");
@@ -204,73 +250,43 @@ int main() {
   // inbox (chunked to the am-wire chunk), and completion waits for acks.
   // Run at the default credit window and emitted as the wire=am series
   // next to wire=direct in BENCH_JSON.
-  struct AmRow {
-    std::size_t size;
-    double mbs;
-  };
-  static std::vector<AmRow> am_rows;
-  auto am_flood = [&fails](gex::Config amcfg) {
-    am_rows.clear();
-    fails = upcxx::run(amcfg, [] {
-      const int me = upcxx::rank_me();
-      constexpr std::size_t kMax = 4 << 20;
-      auto seg = upcxx::allocate<char>(kMax);
-      upcxx::dist_object<upcxx::global_ptr<char>> dir(seg);
-      auto peer = dir.fetch(1 - me).wait();
-      static std::vector<char> src;
-      if (me == 0) src.assign(kMax, 'a');
-      upcxx::barrier();
-      // Same treatment as the direct-wire flood above (volume, trial
-      // count, and a warm first put): the series are divided into each
-      // other below, so asymmetric measurement would misstate the
-      // protocol cost.
-      const int trials = benchutil::reps(10, 3);
-      if (me == 0) upcxx::rput(src.data(), peer, kMax).wait();
-      upcxx::barrier();
-      for (std::size_t size : {std::size_t{8} << 10, std::size_t{256} << 10,
-                               kMax}) {
-        const auto volume = static_cast<std::size_t>(
-            (64u << 20) * benchutil::work_scale());
-        const int iters =
-            static_cast<int>(std::max<std::size_t>(8, volume / size));
-        double best = 0;
-        for (int t = 0; t < trials; ++t) {
-          if (me == 0)
-            best = std::max(best,
-                            upcxx_flood(peer, src.data(), size, iters));
-          upcxx::barrier();
-        }
-        if (me == 0) am_rows.push_back({size, best / 1e6});
-      }
-      upcxx::barrier();
-      upcxx::deallocate(seg);
-    });
-    return am_rows;
-  };
-
+  // Same treatment as the direct-wire flood above (volume, trial count,
+  // and a warm first put): the series are divided into each other below,
+  // so asymmetric measurement would misstate the protocol cost.
+  const int trials = benchutil::reps(10, 3);
+  const std::vector<std::size_t> am_sizes{std::size_t{8} << 10,
+                                          std::size_t{256} << 10, 4 << 20};
   std::printf(
       "\nAM-wire flood (UPCXX_RMA_WIRE=am: request/ack protocol)\n");
   gex::Config amcfg = gex::Config::from_env();
-  amcfg.ranks = 2;
   amcfg.rma_wire = gex::RmaWire::kAm;
   amcfg.am_window = gex::kAmWindowForceAuto;  // the default even under CI pins
-  const auto wire_am_rows = am_flood(amcfg);
-  if (fails) return 2;
+  const auto wire_am_mbs = flood_job(amcfg, am_sizes, trials);
+  if (wire_am_mbs.empty()) return 2;
 
   std::printf("%10s %16s\n", "size", "am (MB/s)");
-  for (const auto& r : wire_am_rows)
-    std::printf("%10s %16.1f\n", benchutil::human_size(r.size).c_str(),
-                r.mbs);
-  const double am_vs_direct = wire_am_rows.back().mbs / big.upcxx_mbs;
-  {
-    char nbuf[200];
-    std::snprintf(nbuf, sizeof nbuf,
-                  "am wire reaches %.0f%% of direct-wire bandwidth at 4MB "
-                  "(default credit window + pooled staging both directions "
-                  "+ batched acks; the residual is the extra copy)",
-                  100 * am_vs_direct);
-    checks.note(nbuf);
+  for (std::size_t i = 0; i < am_sizes.size(); ++i)
+    std::printf("%10s %16.1f\n", benchutil::human_size(am_sizes[i]).c_str(),
+                wire_am_mbs[i]);
+  // The two wires run in separate jobs, and a slow phase of the host
+  // between them would decide their ratio: each round runs one direct-wire
+  // job and one am-wire job back to back, and the check reads the median
+  // of the per-round ratios.
+  gex::Config directcfg = gex::Config::from_env();
+  directcfg.rma_wire = gex::RmaWire::kDirect;
+  std::vector<double> am_ratios;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto direct = flood_job(directcfg, {4 << 20}, trials);
+    const auto am = flood_job(amcfg, {4 << 20}, trials);
+    if (direct.empty() || am.empty()) return 2;
+    am_ratios.push_back(am[0] / direct[0]);
   }
+  const double am_vs_direct = benchutil::median(am_ratios);
+  checks.note("am wire over direct wire at 4MB, " +
+              std::to_string(kRounds) + " paired rounds: " +
+              benchutil::spread(am_ratios, "%.2f [%.2f-%.2f]") +
+              " (default credit window + pooled staging both directions + "
+              "batched acks; the residual is the extra copy)");
   // Flow control + hot pooled staging + ack batching keep the request/ack
   // protocol within shouting distance of the direct memcpy wire (was ~35%
   // before the transport performance layer). The floor leaves margin for
@@ -290,16 +306,15 @@ int main() {
       "\nSocket-transport flood (UPCXX_AM_TRANSPORT=socket: records framed "
       "onto loopback TCP)\n");
   gex::Config sockcfg = gex::Config::from_env();
-  sockcfg.ranks = 2;
   sockcfg.am_transport = gex::AmTransport::kSocket;
   sockcfg.rma_wire = gex::RmaWire::kAm;
-  const auto socket_rows = am_flood(sockcfg);
-  if (fails) return 2;
+  const auto socket_mbs = flood_job(sockcfg, am_sizes, trials);
+  if (socket_mbs.empty()) return 2;
   std::printf("%10s %16s\n", "size", "socket (MB/s)");
-  for (const auto& r : socket_rows)
-    std::printf("%10s %16.1f\n", benchutil::human_size(r.size).c_str(),
-                r.mbs);
-  const double socket_vs_direct = socket_rows.back().mbs / big.upcxx_mbs;
+  for (std::size_t i = 0; i < am_sizes.size(); ++i)
+    std::printf("%10s %16.1f\n", benchutil::human_size(am_sizes[i]).c_str(),
+                socket_mbs[i]);
+  const double socket_vs_direct = socket_mbs.back() / big.upcxx_mbs;
   {
     char nbuf[160];
     std::snprintf(nbuf, sizeof nbuf,
@@ -314,12 +329,13 @@ int main() {
   json.metric("upcxx_4mb_mbs", big.upcxx_mbs);
   json.metric("mpi_4mb_mbs", big.mpi_mbs);
   json.metric("simbw_cap_gbps", s_cap);
-  json.metric("simbw_4mb_gbps", sim_rows.back().gbps);
-  for (const auto& r : wire_am_rows)
-    json.metric("am_" + std::to_string(r.size) + "_mbs", r.mbs);
+  json.metric("simbw_4mb_gbps", simbw_4mb_gbps);
+  for (std::size_t i = 0; i < am_sizes.size(); ++i) {
+    json.metric("am_" + std::to_string(am_sizes[i]) + "_mbs", wire_am_mbs[i]);
+    json.metric("socket_" + std::to_string(am_sizes[i]) + "_mbs",
+                socket_mbs[i]);
+  }
   json.metric("am_4mb_vs_direct", am_vs_direct);
-  for (const auto& r : socket_rows)
-    json.metric("socket_" + std::to_string(r.size) + "_mbs", r.mbs);
   json.metric("socket_4mb_vs_direct", socket_vs_direct);
   json.write();
   return checks.summary("fig3_rma_bandwidth");

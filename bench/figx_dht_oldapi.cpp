@@ -5,6 +5,11 @@
 // and a blocking RMA, which negatively impact latency performance and
 // overlap potential", and require ~50% more code. We measure per-insert
 // latency and pipelined (overlapped) throughput for both.
+//
+// Each size runs kRepeats rounds that alternate the three series, so a slow
+// phase of the host lands on every series alike; every compared point is
+// the median of its rounds, printed with the range of the per-round
+// v1.0/v0.1 ratios.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,15 +26,18 @@ std::string make_key(arch::Xoshiro256& rng) {
                 static_cast<unsigned long long>(rng.next()));
   return std::string(buf, 16);
 }
+
+constexpr int kRepeats = 5;
 }  // namespace
 
 int main() {
   std::printf(
       "Ablation §V-A — DHT insert: v1.0 chained async vs v0.1 blocking "
       "idioms (4 ranks)\n\n");
+  // Per-round timings (us, slowest rank) of one value size.
   struct Row {
     std::size_t vs;
-    double v10_us, v01_us, v10_pipe_us;
+    std::vector<double> v10_us, v01_us, v10_pipe_us;
   };
   static std::vector<Row> rows;
 
@@ -50,53 +58,67 @@ int main() {
       arch::Xoshiro256 rng(77 + upcxx::rank_me());
       const std::string value(vs, 'q');
 
-      // Blocking per-insert latency, v1.0.
-      upcxx::barrier();
-      double t0 = arch::now_s();
-      for (int i = 0; i < iters; ++i) v10.insert(make_key(rng), value).wait();
-      double lat10 = (arch::now_s() - t0) / iters;
-      upcxx::barrier();
+      Row row{vs, {}, {}, {}};
+      for (int round = 0; round < kRepeats; ++round) {
+        // Blocking per-insert latency, v1.0.
+        upcxx::barrier();
+        double t0 = arch::now_s();
+        for (int i = 0; i < iters; ++i)
+          v10.insert(make_key(rng), value).wait();
+        double lat10 = (arch::now_s() - t0) / iters;
+        upcxx::barrier();
 
-      // Blocking per-insert latency, v0.1 (inherently blocking).
-      t0 = arch::now_s();
-      for (int i = 0; i < iters; ++i) v01.insert(make_key(rng), value);
-      double lat01 = (arch::now_s() - t0) / iters;
-      upcxx::barrier();
+        // Blocking per-insert latency, v0.1 (inherently blocking).
+        t0 = arch::now_s();
+        for (int i = 0; i < iters; ++i) v01.insert(make_key(rng), value);
+        double lat01 = (arch::now_s() - t0) / iters;
+        upcxx::barrier();
 
-      // Pipelined v1.0: conjoin futures, wait once (overlap potential the
-      // v0.1 API cannot express).
-      t0 = arch::now_s();
-      {
-        upcxx::promise<> all;
-        for (int i = 0; i < iters; ++i) {
-          all.require_anonymous(1);
-          v10.insert(make_key(rng), value).then([all]() mutable {
-            all.fulfill_anonymous(1);
-          });
-          if (!(i % 8)) upcxx::progress();
+        // Pipelined v1.0: conjoin futures, wait once (overlap potential the
+        // v0.1 API cannot express).
+        t0 = arch::now_s();
+        {
+          upcxx::promise<> all;
+          for (int i = 0; i < iters; ++i) {
+            all.require_anonymous(1);
+            v10.insert(make_key(rng), value).then([all]() mutable {
+              all.fulfill_anonymous(1);
+            });
+            if (!(i % 8)) upcxx::progress();
+          }
+          all.finalize().wait();
         }
-        all.finalize().wait();
-      }
-      double pipe10 = (arch::now_s() - t0) / iters;
-      upcxx::barrier();
+        double pipe10 = (arch::now_s() - t0) / iters;
+        upcxx::barrier();
 
-      // Report the slowest rank (they all insert concurrently).
-      lat10 = upcxx::reduce_all(lat10, upcxx::op_fast_max{}).wait();
-      lat01 = upcxx::reduce_all(lat01, upcxx::op_fast_max{}).wait();
-      pipe10 = upcxx::reduce_all(pipe10, upcxx::op_fast_max{}).wait();
-      if (upcxx::rank_me() == 0)
-        rows.push_back({vs, lat10 * 1e6, lat01 * 1e6, pipe10 * 1e6});
+        // Report the slowest rank (they all insert concurrently).
+        lat10 = upcxx::reduce_all(lat10, upcxx::op_fast_max{}).wait();
+        lat01 = upcxx::reduce_all(lat01, upcxx::op_fast_max{}).wait();
+        pipe10 = upcxx::reduce_all(pipe10, upcxx::op_fast_max{}).wait();
+        row.v10_us.push_back(lat10 * 1e6);
+        row.v01_us.push_back(lat01 * 1e6);
+        row.v10_pipe_us.push_back(pipe10 * 1e6);
+      }
+      if (upcxx::rank_me() == 0) rows.push_back(std::move(row));
       upcxx::barrier();
     }
   });
   if (fails) return 2;
 
-  std::printf("%8s %16s %16s %20s\n", "value", "v1.0 block (us)",
-              "v0.1 block (us)", "v1.0 pipelined (us)");
-  for (auto& r : rows)
-    std::printf("%8s %16.2f %16.2f %20.2f\n",
-                benchutil::human_size(r.vs).c_str(), r.v10_us, r.v01_us,
-                r.v10_pipe_us);
+  std::printf("median of %d alternating rounds\n", kRepeats);
+  std::printf("%8s %16s %16s %20s %24s\n", "value", "v1.0 block (us)",
+              "v0.1 block (us)", "v1.0 pipelined (us)",
+              "v1.0/v0.1 [round range]");
+  for (const auto& r : rows) {
+    std::vector<double> ratios;
+    for (std::size_t i = 0; i < r.v10_us.size(); ++i)
+      ratios.push_back(r.v10_us[i] / r.v01_us[i]);
+    std::printf("%8s %16.2f %16.2f %20.2f %24s\n",
+                benchutil::human_size(r.vs).c_str(),
+                benchutil::median(r.v10_us), benchutil::median(r.v01_us),
+                benchutil::median(r.v10_pipe_us),
+                benchutil::spread(ratios, "%.2f [%.2f-%.2f]").c_str());
+  }
 
   benchutil::ShapeChecks checks;
   std::printf(
@@ -104,15 +126,16 @@ int main() {
       "eliminate overlap; v1.0's fully asynchronous insert is simpler and "
       "faster.\n");
   bool overlap_wins_somewhere = false;
-  for (auto& r : rows) {
-    checks.expect(r.v10_us <= r.v01_us,
+  for (const auto& r : rows) {
+    const double v10 = benchutil::median(r.v10_us);
+    const double pipe10 = benchutil::median(r.v10_pipe_us);
+    checks.expect(v10 <= benchutil::median(r.v01_us),
                   benchutil::human_size(r.vs) +
                       ": v1.0 blocking insert at least as fast as v0.1");
-    overlap_wins_somewhere |= (r.v10_pipe_us < r.v10_us);
+    overlap_wins_somewhere |= (pipe10 < v10);
     char buf[128];
     std::snprintf(buf, sizeof buf, "%s: pipelined %.2fus vs blocking %.2fus",
-                  benchutil::human_size(r.vs).c_str(), r.v10_pipe_us,
-                  r.v10_us);
+                  benchutil::human_size(r.vs).c_str(), pipe10, v10);
     checks.note(buf);
   }
   // Overlap is a latency-regime effect: tiny values are dominated by

@@ -2,11 +2,11 @@
 
 #include <cassert>
 #include <cstring>
-#include <thread>
 
 #include "arch/timer.hpp"
 #include "gex/agg.hpp"
 #include "gex/runtime.hpp"
+#include "gex/wait.hpp"
 
 namespace gex {
 
@@ -43,16 +43,12 @@ AmEngine::SendBuf AmEngine::prepare(int target, HandlerIdx h,
   // Rendezvous: payload goes to the shared heap; the ring only carries a
   // descriptor. A failed peer may pin the blocks this waits for.
   sb.rendezvous = true;
-  for (;;) {
-    if (void* buf = arena_->heap().allocate(n)) {
-      sb.data = buf;
-      return sb;
-    }
-    if (!stall()) {
-      black_hole(sb);
-      return sb;
-    }
-  }
+  if (!retry([&] {
+        sb.data = arena_->heap().allocate(n);
+        return sb.data != nullptr;
+      }))
+    black_hole(sb);
+  return sb;
 }
 
 AmEngine::SendBuf AmEngine::prepare_frame(int target, HandlerIdx h,
@@ -70,32 +66,27 @@ AmEngine::SendBuf AmEngine::prepare_frame(int target, HandlerIdx h,
 }
 
 void AmEngine::reserve_record(SendBuf& sb) {
-  for (;;) {
-    auto t = transport_->try_reserve(sb.target, sizeof(WireHeader) + sb.size);
-    if (t.payload) {
-      sb.ticket = t;
-      sb.data = static_cast<std::byte*>(t.payload) + sizeof(WireHeader);
-      return;
-    }
-    if (!stall()) {
-      black_hole(sb);
-      return;
-    }
+  const bool reserved = retry([&] {
+    sb.ticket =
+        transport_->try_reserve(sb.target, sizeof(WireHeader) + sb.size);
+    return sb.ticket.payload != nullptr;
+  });
+  if (!reserved) {
+    black_hole(sb);
+    return;
   }
+  sb.data = static_cast<std::byte*>(sb.ticket.payload) + sizeof(WireHeader);
 }
 
-bool AmEngine::stall() {
+template <class Try>
+bool AmEngine::retry(Try attempt) {
   // Target ring (or the shared heap) full: drain our own inbox so a cyclic
-  // backlog cannot deadlock, then retry. Yield when the drain found
-  // nothing — on an oversubscribed host the consumer needs the core to
-  // make room. A failed job gets no retry: the rank that would make room
-  // may be the dead one.
-  if (arena_->control().error_flag.value.load(std::memory_order_acquire))
-    return false;
-  ++stats_.send_stalls;
-  if (poll() == 0) std::this_thread::yield();
-  arch::cpu_relax();
-  return true;
+  // backlog cannot deadlock, then try again. A failed job gets no more
+  // tries: the rank that would make room may be the dead one.
+  return attempt() || wait_until(attempt, [this] {
+           ++stats_.send_stalls;
+           return poll();
+         });
 }
 
 void AmEngine::black_hole(SendBuf& sb) {
@@ -118,27 +109,25 @@ void AmEngine::commit(SendBuf& sb) {
     ++(sb.frame ? stats_.sent_frames : stats_.sent_eager);
     return;
   }
-  for (;;) {
-    auto t = transport_->try_reserve(sb.target,
-                                     sizeof(WireHeader) + sizeof(RdzvDesc));
-    if (t.payload) {
-      auto* wh = static_cast<WireHeader*>(t.payload);
-      wh->handler = sb.handler;
-      wh->flags = kWireRendezvous;
-      wh->src = me_;
-      wh->send_ns = stamp_send_ns_ ? arch::now_ns() : 0;
-      auto* d = reinterpret_cast<RdzvDesc*>(wh + 1);
-      d->buf = arena_->segmap().encode(sb.data);
-      d->size = sb.size;
-      transport_->commit(t);
-      ++stats_.sent_rendezvous;
-      return;
-    }
-    if (!stall()) {
-      arena_->heap().deallocate(sb.data);
-      return;
-    }
+  Transport::Ticket t;
+  if (!retry([&] {
+        t = transport_->try_reserve(sb.target,
+                                    sizeof(WireHeader) + sizeof(RdzvDesc));
+        return t.payload != nullptr;
+      })) {
+    arena_->heap().deallocate(sb.data);
+    return;
   }
+  auto* wh = static_cast<WireHeader*>(t.payload);
+  wh->handler = sb.handler;
+  wh->flags = kWireRendezvous;
+  wh->src = me_;
+  wh->send_ns = stamp_send_ns_ ? arch::now_ns() : 0;
+  auto* d = reinterpret_cast<RdzvDesc*>(wh + 1);
+  d->buf = arena_->segmap().encode(sb.data);
+  d->size = sb.size;
+  transport_->commit(t);
+  ++stats_.sent_rendezvous;
 }
 
 void AmEngine::send(int target, HandlerIdx h, const void* data,
@@ -177,28 +166,30 @@ void AmEngine::exchange(std::uint64_t key, const int* group, std::size_t n,
       std::memcpy(static_cast<std::byte*>(sb.data) + sizeof eh, mine, bytes);
     commit(sb);
   }
-  auto& err = arena_->control().error_flag.value;
-  for (;;) {
-    // Re-find every iteration: poll()'s handlers mutate the map.
-    const auto it = exchanges_.find(key);
-    if (it != exchanges_.end() && it->second.size() >= expected) break;
-    if (err.load(std::memory_order_acquire) != 0) break;
-    // Frames delivered by poll() below only *enqueue* their dispatch (rpc
-    // execution, reply staging) with the upper layer, and replies it has
-    // already staged sit in this rank's Aggregator — both normally advance
-    // only in user-level progress. While blocked here nothing else runs
-    // that layer, and a peer waiting on one of our rpc replies never
-    // reaches its own exchange(), deadlocking the collective. Drive the
-    // upper layer's progress ourselves (or at least the flush when no
-    // hook is installed, e.g. under bare-minimpi programs).
-    if (Rank* r = self(); r != nullptr) {
-      if (r->progress_hook)
-        r->progress_hook();
-      else
-        r->agg->flush_all();
-    }
-    if (poll() == 0) std::this_thread::yield();
-  }
+  // Frames delivered by poll() below only *enqueue* their dispatch (rpc
+  // execution, reply staging) with the upper layer, and replies it has
+  // already staged sit in this rank's Aggregator — both normally advance
+  // only in user-level progress. While blocked here nothing else runs that
+  // layer, and a peer waiting on one of our rpc replies never reaches its
+  // own exchange(), deadlocking the collective. Drive the upper layer's
+  // progress ourselves (or at least the flush when no hook is installed,
+  // e.g. under bare-minimpi programs). A failed job ends the wait with the
+  // dead ranks' slots missing (zero-filled below).
+  (void)wait_until(
+      [&] {
+        // Re-find every round: poll()'s handlers mutate the map.
+        const auto it = exchanges_.find(key);
+        return it != exchanges_.end() && it->second.size() >= expected;
+      },
+      [this] {
+        if (Rank* r = self(); r != nullptr) {
+          if (r->progress_hook)
+            r->progress_hook();
+          else
+            r->agg->flush_all();
+        }
+        return poll();
+      });
   auto* dst = static_cast<std::byte*>(out);
   const auto it = exchanges_.find(key);
   for (std::size_t i = 0; i < n; ++i, dst += bytes) {

@@ -192,10 +192,11 @@ class AmEngine {
   // Reserves sb.size payload bytes of one inline record to sb.target,
   // stalling until the transport has room.
   void reserve_record(SendBuf& sb);
-  // One retry step of a send that found no room: counts the stall and
-  // polls this rank's inbox (yielding when it was empty). False, without
-  // polling, once the job's error flag is up: the caller black-holes.
-  bool stall();
+  // Runs attempt() until it succeeds: true at once if it does, else a
+  // gex::wait_until whose rounds count a send stall and poll this rank's
+  // inbox. False once the job failed: the caller black-holes the send.
+  template <class Try>
+  bool retry(Try attempt);
   // Points sb at the scratch buffer and marks it dropped (see prepare).
   void black_hole(SendBuf& sb);
 

@@ -5,11 +5,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
-#include <thread>
 
-#include "arch/spinlock.hpp"
+#include "gex/wait.hpp"
 
 namespace gex {
+
+namespace {
+// The control block of the job this process runs, installed and removed
+// with g_job_segmap; job_failed() reads its error flag from any thread.
+ControlBlock* g_job_ctrl = nullptr;
+}  // namespace
+
+bool job_failed() {
+  return g_job_ctrl != nullptr &&
+         g_job_ctrl->error_flag.value.load(std::memory_order_acquire) != 0;
+}
 
 Arena* Arena::create(const Config& cfg) { return map(cfg, -1); }
 
@@ -101,12 +111,14 @@ Arena* Arena::map(const Config& cfg_in, int only) {
   }
   a->segmap_.add(shared ? base + ring_off : nullptr, rings_bytes, "rings");
   g_job_segmap = &a->segmap_;
+  g_job_ctrl = a->ctrl_;
   return a;
 }
 
 void Arena::destroy(Arena* a) {
   if (!a) return;
   if (g_job_segmap == &a->segmap_) g_job_segmap = nullptr;
+  if (g_job_ctrl == a->ctrl_) g_job_ctrl = nullptr;
   ::munmap(a->map_base_, a->map_bytes_);
   delete[] a->rings_;
   delete[] a->seg_heaps_;
@@ -123,28 +135,25 @@ void Arena::world_barrier() {
     cp_->barrier();
     return;
   }
+  // A failed rank never arrives; bail out so survivors can tear down
+  // instead of waiting forever (the barrier state is then meaningless, but
+  // the launcher destroys the arena right after).
+  if (job_failed()) return;
   auto& arrived = ctrl_->barrier_arrived.value;
   auto& epoch = ctrl_->barrier_epoch.value;
-  auto& err = ctrl_->error_flag.value;
-  // A failed rank never arrives; bail out so survivors can tear down
-  // instead of spinning forever (the barrier state is then meaningless, but
-  // the launcher destroys the arena right after).
-  if (err.load(std::memory_order_acquire) != 0) return;
   const std::uint32_t my_epoch = epoch.load(std::memory_order_acquire);
   if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
       ctrl_->nranks) {
     arrived.store(0, std::memory_order_relaxed);
     epoch.store(my_epoch + 1, std::memory_order_release);
-  } else {
-    // Spin with periodic yields: on oversubscribed hosts (CI runners) the
-    // releasing rank needs the core.
-    std::uint32_t spins = 0;
-    while (epoch.load(std::memory_order_acquire) == my_epoch) {
-      if (err.load(std::memory_order_acquire) != 0) return;
-      arch::cpu_relax();
-      if ((++spins & 0x3FF) == 0) std::this_thread::yield();
-    }
+    return;
   }
+  // Nothing to poll: every round yields, since on an oversubscribed host
+  // the releasing rank needs the core. Released or failed, the barrier is
+  // over for this rank.
+  (void)wait_until(
+      [&] { return epoch.load(std::memory_order_acquire) != my_epoch; },
+      [] { return 0; });
 }
 
 }  // namespace gex

@@ -42,7 +42,8 @@ struct ControlBlock {
   arch::Padded<std::atomic<std::uint32_t>> barrier_arrived;
   arch::Padded<std::atomic<std::uint32_t>> barrier_epoch;
 
-  // Set non-zero by any rank that fails; the launcher reports it.
+  // Set non-zero by any rank that fails; the launcher reports it. Read
+  // only through gex::job_failed() (gex/wait.hpp).
   arch::Padded<std::atomic<std::int32_t>> error_flag;
 };
 
@@ -51,7 +52,7 @@ struct ControlBlock {
 // reach the peer's ControlBlock, so its SocketRuntime implements this over
 // the bootstrap connection and installs itself via set_control_plane.
 // world_barrier()/signal_error() then delegate; the local ControlBlock
-// error flag stays the in-process signal every wait loop reads.
+// error flag stays the in-process signal gex::job_failed() reads.
 class ControlPlane {
  public:
   virtual ~ControlPlane() = default;
@@ -104,13 +105,14 @@ class Arena {
         WireAddr{segment_id(rank)} << kWireAddrOffsetBits));
   }
 
-  // Blocks until all world ranks arrive. Spins; used at startup/teardown and
-  // by tests. Application barriers go through the AM-based collectives.
-  // Delegates to the installed ControlPlane when ranks share no memory.
+  // Blocks until all world ranks arrive or the job fails (gex::wait_until).
+  // Used at startup/teardown and by tests. Application barriers go through
+  // the AM-based collectives. Delegates to the installed ControlPlane when
+  // ranks share no memory.
   void world_barrier();
 
-  // Marks the job as failing: sets the local error flag (what every
-  // error-aware wait loop reads) and, with a ControlPlane installed,
+  // Marks the job as failing: sets the local error flag (what
+  // gex::job_failed() reads) and, with a ControlPlane installed,
   // broadcasts the failure so peers that cannot see this mapping learn it.
   void signal_error();
 

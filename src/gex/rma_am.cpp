@@ -6,6 +6,7 @@
 
 #include "gex/handlers.hpp"
 #include "gex/runtime.hpp"
+#include "gex/wait.hpp"
 
 namespace gex {
 
@@ -234,14 +235,9 @@ void RmaAmProtocol::claim_credit(Peer& p) {
 
 std::uint32_t RmaAmProtocol::credits(int target) const {
   assert(target >= 0 && static_cast<std::size_t>(target) < peers_.size());
-  if (job_failing()) return 0;
+  if (job_failed()) return 0;
   const Peer& p = *peers_[static_cast<std::size_t>(target)];
   return p.outstanding < window_ ? window_ - p.outstanding : 0;
-}
-
-bool RmaAmProtocol::job_failing() const {
-  return am_->arena().control().error_flag.value.load(
-             std::memory_order_acquire) != 0;
 }
 
 template <typename H>

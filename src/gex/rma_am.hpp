@@ -236,8 +236,6 @@ class RmaAmProtocol {
            "peer rank outside the configured job size");
     return *peers_[static_cast<std::size_t>(target)];
   }
-  // The job's error flag is up (a peer failed).
-  bool job_failing() const;
   std::uint64_t new_pending(int target, Done done,
                             std::vector<LocalFrag> scatter);
   // One multi-ack record carrying every ack owed to `p`.

@@ -3,6 +3,7 @@
 #include "gex/agg.hpp"
 #include "gex/rma_am.hpp"
 #include "gex/socket.hpp"
+#include "gex/wait.hpp"
 #include "gex/xfer.hpp"
 
 #include <sys/types.h>
@@ -74,25 +75,20 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
     rc = 1;
   }
   // Drain any stragglers so peers blocked on a full ring can finish, then
-  // synchronize teardown. If some rank failed we skip the barrier to avoid
-  // hanging on a rank that never arrives. In-flight transfers land first
-  // (upcxx teardown already drained its own; this covers raw-gex users),
-  // then staged aggregation frames go out — peers may still be waiting on
-  // them. On the am wire the engine's acks arrive through the AM engine,
-  // so the drain loop drives the whole stack, not just the XferEngine —
-  // and must give up when a peer failed (its acks will never come).
-  while ((!xfer_engine.idle() || !rma_am_proto.idle()) &&
-         arena->control().error_flag.value.load(std::memory_order_acquire) ==
-             0) {
-    xfer_engine.poll(1 << 20);
-    engine.poll();
-    rma_am_proto.poll();
-  }
-  // Gave up because a peer failed: its acks will never retire our credits.
-  // Release them and cancel in-flight requests now, or the polls below
-  // would keep trying to send into the dead rank's (possibly full) ring and
-  // hang the survivors.
-  if (arena->control().error_flag.value.load(std::memory_order_acquire) != 0)
+  // synchronize teardown. In-flight transfers land first (upcxx teardown
+  // already drained its own; this covers raw-gex users), then staged
+  // aggregation frames go out — peers may still be waiting on them. On the
+  // am wire the engine's acks arrive through the AM engine, so the drain
+  // drives the whole stack, not just the XferEngine. A failed peer ends the
+  // drain: its acks will never retire our credits, so release them and
+  // cancel in-flight requests, or the polls below would keep trying to send
+  // into the dead rank's (possibly full) ring. A failed job also skips the
+  // final barrier, which a dead rank never reaches.
+  if (!wait_until([&] { return xfer_engine.idle() && rma_am_proto.idle(); },
+                  [&] {
+                    return xfer_engine.poll(1 << 20) + engine.poll() +
+                           rma_am_proto.poll();
+                  }))
     rma_am_proto.fail_all_peers();
   aggregator.flush_all();
   for (int i = 0; i < 64; ++i) {
@@ -102,11 +98,8 @@ int run_rank(Arena* arena, int r, const std::function<void()>& fn) {
   // Transports with buffered tx (socket) may still hold committed records
   // in user-space queues; push them onto the wire before the barrier, or a
   // peer could pass the barrier and tear down while our bytes are queued.
-  while (!engine.transport().tx_quiesced() &&
-         arena->control().error_flag.value.load(std::memory_order_acquire) ==
-             0)
-    engine.poll();
-  if (arena->control().error_flag.value.load(std::memory_order_acquire) == 0)
+  if (wait_until([&] { return engine.transport().tx_quiesced(); },
+                 [&] { return engine.poll(); }))
     arena->world_barrier();
   tls_rank = nullptr;
   return rc;
@@ -263,8 +256,7 @@ int launch(const Config& cfg, const std::function<void()>& fn) {
     }
   }
 
-  if (arena->control().error_flag.value.load() != 0 && failures == 0)
-    failures = 1;
+  if (job_failed() && failures == 0) failures = 1;
   Arena::destroy(arena);
   return failures;
 }

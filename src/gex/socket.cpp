@@ -25,6 +25,7 @@
 
 #include "arch/spinlock.hpp"
 #include "arch/timer.hpp"
+#include "gex/wait.hpp"
 
 namespace gex {
 
@@ -294,7 +295,7 @@ class SocketTransport final : public Transport {
   // I/O progress without record delivery — the control-plane barrier
   // pumps this so launcher releases (and peer traffic) keep flowing while
   // the rank waits.
-  void poll_io() { pump(); }
+  int poll_io() { return pump(); }
 
  private:
   enum : std::uint32_t { kEpListen = 0, kEpBoot = 1, kEpRx = 2, kEpTx = 3 };
@@ -620,8 +621,8 @@ class SocketTransport final : public Transport {
     flush(static_cast<int>(target), p);
   }
 
-  // One bounded pass over ready socket events.
-  void pump() {
+  // One bounded pass over ready socket events; returns how many it handled.
+  int pump() {
     epoll_event evs[64];
     const int n = ::epoll_wait(ep_, evs, 64, 0);
     for (int i = 0; i < n; ++i) {
@@ -643,6 +644,7 @@ class SocketTransport final : public Transport {
           break;
       }
     }
+    return n > 0 ? n : 0;
   }
 
   // Fault-injected mid-stream death: drain the queued backlog so the torn
@@ -826,22 +828,15 @@ void SocketRuntime::on_ctl_readable() {
 }
 
 void SocketRuntime::barrier() {
-  if (arena_ && arena_->control().error_flag.value.load(
-                    std::memory_order_acquire) != 0)
-    return;
+  if (job_failed()) return;
   send_ctl(CtlMsg{kCtlBarrierArrive, 0, ++barriers_entered_});
-  std::uint32_t spins = 0;
-  while (releases_seen_ < barriers_entered_) {
-    if (arena_ && arena_->control().error_flag.value.load(
-                      std::memory_order_acquire) != 0)
-      return;
-    if (transport_)
-      transport_->poll_io();
-    else
-      on_ctl_readable();
-    arch::cpu_relax();
-    if ((++spins & 0x3FF) == 0) std::this_thread::yield();
-  }
+  // Released or failed, the barrier is over for this rank.
+  (void)wait_until([this] { return releases_seen_ >= barriers_entered_; },
+                   [this] {
+                     if (transport_) return transport_->poll_io();
+                     on_ctl_readable();
+                     return 0;
+                   });
 }
 
 void SocketRuntime::broadcast_error() {

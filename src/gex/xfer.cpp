@@ -287,10 +287,6 @@ void XferEngine::drain_copies() {
   }
 }
 
-void XferEngine::drain_all() {
-  while (!idle()) poll(1 << 20);
-}
-
 bool XferEngine::idle() const { return inflight_count_ == 0; }
 
 std::size_t XferEngine::inflight() const { return inflight_count_; }

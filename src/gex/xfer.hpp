@@ -193,13 +193,6 @@ class XferEngine {
   // message), and at teardown.
   void drain_copies();
 
-  // Spins poll() until nothing is in flight (teardown; under the bandwidth
-  // model this waits out the virtual wire clock). On the AM wire this only
-  // completes if acks keep arriving — drive AmEngine::poll and
-  // RmaAmProtocol::poll alongside (upcxx::progress does; run_rank's
-  // teardown loop does for raw-gex users).
-  void drain_all();
-
   // Transfers (not pieces) submitted and not yet landed.
   bool idle() const;
   std::size_t inflight() const;

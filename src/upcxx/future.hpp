@@ -20,13 +20,13 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "arch/small_fn.hpp"
+#include "gex/wait.hpp"
 
 namespace upcxx {
 
@@ -37,8 +37,8 @@ using intrank_t = int;
 // operation built on them) when another rank of the job has failed: the
 // awaited completion may depend on the dead rank and could otherwise never
 // arrive, so the wait surfaces the job failure instead of spinning forever.
-// Teardown paths already break on the same flag; this extends the contract
-// to user-level waits (ROADMAP "error-aware wait").
+// Every blocking loop of the runtime ends on the same check
+// (gex::wait_until); user-level waits react by throwing this.
 class rank_failed : public std::runtime_error {
  public:
   rank_failed();
@@ -49,25 +49,19 @@ class future;
 template <typename... T>
 class promise;
 
-// Runs one round of user-level progress; defined in progress.cpp. Declared
-// here so future::wait() can spin on it.
-void progress();
+// Progress levels (paper §III): internal progress polls the substrate and
+// retires active operations; user progress also drains compQ, running RPCs
+// and callbacks.
+enum class progress_level { internal, user };
 
 namespace detail {
 
-// Monotone count of actions progress has performed on this rank (defined in
-// progress.cpp); wait loops yield the core when a progress call leaves it
-// unchanged.
-std::uint64_t progress_work_counter();
-
-// True once any rank of the job has failed (the arena error flag); false
-// outside an SPMD region. Defined in progress.cpp.
-bool job_failed();
+// One round of progress at `lvl` (defined in progress.cpp); returns the
+// work it did: messages handled, chunks moved, completions retired, LPCs
+// run. upcxx::progress wraps it, and blocking waits hand it to
+// gex::wait_until as their poll.
+int progress_work(progress_level lvl);
 [[noreturn]] void throw_rank_failed();
-
-}  // namespace detail
-
-namespace detail {
 
 template <typename... T>
 struct FutureState {
@@ -196,25 +190,13 @@ class future {
   // Matches the paper: "the wait call is simply a spin loop around
   // progress". Throws rank_failed once another rank of the job has died —
   // the completion this future awaits may depend on that rank, and a
-  // failed job must tear down instead of hanging in user waits.
+  // failed job must tear down instead of hanging in user waits. A
+  // completion delivered before the failure is still returned.
   result_type wait() const {
-    // Yield as soon as a progress call accomplishes nothing: on
-    // oversubscribed hosts (single-core CI) the peer this future depends on
-    // needs the core to produce the completion, and repeat-polling empty
-    // queues only delays it by a scheduling quantum.
-    //
-    // Check order matters for the failure path: progress first, then
-    // readiness, then the error flag — any completion already delivered
-    // (e.g. a barrier release committed to our inbox before the failing
-    // rank raised the flag) is consumed and returned rather than
-    // abandoned.
-    while (!is_ready()) {
-      const std::uint64_t w = detail::progress_work_counter();
-      ::upcxx::progress();
-      if (is_ready()) break;
-      if (detail::job_failed()) detail::throw_rank_failed();
-      if (detail::progress_work_counter() == w) std::this_thread::yield();
-    }
+    if (!gex::wait_until([this] { return is_ready(); }, [] {
+          return detail::progress_work(progress_level::user);
+        }))
+      detail::throw_rank_failed();
     return result();
   }
 

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <thread>
 
 #include "arch/fixed_registry.hpp"
 
@@ -55,17 +54,6 @@ bool has_op_state() { return tls_persona != nullptr || tls_inject != nullptr; }
 void bind_inject_context(PersonaState* st) { tls_inject = st; }
 
 PersonaState* inject_context() { return tls_inject; }
-
-std::uint64_t progress_work_counter() {
-  return tls_persona ? tls_persona->work_events : 0;
-}
-
-bool job_failed() {
-  auto* st = tls_persona;
-  if (!st || !st->rank || !st->rank->arena) return false;
-  return st->rank->arena->control().error_flag.value.load(
-             std::memory_order_acquire) != 0;
-}
 
 void throw_rank_failed() { throw rank_failed(); }
 
@@ -171,19 +159,14 @@ void drain_xfer_copies() {
   // the engine's drain stops at the credit window, so keep pumping acks
   // (which retire credits) until the channels are empty. Peers draining
   // toward the same barrier serve our requests from their own loops, so
-  // this terminates — unless a peer died, which the error flag reports
-  // (its acks will never come; the teardown path cancels).
-  auto& err = rank->arena->control().error_flag.value;
-  for (;;) {
-    rank->xfer->drain_copies();
-    if (!rank->xfer->copies_pending()) break;
-    if (err.load(std::memory_order_acquire) != 0) break;
-    int work = rank->am->poll();
-    work += rank->rma_am->poll();
-    // The credits we are waiting on come from the peer; on a shared core
-    // it needs the cycles more than a repeat poll of empty queues does.
-    if (work == 0) std::this_thread::yield();
-  }
+  // this terminates — unless a peer died: its acks will never come, and
+  // the teardown path cancels.
+  (void)gex::wait_until(
+      [rank] {
+        rank->xfer->drain_copies();
+        return !rank->xfer->copies_pending();
+      },
+      [rank] { return rank->am->poll() + rank->rma_am->poll(); });
 }
 
 // Schedules a delivery for user-level progress (the paper's "insert into
@@ -263,14 +246,14 @@ void am_frame_delivery(gex::AmContext& cx) {
 
 }  // namespace detail
 
-void progress(progress_level lvl) {
+int detail::progress_work(progress_level lvl) {
   // A thread without a rank context (a worker that does not hold the master
   // persona) still progresses the personas it does hold: user-level progress
   // drains their LPC inboxes. The rank-level queues and the wire belong to
   // the master persona's holder alone.
   const int lpcs =
       lvl == progress_level::user ? detail::drain_persona_inboxes() : 0;
-  if (!detail::has_persona()) return;
+  if (!detail::has_persona()) return lpcs;
   auto& p = detail::persona();
   // User-level progress flushes the aggregation buffers first: staged
   // messages must never outlive their sender's attentiveness window, so any
@@ -305,8 +288,7 @@ void progress(progress_level lvl) {
       ++work;
     }
   }
-  p.work_events += static_cast<std::uint64_t>(work);
-  if (lvl == progress_level::internal) return;
+  if (lvl == progress_level::internal) return work;
 
   // User progress: drain compQ. Entries may enqueue more work (an RPC that
   // issues further communication); we drain only what was present at entry
@@ -326,8 +308,9 @@ void progress(progress_level lvl) {
       continue;
     }
     ++p.stats.lpcs_run;
-    ++p.work_events;
+    ++work;
   }
+  return work;
 }
 
 void init_persona() {
@@ -360,18 +343,17 @@ void fini_persona() {
   // possible after teardown. Give up when a peer failed — on the am wire
   // idleness needs the peer's acks, and a dead peer never sends them.
   auto* pst = static_cast<detail::PersonaState*>(r->upcxx_state);
-  auto& err = gex::arena().control().error_flag.value;
-  while ((!pst->injectq.empty_hint() || !r->xfer->idle() ||
-          !r->rma_am->idle()) &&
-         err.load(std::memory_order_acquire) == 0) {
-    progress();
-  }
+  const bool drained = gex::wait_until(
+      [pst, r] {
+        return pst->injectq.empty_hint() && r->xfer->idle() &&
+               r->rma_am->idle();
+      },
+      [] { return detail::progress_work(progress_level::user); });
   // A failed peer holds credits that will never be returned: cancel the
   // protocol's in-flight requests so the final drain below does not try to
   // send into a dead rank's ring (ops still in the engine's channels stay
-  // there: the protocol reports no credits while the error flag is up).
-  if (err.load(std::memory_order_acquire) != 0)
-    r->rma_am->fail_all_peers();
+  // there: the protocol reports no credits once the job failed).
+  if (!drained) r->rma_am->fail_all_peers();
   // Final drain so peers' teardown traffic (e.g. late rpc_ff acks) does not
   // sit in malloc'd staging buffers.
   for (int i = 0; i < 16; ++i) progress();
@@ -396,17 +378,13 @@ int run(const gex::Config& cfg, const std::function<void()>& fn) {
       throw;
     }
     // Quiesce: make sure every rank is done sending before teardown. A
-    // failed peer never joins the barrier; poll the substrate error flag so
-    // survivors tear down instead of spinning forever (failure-injection
-    // tests rely on this).
+    // failed peer never joins the barrier; the wait gives up when the job
+    // fails, so survivors tear down instead of spinning forever
+    // (failure-injection tests rely on this).
     auto barrier_done = barrier_async();
-    auto& err = gex::arena().control().error_flag.value;
-    while (!barrier_done.is_ready() &&
-           err.load(std::memory_order_acquire) == 0) {
-      const std::uint64_t w = detail::progress_work_counter();
-      progress();
-      if (detail::progress_work_counter() == w) std::this_thread::yield();
-    }
+    (void)gex::wait_until([&] { return barrier_done.is_ready(); }, [] {
+      return detail::progress_work(progress_level::user);
+    });
     fini_persona();
   });
 }

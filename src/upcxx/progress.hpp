@@ -42,10 +42,8 @@ namespace upcxx {
 
 class team;
 
-enum class progress_level { internal, user };
-
 // One round of progress. Never blocks.
-void progress(progress_level lvl);
+inline void progress(progress_level lvl) { detail::progress_work(lvl); }
 inline void progress() { progress(progress_level::user); }
 
 // Rank identity (world).
@@ -152,15 +150,6 @@ struct PersonaState {
   // no global lock — the per-thread inboxes are the sharded completion
   // queues.
   arch::MpscQueue injectq;
-
-  // Monotone count of actions performed by progress calls on this rank
-  // (messages handled, chunks moved, acks pumped, LPCs run). Spin loops
-  // compare it across a progress call and yield the core immediately when
-  // nothing happened — on oversubscribed or single-core hosts the peer that
-  // must produce the awaited completion needs the cycles far more than a
-  // repeat poll of empty queues does (the old fixed yield-every-256-spins
-  // wasted a scheduling quantum per window refill on the am wire).
-  std::uint64_t work_events = 0;
 };
 
 // The calling rank's runtime state. Asserts the calling thread holds a rank
@@ -188,14 +177,6 @@ PersonaState* inject_context();
 // Requires the rank context: the master persona's holder is the queue's
 // one consumer. Returns records consumed.
 int drain_injectq(PersonaState& st);
-
-// PersonaState::work_events of the calling thread's rank, or 0 without a
-// rank context (a persona-less waiter always yields, which is right — some
-// other thread drives the wire). Spin idiom:
-//   auto w = detail::progress_work_counter();
-//   ::upcxx::progress();
-//   if (detail::progress_work_counter() == w) std::this_thread::yield();
-std::uint64_t progress_work_counter();
 
 // The master persona object of a rank state (used by upcxx::master_persona).
 inline ::upcxx::persona& master_of(PersonaState& st) { return st.master; }

@@ -14,13 +14,15 @@
 //   fut.wait();
 //   pt.stop();                                     // master returns here
 //
-// The progress loop yields the core only after a progress call that did
-// no work (the work_events check future::wait uses) while neither the
-// data-motion engine has chunks to move (XferEngine::copies_pending()) nor
-// the AM RMA protocol has outstanding requests: rpc traffic keeps it hot,
-// and an idle wire still leaves an oversubscribed host's compute thread
-// the cycles while the virtual wire clock — which advances on wall time,
-// not CPU — runs out.
+// The progress loop is gex::wait_until, the one wait every blocking call
+// uses. It yields the core only after a progress round that did no work
+// while neither the data-motion engine has chunks to move
+// (XferEngine::copies_pending()) nor the AM RMA protocol has outstanding
+// requests: rpc traffic keeps it hot, and an idle wire still leaves an
+// oversubscribed host's compute thread the cycles while the virtual wire
+// clock — which advances on wall time, not CPU — runs out. The loop ends
+// at stop() or when the job fails; the handing-off thread's waits then
+// throw rank_failed, since they check for failure from any thread.
 //
 // The constructing thread must hold the master persona (the default state
 // inside upcxx::run) and must be the one calling stop(). Between
@@ -45,12 +47,12 @@ class progress_thread {
     liberate_master_persona();
     thread_ = std::thread([this] {
       persona_scope scope(*master_);
-      while (!stop_.load(std::memory_order_acquire)) {
-        const std::uint64_t w = detail::progress_work_counter();
-        progress();
-        if (detail::progress_work_counter() == w && !busy())
-          std::this_thread::yield();
-      }
+      (void)gex::wait_until(
+          [this] { return stop_.load(std::memory_order_acquire); },
+          [] {
+            const int work = detail::progress_work(progress_level::user);
+            return work + busy();
+          });
       // Final drain so late acks and teardown traffic don't linger.
       for (int i = 0; i < 64; ++i) progress();
     });

@@ -1,12 +1,16 @@
 // Substrate tests: shared heap, arena layout, AM engine (eager + rendezvous
-// + backpressure), launcher (thread and process backends).
+// + backpressure), the one blocking wait, launcher (thread and process
+// backends).
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "gex/config.hpp"
 #include "gex/runtime.hpp"
 #include "gex/shared_heap.hpp"
+#include "gex/wait.hpp"
 
 namespace {
 
@@ -323,6 +328,99 @@ TEST(AmEngine, SelfSendLoopback) {
   });
   EXPECT_EQ(fails, 0);
   EXPECT_EQ(g_am_count.load(), 1);
+}
+
+// ------------------------------------------------------------ wait_until
+
+TEST(WaitUntil, CompletionInTheFailingRoundIsReturned) {
+  EXPECT_FALSE(gex::job_failed());  // no job yet
+  gex::Arena* a = gex::Arena::create(small_cfg(1));
+  bool done = false;
+  int polls = 0;
+  EXPECT_TRUE(gex::wait_until([&] { return done; }, [&] {
+    ++polls;
+    done = true;
+    a->signal_error();
+    return 1;
+  }));
+  EXPECT_EQ(polls, 1);
+  EXPECT_TRUE(gex::job_failed());
+  gex::Arena::destroy(a);
+  EXPECT_FALSE(gex::job_failed());
+}
+
+TEST(WaitUntil, FailedJobEndsTheWaitAfterOnePoll) {
+  gex::Arena* a = gex::Arena::create(small_cfg(1));
+  a->signal_error();
+  int polls = 0;
+  EXPECT_FALSE(gex::wait_until([] { return false; }, [&] {
+    ++polls;
+    return 0;
+  }));
+  EXPECT_EQ(polls, 1);
+  gex::Arena::destroy(a);
+}
+
+TEST(WaitUntil, YieldsOnlyAfterAFruitlessRound) {
+  // This thread and a partner that counts its own turns share one CPU, so
+  // the partner runs between two polls only when the wait gives the core
+  // away.
+  cpu_set_t saved;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof one, &one), 0);
+  std::atomic<bool> stop{false};
+  std::atomic<long> turns{0};
+  std::thread partner([&] {
+    pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+    while (!stop.load(std::memory_order_relaxed)) {
+      turns.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::yield();
+    }
+  });
+  while (turns.load() == 0) std::this_thread::yield();
+  // Runs 200 rounds whose poll reports `work`; returns how many polls saw
+  // the partner take a turn since the previous poll.
+  auto partner_turns = [&](int work) {
+    int rounds = 0, seen = 0;
+    long last = turns.load();
+    EXPECT_TRUE(gex::wait_until([&] { return rounds == 200; }, [&] {
+      const long now = turns.load();
+      seen += rounds++ > 0 && now != last;
+      last = now;
+      return work;
+    }));
+    return seen;
+  };
+  const int fruitless = partner_turns(0);
+  const int productive = partner_turns(1);
+  stop = true;
+  partner.join();
+  pthread_setaffinity_np(pthread_self(), sizeof saved, &saved);
+  EXPECT_GE(fruitless, 150) << "a round that did no work yields";
+  EXPECT_LE(productive, 20) << "a round that did work does not";
+}
+
+TEST(WaitUntil, SeesTheFailureFromAThreadWithoutRankContext) {
+  gex::Arena* a = gex::Arena::create(small_cfg(1));
+  std::atomic<bool> waiting{false};
+  bool returned = true;
+  std::thread t([&] {
+    EXPECT_EQ(gex::self(), nullptr);
+    returned = gex::wait_until([] { return false; }, [&] {
+      waiting.store(true);
+      return 0;
+    });
+  });
+  while (!waiting.load()) std::this_thread::yield();
+  a->signal_error();
+  t.join();
+  EXPECT_FALSE(returned);
+  gex::Arena::destroy(a);
 }
 
 // ----------------------------------------------------------------- Launcher

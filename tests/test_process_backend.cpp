@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -43,6 +46,48 @@ void fail_after_barrier(int victim) {
   }
   upcxx::rpc_ff(victim, [] { ++g_left_barrier; });
   upcxx::progress();  // flush the note: some survivors stop polling
+}
+
+// Ends this rank with _Exit if it is still alive `secs` seconds after
+// construction: a wait that hangs then shows up as a second failed rank
+// instead of the ctest timeout.
+class Watchdog {
+ public:
+  explicit Watchdog(int secs)
+      : thread_([this, secs] {
+          std::unique_lock<std::mutex> lk(mu_);
+          if (!cv_.wait_for(lk, std::chrono::seconds(secs),
+                            [this] { return done_; }))
+            std::_Exit(3);
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+// Waits on a promise nothing will ever fulfill; true if the wait threw
+// rank_failed (the only way it can end).
+bool never_ready_wait_throws() {
+  try {
+    upcxx::promise<long> never;
+    never.get_future().wait();
+  } catch (const upcxx::rank_failed&) {
+    return true;
+  }
+  return false;
 }
 
 int run_forked(int ranks, const std::function<void()>& fn) {
@@ -320,6 +365,58 @@ TEST(ProcessBackend, WaitThrowsRankFailedWhenPeerDies) {
   EXPECT_EQ(fails, 1);
 }
 
+TEST(ProcessBackend, InjectorWaitThrowsRankFailedWhenPeerDies) {
+  // An injection_scope thread has no rank context. Its future::wait must
+  // still see the job fail: the failure check reads the job's flag from
+  // any thread, not through the waiting thread's rank state (which an
+  // injector does not have, so its wait used to spin forever).
+  const int fails = run_forked(3, [] {
+    fail_after_barrier(2);
+    if (upcxx::rank_me() == 0) {
+      Watchdog dog(5);
+      upcxx::injector inj;
+      bool threw = false;
+      std::thread app([&] {
+        upcxx::injection_scope scope(inj);
+        threw = never_ready_wait_throws();
+      });
+      app.join();
+      require(threw, "injector's wait threw rank_failed");
+    }
+    for (int i = 0; i < 100; ++i) upcxx::progress();
+  });
+  EXPECT_EQ(fails, 1);
+}
+
+TEST(ProcessBackend, LiberatedMasterWaitThrowsRankFailedWhenPeerDies) {
+  // The thread that hands its master persona to a progress_thread keeps
+  // no rank context; its waits must still end in rank_failed.
+  const int fails = run_forked(3, [] {
+    fail_after_barrier(2);
+    if (upcxx::rank_me() == 0) {
+      Watchdog dog(5);
+      upcxx::progress_thread pt;
+      const bool threw = never_ready_wait_throws();
+      pt.stop();
+      require(threw, "liberated master's wait threw rank_failed");
+    }
+    for (int i = 0; i < 100; ++i) upcxx::progress();
+  });
+  EXPECT_EQ(fails, 1);
+}
+
+TEST(ProcessBackend, SplitEndsWhenPeerDies) {
+  // team::split blocks in AmEngine::exchange until every member has
+  // contributed. Rank 2 dies instead, so only the job failure can end the
+  // survivors' wait; they must then tear down cleanly.
+  const int fails = run_forked(3, [] {
+    fail_after_barrier(2);
+    upcxx::world().split(0, upcxx::rank_me());
+    for (int i = 0; i < 100; ++i) upcxx::progress();
+  });
+  EXPECT_EQ(fails, 1);
+}
+
 // Floods a rank that died right after a barrier with 2,000 rpc_ff of
 // `bytes` payload each. Nothing drains the dead rank's inbox, so the
 // sender's AmEngine runs out of room: ring records (small payloads, packed
@@ -363,8 +460,7 @@ TEST(ProcessBackend, LateTrafficAfterTeardownIsDropped) {
   const int fails = upcxx::run(cfg, [] {
     fail_after_barrier(2);
     const int me = upcxx::rank_me();
-    const auto& err = gex::arena().control().error_flag.value;
-    while (err.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+    while (!gex::job_failed()) std::this_thread::yield();
     if (me == 0) {
       for (int i = 0; i < 3000; ++i) upcxx::rpc_ff(1, [] {});
       upcxx::progress();
