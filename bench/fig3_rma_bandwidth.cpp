@@ -111,9 +111,10 @@ int main() {
     auto seg = upcxx::allocate<char>(kMax);
     upcxx::dist_object<upcxx::global_ptr<char>> dir(seg);
     auto peer = dir.fetch(1 - me).wait();
-    // Quiesce upcxx before minimpi::init(): init spins the raw arena
-    // barrier, which serves no upcxx progress — if a peer's fetch reply is
-    // still pending when a rank enters it, the pair deadlocks (observed
+    // Quiesce upcxx before minimpi::init() and Win::create(): init spins
+    // the raw arena barrier and minimpi's waits poll only the AM engine,
+    // so neither serves upcxx progress — if a peer's fetch reply is still
+    // pending when a rank enters them, the pair deadlocks (observed
     // deterministically on single-core hosts).
     upcxx::barrier();
     minimpi::init();
@@ -121,7 +122,7 @@ int main() {
     auto win = minimpi::Win::create(exposure.data(), exposure.size());
 
     const int trials = benchutil::reps(10, 3);
-    for (std::size_t size = 8; size <= kMax; size <<= 2) {
+    for (std::size_t size = 4; size <= kMax; size <<= 2) {
       // Keep per-trial volume roughly constant; BENCH_QUICK shrinks it so
       // smoke runs on one-core hosts finish in seconds per size.
       const auto volume = static_cast<std::size_t>(

@@ -50,6 +50,7 @@ int main() {
   struct Row {
     std::size_t size;
     double upcxx_us, mpi_us;
+    std::vector<double> ratios;  // per trial, MPI over UPC++ latency
   };
   static std::vector<Row> rows;
 
@@ -65,9 +66,10 @@ int main() {
     auto seg = upcxx::allocate<char>(kMax);
     upcxx::dist_object<upcxx::global_ptr<char>> dir(seg);
     auto peer = dir.fetch(1 - me).wait();
-    // Quiesce upcxx before minimpi::init(): init spins the raw arena
-    // barrier, which serves no upcxx progress — a peer whose fetch reply
-    // is still pending would deadlock against it.
+    // Quiesce upcxx before minimpi::init() and Win::create(): init spins
+    // the raw arena barrier and minimpi's waits poll only the AM engine,
+    // so neither serves upcxx progress — a peer whose fetch reply is still
+    // pending would deadlock against them.
     upcxx::barrier();
     minimpi::init();
     // The MPI window's exposure buffer lives in the same shared arena the
@@ -78,30 +80,30 @@ int main() {
     std::vector<char> src(kMax, 'x');
     auto win = minimpi::Win::create(exposure.local(), kMax);
 
-    for (std::size_t size = 8; size <= kMax; size <<= 2) {
+    for (std::size_t size = 4; size <= kMax; size <<= 2) {
       const int iters = size <= 4096 ? 2000 : (size <= 262144 ? 300 : 30);
       // Sub-100ns points need more trials to wash out scheduler placement;
       // order alternates per trial so neither library systematically runs
       // on a warmer cache or a boosted core.
       const int trials = benchutil::reps(size <= 512 ? 24 : 10, 3);
-      double best_u = 1e30, best_m = 1e30;
+      Row row{size, 1e30, 1e30, {}};
       for (int t = 0; t < trials; ++t) {
+        double u = 0, m = 0;
         for (int half = 0; half < 2; ++half) {
           const bool upcxx_turn = (half == 0) == (t % 2 == 0);
           if (me == 0) {
-            if (upcxx_turn) {
-              best_u = std::min(best_u, upcxx_latency(peer, src.data(),
-                                                      size, iters));
-            } else {
-              best_m = std::min(best_m, mpi_latency(win, src.data(), size,
-                                                    iters));
-            }
+            if (upcxx_turn)
+              u = upcxx_latency(peer, src.data(), size, iters) * 1e6;
+            else
+              m = mpi_latency(win, src.data(), size, iters) * 1e6;
           }
           upcxx::barrier();
         }
+        row.upcxx_us = std::min(row.upcxx_us, u);
+        row.mpi_us = std::min(row.mpi_us, m);
+        row.ratios.push_back(m / u);
       }
-      if (me == 0)
-        rows.push_back({size, best_u * 1e6, best_m * 1e6});
+      if (me == 0) rows.push_back(std::move(row));
     }
     win.free();
     minimpi::finalize();
@@ -133,7 +135,7 @@ int main() {
     auto peer = dir.fetch(1 - me).wait();
     std::vector<char> src(kMax, 'z');
     upcxx::barrier();
-    for (std::size_t size = 8; size <= kMax; size <<= 2) {
+    for (std::size_t size = 4; size <= kMax; size <<= 2) {
       const int iters = size <= 4096 ? 1000 : (size <= 262144 ? 150 : 15);
       const int trials = benchutil::reps(6, 2);
       double best = 1e30;
@@ -168,7 +170,7 @@ int main() {
     auto peer = dir.fetch(1 - me).wait();
     std::vector<char> src(kMax, 'w');
     upcxx::barrier();
-    for (std::size_t size = 8; size <= kMax; size <<= 2) {
+    for (std::size_t size = 4; size <= kMax; size <<= 2) {
       const int iters = size <= 4096 ? 500 : (size <= 262144 ? 75 : 8);
       const int trials = benchutil::reps(6, 2);
       double best = 1e30;
@@ -228,17 +230,25 @@ int main() {
                 "UPC++ wins >5% on average below 256B (paper: >5%)");
   checks.expect(mid_n > 0 && mid_gain / mid_n > 0.0,
                 "UPC++ wins on average for 256B-1KB (paper: >25%)");
-  checks.expect(rows.back().upcxx_us <= rows.back().mpi_us * 1.05,
+  // One 4MB put is a few hundred us of memcpy, so a single slow trial
+  // decides a best-of comparison: the check reads the median of the
+  // per-trial ratios, each from an interleaved pair of trials.
+  const auto& big = rows.back();
+  checks.note("MPI over UPC++ latency at " + benchutil::human_size(big.size) +
+              ", " + std::to_string(big.ratios.size()) +
+              " interleaved trials: " +
+              benchutil::spread(big.ratios, "%.2f [%.2f-%.2f]"));
+  checks.expect(benchutil::median(big.ratios) >= 1 / 1.05,
                 "advantage (or parity) persists at 4MB");
   std::snprintf(buf, sizeof buf,
-                "am wire: %.3f us at 8B vs %.3f us direct (request/ack "
+                "am wire: %.3f us at 4B vs %.3f us direct (request/ack "
                 "round through target progress)",
                 am_rows.front().us, rows.front().upcxx_us);
   checks.note(buf);
   checks.expect(am_rows.back().us > 0 && am_rows.front().us > 0,
                 "am-wire series measured at every size");
   std::snprintf(buf, sizeof buf,
-                "socket transport: %.3f us at 8B (request/ack round through "
+                "socket transport: %.3f us at 4B (request/ack round through "
                 "loopback TCP) vs %.3f us on the shared ring",
                 socket_rows.front().us, am_rows.front().us);
   checks.note(buf);

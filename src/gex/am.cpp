@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "arch/timer.hpp"
-#include "gex/agg.hpp"
 #include "gex/runtime.hpp"
 #include "gex/wait.hpp"
 
@@ -135,78 +134,6 @@ void AmEngine::send(int target, HandlerIdx h, const void* data,
   SendBuf sb = prepare(target, h, n);
   if (n) std::memcpy(sb.data, data, n);
   commit(sb);
-}
-
-namespace {
-// Wire prefix of an exchange() contribution; the value bytes follow.
-struct ExchHdr {
-  std::uint64_t key;
-};
-}  // namespace
-
-void AmEngine::on_exchange(AmContext& cx) {
-  ExchHdr h;
-  std::memcpy(&h, cx.data, sizeof h);
-  auto& slot = cx.engine->exchanges_[h.key][cx.src];
-  const auto* val = static_cast<const std::byte*>(cx.data) + sizeof h;
-  slot.assign(val, val + (cx.size - sizeof h));
-}
-
-void AmEngine::exchange(std::uint64_t key, const int* group, std::size_t n,
-                        const void* mine, std::size_t bytes, void* out) {
-  const HandlerIdx h = am_handler<&AmEngine::on_exchange>();
-  std::size_t expected = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (group[i] == me_) continue;
-    ++expected;
-    SendBuf sb = prepare(group[i], h, sizeof(ExchHdr) + bytes);
-    const ExchHdr eh{key};
-    std::memcpy(sb.data, &eh, sizeof eh);
-    if (bytes)
-      std::memcpy(static_cast<std::byte*>(sb.data) + sizeof eh, mine, bytes);
-    commit(sb);
-  }
-  // Frames delivered by poll() below only *enqueue* their dispatch (rpc
-  // execution, reply staging) with the upper layer, and replies it has
-  // already staged sit in this rank's Aggregator — both normally advance
-  // only in user-level progress. While blocked here nothing else runs that
-  // layer, and a peer waiting on one of our rpc replies never reaches its
-  // own exchange(), deadlocking the collective. Drive the upper layer's
-  // progress ourselves (or at least the flush when no hook is installed,
-  // e.g. under bare-minimpi programs). A failed job ends the wait with the
-  // dead ranks' slots missing (zero-filled below).
-  (void)wait_until(
-      [&] {
-        // Re-find every round: poll()'s handlers mutate the map.
-        const auto it = exchanges_.find(key);
-        return it != exchanges_.end() && it->second.size() >= expected;
-      },
-      [this] {
-        if (Rank* r = self(); r != nullptr) {
-          if (r->progress_hook)
-            r->progress_hook();
-          else
-            r->agg->flush_all();
-        }
-        return poll();
-      });
-  auto* dst = static_cast<std::byte*>(out);
-  const auto it = exchanges_.find(key);
-  for (std::size_t i = 0; i < n; ++i, dst += bytes) {
-    if (group[i] == me_) {
-      std::memcpy(dst, mine, bytes);
-      continue;
-    }
-    if (it != exchanges_.end()) {
-      const auto vi = it->second.find(group[i]);
-      if (vi != it->second.end() && vi->second.size() == bytes) {
-        std::memcpy(dst, vi->second.data(), bytes);
-        continue;
-      }
-    }
-    std::memset(dst, 0, bytes);  // failed job: zero-fill the missing slot
-  }
-  exchanges_.erase(key);
 }
 
 int AmEngine::poll(int max_msgs) {

@@ -24,12 +24,15 @@
 // Threading: one thread per rank sends and polls — the holder of the
 // rank's context (prepare and poll assert it). A send stalled on a full
 // ring polls that same inbox, which is what keeps cyclic backlogs moving.
+//
+// Layering (as GASNet-EX's AM layer): the engine has no collective and
+// never runs the progress of a layer above it. Each layer gathers through
+// its own messages and waits with its own progress.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/ring.hpp"
@@ -153,20 +156,6 @@ class AmEngine {
   // Convenience single-shot send.
   void send(int target, HandlerIdx h, const void* data, std::size_t n);
 
-  // Keyed small-value allgather over `group` (n world ranks, this rank
-  // among them): every member calls exchange with an agreed key and the
-  // same group in the same order; on return `out` holds n*bytes with
-  // member i's contribution at offset i*bytes. Self-synchronizing — each
-  // member's value travels as an AM, and the call polls until all have
-  // arrived — so it needs no shared scratch memory and works on every
-  // transport (it replaces the arena scratch-slot exchanges that assumed a
-  // shared mapping). Keys must be unique among concurrent exchanges and
-  // agreed across the group (e.g. hash of a team id and a collective
-  // counter). Bails out early, zero-filling missing slots, if the job
-  // error flag rises.
-  void exchange(std::uint64_t key, const int* group, std::size_t n,
-                const void* mine, std::size_t bytes, void* out);
-
   // Drains ring records from this rank's inbox, invoking handlers, until
   // max_msgs messages were handled (a frame counts its sub-messages).
   // Returns the number of messages handled.
@@ -188,7 +177,6 @@ class AmEngine {
   const Stats& stats() const { return stats_; }
 
  private:
-  static void on_exchange(AmContext& cx);
   // Reserves sb.size payload bytes of one inline record to sb.target,
   // stalling until the transport has room.
   void reserve_record(SendBuf& sb);
@@ -210,12 +198,6 @@ class AmEngine {
   bool stamp_send_ns_;  // WireHeader::send_ns has a reader (sim latency)
   Stats stats_;
   std::vector<std::byte> discard_;  // black-holed sends' scratch payload
-  // In-flight exchange() contributions, keyed by collective key then
-  // sender rank. Touched only from poll handlers and exchange() itself
-  // (consumer thread), so no lock.
-  std::unordered_map<std::uint64_t,
-                     std::unordered_map<int, std::vector<std::byte>>>
-      exchanges_;
 };
 
 }  // namespace gex

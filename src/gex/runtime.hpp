@@ -32,15 +32,6 @@ struct Rank {
   // target's segment directly. The XferEngine has the matching wire ops
   // installed when set.
   bool rma_wire_am = false;
-  // Upper-layer progress, driven from gex-level blocking spins
-  // (AmEngine::exchange): AmEngine::poll() only *delivers* frames — the
-  // upcxx layer defers their dispatch (rpc execution, reply staging) to
-  // its own user-level progress queue. A rank blocked inside a gex
-  // collective must keep running that layer, or a peer waiting on one of
-  // this rank's rpc replies never reaches the collective and the job
-  // deadlocks. Installed by upcxx init_persona, cleared by fini_persona;
-  // spins fall back to flushing `agg` directly when unset.
-  std::function<void()> progress_hook;
   void* upcxx_state = nullptr;
   void* minimpi_state = nullptr;
 };

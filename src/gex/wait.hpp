@@ -2,8 +2,9 @@
 // around progress"; a job whose rank died must end that loop instead of
 // hanging in it. Every blocking loop of the runtime — future::wait, the
 // barrier-entry xfer drain, teardown drains, the progress thread, the AM
-// engine's send retries and exchange, both world barriers — is this
-// function with its own readiness test and its own poll.
+// engine's send retries, both world barriers, minimpi's waits and
+// oldupcxx's event::wait — is this function with its own readiness test
+// and its own poll.
 #pragma once
 
 #include <thread>

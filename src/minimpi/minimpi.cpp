@@ -5,11 +5,13 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "arch/cacheline.hpp"
 #include "gex/am.hpp"
 #include "gex/runtime.hpp"
+#include "gex/wait.hpp"
 
 namespace minimpi {
 namespace detail {
@@ -134,6 +136,16 @@ void barrier_handler(gex::AmContext& cx) {
   ++st().barrier_got[h->key];
 }
 
+// Every blocking minimpi call waits here, polling the AM engine (the
+// progress inside any MPI call) until done() holds. A failed job ends the
+// wait with a throw: a dead peer never sends what the caller waits for,
+// and the throw reports this rank as failed instead of hanging it.
+template <class Done>
+void block_until(Done done) {
+  if (!gex::wait_until(done, [] { return gex::self()->am->poll(); }))
+    throw std::runtime_error("minimpi: a rank of the job failed");
+}
+
 }  // namespace
 }  // namespace detail
 
@@ -210,7 +222,7 @@ const Status& Request::status() const {
 
 void wait(Request& r, Status* status) {
   assert(r.valid());
-  while (!r.st_->done) poll();
+  detail::block_until([&r] { return r.st_->done; });
   if (status) *status = r.st_->status;
 }
 
@@ -256,7 +268,7 @@ void barrier() {
     detail::BarrierHdr h{key};
     eng.send((s.rank + k) % P, gex::am_handler<&detail::barrier_handler>(), &h,
              sizeof h);
-    while (s.barrier_got[key] < 1) poll();
+    detail::block_until([&s, key] { return s.barrier_got[key] >= 1; });
     s.barrier_got.erase(key);
   }
   // Our receives arriving says nothing about our *sends* on a buffered-tx
@@ -265,7 +277,7 @@ void barrier() {
   // polling entirely after this return (finalize's world_barrier is a pure
   // atomic spin), which would strand the record and deadlock its target's
   // barrier. Push everything onto the wire first.
-  while (!eng.transport().tx_quiesced()) poll();
+  detail::block_until([&eng] { return eng.transport().tx_quiesced(); });
 }
 
 void alltoallv(const void* sendbuf, const std::size_t* sendcounts,
@@ -317,23 +329,25 @@ void alltoallv_group(const std::vector<int>& members, const void* sendbuf,
 
 Win Win::create(void* base, std::size_t bytes) {
   auto& s = detail::st();
-  // Allgather (base, size) over the AM engine's keyed exchange —
-  // self-synchronizing, no shared scratch, works on every transport. The
-  // key mixes a salt with the per-process window count: window creation is
-  // collective, so the count (and thus the key) agrees on all ranks. MPI
-  // windows legitimately store O(ranks) bases — one of the non-scalable
-  // constructs the paper's design principles call out.
+  // Allgather (base, size) with alltoallv's pairwise sendrecv schedule:
+  // minimpi's own two-sided traffic, so a dead peer ends the gather in
+  // wait's failure exit. MPI windows legitimately store O(ranks) bases —
+  // one of the non-scalable constructs the paper's design principles call
+  // out.
   struct Slot {
     void* base;
     std::size_t size;
   };
-  const Slot mine{base, bytes};
-  std::vector<Slot> slots(static_cast<std::size_t>(s.nranks));
-  std::vector<int> world(static_cast<std::size_t>(s.nranks));
-  for (int r = 0; r < s.nranks; ++r) world[static_cast<std::size_t>(r)] = r;
-  gex::self()->am->exchange(
-      0x31145EED0000ull ^ static_cast<std::uint64_t>(s.windows.size()),
-      world.data(), world.size(), &mine, sizeof(Slot), slots.data());
+  constexpr int kTag = 0x3114;
+  const int P = s.nranks;
+  std::vector<Slot> slots(P);
+  slots[s.rank] = Slot{base, bytes};
+  for (int step = 1; step < P; ++step) {
+    const int to = (s.rank + step) % P;
+    const int from = (s.rank - step + P) % P;
+    sendrecv(&slots[s.rank], sizeof(Slot), to, kTag, &slots[from],
+             sizeof(Slot), from, kTag);
+  }
   detail::WinState w;
   w.bases.resize(s.nranks);
   w.sizes.resize(s.nranks);
@@ -341,8 +355,8 @@ Win Win::create(void* base, std::size_t bytes) {
   w.pending_count.assign(s.nranks, 0);
   w.epoch.assign(s.nranks, 0);
   for (int r = 0; r < s.nranks; ++r) {
-    w.bases[r] = static_cast<std::byte*>(slots[static_cast<std::size_t>(r)].base);
-    w.sizes[r] = slots[static_cast<std::size_t>(r)].size;
+    w.bases[r] = static_cast<std::byte*>(slots[r].base);
+    w.sizes[r] = slots[r].size;
   }
   s.windows.push_back(std::move(w));
   Win win;

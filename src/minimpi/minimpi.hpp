@@ -17,7 +17,8 @@
 // comparing against the leaner PGAS path (§IV-B).
 //
 // Progress happens inside library calls (wait/test/flush/barrier poll the
-// substrate), matching the MPI progress model.
+// substrate), matching the MPI progress model. A blocking call throws
+// std::runtime_error once a rank of the job has failed.
 #pragma once
 
 #include <cstddef>

@@ -21,6 +21,7 @@
 #include <cassert>
 #include <cstdint>
 
+#include "gex/wait.hpp"
 #include "upcxx/upcxx.hpp"
 
 namespace oldupcxx {
@@ -42,9 +43,14 @@ class event {
 
   bool isdone() const { return pending_ == 0; }
 
-  // Spin user progress until every registered operation has signaled.
+  // Spins user progress until every registered operation has signaled.
+  // Throws upcxx::rank_failed once a rank of the job has died, like a v1.0
+  // future::wait: an operation that depends on a dead rank never signals.
   void wait() {
-    while (pending_ > 0) upcxx::progress();
+    if (!gex::wait_until([this] { return pending_ == 0; }, [] {
+          return upcxx::detail::progress_work(upcxx::progress_level::user);
+        }))
+      upcxx::detail::throw_rank_failed();
   }
 
   bool test() {

@@ -326,11 +326,6 @@ void init_persona() {
   // The primordial thread holds the master persona from init (spec: the
   // thread calling init receives the master persona).
   detail::adopt_master(st->master, st);
-  // Gex-level blocking collectives (AmEngine::exchange) drive this while
-  // spinning so frames they deliver get dispatched — without it a rank
-  // blocked in team-split's allgather never executes peers' rpcs and the
-  // job deadlocks on any transport (see Rank::progress_hook).
-  r->progress_hook = [] { progress(progress_level::user); };
   detail::init_world_team();
 }
 
@@ -358,7 +353,6 @@ void fini_persona() {
   // sit in malloc'd staging buffers.
   for (int i = 0; i < 16; ++i) progress();
   detail::fini_world_team();
-  r->progress_hook = nullptr;  // persona state dies with us
   auto* st = static_cast<detail::PersonaState*>(r->upcxx_state);
   detail::drop_master(st->master);
   detail::tls_persona = nullptr;

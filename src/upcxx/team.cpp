@@ -260,23 +260,15 @@ void coll_enter(const team& tm, intrank_t root, std::vector<std::byte> contrib,
 }  // namespace detail
 
 team team::split(int color, int key) const {
-  // Allgather (color, key) across the team through the AM engine's keyed
-  // exchange — self-synchronizing and shared-memory-free, so it works on
-  // every transport (the scratch-slot version it replaces assumed a
-  // cross-mapped arena). The exchange key mixes the team id with the
-  // per-team collective counter: identical on every member (they all run
-  // the same split sequence on this team), distinct across teams and
-  // successive splits.
+  // Allgather (color, key) over this team with the ordinary collective
+  // engine: it takes one of the team's collective sequence numbers, runs
+  // user progress while it waits, and throws rank_failed once a member has
+  // died, like every other blocking collective.
   struct Slot {
     std::int32_t color;
     std::int32_t key;
   };
-  const std::uint64_t xkey =
-      detail::mix64(0x5017C0117EC7ull ^ id_, split_count_);
-  const Slot mine{color, key};
-  std::vector<Slot> slots(static_cast<std::size_t>(rank_n()));
-  gex::am().exchange(xkey, members_.data(), slots.size(), &mine,
-                     sizeof(Slot), slots.data());
+  const std::vector<Slot> slots = allgather(Slot{color, key}, *this).wait();
 
   std::vector<std::pair<std::pair<int, int>, int>> group;  // ((key,world),world)
   for (intrank_t i = 0; i < rank_n(); ++i) {

@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "apps/dht/dht.hpp"
+#include "minimpi/minimpi.hpp"
+#include "oldupcxx/oldupcxx.hpp"
 #include "spmd_helpers.hpp"
 
 namespace {
@@ -405,13 +407,76 @@ TEST(ProcessBackend, LiberatedMasterWaitThrowsRankFailedWhenPeerDies) {
   EXPECT_EQ(fails, 1);
 }
 
-TEST(ProcessBackend, SplitEndsWhenPeerDies) {
-  // team::split blocks in AmEngine::exchange until every member has
-  // contributed. Rank 2 dies instead, so only the job failure can end the
-  // survivors' wait; they must then tear down cleanly.
+TEST(ProcessBackend, SplitThrowsRankFailedWhenPeerDies) {
+  // team::split gathers every member's (color, key) before it builds the
+  // child team. Rank 2 dies instead of contributing, so the survivors'
+  // split must throw rank_failed, not return a team that still lists the
+  // dead rank.
   const int fails = run_forked(3, [] {
     fail_after_barrier(2);
-    upcxx::world().split(0, upcxx::rank_me());
+    Watchdog dog(5);
+    bool threw = false;
+    try {
+      upcxx::world().split(0, upcxx::rank_me());
+    } catch (const upcxx::rank_failed&) {
+      threw = true;
+    }
+    require(threw, "split threw rank_failed");
+    for (int i = 0; i < 100; ++i) upcxx::progress();
+  });
+  EXPECT_EQ(fails, 1);
+}
+
+TEST(ProcessBackend, MiniMpiWaitEndsWhenPeerDies) {
+  // minimpi's waits poll only the AM engine, and a dead peer never sends
+  // what they wait for. Rank 0 blocks in a recv from the dead rank 2;
+  // rank 1 blocks in Win::create's gather, which waits on rank 0. Both
+  // waits must end with minimpi's failure throw instead of hanging.
+  const int fails = run_forked(3, [] {
+    minimpi::init();
+    fail_after_barrier(2);
+    Watchdog dog(5);
+    bool threw = false;
+    try {
+      if (upcxx::rank_me() == 0) {
+        long v = 0;
+        minimpi::recv(&v, sizeof v, 2, 7);
+      } else {
+        long exposed = 0;
+        minimpi::Win::create(&exposed, sizeof exposed);
+      }
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    require(threw, "minimpi wait threw once the job failed");
+    for (int i = 0; i < 100; ++i) upcxx::progress();
+  });
+  EXPECT_EQ(fails, 1);
+}
+
+TEST(ProcessBackend, OldApiEventWaitThrowsRankFailedWhenPeerDies) {
+  // A v0.1 event counts operations until their acks arrive; an async sent
+  // to a dead rank is never acked, so event::wait must throw rank_failed
+  // like a v1.0 future::wait.
+  const int fails = run_forked(3, [] {
+    fail_after_barrier(2);
+    if (upcxx::rank_me() == 0) {
+      Watchdog dog(5);
+      // Once the flag is up rank 2's upcxx layer is gone, so nothing can
+      // run the async and ack it.
+      while (!gex::job_failed()) std::this_thread::yield();
+      // v0.1 events must outlive their operations, and this one's never
+      // completes: leak it rather than assert in ~event.
+      auto* e = new oldupcxx::event;
+      oldupcxx::async(2, e)([] {});
+      bool threw = false;
+      try {
+        e->wait();
+      } catch (const upcxx::rank_failed&) {
+        threw = true;
+      }
+      require(threw, "event::wait threw rank_failed");
+    }
     for (int i = 0; i < 100; ++i) upcxx::progress();
   });
   EXPECT_EQ(fails, 1);

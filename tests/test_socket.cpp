@@ -239,8 +239,8 @@ void socket_spmd_body() {
   const int echoed =
       upcxx::rpc(nb, [](int x) { return x + 1; }, me).wait();
   require(echoed == me + 1, "rpc over the socket");
-  // Team split rides AmEngine::exchange — the scratch-slot allgather it
-  // replaced assumed a cross-mapped arena.
+  // Team split gathers through the collective engine's AM traffic, with
+  // no shared scratch memory.
   upcxx::team half = upcxx::world().split(me % 2, me);
   require(half.rank_n() == P / 2, "split team size");
   require(gex::am().stats().sent_rendezvous == 0,

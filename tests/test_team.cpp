@@ -74,6 +74,27 @@ TEST(Team, NestedSplits) {
   });
 }
 
+TEST(Team, SplitWhileCollectiveInFlight) {
+  // split is a collective on the parent team: it takes its turn behind a
+  // non-blocking collective already in flight there, and the child team
+  // it builds splits the same way.
+  spmd(6, [] {
+    const int me = upcxx::rank_me();
+    auto world_bar = upcxx::barrier_async();
+    upcxx::team half = upcxx::world().split(me % 2, me);
+    world_bar.wait();
+    EXPECT_EQ(half.rank_n(), 3);
+    EXPECT_EQ(half.rank_me(), me / 2);
+    auto half_bar = upcxx::barrier_async(half);
+    upcxx::team pair = half.split(half.rank_me() / 2, half.rank_me());
+    half_bar.wait();
+    EXPECT_EQ(pair.rank_n(), half.rank_me() < 2 ? 2 : 1);
+    EXPECT_EQ(upcxx::reduce_all(1, upcxx::op_fast_add{}, pair).wait(),
+              pair.rank_n());
+    upcxx::barrier();
+  });
+}
+
 TEST(Coll, WorldBarrierSynchronizes) {
   static std::atomic<int> phase{0};
   phase = 0;
